@@ -1,46 +1,33 @@
 """Exact enumeration of short lattice vectors.
 
-The main algorithm is the classic triangular (Cholesky-style) recursion, kept
-in integers: at level i the quadratic condition for coordinate x_i uses the
-Schur complement of the first i basis vectors scaled by the i-th leading
-minor, which is an integer matrix by the bordered-minor identity.  Candidate
-ranges come from integer square roots, so no floats decide anything.
+One walker serves every input: the depth-first triangular recursion of
+Fincke and Pohst (1985), run on Python integers so that no entry size can
+overflow.  At level i the quadratic condition for coordinate x_i uses the
+Schur complement S_i of the first i basis vectors scaled by the i-th leading
+minor D_i.  After i fraction-free Bareiss steps (Bareiss 1968) the trailing
+block of the eliminated Gram matrix is exactly D_i * S_i, so one elimination
+pass yields every level as an integer matrix.  Candidate ranges come from
+integer square roots, so no floats decide anything.
 
-Two interchangeable backends walk that recursion: a numba kernel (default)
-and a vectorized numpy breadth-first pass, selected with the
-LATSCREEN_BACKEND environment variable ("numba" or "numpy").  Before
-dispatch, a conservative big-int bound on every intermediate decides whether
-int64 is safe; if not, the numpy path runs on object (big-int) arrays
-instead.  Results are identical across all three.
+box_enumerate is the independent reference: a numpy scan of the whole
+coordinate box, on int64 arrays when a bound proves that safe and on object
+(Python int) arrays otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from operator import mul
 
 import numpy as np
 
-from . import _kernels
 from . import intlinalg as _intlinalg
 from .core import Lattice, LatticeError, Vec
 from .intlinalg import determinant as _int_determinant
 
-BACKEND_ENV = "LATSCREEN_BACKEND"
 _INT64_SAFE = 1 << 61
-
-
-def active_backend() -> str:
-    """Backend selected by the environment, defaulting to numba when present."""
-    v = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if v in ("numba", "numpy"):
-        return v
-    if v:
-        raise ValueError(f"{BACKEND_ENV} must be 'numba' or 'numpy', got {v!r}")
-    return "numba" if _kernels.HAS_NUMBA else "numpy"
 
 
 @dataclass(frozen=True)
@@ -60,31 +47,26 @@ class EnumerationResult:
         return np.array(self.vectors, dtype=np.int64).reshape(len(self.vectors), self.lattice.rank)
 
 
-def _schur_levels(lat: Lattice) -> tuple[list[int], list[list[list[int]]]]:
+def _schur_levels(gram: list[list[int]]) -> tuple[list[int], list[list[list[int]]]]:
     """Leading minors D_0..D_{d-1} and the integer matrices D_i * S_i.
 
-    S_i is the Schur complement of the leading i x i block, so D_i * S_i has
-    integer entries (quotients of bordered minors by D_i, times D_i).
+    S_i is the Schur complement of the leading i x i block.  Bareiss step k
+    turns the trailing block into D_{k+1} * S_{k+1} (Sylvester's identity),
+    with every division exact, so the levels are copies of that block.
     """
-    d = lat.rank
-    s = [[Fraction(v) for v in row] for row in lat.gram]
+    a = [list(r) for r in gram]
+    d = len(a)
     dmins: list[int] = []
     hmats: list[list[list[int]]] = []
-    dcur = 1
-    for i in range(d):
-        dmins.append(dcur)
-        hm = [[v * dcur for v in row] for row in s]
-        assert all(v.denominator == 1 for row in hm for v in row)
-        hmats.append([[v.numerator for v in row] for row in hm])
-        piv = s[0][0]
-        n = len(s)
-        s = [
-            [s[r][c] - s[r][0] * s[0][c] / piv for c in range(1, n)]
-            for r in range(1, n)
-        ]
-        dnew = dcur * piv
-        assert dnew.denominator == 1
-        dcur = dnew.numerator
+    prev = 1
+    for k in range(d):
+        dmins.append(prev)
+        hmats.append([row[k:] for row in a[k:]])
+        piv = a[k][k]
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
+        prev = piv
     return dmins, hmats
 
 
@@ -116,152 +98,39 @@ def _coordinate_limits(lat: Lattice, bound: int) -> list[int]:
     return limits
 
 
-def _int64_is_safe(dmins, hmats, bound: int, limits: list[int]) -> bool:
-    """Conservative big-int audit of every quantity the int64 kernels touch."""
-    d = len(hmats)
-    worst = 0
-    for i in range(d):
-        h = hmats[i]
-        n = d - i
-        a = h[0][0]
-        bmax = sum(abs(h[0][j]) * limits[i + j] for j in range(1, n))
-        cmax = sum(
-            abs(h[j][k]) * limits[i + j] * limits[i + k]
-            for j in range(1, n) for k in range(1, n)
-        )
-        m = bound * dmins[i]
-        disc = bmax * bmax + a * (cmax + m)
-        xbig = limits[i] + 2
-        q = a * xbig * xbig + 2 * bmax * xbig + cmax + m
-        worst = max(worst, disc * 4, q * 4)
-    return worst < _INT64_SAFE
+def _depth_first(dmins, hmats, bound: int) -> list[tuple[Vec, int]]:
+    """Every x with first nonzero coordinate positive and 0 < x^T G x <= bound,
+    with its norm, unsorted.  Coordinates are fixed from the last level
+    inwards; linear memory.
 
-
-def _isqrt_array(disc: np.ndarray) -> np.ndarray:
-    s = np.sqrt(disc.astype(np.float64)).astype(np.int64)
-    s = np.maximum(s, 0)
-    while True:
-        over = s * s > disc
-        if not over.any():
-            break
-        s = s - over
-    while True:
-        under = (s + 1) * (s + 1) <= disc
-        if not under.any():
-            break
-        s = s + under
-    return s
-
-
-def _depth_first_python(dmins, hmats, bound: int) -> list[tuple[Vec, int]]:
-    """Big-int mirror of the compiled recursion, for inputs that fail the
-    int64 audit.  Linear memory, canonical signs only."""
+    With the outer coordinates fixed, level i asks a*v^2 + 2*b*v + c <= m for
+    v = x_i, which is (a*v + b)^2 <= disc, so the integer range of v follows
+    exactly from s = isqrt(disc)."""
     d = len(dmins)
     out: list[tuple[Vec, int]] = []
     x = [0] * d
+    # per level: a, the b coefficients, the c matrix rows and m = bound * D_i
+    levels = [(h[0][0], h[0][1:], [hj[1:] for hj in h[1:]], bound * dm)
+              for h, dm in zip(hmats, dmins)]
 
     def level(i: int) -> None:
-        h = hmats[i]
-        n = d - i
-        a = h[0][0]
-        b = sum(h[0][j] * x[i + j] for j in range(1, n))
-        c = 0
-        for j in range(1, n):
-            hj = h[j]
-            xj = x[i + j]
-            for k in range(1, n):
-                c += hj[k] * xj * x[i + k]
-        m = bound * dmins[i]
+        a, brow, crows, m = levels[i]
+        tail = x[i + 1:]
+        b = sum(map(mul, brow, tail))
+        c = sum(xj * sum(map(mul, row, tail)) for row, xj in zip(crows, tail))
         disc = b * b - a * (c - m)
         if disc < 0:
-            x[i] = 0
             return
         s = math.isqrt(disc)
-        hival = (-b + s) // a
-        loval = (-b - s) // a
-        while a * (hival + 1) ** 2 + 2 * b * (hival + 1) + c <= m:
-            hival += 1
-        while hival >= loval and a * hival * hival + 2 * b * hival + c > m:
-            hival -= 1
-        while a * (loval - 1) ** 2 + 2 * b * (loval - 1) + c <= m:
-            loval -= 1
-        while loval <= hival and a * loval * loval + 2 * b * loval + c > m:
-            loval += 1
-        for v in range(loval, hival + 1):
+        for v in range(-((b + s) // a), (s - b) // a + 1):
             x[i] = v
-            if i == 0:
-                first = next((t for t in x if t != 0), 0)
-                if first > 0:
-                    out.append((tuple(x), a * v * v + 2 * b * v + c))
-            else:
+            if i:
                 level(i - 1)
-        x[i] = 0
+            elif next((t for t in x if t != 0), 0) > 0:
+                out.append((tuple(x), a * v * v + 2 * b * v + c))
 
     level(d - 1)
     return out
-
-
-def _breadth_first_below(lat: Lattice, dmins, hmats, bound: int) -> list[tuple[Vec, int]]:
-    """Numpy sweep of the same recursion, one level at a time.  int64 only;
-    the caller guarantees the audit passed."""
-    d = lat.rank
-    dtype = np.int64
-    hs = [np.array(h, dtype=dtype) for h in hmats]
-    suffix = np.zeros((1, 0), dtype=dtype)
-    for i in range(d - 1, -1, -1):
-        k = suffix.shape[0]
-        if k == 0:
-            return []
-        h = hs[i]
-        a = h[0, 0]
-        m = np.int64(bound * dmins[i])
-        if suffix.shape[1]:
-            b = suffix.dot(h[0, 1:])
-            c = (suffix.dot(h[1:, 1:]) * suffix).sum(axis=1)
-        else:
-            b = np.zeros(k, dtype=dtype)
-            c = np.zeros(k, dtype=dtype)
-        disc = b * b - a * (c - m)
-        keep = disc >= 0
-        suffix, b, c, disc = suffix[keep], b[keep], c[keep], disc[keep]
-        if suffix.shape[0] == 0:
-            return []
-        s = _isqrt_array(disc)
-        hi = (-b + s) // a
-        lo = (-b - s) // a
-        while True:
-            grow = a * (hi + 1) ** 2 + 2 * b * (hi + 1) + c <= m
-            if not grow.any():
-                break
-            hi = hi + grow
-        while True:
-            shrink = (hi >= lo) & (a * hi ** 2 + 2 * b * hi + c > m)
-            if not shrink.any():
-                break
-            hi = hi - shrink
-        while True:
-            grow = a * (lo - 1) ** 2 + 2 * b * (lo - 1) + c <= m
-            if not grow.any():
-                break
-            lo = lo - grow
-        while True:
-            shrink = (lo <= hi) & (a * lo ** 2 + 2 * b * lo + c > m)
-            if not shrink.any():
-                break
-            lo = lo + shrink
-        cnt = np.maximum(hi - lo + 1, 0).astype(np.int64)
-        total = int(cnt.sum())
-        if total == 0:
-            return []
-        k = suffix.shape[0]
-        idx = np.repeat(np.arange(k), cnt)
-        starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        offs = np.arange(total) - np.repeat(starts, cnt)
-        xvals = lo[idx] + offs
-        suffix = np.column_stack([xvals, suffix[idx]])
-    g = np.array([list(r) for r in lat.gram], dtype=dtype)
-    norms = (suffix.dot(g) * suffix).sum(axis=1)
-    return [(tuple(int(v) for v in row), int(n)) for row, n in zip(suffix, norms)]
 
 
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
@@ -282,63 +151,35 @@ def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
     )
 
 
-def enumerate_up_to_norm(lat: Lattice, bound: int, backend: str | None = None) -> EnumerationResult:
+def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
     """All nonzero vectors with norm <= bound, up to sign.
 
-    Exactness does not depend on the backend: when the conservative int64
-    audit fails, the computation runs on the plain-Python big-int recursion
-    regardless of the requested backend.
+    The depth-first walker runs in LLL coordinates, where its level ranges
+    stay tight, and the solutions are mapped back to the lattice's basis.
     """
     bound = int(bound)
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
     if bound == 0:
         return EnumerationResult(lattice=lat, bound=0, vectors=(), norms=())
-    chosen = backend if backend is not None else active_backend()
-    if chosen not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {chosen!r}")
-    # the level ranges of the recursion stay tight only on a reduced basis,
-    # so work in LLL coordinates and map the solutions back at the end
-    d = lat.rank
-    w = _intlinalg.lll_rows([list(r) for r in lat.gram])
-    reduced = w == _intlinalg.identity(d)
-    if reduced:
-        red = lat
+    gram = [list(r) for r in lat.gram]
+    w = _intlinalg.lll_rows(gram)
+    if w == _intlinalg.identity(lat.rank):
+        pairs = _depth_first(*_schur_levels(gram), bound)
     else:
-        g = lat.gram
-        red = Lattice([
-            [sum(w[i][a] * g[a][b] * w[j][b] for a in range(d) for b in range(d))
-             for j in range(d)] for i in range(d)
-        ])
-    dmins, hmats = _schur_levels(red)
-    limits = _coordinate_limits(red, bound)
-    if not _int64_is_safe(dmins, hmats, bound, limits):
-        pairs = _depth_first_python(dmins, hmats, bound)
-    elif chosen == "numba" and _kernels.HAS_NUMBA:
-        hstack = np.zeros((d, d, d), dtype=np.int64)
-        for i, h in enumerate(hmats):
-            n = d - i
-            hstack[i, :n, :n] = np.array(h, dtype=np.int64)
-        vecs, norms = _kernels.depth_first_below(
-            hstack, np.array(dmins, dtype=np.int64), np.int64(bound), 1024
-        )
-        pairs = [(tuple(int(v) for v in row), int(n)) for row, n in zip(vecs, norms)]
-    else:
-        pairs = _breadth_first_below(red, dmins, hmats, bound)
-    if not reduced:
-        pairs = [
-            (tuple(sum(int(z[i]) * w[i][j] for i in range(d)) for j in range(d)), nrm)
-            for z, nrm in pairs
-        ]
+        red = _intlinalg.matmul(_intlinalg.matmul(w, gram), list(zip(*w)))
+        pairs = _depth_first(*_schur_levels(red), bound)
+        xs = _intlinalg.matmul([z for z, _ in pairs], w)
+        pairs = [(x, nrm) for x, (_, nrm) in zip(xs, pairs)]
     return _finish(lat, bound, pairs)
 
 
-def enumerate_exact_norm(lat: Lattice, norm: int, backend: str | None = None) -> EnumerationResult:
+def enumerate_exact_norm(lat: Lattice, norm: int) -> EnumerationResult:
     """All vectors of one exact norm, up to sign."""
     norm = int(norm)
     if norm < 0:
         raise LatticeError("norm must be nonnegative")
-    below = enumerate_up_to_norm(lat, norm, backend=backend)
+    below = enumerate_up_to_norm(lat, norm)
     pairs = [(v, n) for v, n in zip(below.vectors, below.norms) if n == norm]
     return EnumerationResult(
         lattice=lat,
@@ -348,7 +189,7 @@ def enumerate_exact_norm(lat: Lattice, norm: int, backend: str | None = None) ->
     )
 
 
-def box_enumerate(lat: Lattice, bound: int, backend: str | None = None) -> EnumerationResult:
+def box_enumerate(lat: Lattice, bound: int) -> EnumerationResult:
     """Reference enumeration by scanning the full coordinate box.
 
     Use for cross-checks: same contract as enumerate_up_to_norm but with a
@@ -362,35 +203,15 @@ def box_enumerate(lat: Lattice, bound: int, backend: str | None = None) -> Enume
     limits = _coordinate_limits(lat, bound)
     d = lat.rank
     maxg = max(abs(v) for row in lat.gram for v in row)
-    maxx = max(limits) if limits else 0
+    maxx = max(limits)
+    # every product and partial sum of x^T G x is at most d^2 * maxg * maxx^2
     safe = d * d * maxg * (maxx + 1) * (maxx + 1) < _INT64_SAFE
-    chosen = backend if backend is not None else active_backend()
-    if not safe:
-        pairs = _box_python(lat, limits, bound)
-    elif chosen == "numba" and _kernels.HAS_NUMBA:
-        g = np.array([list(r) for r in lat.gram], dtype=np.int64)
-        vecs, norms = _kernels.box_scan(
-            g, np.array(limits, dtype=np.int64), np.int64(bound), 1024
-        )
-        pairs = [(tuple(int(v) for v in row), int(n)) for row, n in zip(vecs, norms)]
-    else:
-        pairs = _box_numpy(lat, limits, bound)
-    return _finish(lat, bound, pairs)
+    return _finish(lat, bound, _box_numpy(lat, limits, bound, np.int64 if safe else object))
 
 
-def _box_python(lat: Lattice, limits, bound):
-    import itertools
-    out = []
-    for x in itertools.product(*(range(-l, l + 1) for l in limits)):
-        nrm = lat.norm(x)
-        if 0 < nrm <= bound:
-            out.append((x, nrm))
-    return out
-
-
-def _box_numpy(lat: Lattice, limits, bound, chunk_rows: int = 2_000_000):
+def _box_numpy(lat: Lattice, limits, bound, dtype, chunk_rows: int = 2_000_000):
     d = lat.rank
-    g = np.array([list(r) for r in lat.gram], dtype=np.int64)
+    g = np.array([list(r) for r in lat.gram], dtype=dtype)
     # split coordinates so the materialized tail block stays small
     tail_size = 1
     split = 0
@@ -405,16 +226,15 @@ def _box_numpy(lat: Lattice, limits, bound, chunk_rows: int = 2_000_000):
     reps = 1
     for j in range(split, d):
         width = 2 * limits[j] + 1
-        vals = np.arange(-limits[j], limits[j] + 1, dtype=np.int64)
+        vals = np.arange(-limits[j], limits[j] + 1, dtype=dtype)
         tiles = tail_size // (reps * width)
         cols.append(np.tile(np.repeat(vals, tiles), reps))
         reps *= width
-    tail = np.column_stack(cols) if cols else np.zeros((1, 0), dtype=np.int64)
+    tail = np.column_stack(cols) if cols else np.zeros((1, 0), dtype=dtype)
     out = []
-    import itertools
     for head in itertools.product(*head_ranges):
-        block = np.empty((tail.shape[0], d), dtype=np.int64)
-        block[:, :split] = np.array(head, dtype=np.int64)
+        block = np.empty((tail.shape[0], d), dtype=dtype)
+        block[:, :split] = np.array(head, dtype=dtype)
         block[:, split:] = tail
         norms = (block.dot(g) * block).sum(axis=1)
         keep = (norms > 0) & (norms <= bound)

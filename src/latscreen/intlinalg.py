@@ -8,6 +8,7 @@ ranks here are small, so clarity beats asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Matrix = list[list[int]]
@@ -22,16 +23,8 @@ def identity(n: int) -> Matrix:
 
 
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def matvec(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
-
-
-def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def leading_minors(mat: Sequence[Sequence[int]]) -> list[int]:

@@ -239,9 +239,7 @@ def _screener_basis(lat: Lattice, screeners: ScreenerSet) -> list[Vec]:
     return found
 
 
-def identify_extended_type(
-    lat: Lattice, backend: str | None = None
-) -> tuple[list[ExtendedGroup], ScreenerSet]:
+def identify_extended_type(lat: Lattice) -> tuple[list[ExtendedGroup], ScreenerSet]:
     """Full classification: screener basis, reduction, recognition, merge.
 
     Requires an even lattice generated by its screeners.  Groups share a
@@ -252,7 +250,7 @@ def identify_extended_type(
     """
     if not lat.is_even:
         raise NotGeneratedError("lattice is not even")
-    screeners = all_screeners(lat, backend=backend)
+    screeners = all_screeners(lat)
     span = intlinalg.hnf_rows([list(v) for v in screeners.vectors])
     if len(span) != lat.rank or abs(intlinalg.determinant(span)) != 1:
         raise NotGeneratedError("screeners do not generate the lattice")
@@ -475,13 +473,6 @@ def rank2_predicted_in_lattice(form: Rank2Form) -> tuple[Vec, ...]:
         out.append(w)
     out.sort()
     return tuple(out)
-
-
-_CARTAN_SCALE_FREE = {
-    "A": lambda n: _path_gram(n),
-    "D": lambda n: _d_gram(n),
-    "E": lambda n: _e_gram(n),
-}
 
 
 def _path_gram(n: int) -> list[list[int]]:

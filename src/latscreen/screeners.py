@@ -66,7 +66,7 @@ def _mod_kernel_columns(lat: Lattice, t: int, snf=None) -> list[list[int]]:
     return cols
 
 
-def all_screeners(lat: Lattice, backend: str | None = None) -> ScreenerSet:
+def all_screeners(lat: Lattice) -> ScreenerSet:
     """Every screener of the lattice.
 
     A screener of norm 2t has t dividing det(G) and lies in the mod-t kernel
@@ -74,23 +74,20 @@ def all_screeners(lat: Lattice, backend: str | None = None) -> ScreenerSet:
     enumerates one small ball per shell instead of the whole ball of radius
     2*det(G)."""
     pairs: list[tuple[int, Vec]] = []
-    snf = intlinalg.smith_normal_form([list(r) for r in lat.gram])
+    gram = [list(r) for r in lat.gram]
+    snf = intlinalg.smith_normal_form(gram)
     for t in intlinalg.divisors(lat.determinant):
         cols = _mod_kernel_columns(lat, t, snf)
-        sub = Lattice(
-            [[lat.inner(cols[i], cols[j]) for j in range(lat.rank)] for i in range(lat.rank)]
-        )
-        found = enumerate_up_to_norm(sub, 2 * t, backend=backend)
-        for z, nrm in zip(found.vectors, found.norms):
-            if nrm != 2 * t:
-                continue
-            x = [sum(cols[k][r] * z[k] for k in range(lat.rank)) for r in range(lat.rank)]
+        sub = Lattice(intlinalg.matmul(intlinalg.matmul(cols, gram), list(zip(*cols))))
+        found = enumerate_up_to_norm(sub, 2 * t)
+        shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
+        for x in intlinalg.matmul(shell, cols):
             first = next((v for v in x if v != 0), 0)
             if first < 0:
                 x = [-v for v in x]
             x = tuple(x)
             if is_screener(lat, x):
-                pairs.append((nrm, x))
+                pairs.append((2 * t, x))
     pairs.sort()
     return ScreenerSet(
         lattice=lat,

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,8 +232,13 @@ def test_oracle_check_seed_is_required(capsys):
 
 
 def test_console_script_runs():
+    """The script target in pyproject.toml is cli.main, which `python -m
+    latscreen` also runs, so the subprocess needs no installed script."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert 'latscreen = "latscreen.cli:main"' in scripts.splitlines()
     out = subprocess.run(
-        ["latscreen", "catalog", "A", "1", "--format", "text"],
+        [sys.executable, "-m", "latscreen", "catalog", "A", "1", "--format", "text"],
         capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0
