@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from . import intlinalg
@@ -70,13 +71,12 @@ class Lattice:
     def gram_times(self, x: Sequence[int]) -> Vec:
         """The vector G x of inner products of x with the basis."""
         self._check_dim(x)
-        return tuple(sum(row[j] * x[j] for j in range(self.rank)) for row in self.gram)
+        return tuple(sum(map(mul, row, x)) for row in self.gram)
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
         self._check_dim(x)
         self._check_dim(y)
-        gx = self.gram_times(x)
-        return sum(gx[i] * y[i] for i in range(self.rank))
+        return sum(map(mul, (sum(map(mul, row, x)) for row in self.gram), y))
 
     def norm(self, x: Sequence[int]) -> int:
         return self.inner(x, x)
@@ -200,7 +200,8 @@ def orthogonal_split(
         t = lat.inner(a, b) // n
         basis.append([b[i] - t * a[i] for i in range(d)])
     new_gram = [[lat.inner(basis[i], basis[j]) for j in range(d)] for i in range(d)]
-    assert all(new_gram[0][j] == 0 for j in range(1, d))
+    if any(new_gram[0][j] != 0 for j in range(1, d)):
+        raise LatticeError(f"internal: split of {tuple(a)} left a nonzero pairing {new_gram[0]}")
     rest = [[new_gram[i][j] for j in range(1, d)] for i in range(1, d)]
     witness = [[basis[j][i] for j in range(d)] for i in range(d)]
     return Lattice([[n]]), Lattice(rest), witness
@@ -213,7 +214,10 @@ def quotient_invariants(lat: Lattice) -> tuple[int, ...]:
     prod = 1
     for v in divisors:
         prod *= v
-    assert prod == lat.determinant
+    if prod != lat.determinant:
+        raise LatticeError(
+            f"internal: invariants {divisors} multiply to {prod}, not det {lat.determinant}"
+        )
     return divisors
 
 

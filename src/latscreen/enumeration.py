@@ -133,6 +133,19 @@ def _depth_first(dmins, hmats, bound: int) -> list[tuple[Vec, int]]:
     return out
 
 
+def form_minimum(gram: list[list[int]]) -> int:
+    """The least value of x^T gram x over nonzero integer x, for a positive
+    definite integer matrix.
+
+    One LLL reduction bounds it by the shortest reduced basis vector; one
+    walk up to that bound finds it exactly.
+    """
+    w = _intlinalg.lll_rows(gram)
+    red = _intlinalg.matmul(_intlinalg.matmul(w, gram), list(zip(*w)))
+    bound = min(red[i][i] for i in range(len(red)))
+    return min(nrm for _, nrm in _depth_first(*_schur_levels(red), bound))
+
+
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
     canon = []
     for coords, nrm in pairs:

@@ -8,6 +8,7 @@ ranks here are small, so clarity beats asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 from typing import Sequence
 
@@ -58,7 +59,8 @@ def leading_minors(mat: Sequence[Sequence[int]]) -> list[int]:
 def _det_direct(mat: Sequence[Sequence[int]]) -> int:
     """Exact determinant via fraction elimination (fallback for zero pivots)."""
     d = _det_fraction(mat)
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise ValueError(f"internal: determinant {d} of an integer matrix is not an integer")
     return d.numerator
 
 
@@ -87,19 +89,18 @@ def determinant(mat: Sequence[Sequence[int]]) -> int:
     return leading_minors(mat)[-1]
 
 
-def divisors(n: int) -> list[int]:
-    """Positive divisors of n > 0, ascending, by trial division."""
+def divisors(n: int, limit: int) -> list[int]:
+    """Positive divisors of n > 0 that are at most limit, ascending, by trial
+    division up to min(limit, isqrt(n))."""
     if n < 1:
         raise ValueError(f"divisors of {n} undefined, need a positive integer")
     small = []
     large = []
-    k = 1
-    while k * k <= n:
+    for k in range(1, min(limit, isqrt(n)) + 1):
         if n % k == 0:
             small.append(k)
-            if k * k != n:
+            if n // k != k and n // k <= limit:
                 large.append(n // k)
-        k += 1
     return small + large[::-1]
 
 

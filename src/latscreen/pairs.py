@@ -71,6 +71,14 @@ def _shift_vector(lat: Lattice, a: Sequence[int], scale: int) -> DualVec:
     return tuple(scale * t for t in unit)
 
 
+def _require_weight_one(lat: Lattice, gamma: DualVec, *operators) -> None:
+    """Check that every (momentum, level) operator has conformal weight 1."""
+    for mom, lvl in operators:
+        wt = conformal_weight(lat, mom, gamma, lvl)
+        if wt != 1:
+            raise LatticeError(f"internal: weight {wt} != 1 at level {lvl}")
+
+
 def make_type_i(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> PairSpec:
     """Two level-0 screening operators with momenta -a/p and a/p'.
 
@@ -82,13 +90,8 @@ def make_type_i(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> PairSpe
         raise LatticeError(f"({p}, {p_prime}) does not decompose <a,a> = {lat.norm(a)}")
     gamma = _shift_vector(lat, a, p - p_prime)
     a_t = tuple(int(v) for v in a)
-    for mom, lvl in (
-        (tuple(Fraction(-v, p) for v in a_t), 0),
-        (tuple(Fraction(v, p_prime) for v in a_t), 0),
-    ):
-        wt = conformal_weight(lat, mom, gamma, lvl)
-        if wt != 1:
-            raise LatticeError(f"internal: weight {wt} != 1")
+    _require_weight_one(lat, gamma, (tuple(Fraction(-v, p) for v in a_t), 0),
+                        (tuple(Fraction(v, p_prime) for v in a_t), 0))
     return PairSpec(
         alpha=a_t,
         p=p,
@@ -174,8 +177,7 @@ def type_ii_feasible(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> Fe
     a_t = tuple(int(v) for v in a)
     m = 2 * (p - p_prime)
     mom2 = tuple(Fraction(m * v, 2 * p * p_prime) for v in a_t)
-    assert conformal_weight(lat, tuple(Fraction(-v, p) for v in a_t), gamma, 0) == 1
-    assert conformal_weight(lat, mom2, gamma, 1) == 1
+    _require_weight_one(lat, gamma, (tuple(Fraction(-v, p) for v in a_t), 0), (mom2, 1))
     w = tuple(mom2[i] - 2 * gamma[i] for i in range(lat.rank))
     beta, why = _orthogonal_witness(lat, a_t, w)
     if beta is None:
@@ -237,9 +239,8 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
         return FeasibilityReport(feasible=False, reasons=tuple(reasons))
     gamma = _shift_vector(lat, a, -p_prime)
     a_t = tuple(int(v) for v in a)
-    assert conformal_weight(lat, tuple(Fraction(-v, p) for v in a_t), gamma, 1) == 1
     mom2 = tuple(Fraction(m * v, 2 * p * p_prime) for v in a_t)
-    assert conformal_weight(lat, mom2, gamma, 0) == 1
+    _require_weight_one(lat, gamma, (tuple(Fraction(-v, p) for v in a_t), 1), (mom2, 0))
     w = tuple(Fraction(a_t[i], p) + 2 * gamma[i] for i in range(lat.rank))
     beta, why = _orthogonal_witness(lat, a_t, w)
     if beta is None:

@@ -153,6 +153,7 @@ def recognize_components(lat: Lattice, reduced: Sequence[Sequence[int]]) -> list
         block_vecs = [rows[pos] for pos in positions]
         block = sublattice_gram(lat, block_vecs)
         reps = enumerate_exact_norm(block, nrm).vectors
+        ips = intlinalg.matmul(intlinalg.matmul(reps, block.gram), list(zip(*reps)))
         parent = list(range(len(reps)))
 
         def find(i: int) -> int:
@@ -163,7 +164,7 @@ def recognize_components(lat: Lattice, reduced: Sequence[Sequence[int]]) -> list
 
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
-                if block.inner(reps[i], reps[j]) != 0:
+                if ips[i][j] != 0:
                     ri, rj = find(i), find(j)
                     if ri != rj:
                         parent[ri] = rj
@@ -355,6 +356,12 @@ class Rank2Form:
 WARN_2B_ODD = "rank2-type2b-odd-scale"
 
 
+def _require(ok: bool, what: str) -> None:
+    """A step of the rank-2 normal form that the screener theory guarantees."""
+    if not ok:
+        raise ClassificationError(f"rank-2 normal form: {what}")
+
+
 def rank2_normal_form(lat: Lattice) -> Rank2Form | NoScreener:
     """Classify a rank-2 lattice by an explicit unimodular change of basis.
 
@@ -370,18 +377,18 @@ def rank2_normal_form(lat: Lattice) -> Rank2Form | NoScreener:
         return NO_SCREENER
     a1 = screeners.vectors[0]
     nrm = screeners.norms[0]
-    assert nrm % 2 == 0
+    _require(nrm % 2 == 0, f"minimal screener norm {nrm} is odd")
     p = nrm // 2
     cols = intlinalg.unimodular_with_first_column(list(a1))
     change = cols
     g = _gram_of(lat, change)
     b = g[0][1]
-    assert b % p == 0, (g, p)
+    _require(b % p == 0, f"pairing {b} is not a multiple of p = {p} in Gram {g}")
     n = -(b // p)
     if n % 2 == 0:
         change = intlinalg.matmul(change, [[1, n // 2], [0, 1]])
         g = _gram_of(lat, change)
-        assert g[0][1] == 0
+        _require(g[0][1] == 0, f"diagonalizing left Gram {g}")
         m = g[1][1]
         if m != 2 * p:
             return Rank2Form(
@@ -392,7 +399,7 @@ def rank2_normal_form(lat: Lattice) -> Rank2Form | NoScreener:
         change = intlinalg.matmul(change, [[1, 0], [1, -1]])
         g = _gram_of(lat, change)
         p2, m2 = g[0][0] // 2, g[1][1]
-        assert g[0][1] == -p2 and m2 == p2
+        _require(g[0][1] == -p2 and m2 == p2, f"regrouping diag(2p, 2p) gave Gram {g}")
         return Rank2Form(
             kind="type2", p=p2, m=m2, subtype="2b",
             basis_change=_cols_tuple(change),
@@ -400,13 +407,13 @@ def rank2_normal_form(lat: Lattice) -> Rank2Form | NoScreener:
         )
     change = intlinalg.matmul(change, [[1, (n - 1) // 2], [0, 1]])
     g = _gram_of(lat, change)
-    assert g[0][1] == -p, g
+    _require(g[0][1] == -p, f"clearing the pairing left Gram {g}, expected -{p} off the diagonal")
     m = g[1][1]
     while m < p:
         change = intlinalg.matmul(change, [[1, -1], [2, -1]])
         g = _gram_of(lat, change)
         p, m = g[0][0] // 2, g[1][1]
-        assert g[0][1] == -p
+        _require(g[0][1] == -p, f"flipping gave Gram {g}, expected -{p} off the diagonal")
     if m == p:
         subtype = "2b"
     elif m == 2 * p:

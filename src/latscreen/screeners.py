@@ -2,8 +2,11 @@
 
 A nonzero vector x is a screening vector ("screener") when its norm is even,
 x is not twice a lattice vector, and 2x/<x,x> pairs integrally with the whole
-lattice.  The set of all screeners is finite: <x,x>/2 must divide det G, so
-enumerating up to norm 2*det(G) finds every one.
+lattice, that is, lies in the dual lattice L*.  A screener of norm 2t lies in
+the mod-t kernel sublattice M_t = {x : G x = 0 mod t}, and t is bounded
+twice: it divides the exponent d_n of L*/L, and x/t is a nonzero dual vector
+of norm 2/t, so t is at most 2/lambda_1(L*)^2.  The search walks the norm-2t
+shell of M_t only for the divisors t of d_n within that bound.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 
 from . import intlinalg
 from .core import DualVec, Lattice, LatticeError, Vec, in_dual
-from .enumeration import enumerate_up_to_norm
+from .enumeration import enumerate_up_to_norm, form_minimum
 
 
 def is_screener(lat: Lattice, x: Sequence[int]) -> bool:
@@ -69,14 +72,28 @@ def _mod_kernel_columns(lat: Lattice, t: int, snf=None) -> list[list[int]]:
 def all_screeners(lat: Lattice) -> ScreenerSet:
     """Every screener of the lattice.
 
-    A screener of norm 2t has t dividing det(G) and lies in the mod-t kernel
-    sublattice M_t, so the search walks the divisors of the determinant and
-    enumerates one small ball per shell instead of the whole ball of radius
-    2*det(G)."""
+    A screener x of norm 2t lies in M_t, so the search enumerates the
+    norm-2t shell of M_t for each t that can hold one and keeps the vectors
+    that pass is_screener.  With d_1 | ... | d_n the Smith invariants of G,
+    only these t are walked:
+
+    - t | d_n.  If q^k divides t exactly but not d_n, q divides every Smith
+      coordinate of x, so x = q x' with x' in L: q = 2 contradicts x not in
+      2L, and for odd q, G x' = 0 mod t/q forces t/q | <x',x'> = 2t/q^2,
+      so q | 2.
+    - t <= 2 d_n / h_min, with h_min the minimum of the integer form
+      H = d_n G^-1: y = x/t is a nonzero vector of L*, so
+      <y,y> = 2/t >= h_min / d_n.
+    """
     pairs: list[tuple[int, Vec]] = []
     gram = [list(r) for r in lat.gram]
     snf = intlinalg.smith_normal_form(gram)
-    for t in intlinalg.divisors(lat.determinant):
+    u, diag, v = snf
+    d = lat.rank
+    dn = diag[d - 1][d - 1]
+    # H = d_n G^-1 = V diag(d_n / d_i) U, since G^-1 = V D^-1 U
+    h = intlinalg.matmul([[v[r][i] * (dn // diag[i][i]) for i in range(d)] for r in range(d)], u)
+    for t in intlinalg.divisors(dn, 2 * dn // form_minimum(h)):
         cols = _mod_kernel_columns(lat, t, snf)
         sub = Lattice(intlinalg.matmul(intlinalg.matmul(cols, gram), list(zip(*cols))))
         found = enumerate_up_to_norm(sub, 2 * t)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -233,13 +234,16 @@ def test_oracle_check_seed_is_required(capsys):
 
 def test_console_script_runs():
     """The script target in pyproject.toml is cli.main, which `python -m
-    latscreen` also runs, so the subprocess needs no installed script."""
-    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    latscreen` also runs, so the subprocess needs no installed script.  It
+    imports the package from src, as the pytest configuration does."""
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
     scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert 'latscreen = "latscreen.cli:main"' in scripts.splitlines()
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "latscreen", "catalog", "A", "1", "--format", "text"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert out.stdout == "2\n"

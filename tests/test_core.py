@@ -179,3 +179,18 @@ def test_sublattice_gram():
     assert sublattice_gram(lat, [(1, 0)]).gram == ((2,),)
     with pytest.raises(LatticeError):
         sublattice_gram(lat, [(1, 1), (2, 2)])
+
+
+def test_package_has_no_assert_statements():
+    """Checks that guard results must survive python -O, which strips assert."""
+    import ast
+    from pathlib import Path
+
+    import latscreen
+
+    found = []
+    for path in sorted(Path(latscreen.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

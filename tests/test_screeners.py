@@ -16,12 +16,15 @@ from latscreen import (
     enumerate_exact_norm,
     is_positive_definite,
     is_screener,
+    quotient_invariants,
     screener_span,
     screener_splitting,
     screening_system,
     virasoro_shift,
 )
-from latscreen.screeners import in_sublattice
+from latscreen.enumeration import enumerate_up_to_norm, form_minimum
+from latscreen.intlinalg import divisors, solve_linear_system
+from latscreen.screeners import _mod_kernel_columns, in_sublattice
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -316,3 +319,117 @@ def test_central_charge():
     assert central_charge(1, (Fraction(1, 12),), Lattice([[12]])) == 0
     lat = Lattice(A2)
     assert central_charge(2, (Fraction(0), Fraction(0)), lat) == 2
+
+
+def _random_gram(rng, max_rank):
+    while True:
+        d = rng.randint(1, max_rank)
+        g = [[0] * d for _ in range(d)]
+        for i in range(d):
+            g[i][i] = rng.randint(1, 6)
+            for j in range(i + 1, d):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        if is_positive_definite(g):
+            return g
+
+
+def _orthogonal_sum(g1, g2):
+    d1, d2 = len(g1), len(g2)
+    return [list(r) + [0] * d2 for r in g1] + [[0] * d1 + list(r) for r in g2]
+
+
+def _cut_pool():
+    """300 seeded Grams: random of rank <= 5, scaled copies of random Grams
+    and orthogonal sums of two random Grams."""
+    rng = random.Random(3301)
+    pool = [Lattice(_random_gram(rng, 5)) for _ in range(150)]
+    for _ in range(75):
+        s = rng.randint(2, 4)
+        pool.append(Lattice([[s * v for v in r] for r in _random_gram(rng, 3)]))
+    for _ in range(75):
+        g1 = _random_gram(rng, 3)
+        pool.append(Lattice(_orthogonal_sum(g1, _random_gram(rng, 5 - len(g1)))))
+    return pool
+
+
+CUT_POOL = _cut_pool()
+
+
+def _exponent_and_dual_minimum(lat):
+    """(d_n, h_min): the exponent of L*/L and the minimum of H = d_n G^-1,
+    with G^-1 from exact column solves rather than the Smith form."""
+    d = lat.rank
+    gram = [list(r) for r in lat.gram]
+    inv_cols = [solve_linear_system(gram, [int(i == j) for i in range(d)]) for j in range(d)]
+    dn = math.lcm(*(v.denominator for col in inv_cols for v in col))
+    h = [[dn * inv_cols[j][i] for j in range(d)] for i in range(d)]
+    assert all(v.denominator == 1 for row in h for v in row)
+    h = [[v.numerator for v in row] for row in h]
+    res = enumerate_up_to_norm(Lattice(h), min(h[i][i] for i in range(d)))
+    return dn, res.norms[0]
+
+
+def _unpruned_screeners(lat):
+    """Every screener by walking every divisor shell of det G."""
+    pairs = []
+    for t in divisors(lat.determinant, lat.determinant):
+        cols = _mod_kernel_columns(lat, t)
+        sub = Lattice([[lat.inner(a, b) for b in cols] for a in cols])
+        for z in enumerate_up_to_norm(sub, 2 * t).vectors:
+            x = tuple(sum(zi * col[r] for zi, col in zip(z, cols)) for r in range(lat.rank))
+            if next(v for v in x if v != 0) < 0:
+                x = tuple(-v for v in x)
+            if lat.norm(x) == 2 * t and is_screener(lat, x):
+                pairs.append((2 * t, x))
+    pairs.sort()
+    return tuple(x for _, x in pairs), tuple(n for n, _ in pairs)
+
+
+def test_screener_shells_divide_exponent_and_respect_dual_minimum():
+    """A screener of norm 2t has t | d_n and t <= 2 d_n / h_min."""
+    checked = 0
+    for lat in CUT_POOL:
+        dn, hmin = _exponent_and_dual_minimum(lat)
+        assert quotient_invariants(lat)[-1] == dn
+        for nrm in all_screeners(lat).norms:
+            t = nrm // 2
+            assert dn % t == 0, (lat.gram, t, dn)
+            assert t * hmin <= 2 * dn, (lat.gram, t, dn, hmin)
+            checked += 1
+    assert checked > 300
+
+
+def test_all_screeners_matches_unpruned_walk():
+    for lat in CUT_POOL:
+        s = all_screeners(lat)
+        assert (s.vectors, s.norms) == _unpruned_screeners(lat), lat.gram
+
+
+def test_form_minimum_matches_enumeration():
+    for lat in CUT_POOL[:100]:
+        gram = [list(r) for r in lat.gram]
+        bound = min(gram[i][i] for i in range(lat.rank))
+        assert form_minimum(gram) == enumerate_up_to_norm(lat, bound).norms[0]
+
+
+def test_e8_keeps_its_roots_at_the_cut():
+    """E8 is unimodular with minimum 2, so t = 2 d_n / h_min = 1 is the one
+    shell, reached with equality."""
+    e8 = catalog("E", 8)
+    assert _exponent_and_dual_minimum(e8) == (1, 2)
+    s = all_screeners(e8)
+    assert s.total_count == 240
+    assert set(s.norms) == {2}
+
+
+def test_divisors_with_limit_match_brute_force():
+    for n in range(1, 200):
+        every = [k for k in range(1, n + 1) if n % k == 0]
+        assert divisors(n, n) == every
+        for limit in range(0, n + 2):
+            assert divisors(n, limit) == [k for k in every if k <= limit], (n, limit)
+    # the scan stops at the limit, far below isqrt(n)
+    assert divisors(3 * 2 ** 60, 10) == [1, 2, 3, 4, 6, 8]
+    assert divisors(3 * 2 ** 20, 3 * 2 ** 20)[-3:] == [2 ** 20, 3 * 2 ** 19, 3 * 2 ** 20]
+    with pytest.raises(ValueError):
+        divisors(0, 1)
