@@ -44,9 +44,9 @@ def leading_minors(mat: Sequence[Sequence[int]]) -> list[int]:
         minors.append(piv)
         if piv == 0:
             # Bareiss needs nonzero pivots; once a leading minor vanishes the
-            # remaining ones are filled in by direct cofactor expansion.
+            # remaining ones are computed one by one with row pivoting.
             for t in range(k + 1, n):
-                minors.append(_det_direct([row[: t + 1] for row in mat[: t + 1]]))
+                minors.append(determinant([row[: t + 1] for row in mat[: t + 1]]))
             return minors
         for i in range(k + 1, n):
             for j in range(k + 1, n):
@@ -56,37 +56,27 @@ def leading_minors(mat: Sequence[Sequence[int]]) -> list[int]:
     return minors
 
 
-def _det_direct(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant via fraction elimination (fallback for zero pivots)."""
-    d = _det_fraction(mat)
-    if d.denominator != 1:
-        raise ValueError(f"internal: determinant {d} of an integer matrix is not an integer")
-    return d.numerator
-
-
-def _det_fraction(mat: Sequence[Sequence[int]]) -> Fraction:
-    a = [[Fraction(v) for v in row] for row in mat]
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            for k in range(c, n):
-                a[r][k] -= f * a[c][k]
-    return det
-
-
 def determinant(mat: Sequence[Sequence[int]]) -> int:
-    if not mat:
-        return 1
-    return leading_minors(mat)[-1]
+    """Exact determinant by fraction-free Bareiss elimination with row
+    pivoting: a zero pivot is replaced by a lower row with a nonzero entry in
+    its column (flipping the sign), and a column with none gives 0."""
+    a = copy_matrix(mat)
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        piv = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
+        prev = piv
+    return sign * prev
 
 
 def divisors(n: int, limit: int) -> list[int]:
@@ -183,24 +173,32 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> Matrix:
     for c in range(n):
         piv = None
         for i in range(r, m):
-            if a[i][c] != 0:
-                if piv is None:
-                    piv = i
-                    continue
-                g, s, t = xgcd(a[piv][c], a[i][c])
-                u, v = a[piv][c] // g, a[i][c] // g
-                rp = [s * a[piv][j] + t * a[i][j] for j in range(n)]
-                ri = [-v * a[piv][j] + u * a[i][j] for j in range(n)]
-                a[piv], a[i] = rp, ri
+            x = a[i][c]
+            if x == 0:
+                continue
+            if piv is None:
+                piv = i
+                continue
+            rp, ri = a[piv], a[i]
+            p = rp[c]
+            if x % p == 0:
+                q = x // p
+                a[i] = [y - q * z for y, z in zip(ri, rp)]
+                continue
+            g, s, t = xgcd(p, x)
+            u, v = p // g, x // g
+            a[piv] = [s * y + t * z for y, z in zip(rp, ri)]
+            a[i] = [u * z - v * y for y, z in zip(rp, ri)]
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         if a[r][c] < 0:
             a[r] = [-v for v in a[r]]
+        pr = a[r]
         for i in range(r):
-            q = a[i][c] // a[r][c]
+            q = a[i][c] // pr[c]
             if q:
-                a[i] = [a[i][j] - q * a[r][j] for j in range(n)]
+                a[i] = [y - q * z for y, z in zip(a[i], pr)]
         r += 1
     return a[:r]
 
@@ -341,25 +339,17 @@ def saturation_rows(rows: Sequence[Sequence[int]]) -> Matrix:
 
 
 def invert_unimodular(mat: Sequence[Sequence[int]]) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1.
+
+    The Hermite form of the rows [A | I] is [H | W] with W A = H, and
+    H = I exactly when A is unimodular, so then W is the inverse."""
     n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [v * inv for v in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [a[r][j] - f * a[c][j] for j in range(2 * n)]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    if any(v.denominator != 1 for row in out for v in row):
+    rows = hnf_rows([list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)])
+    if any(not any(row[:n]) for row in rows):
+        raise ValueError("matrix is singular")
+    if any(rows[i][j] != (i == j) for i in range(n) for j in range(n)):
         raise ValueError("matrix is not unimodular")
-    return [[v.numerator for v in row] for row in out]
+    return [row[n:] for row in rows]
 
 
 def complement_rows(sat: Sequence[Sequence[int]]) -> Matrix:

@@ -292,8 +292,7 @@ def identify_extended_type(lat: Lattice) -> tuple[list[ExtendedGroup], ScreenerS
             for pos in c.positions:
                 pos_to_group[pos] = gi
     actual = [0] * len(groups)
-    for v in screeners.vectors:
-        coeffs = intlinalg.matmul([list(v)], binv)[0]
+    for v, coeffs in zip(screeners.vectors, intlinalg.matmul(screeners.vectors, binv)):
         support = {pos_to_group[i] for i, t in enumerate(coeffs) if t != 0}
         if len(support) != 1:
             raise ClassificationError(

@@ -7,6 +7,12 @@ the mod-t kernel sublattice M_t = {x : G x = 0 mod t}, and t is bounded
 twice: it divides the exponent d_n of L*/L, and x/t is a nonzero dual vector
 of norm 2/t, so t is at most 2/lambda_1(L*)^2.  The search walks the norm-2t
 shell of M_t only for the divisors t of d_n within that bound.
+
+Each M_t starts from a Hermite basis modulo t, with entries in [0, t]: the
+Hermite form of the Smith-form generators of M_t reduced mod t, plus t Z^d.
+This is M_t itself because t Z^d lies in M_t, and the Smith matrix V is
+reduced mod d_n once because every walked t divides d_n.  LLL of each shell
+then starts from a basis whose size is set by t, not by the entries of V.
 """
 
 from __future__ import annotations
@@ -53,20 +59,21 @@ class ScreenerSet:
         return self.norms[0] if self.norms else None
 
 
-def _mod_kernel_columns(lat: Lattice, t: int, snf=None) -> list[list[int]]:
-    """Basis columns of M_t = {x : G x = 0 mod t}, the norm-2t candidate
-    sublattice.  From the Smith form U G V = D: scale column i of V by
-    t / gcd(d_i, t)."""
-    d = lat.rank
+def _mod_kernel_basis(v_mod: Sequence[Sequence[int]], invariants: Sequence[int], t: int) -> list[list[int]]:
+    """Basis rows of M_t = {x : G x = 0 mod t} in row Hermite form.
+
+    With U G V = D the Smith form, M_t is spanned by the columns s_i V_i,
+    s_i = t / gcd(d_i, t); the basis is the Hermite form of those columns
+    reduced mod t together with t e_1, ..., t e_d.  invariants are the d_i
+    and v_mod is V reduced modulo a multiple of t.
+    """
+    d = len(invariants)
     if t == 1:
-        return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    _, diag, v = snf if snf is not None else intlinalg.smith_normal_form(
-        [list(r) for r in lat.gram])
-    cols = []
-    for i in range(d):
-        s = t // gcd(diag[i][i], t)
-        cols.append([s * v[r][i] for r in range(d)])
-    return cols
+        return intlinalg.identity(d)
+    gens = [[s * v_mod[r][i] % t for r in range(d)]
+            for i, s in enumerate(t // gcd(di, t) for di in invariants)]
+    gens.extend([t if i == j else 0 for j in range(d)] for i in range(d))
+    return intlinalg.hnf_rows(gens)
 
 
 def all_screeners(lat: Lattice) -> ScreenerSet:
@@ -84,21 +91,30 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     - t <= 2 d_n / h_min, with h_min the minimum of the integer form
       H = d_n G^-1: y = x/t is a nonzero vector of L*, so
       <y,y> = 2/t >= h_min / d_n.
+
+    M_t is spanned by the columns s_i V_i of the Smith matrix V, with
+    s_i = t / gcd(d_i, t), and the walk starts from the Hermite form of
+    those columns reduced mod t together with t Z^d, whose entries lie in
+    [0, t] whatever the size of V.  It is the same lattice:
+
+    - t Z^d lies in M_t, so reducing a generator mod t stays inside M_t;
+    - t | d_n, so V mod t = (V mod d_n) mod t, and V is reduced once.
     """
     pairs: list[tuple[int, Vec]] = []
     gram = [list(r) for r in lat.gram]
-    snf = intlinalg.smith_normal_form(gram)
-    u, diag, v = snf
+    u, diag, v = intlinalg.smith_normal_form(gram)
     d = lat.rank
-    dn = diag[d - 1][d - 1]
+    invariants = [diag[i][i] for i in range(d)]
+    dn = invariants[-1]
+    v_mod = [[x % dn for x in row] for row in v]
     # H = d_n G^-1 = V diag(d_n / d_i) U, since G^-1 = V D^-1 U
-    h = intlinalg.matmul([[v[r][i] * (dn // diag[i][i]) for i in range(d)] for r in range(d)], u)
+    h = intlinalg.matmul([[v[r][i] * (dn // invariants[i]) for i in range(d)] for r in range(d)], u)
     for t in intlinalg.divisors(dn, 2 * dn // form_minimum(h)):
-        cols = _mod_kernel_columns(lat, t, snf)
-        sub = Lattice(intlinalg.matmul(intlinalg.matmul(cols, gram), list(zip(*cols))))
+        basis = _mod_kernel_basis(v_mod, invariants, t)
+        sub = Lattice(intlinalg.matmul(intlinalg.matmul(basis, gram), list(zip(*basis))))
         found = enumerate_up_to_norm(sub, 2 * t)
         shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
-        for x in intlinalg.matmul(shell, cols):
+        for x in intlinalg.matmul(shell, basis):
             first = next((v for v in x if v != 0), 0)
             if first < 0:
                 x = [-v for v in x]

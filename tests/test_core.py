@@ -87,6 +87,63 @@ def test_determinant_matches_fraction_elimination():
         assert Fraction(lat.determinant) == det_fraction(g)
 
 
+def test_determinant_with_vanishing_leading_minors():
+    """Row pivoting: matrices whose leading minors vanish, singular ones
+    included, against fraction elimination."""
+    from latscreen.intlinalg import determinant, leading_minors
+
+    rng = random.Random(31)
+    singular = 0
+    for _ in range(400):
+        d = rng.randint(1, 6)
+        m = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        if rng.random() < 0.4:
+            i, j = rng.randrange(d), rng.randrange(d)
+            m[i] = [0] * d if i == j else list(m[j])
+        k = rng.randint(1, d)
+        if k == 1:
+            m[0][0] = 0
+        else:
+            m[k - 1][:k] = m[0][:k]
+        assert 0 in leading_minors(m)
+        assert Fraction(determinant(m)) == det_fraction(m), m
+        assert leading_minors(m) == [int(det_fraction([r[:t] for r in m[:t]])) for t in range(1, d + 1)]
+        singular += determinant(m) == 0
+    assert singular > 50
+    assert determinant([]) == 1
+    assert determinant([[0, 1], [1, 0]]) == -1
+
+
+def test_invert_unimodular():
+    from latscreen.intlinalg import identity, invert_unimodular, matmul, unimodular_with_first_column
+
+    rng = random.Random(37)
+    for _ in range(200):
+        d = rng.randint(1, 6)
+        a = identity(d)
+        for _ in range(3 * d):
+            i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+            if i != j:
+                f = rng.randint(-3, 3)
+                a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+            if rng.random() < 0.3:
+                a[i] = [-x for x in a[i]]
+        inv = invert_unimodular(a)
+        assert matmul(a, inv) == identity(d)
+        assert matmul(inv, a) == identity(d)
+    x = [rng.randint(-20, 20) for _ in range(5)] + [1]
+    a = unimodular_with_first_column(x)
+    assert matmul(invert_unimodular(a), a) == identity(6)
+    with pytest.raises(ValueError, match="not unimodular"):
+        invert_unimodular([[2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="not unimodular"):
+        invert_unimodular([[1, 1], [1, -1]])
+    with pytest.raises(ValueError, match="singular"):
+        invert_unimodular([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="singular"):
+        invert_unimodular([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+
+
 def test_in_dual():
     lat = Lattice(A2)
     assert in_dual(lat, (1, 2), 3)

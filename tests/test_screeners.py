@@ -23,8 +23,8 @@ from latscreen import (
     virasoro_shift,
 )
 from latscreen.enumeration import enumerate_up_to_norm, form_minimum
-from latscreen.intlinalg import divisors, solve_linear_system
-from latscreen.screeners import _mod_kernel_columns, in_sublattice
+from latscreen.intlinalg import determinant, divisors, hnf_rows, matmul, smith_normal_form, solve_linear_system
+from latscreen.screeners import _mod_kernel_basis, in_sublattice
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -369,6 +369,16 @@ def _exponent_and_dual_minimum(lat):
     return dn, res.norms[0]
 
 
+def _mod_kernel_columns(lat, t):
+    """Basis columns of M_t = {x : G x = 0 mod t} straight from the Smith
+    form U G V = D: column i of V scaled by t / gcd(d_i, t)."""
+    d = lat.rank
+    if t == 1:
+        return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    _, diag, v = smith_normal_form([list(r) for r in lat.gram])
+    return [[t // math.gcd(diag[i][i], t) * v[r][i] for r in range(d)] for i in range(d)]
+
+
 def _unpruned_screeners(lat):
     """Every screener by walking every divisor shell of det G."""
     pairs = []
@@ -433,3 +443,42 @@ def test_divisors_with_limit_match_brute_force():
     assert divisors(3 * 2 ** 20, 3 * 2 ** 20)[-3:] == [2 ** 20, 3 * 2 ** 19, 3 * 2 ** 20]
     with pytest.raises(ValueError):
         divisors(0, 1)
+
+
+def _skewed_dense_grams(count):
+    """Seeded dense Grams A A^T + D of rank 6-8, entries of A in [-2, 2] and
+    D in [1, 4], kept only when the Smith matrix V has a 60-bit entry."""
+    rng = random.Random(4604)
+    out = []
+    while len(out) < count:
+        d = rng.randint(6, 8)
+        a = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        g = matmul(a, list(zip(*a)))
+        for i in range(d):
+            g[i][i] += rng.randint(1, 4)
+        _, _, v = smith_normal_form(g)
+        if max(abs(x) for row in v for x in row).bit_length() >= 60:
+            out.append(Lattice(g))
+    return out
+
+
+def test_shell_basis_spans_mod_kernel():
+    """The Hermite basis mod t spans the same M_t as the Smith columns, lies
+    in M_t, has index prod t / gcd(d_i, t) in Z^d, and its entries stay in
+    [0, t] with pivots dividing t, however large V is."""
+    for lat in CUT_POOL + _skewed_dense_grams(4):
+        gram = [list(r) for r in lat.gram]
+        _, diag, v = smith_normal_form(gram)
+        d = lat.rank
+        invariants = [diag[i][i] for i in range(d)]
+        dn = invariants[-1]
+        v_mod = [[x % dn for x in row] for row in v]
+        for t in divisors(dn, dn):
+            basis = _mod_kernel_basis(v_mod, invariants, t)
+            assert hnf_rows(basis) == hnf_rows(_mod_kernel_columns(lat, t)), (gram, t)
+            assert all(y % t == 0 for row in matmul(basis, gram) for y in row), (gram, t)
+            index = math.prod(t // math.gcd(di, t) for di in invariants)
+            assert abs(determinant(basis)) == index, (gram, t)
+            for i, row in enumerate(basis):
+                assert t % row[i] == 0 and not any(row[:i]), (gram, t)
+                assert all(0 <= row[j] < basis[j][j] for j in range(i + 1, d)), (gram, t)
