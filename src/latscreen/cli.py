@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .core import Lattice, LatticeError, is_positive_definite
 from .enumeration import box_enumerate
-from .pairs import FeasibilityReport, PairSpec, TypeIVSolution, analyze_screener
+from .pairs import analyze_screener
 from .recognition import (
     ClassificationError,
     NoScreener,
@@ -34,7 +34,7 @@ from .recognition import (
     rank2_screener_list,
     recognize_components,
     reduce_screener_basis,
-    _screener_basis,
+    screener_basis,
 )
 from .screeners import all_screeners, is_screener
 
@@ -124,7 +124,7 @@ def _jsonable(obj):
         return str(obj)
     if isinstance(obj, Lattice):
         return [list(r) for r in obj.gram]
-    if isinstance(obj, (PairSpec, FeasibilityReport, TypeIVSolution)):
+    if dataclasses.is_dataclass(obj):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -202,7 +202,7 @@ def cmd_decompose(args) -> int:
     text = _read_input(args.input)
     lat, name = parse_lattice(text)
     sset = all_screeners(lat)
-    basis = _screener_basis(lat, sset)
+    basis = screener_basis(lat, sset)
     reduced = reduce_screener_basis(lat, basis)
     comps = recognize_components(lat, reduced)
     results = {

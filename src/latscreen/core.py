@@ -164,9 +164,7 @@ def extend_to_basis(lat: Lattice, x: Sequence[int]) -> list[list[int]]:
     +-1, and the construction is deterministic.
     """
     lat._check_dim(x)
-    g = 0
-    for v in x:
-        g = gcd(g, v)
+    g = gcd(*x)
     if g != 1:
         raise LatticeError(f"vector {tuple(x)} is not primitive (gcd {g})")
     return intlinalg.unimodular_with_first_column(x)
@@ -199,7 +197,7 @@ def orthogonal_split(
         b = [cols[i][j] for i in range(d)]
         t = lat.inner(a, b) // n
         basis.append([b[i] - t * a[i] for i in range(d)])
-    new_gram = [[lat.inner(basis[i], basis[j]) for j in range(d)] for i in range(d)]
+    new_gram = sublattice_gram(lat, basis).gram
     if any(new_gram[0][j] != 0 for j in range(1, d)):
         raise LatticeError(f"internal: split of {tuple(a)} left a nonzero pairing {new_gram[0]}")
     rest = [[new_gram[i][j] for j in range(1, d)] for i in range(1, d)]
@@ -209,8 +207,7 @@ def orthogonal_split(
 
 def quotient_invariants(lat: Lattice) -> tuple[int, ...]:
     """Elementary divisors of the dual quotient; their product is det G."""
-    _, d, _ = intlinalg.smith_normal_form([list(r) for r in lat.gram])
-    divisors = tuple(d[i][i] for i in range(lat.rank))
+    divisors = tuple(intlinalg.invariant_factors([list(r) for r in lat.gram]))
     prod = 1
     for v in divisors:
         prod *= v
@@ -230,4 +227,11 @@ def sublattice_gram(lat: Lattice, vs: Sequence[Sequence[int]]) -> Lattice:
         lat._check_dim(v)
     if intlinalg.rank(rows) != len(rows):
         raise LatticeError("vectors are linearly dependent")
-    return Lattice([[lat.inner(v, w) for w in rows] for v in rows])
+    return Lattice(intlinalg.matmul(intlinalg.matmul(rows, lat.gram), list(zip(*rows))))
+
+
+def canonical(x: Sequence[int]) -> Vec:
+    """The one of x and -x whose first nonzero coordinate is positive."""
+    if next((v for v in x if v != 0), 0) < 0:
+        return tuple(-v for v in x)
+    return tuple(x)

@@ -24,7 +24,7 @@ from operator import mul
 import numpy as np
 
 from . import intlinalg as _intlinalg
-from .core import Lattice, LatticeError, Vec
+from .core import Lattice, LatticeError, Vec, canonical
 from .intlinalg import determinant as _int_determinant
 
 _INT64_SAFE = 1 << 61
@@ -147,15 +147,7 @@ def form_minimum(gram: list[list[int]]) -> int:
 
 
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
-    canon = []
-    for coords, nrm in pairs:
-        first = next((v for v in coords if v != 0), 0)
-        if first == 0:
-            continue
-        if first < 0:
-            coords = tuple(-v for v in coords)
-        canon.append((int(nrm), tuple(int(v) for v in coords)))
-    canon = sorted(set(canon))
+    canon = sorted({(int(nrm), canonical(coords)) for coords, nrm in pairs if any(coords)})
     return EnumerationResult(
         lattice=lat,
         bound=bound,

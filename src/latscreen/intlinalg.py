@@ -223,6 +223,15 @@ def rank(mat: Sequence[Sequence[int]]) -> int:
     return len(hnf_rows(mat))
 
 
+def is_saturated_basis(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the k rows are a basis of a saturated sublattice of Z^n.
+
+    That holds exactly when the rows are independent with all invariant
+    factors 1, that is when the n columns generate Z^k: the row Hermite
+    form of the transpose is the k x k identity."""
+    return hnf_rows(list(zip(*rows))) == identity(len(rows))
+
+
 def _nearest_quotient(x: int, p: int) -> int:
     """Integer q minimizing |x - q*p| for p > 0 (ties toward the floor)."""
     q, r = divmod(x, p)
@@ -323,17 +332,17 @@ def kernel_rows(mat: Sequence[Sequence[int]]) -> Matrix:
     if m == 0:
         return identity(n)
     _, d, v = smith_normal_form(mat)
-    r = len(invariant_factors(mat))
-    # columns r..n-1 of v span the kernel
+    # the nonzero diagonal entries come first; columns r..n-1 of v span the kernel
+    r = sum(1 for t in range(min(m, n)) if d[t][t] != 0)
     return [[v[i][j] for i in range(n)] for j in range(r, n)]
 
 
 def saturation_rows(rows: Sequence[Sequence[int]]) -> Matrix:
     """Basis rows of (Q-span of rows) intersected with Z^n."""
     n = len(rows[0]) if rows else 0
-    ker = kernel_rows(rows)  # rows k with rows @ k^T = 0 ... careful: acts on right
-    # kernel_rows treats mat as a map x -> mat @ x; we need vectors y with
-    # row . y = 0 for all rows, i.e. kernel of the matrix itself.
+    # ker spans the integer vectors orthogonal to every row; the integer
+    # vectors orthogonal to all of ker are the rows' Q-span intersected with Z^n
+    ker = kernel_rows(rows)
     sat = kernel_rows(ker) if ker else identity(n)
     return hnf_rows(sat)
 
@@ -355,15 +364,14 @@ def invert_unimodular(mat: Sequence[Sequence[int]]) -> Matrix:
 def complement_rows(sat: Sequence[Sequence[int]]) -> Matrix:
     """Rows completing a saturated basis to a basis of Z^n.
 
-    The input rows must be a basis of a saturated sublattice (all invariant
-    factors 1); the returned rows together with the input form a Z^n basis.
+    The input rows must be a basis of a saturated sublattice; the returned
+    rows together with the input form a Z^n basis.
     """
     if not sat:
         raise ValueError("empty input")
     n = len(sat[0])
     r = len(sat)
-    facs = invariant_factors(sat)
-    if len(facs) != r or any(f != 1 for f in facs):
+    if not is_saturated_basis(sat):
         raise ValueError("rows are not a basis of a saturated sublattice")
     _, _, v = smith_normal_form(sat)
     vinv = invert_unimodular(v)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import intlinalg
 from .core import DualVec, Lattice, LatticeError, Vec, in_dual
-from .screeners import central_charge, conformal_weight, dual_pairing_unit
+from .screeners import central_charge, conformal_weight, dual_pairing_unit, is_screener
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,9 @@ def pair_decompositions(lat: Lattice, a: Sequence[int]) -> list[tuple[int, int]]
 
 def _shift_vector(lat: Lattice, a: Sequence[int], scale: int) -> DualVec:
     """gamma = scale * gbar with <gbar, a> = 1; needs a primitive unless scale = 0."""
-    d = lat.rank
     if scale == 0:
-        return tuple(Fraction(0) for _ in range(d))
-    g = 0
-    for v in a:
-        g = gcd(g, v)
+        return tuple(Fraction(0) for _ in range(lat.rank))
+    g = gcd(*a)
     if g != 1:
         raise LatticeError(
             f"alpha {tuple(a)} is imprimitive (gcd {g}); the shift vector is not defined"
@@ -101,6 +98,25 @@ def make_type_i(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> PairSpe
         c=central_charge(lat.rank, gamma, lat),
         extra={"m": 2 * p},
     )
+
+
+def virasoro_shift(lat: Lattice, a: Sequence[int], p: int, q: int) -> DualVec:
+    """The shift vector gamma attached to a screener a of norm 2*p*q.
+
+    gamma = (p - q) * gbar with <gbar, a> = 1, so <gamma, a> = p - q and both
+    exponents -a/p and a/q get conformal weight exactly 1.  This is the type I
+    gamma: a/p and a/q lie in the dual for every screener of norm 2pq, and a
+    screener is primitive (a = k y with y in L makes 2/k = 2 <a,y>/<a,a>
+    integral, and a is not in 2L).  For p = q the shift is zero.  Raises when
+    a is not a screener or the norm does not match.
+    """
+    if p < 1 or q < 1:
+        raise LatticeError("p and q must be positive")
+    if not is_screener(lat, a):
+        raise LatticeError(f"{tuple(a)} is not a screening vector")
+    if lat.norm(a) != 2 * p * q:
+        raise LatticeError(f"norm {lat.norm(a)} != 2*{p}*{q}")
+    return make_type_i(lat, a, p, q).gamma
 
 
 @dataclass(frozen=True)
@@ -166,33 +182,16 @@ def type_ii_feasible(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> Fe
     ga = lat.gram_times(a)
     if any(((p - p_prime) * t) % (p * p_prime) for t in ga):
         reasons.append("(p - p_prime) alpha / (p p_prime) is not in the dual")
-    g = 0
-    for v in a:
-        g = gcd(g, v)
+    g = gcd(*a)
     if g != 1:
         reasons.append(f"alpha is imprimitive (gcd {g}); the shift vector is not defined")
     if reasons:
         return FeasibilityReport(feasible=False, reasons=tuple(reasons))
-    gamma = _shift_vector(lat, a, p - p_prime)
     a_t = tuple(int(v) for v in a)
     m = 2 * (p - p_prime)
     mom2 = tuple(Fraction(m * v, 2 * p * p_prime) for v in a_t)
-    _require_weight_one(lat, gamma, (tuple(Fraction(-v, p) for v in a_t), 0), (mom2, 1))
-    w = tuple(mom2[i] - 2 * gamma[i] for i in range(lat.rank))
-    beta, why = _orthogonal_witness(lat, a_t, w)
-    if beta is None:
-        return FeasibilityReport(feasible=False, reasons=(why,))
-    pair = PairSpec(
-        alpha=a_t,
-        p=p,
-        p_prime=p_prime,
-        pair_type="II",
-        gamma=gamma,
-        c=central_charge(lat.rank, gamma, lat),
-        extra={"m": m},
-        beta=beta,
-    )
-    return FeasibilityReport(feasible=True, reasons=(), pair=pair)
+    return _dressed_pair(lat, a_t, p, p_prime, "II", {"m": m}, _shift_vector(lat, a, p - p_prime),
+                         (tuple(Fraction(-v, p) for v in a_t), 0), (mom2, 1))
 
 
 def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> FeasibilityReport:
@@ -230,29 +229,35 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
         ga = lat.gram_times(a)
         if any((m * t) % (2 * p * p_prime) for t in ga):
             reasons.append("m alpha / (2 p p_prime) is not in the dual")
-    g = 0
-    for v in a:
-        g = gcd(g, v)
+    g = gcd(*a)
     if g != 1:
         reasons.append(f"alpha is imprimitive (gcd {g}); the shift vector is not defined")
     if reasons:
         return FeasibilityReport(feasible=False, reasons=tuple(reasons))
-    gamma = _shift_vector(lat, a, -p_prime)
     a_t = tuple(int(v) for v in a)
     mom2 = tuple(Fraction(m * v, 2 * p * p_prime) for v in a_t)
-    _require_weight_one(lat, gamma, (tuple(Fraction(-v, p) for v in a_t), 1), (mom2, 0))
-    w = tuple(Fraction(a_t[i], p) + 2 * gamma[i] for i in range(lat.rank))
-    beta, why = _orthogonal_witness(lat, a_t, w)
+    return _dressed_pair(lat, a_t, p, p_prime, "III", {"m": m, "r": r}, _shift_vector(lat, a, -p_prime),
+                         (tuple(Fraction(-v, p) for v in a_t), 1), (mom2, 0))
+
+
+def _dressed_pair(lat: Lattice, a: Vec, p: int, p_prime: int, pair_type: str, extra: dict,
+                  gamma: DualVec, *operators) -> FeasibilityReport:
+    """The pair of a type II or III check that passed: both (momentum, level)
+    operators at weight 1, and a dressing direction beta orthogonal to
+    v - 2 gamma, v the level-1 momentum, and independent of a."""
+    _require_weight_one(lat, gamma, *operators)
+    dressed = next(mom for mom, lvl in operators if lvl == 1)
+    beta, why = _orthogonal_witness(lat, a, tuple(v - 2 * g for v, g in zip(dressed, gamma)))
     if beta is None:
         return FeasibilityReport(feasible=False, reasons=(why,))
     pair = PairSpec(
-        alpha=a_t,
+        alpha=a,
         p=p,
         p_prime=p_prime,
-        pair_type="III",
+        pair_type=pair_type,
         gamma=gamma,
         c=central_charge(lat.rank, gamma, lat),
-        extra={"m": m, "r": r},
+        extra=extra,
         beta=beta,
     )
     return FeasibilityReport(feasible=True, reasons=(), pair=pair)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import intlinalg
-from .core import Lattice, LatticeError, Vec, sublattice_gram
+from .core import Lattice, LatticeError, Vec, canonical, sublattice_gram
 from .enumeration import enumerate_exact_norm
 from .screeners import ScreenerSet, all_screeners, is_screener
 
@@ -207,27 +207,27 @@ def recognize_components(lat: Lattice, reduced: Sequence[Sequence[int]]) -> list
     return comps
 
 
-def _screener_basis(lat: Lattice, screeners: ScreenerSet) -> list[Vec]:
+def screener_basis(lat: Lattice, screeners: ScreenerSet) -> list[Vec]:
     """First (in canonical order) subset of screeners forming a Z-basis of L.
 
-    Depth-first over the sorted screener list; a partial selection is kept
-    only while it is a basis of a saturated sublattice, since every prefix of
-    a lattice basis is.  Matches the greedy maximal-independent choice
-    whenever that choice already generates L.
+    Raises NotGeneratedError at once when the screeners do not generate L.
+    Otherwise searches depth-first over the sorted screener list; a partial
+    selection is kept only while it is a basis of a saturated sublattice,
+    since every prefix of a lattice basis is.  Matches the greedy
+    maximal-independent choice whenever that choice already generates L.
     """
     d = lat.rank
     vecs = screeners.vectors
+    span = intlinalg.hnf_rows([list(v) for v in vecs])
+    if len(span) != d or abs(intlinalg.determinant(span)) != 1:
+        raise NotGeneratedError("screeners do not generate the lattice")
 
     def extend(start: int, rows: list[Vec]) -> list[Vec] | None:
         if len(rows) == d:
             return rows
         for t in range(start, len(vecs)):
             cand = rows + [vecs[t]]
-            mat = [list(v) for v in cand]
-            if intlinalg.rank(mat) != len(cand):
-                continue
-            facs = intlinalg.invariant_factors(mat)
-            if len(facs) != len(cand) or any(f != 1 for f in facs):
+            if not intlinalg.is_saturated_basis(cand):
                 continue
             got = extend(t + 1, cand)
             if got is not None:
@@ -252,10 +252,7 @@ def identify_extended_type(lat: Lattice) -> tuple[list[ExtendedGroup], ScreenerS
     if not lat.is_even:
         raise NotGeneratedError("lattice is not even")
     screeners = all_screeners(lat)
-    span = intlinalg.hnf_rows([list(v) for v in screeners.vectors])
-    if len(span) != lat.rank or abs(intlinalg.determinant(span)) != 1:
-        raise NotGeneratedError("screeners do not generate the lattice")
-    basis = _screener_basis(lat, screeners)
+    basis = screener_basis(lat, screeners)
     reduced = reduce_screener_basis(lat, basis)
     comps = recognize_components(lat, reduced)
 
@@ -426,13 +423,9 @@ def rank2_normal_form(lat: Lattice) -> Rank2Form | NoScreener:
     )
 
 
-def _gram_of(lat: Lattice, cols: Sequence[Sequence[int]]) -> list[list[int]]:
-    b1 = [cols[0][0], cols[1][0]]
-    b2 = [cols[0][1], cols[1][1]]
-    return [
-        [lat.inner(b1, b1), lat.inner(b1, b2)],
-        [lat.inner(b2, b1), lat.inner(b2, b2)],
-    ]
+def _gram_of(lat: Lattice, cols: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of the basis held in the columns of cols."""
+    return sublattice_gram(lat, list(zip(*cols))).gram
 
 
 def _cols_tuple(cols) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -455,30 +448,14 @@ def rank2_screener_list(form: Rank2Form) -> tuple[Vec, ...]:
         if form.subtype == "2c":
             vecs += [(1, -1), (2, 1)]
     glat = form.gram
-    canon = []
-    for v in vecs:
-        first = next(t for t in v if t != 0)
-        cv = v if first > 0 else tuple(-t for t in v)
-        canon.append((glat.norm(cv), cv))
-    canon.sort()
+    canon = sorted((glat.norm(cv), cv) for cv in map(canonical, vecs))
     return tuple(v for _, v in canon)
 
 
 def rank2_predicted_in_lattice(form: Rank2Form) -> tuple[Vec, ...]:
     """The predicted screeners mapped back to the original coordinates."""
     cols = form.basis_change
-    out = []
-    for v in rank2_screener_list(form):
-        w = (
-            cols[0][0] * v[0] + cols[0][1] * v[1],
-            cols[1][0] * v[0] + cols[1][1] * v[1],
-        )
-        first = next(t for t in w if t != 0)
-        if first < 0:
-            w = (-w[0], -w[1])
-        out.append(w)
-    out.sort()
-    return tuple(out)
+    return tuple(sorted(map(canonical, intlinalg.matmul(rank2_screener_list(form), list(zip(*cols))))))
 
 
 def _path_gram(n: int) -> list[list[int]]:

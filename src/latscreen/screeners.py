@@ -23,7 +23,7 @@ from math import gcd
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, in_dual
+from .core import DualVec, Lattice, LatticeError, Vec, canonical, sublattice_gram
 from .enumeration import enumerate_up_to_norm, form_minimum
 
 
@@ -114,11 +114,7 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
         sub = Lattice(intlinalg.matmul(intlinalg.matmul(basis, gram), list(zip(*basis))))
         found = enumerate_up_to_norm(sub, 2 * t)
         shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
-        for x in intlinalg.matmul(shell, basis):
-            first = next((v for v in x if v != 0), 0)
-            if first < 0:
-                x = [-v for v in x]
-            x = tuple(x)
+        for x in map(canonical, intlinalg.matmul(shell, basis)):
             if is_screener(lat, x):
                 pairs.append((2 * t, x))
     pairs.sort()
@@ -132,25 +128,10 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
 def screening_system(screeners: ScreenerSet) -> tuple[Vec, ...]:
     """Greedy maximal linearly independent subset, taken in canonical order."""
     picked: list[Vec] = []
-    echelon: list[list[Fraction]] = []
     for v in screeners.vectors:
-        if _extends_echelon(echelon, v):
+        if intlinalg.rank(picked + [v]) > len(picked):
             picked.append(v)
     return tuple(picked)
-
-
-def _extends_echelon(echelon: list[list[Fraction]], v: Sequence[int]) -> bool:
-    """Reduce v against the stored echelon rows; absorb it if independent."""
-    row = [Fraction(t) for t in v]
-    for er in echelon:
-        piv = next(j for j, t in enumerate(er) if t != 0)
-        if row[piv] != 0:
-            f = row[piv] / er[piv]
-            row = [a - f * b for a, b in zip(row, er)]
-    if all(t == 0 for t in row):
-        return False
-    echelon.append(row)
-    return True
 
 
 @dataclass(frozen=True)
@@ -167,7 +148,7 @@ def screener_span(screeners: ScreenerSet) -> SpanLattice:
     if not screeners.vectors:
         raise LatticeError("screener set is empty, the span is trivial")
     basis = intlinalg.hnf_rows([list(v) for v in screeners.vectors])
-    gram = Lattice([[lat.inner(b, c) for c in basis] for b in basis])
+    gram = sublattice_gram(lat, basis)
     index = None
     if len(basis) == lat.rank:
         index = abs(intlinalg.determinant(basis))
@@ -201,7 +182,7 @@ def screener_splitting(screeners: ScreenerSet) -> SplitSublattice:
         sat = intlinalg.saturation_rows(span)
         comp = intlinalg.complement_rows(sat)
         rows = span + comp
-    gram = Lattice([[lat.inner(b, c) for c in rows] for b in rows])
+    gram = sublattice_gram(lat, rows)
     index = abs(intlinalg.determinant(rows))
     return SplitSublattice(
         basis=tuple(tuple(r_) for r_ in rows),
@@ -228,36 +209,6 @@ def dual_pairing_unit(lat: Lattice, a: Sequence[int]) -> DualVec:
         raise LatticeError(str(e))
     sol = intlinalg.solve_linear_system([list(r) for r in lat.gram], z)
     return tuple(sol)
-
-
-def virasoro_shift(lat: Lattice, a: Sequence[int], p: int, q: int) -> DualVec:
-    """The shift vector gamma attached to a screener a of norm 2*p*q.
-
-    gamma = (p - q) * gbar with <gbar, a> = 1, so <gamma, a> = p - q and both
-    exponents -a/p and a/q get conformal weight exactly 1.  For p = q the
-    shift is zero.  Raises when a is not a screener, the norm does not match,
-    or (for p != q) a is imprimitive, in which case no such gamma exists.
-    """
-    if p < 1 or q < 1:
-        raise LatticeError("p and q must be positive")
-    if not is_screener(lat, a):
-        raise LatticeError(f"{tuple(a)} is not a screening vector")
-    if lat.norm(a) != 2 * p * q:
-        raise LatticeError(f"norm {lat.norm(a)} != 2*{p}*{q}")
-    d = lat.rank
-    if p == q:
-        return tuple(Fraction(0) for _ in range(d))
-    g = 0
-    for v in a:
-        g = gcd(g, v)
-    if g != 1:
-        raise LatticeError(f"screener {tuple(a)} is imprimitive (gcd {g}); no shift vector")
-    gbar = dual_pairing_unit(lat, a)
-    gamma = tuple((p - q) * t for t in gbar)
-    for mom, level in ((tuple(Fraction(-v, p) for v in a), 0), (tuple(Fraction(v, q) for v in a), 0)):
-        if conformal_weight(lat, mom, gamma, level) != 1:
-            raise LatticeError("internal: shift vector fails the weight-1 check")
-    return gamma
 
 
 def conformal_weight(

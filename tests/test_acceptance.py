@@ -36,7 +36,7 @@ from latscreen import (
     type_iv_search,
 )
 from latscreen.cli import main
-from latscreen.recognition import NoScreener, _screener_basis
+from latscreen.recognition import NoScreener, screener_basis
 from latscreen.screeners import in_sublattice
 
 
@@ -298,7 +298,7 @@ def test_08_scrambled_orthogonal_sums_round_trip():
         scr = [[sum(u[a][i] * gram[a][b] * u[b][j] for a in range(d) for b in range(d))
                 for j in range(d)] for i in range(d)]
         lat = Lattice(scr)
-        basis = _screener_basis(lat, all_screeners(lat))
+        basis = screener_basis(lat, all_screeners(lat))
         comps = recognize_components(lat, reduce_screener_basis(lat, basis))
         got = sorted((c.kind, c.n, c.scale) for c in comps)
         assert got == parts, (case, parts, got)

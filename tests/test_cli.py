@@ -140,6 +140,14 @@ def test_classify_not_generated_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_decompose_not_generated_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "4 1\n1 4\n")
+    assert main(["decompose", "--input", path]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "do not generate" in err
+
+
 def test_rank2_warning_survives_with_exit_0(tmp_path, capsys):
     path = write(tmp_path, "1 0\n0 1\n")
     assert main(["rank2", "--input", path]) == EXIT_OK

@@ -144,6 +144,39 @@ def test_invert_unimodular():
         invert_unimodular([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
 
 
+def test_is_saturated_basis_matches_invariant_factors():
+    """The Hermite test on the transpose agrees with the Smith-form
+    definition: rank k and every invariant factor 1."""
+    from latscreen.intlinalg import invariant_factors, is_saturated_basis, rank
+
+    rng = random.Random(53)
+    outcomes = {True: 0, False: 0}
+    dependent = scaled = 0
+    for _ in range(600):
+        d = rng.randint(1, 5)
+        k = rng.randint(1, d + 1)
+        rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(k)]
+        shape = rng.random()
+        if shape < 0.2 and k >= 2:
+            # a combination of the other rows: dependent
+            f, g = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [f * x + g * y for x, y in zip(rows[0], rows[1 % (k - 1)])]
+            dependent += 1
+        elif shape < 0.4:
+            # a multiple of a row: a sublattice that is not saturated
+            c = rng.randint(2, 4)
+            rows[0] = [c * x for x in rows[0]]
+            scaled += 1
+        want = rank(rows) == k and all(f == 1 for f in invariant_factors(rows))
+        assert is_saturated_basis(rows) == want, rows
+        outcomes[want] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100
+    assert dependent > 50 and scaled > 50
+    assert is_saturated_basis([[1, 0, 0], [0, 1, 0]])
+    assert not is_saturated_basis([[1, 1], [1, -1]])
+    assert not is_saturated_basis([[2, 4, 6]])
+
+
 def test_in_dual():
     lat = Lattice(A2)
     assert in_dual(lat, (1, 2), 3)
@@ -250,4 +283,23 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name with a leading underscore stays inside its module: anything
+    another module needs is public under one name."""
+    import ast
+    from pathlib import Path
+
+    import latscreen
+
+    found = []
+    for path in sorted(Path(latscreen.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("latscreen"):
+                continue
+            found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
     assert not found, found

@@ -1,0 +1,100 @@
+"""Metamorphic properties under a change of basis, searched by hypothesis.
+
+A unimodular U takes the basis rows B to U B and the Gram matrix G to
+U G U^T; a vector with coordinates x in the old basis has coordinates
+x U^-1 in the new one.  Screeners are defined by the lattice alone, so the
+screener set must move exactly that way, and the extended type must not
+move at all.  derandomize keeps every run on the same examples.
+"""
+
+from functools import lru_cache
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from latscreen import Lattice, all_screeners, catalog, identify_extended_type, is_positive_definite
+from latscreen.core import canonical
+from latscreen.intlinalg import identity, invert_unimodular, matmul
+
+SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+# lattices with non-root screeners, several scales and an orthogonal sum
+KNOWN = [
+    [[2, -1], [-1, 3]],
+    [[4, -2], [-2, 2]],
+    [[2, 0], [0, 4]],
+    [[4, 0], [0, 3]],
+    [[4, 1], [1, 4]],
+    [[12, 0], [0, 2]],
+    [[2, 0, 0], [0, 2, -1], [0, -1, 2]],
+]
+
+
+@st.composite
+def unimodular(draw, d):
+    """A product of row additions, swaps and sign flips."""
+    u = identity(d)
+    for _ in range(draw(st.integers(0, 3 * d))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        op = draw(st.sampled_from(("add", "swap", "neg")))
+        if op == "add" and i != j:
+            f = draw(st.integers(-3, 3))
+            u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+        elif op == "swap":
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-x for x in u[i]]
+    return u
+
+
+@st.composite
+def random_gram(draw):
+    d = draw(st.integers(1, 4))
+    g = [[0] * d for _ in range(d)]
+    for i in range(d):
+        g[i][i] = draw(st.integers(1, 12))
+        for j in range(i + 1, d):
+            g[i][j] = g[j][i] = draw(st.integers(-4, 4))
+    assume(is_positive_definite(g))
+    return g
+
+
+def _transform(gram, u):
+    return matmul(matmul(u, gram), [list(c) for c in zip(*u)])
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from(KNOWN), random_gram()).flatmap(
+    lambda g: st.tuples(st.just(g), unimodular(len(g)))))
+def test_screeners_move_with_a_unimodular_basis_change(case):
+    gram, u = case
+    before = all_screeners(Lattice(gram))
+    after = all_screeners(Lattice(_transform(gram, u)))
+    uinv = invert_unimodular(u)
+    moved = sorted(zip(before.norms, map(canonical, matmul(before.vectors, uinv))))
+    assert list(zip(after.norms, after.vectors)) == moved
+
+
+CATALOG = [(kind, n, scale) for kind, ns in (("A", range(1, 6)), ("D", (4, 5)), ("E", (6,)))
+           for n in ns for scale in (1, 2, 3)]
+
+
+@lru_cache(maxsize=None)
+def _type_of(gram):
+    groups, sset = identify_extended_type(Lattice(gram))
+    return [(g.label, g.scale, g.expected_count, g.actual_count) for g in groups], sset.total_count
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.sampled_from(CATALOG).flatmap(
+    lambda c: st.tuples(st.just(c), unimodular(c[1]))))
+def test_extended_type_ignores_the_basis(case):
+    (kind, n, scale), u = case
+    gram = catalog(kind, n, scale).gram
+    scrambled = tuple(tuple(r) for r in _transform(gram, u))
+    assert _type_of(scrambled) == _type_of(gram)

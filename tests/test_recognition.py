@@ -20,7 +20,7 @@ from latscreen import (
     reduce_screener_basis,
 )
 from latscreen.intlinalg import determinant
-from latscreen.recognition import _screener_basis
+from latscreen.recognition import screener_basis
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -60,7 +60,7 @@ def test_reduce_output_invariants():
     different norms end up orthogonal."""
     for lat in [Lattice(A2), catalog("A", 3), catalog("A", 4), catalog("D", 4),
                 catalog("D", 5), catalog("E", 6), Lattice([[2, -2], [-2, 4]])]:
-        basis = _screener_basis(lat, all_screeners(lat))
+        basis = screener_basis(lat, all_screeners(lat))
         out = reduce_screener_basis(lat, basis)
         assert determinant([list(v) for v in out]) in (1, -1)
         for v in out:
@@ -76,7 +76,7 @@ def test_reduce_output_invariants():
 def test_recognize_single_root_lattices():
     for name, n in (("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)):
         lat = catalog(name, n)
-        basis = _screener_basis(lat, all_screeners(lat))
+        basis = screener_basis(lat, all_screeners(lat))
         comps = recognize_components(lat, reduce_screener_basis(lat, basis))
         assert len(comps) == 1
         c = comps[0]
@@ -86,12 +86,12 @@ def test_recognize_single_root_lattices():
 
 def test_recognize_root_counts():
     lat = catalog("D", 4)
-    basis = _screener_basis(lat, all_screeners(lat))
+    basis = screener_basis(lat, all_screeners(lat))
     comps = recognize_components(lat, reduce_screener_basis(lat, basis))
     assert comps[0].root_count == 24
 
     lat = catalog("E", 6)
-    basis = _screener_basis(lat, all_screeners(lat))
+    basis = screener_basis(lat, all_screeners(lat))
     comps = recognize_components(lat, reduce_screener_basis(lat, basis))
     assert comps[0].root_count == 72
 
@@ -104,7 +104,7 @@ def test_recognize_mixed_scales():
 
 def test_screener_basis_not_generated():
     with pytest.raises(NotGeneratedError):
-        _screener_basis(Lattice([[4, 0], [0, 3]]),
+        screener_basis(Lattice([[4, 0], [0, 3]]),
                         all_screeners(Lattice([[4, 0], [0, 3]])))
 
 
@@ -348,7 +348,7 @@ def test_roundtrip_scrambled_orthogonal_sums():
         scrambled = [[sum(u[a][i] * gram[a][b] * u[b][j] for a in range(d) for b in range(d))
                       for j in range(d)] for i in range(d)]
         lat = Lattice(scrambled)
-        basis = _screener_basis(lat, all_screeners(lat))
+        basis = screener_basis(lat, all_screeners(lat))
         comps = recognize_components(lat, reduce_screener_basis(lat, basis))
         got = sorted((c.kind, c.n, c.scale) for c in comps)
         assert got == parts, (parts, scrambled)

@@ -16,6 +16,7 @@ from latscreen import (
     enumerate_exact_norm,
     is_positive_definite,
     is_screener,
+    make_type_i,
     quotient_invariants,
     screener_span,
     screener_splitting,
@@ -241,6 +242,32 @@ def test_screening_system():
         assert len(system) == screener_span(s).gram.rank
 
 
+def _fraction_echelon_system(vectors):
+    """Reference for screening_system: keep each vector that a Fraction
+    echelon of the vectors kept so far does not reduce to zero."""
+    picked, echelon = [], []
+    for v in vectors:
+        row = [Fraction(t) for t in v]
+        for er in echelon:
+            piv = next(j for j, t in enumerate(er) if t != 0)
+            if row[piv] != 0:
+                f = row[piv] / er[piv]
+                row = [a - f * b for a, b in zip(row, er)]
+        if any(row):
+            echelon.append(row)
+            picked.append(v)
+    return tuple(picked)
+
+
+def test_screening_system_matches_fraction_echelon():
+    checked = 0
+    for lat in POOL + CUT_POOL:
+        s = all_screeners(lat)
+        assert screening_system(s) == _fraction_echelon_system(s.vectors)
+        checked += len(s.vectors) > 1
+    assert checked > 20
+
+
 def test_screener_span():
     span = screener_span(all_screeners(Lattice(A2)))
     assert span.index_in_lattice == 1
@@ -311,6 +338,26 @@ def test_virasoro_shift_errors():
         virasoro_shift(Lattice([[4]]), (1,), 3, 1)   # norm mismatch
     with pytest.raises(LatticeError):
         virasoro_shift(Lattice([[4, 1], [1, 2]]), (1, 0), 2, 1)  # not a screener
+
+
+def test_virasoro_shift_is_the_type_i_gamma():
+    """For every screener and every split <a,a> = 2pq, the shift vector is
+    the type I gamma and pairs to p - q with a.  It always exists: a
+    screener x = k y, y in L, has 2 <x,y> / <x,x> = 2/k integral and is not
+    in 2L, so k = 1."""
+    checked = 0
+    for lat in POOL:
+        s = all_screeners(lat)
+        for a, nrm in zip(s.vectors, s.norms):
+            for p in range(1, nrm // 2 + 1):
+                q, rem = divmod(nrm // 2, p)
+                if rem:
+                    continue
+                gamma = virasoro_shift(lat, a, p, q)
+                assert gamma == make_type_i(lat, a, p, q).gamma
+                assert lat.dual_inner(gamma, a) == p - q
+                checked += 1
+    assert checked > 50
 
 
 def test_central_charge():
