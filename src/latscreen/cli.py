@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -276,13 +277,15 @@ def cmd_classify(args) -> int:
 def cmd_rank2(args) -> int:
     text = _read_input(args.input)
     lat, name = parse_lattice(text)
-    form = rank2_normal_form(lat)
+    # one walk serves the normal form and the actual list; other ranks fail before any walk
+    sset = all_screeners(lat) if lat.rank == 2 else None
+    form = rank2_normal_form(lat, sset)
     warnings = []
     if isinstance(form, NoScreener):
         results = {"kind": "no-screener"}
     else:
         predicted = rank2_predicted_in_lattice(form)
-        actual = all_screeners(lat).vectors
+        actual = sset.vectors
         agrees = set(predicted) == set(actual)
         for w in form.warnings:
             warnings.append({
@@ -444,7 +447,10 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later `main` call in the process (parsing never mutates it)."""
     parser = _Parser(
         prog="latscreen",
         description="Screening momenta of positive definite integral lattices",

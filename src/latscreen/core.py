@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -86,14 +86,17 @@ class Lattice:
         return self.norm(x) % 2
 
     def dual_inner(self, v: Sequence[Fraction | int], w: Sequence[Fraction | int]) -> Fraction:
-        """Inner product extended to rational coordinate vectors."""
+        """Inner product extended to rational coordinate vectors.
+
+        Each argument is written as integer numerators over one common
+        denominator, v = nv/dv and w = nw/dw, so the product is the integer
+        <nv, nw> over dv*dw: one Fraction, none inside the d^2 sum.
+        """
         self._check_dim(v)
         self._check_dim(w)
-        d = self.rank
-        return sum(
-            (Fraction(v[i]) * self.gram[i][j] * Fraction(w[j]) for i in range(d) for j in range(d)),
-            Fraction(0),
-        )
+        nv, dv = over_common_denominator(v)
+        nw, dw = (nv, dv) if w is v else over_common_denominator(w)
+        return Fraction(sum(map(mul, (sum(map(mul, row, nv)) for row in self.gram), nw)), dv * dw)
 
     def _check_dim(self, x: Sequence) -> None:
         if len(x) != self.rank:
@@ -101,6 +104,15 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice({[list(r) for r in self.gram]})"
+
+
+def over_common_denominator(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Integer numerators n and the least positive q with v = n / q.
+
+    q is the lcm of the entries' denominators; ints count as denominator 1.
+    """
+    q = lcm(*(t.denominator for t in v))
+    return [t.numerator * (q // t.denominator) for t in v], q
 
 
 def is_positive_definite(gram: Sequence[Sequence[int]]) -> bool:
@@ -138,17 +150,14 @@ def in_extended_dual(lat: Lattice, v: Sequence[Fraction | int]) -> bool:
     half-integrally with one odd basis vector and integrally with another
     shifts parity classes inconsistently and is not in the extended dual.
     """
-    lat._check_dim(v)
-    d = lat.rank
-    vv = [Fraction(t) for t in v]
-    h: list[int] = []
-    for j in range(d):
-        hj = 2 * sum(vv[i] * lat.gram[i][j] for i in range(d))
-        if hj.denominator != 1:
-            return False
-        h.append(hj.numerator)
+    nums, q = over_common_denominator(v)
+    # G is symmetric, so (G n)_j = q <v, b_j>
+    twice = [2 * s for s in lat.gram_times(nums)]
+    if any(s % q for s in twice):
+        return False
+    h = [s // q for s in twice]
     odd_parities = set()
-    for j in range(d):
+    for j in range(lat.rank):
         if lat.gram[j][j] % 2 == 0:
             if h[j] % 2 != 0:
                 return False

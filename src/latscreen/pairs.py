@@ -20,7 +20,7 @@ from math import gcd
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, in_dual
+from .core import DualVec, Lattice, LatticeError, Vec, in_dual, over_common_denominator
 from .screeners import central_charge, conformal_weight, dual_pairing_unit, is_screener
 
 
@@ -42,7 +42,9 @@ class PairSpec:
 def pair_decompositions(lat: Lattice, a: Sequence[int]) -> list[tuple[int, int]]:
     """All factorizations <a,a> = 2*p*p' with both a/p and a/p' in the dual."""
     nrm = lat.norm(a)
-    if nrm <= 0 or nrm % 2 != 0:
+    if nrm == 0:
+        raise LatticeError("alpha is the zero vector; it has no factorization 2*p*p'")
+    if nrm % 2 != 0:
         raise LatticeError(f"norm {nrm} is odd; no even factorization 2*p*p'")
     half = nrm // 2
     out = []
@@ -132,21 +134,17 @@ def _orthogonal_witness(lat: Lattice, a: Sequence[int], w: Sequence[Fraction]) -
     """Integer vector orthogonal (under G) to the dual vector w and not
     proportional to a; None with a reason when no direction exists."""
     d = lat.rank
-    u = [
-        sum(Fraction(w[i]) * lat.gram[i][j] for i in range(d))
-        for j in range(d)
-    ]
-    if all(t == 0 for t in u):
+    nums, q = over_common_denominator(w)
+    # G w = u / q; dividing u by gcd(q, u) gives G w over its least denominator
+    u = lat.gram_times(nums)
+    if not any(u):
         for j in range(d):
             e = tuple(1 if i == j else 0 for i in range(d))
             if not _proportional(e, a):
                 return e, None
         return None, "every coordinate direction is proportional to alpha"
-    den = 1
-    for t in u:
-        den = den * t.denominator // gcd(den, t.denominator)
-    uint = [int(t * den) for t in u]
-    for row in intlinalg.kernel_rows([uint]):
+    g = gcd(q, *u)
+    for row in intlinalg.kernel_rows([[t // g for t in u]]):
         if not _proportional(row, a):
             return tuple(row), None
     return None, "the orthogonal hyperplane holds no direction independent of alpha"

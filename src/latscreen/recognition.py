@@ -358,17 +358,23 @@ def _require(ok: bool, what: str) -> None:
         raise ClassificationError(f"rank-2 normal form: {what}")
 
 
-def rank2_normal_form(lat: Lattice) -> Rank2Form | NoScreener:
+def rank2_normal_form(lat: Lattice, screeners: ScreenerSet | None = None) -> Rank2Form | NoScreener:
     """Classify a rank-2 lattice by an explicit unimodular change of basis.
 
     Picks the first minimal-norm screener, completes it to a basis, and
     clears the off-diagonal pairing: an even multiple of p diagonalizes
     (type 1, converted to type 2 when the diagonal is (2p, 2p)), an odd
     multiple leaves -p (type 2, flipped until m >= p).
+
+    screeners is the lattice's screener set when the caller already holds
+    it (`all_screeners(lat)`); without it the lattice is walked here.
     """
     if lat.rank != 2:
         raise LatticeError("rank-2 classification needs a rank-2 lattice")
-    screeners = all_screeners(lat)
+    if screeners is None:
+        screeners = all_screeners(lat)
+    elif screeners.lattice != lat:
+        raise LatticeError("the screener set belongs to another lattice")
     if not screeners.vectors:
         return NO_SCREENER
     a1 = screeners.vectors[0]

@@ -13,6 +13,7 @@ from latscreen.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ParseFailure,
+    build_parser,
     main,
     parse_lattice,
 )
@@ -240,6 +241,16 @@ def test_oracle_check_seed_is_required(capsys):
     assert main(["oracle-check", "--cases", "1"]) == EXIT_USAGE
 
 
+def _subprocess_stdout(argv):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "latscreen", *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    return out.returncode, out.stdout
+
+
 def test_console_script_runs():
     """The script target in pyproject.toml is cli.main, which `python -m
     latscreen` also runs, so the subprocess needs no installed script.  It
@@ -248,10 +259,53 @@ def test_console_script_runs():
     pyproject = (root / "pyproject.toml").read_text()
     scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert 'latscreen = "latscreen.cli:main"' in scripts.splitlines()
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "latscreen", "catalog", "A", "1", "--format", "text"],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.returncode == 0
-    assert out.stdout == "2\n"
+    assert _subprocess_stdout(["catalog", "A", "1", "--format", "text"]) == (0, "2\n")
+
+
+def test_pairs_zero_alpha_has_its_own_message(tmp_path, capsys):
+    path = write(tmp_path, A2_TEXT)
+    assert main(["pairs", "--input", path, "--alpha", "0,0"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "alpha is the zero vector" in err
+    assert "odd" not in err
+
+
+def test_main_reuses_one_parser_without_leaking_options(tmp_path, capsys):
+    """Repeated main calls in one process share the parser and print what a
+    fresh process prints for the same argv, call by call."""
+    assert build_parser() is build_parser()
+    path = write(tmp_path, "4 -2\n-2 6\n")
+    sequence = [
+        ["pairs", "--input", path, "--alpha", "1,0", "--max-r", "7"],
+        ["pairs", "--input", path],
+        ["rank2", "--input", path, "--format", "text"],
+        ["rank2", "--input", path, "--bogus"],
+        ["rank2", "--input", path],
+    ]
+    in_process = []
+    for argv in sequence:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert [code for code, _ in in_process] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert '"max_r": 50' in in_process[1][1]
+    assert [_subprocess_stdout(argv) for argv in sequence] == in_process
+
+
+@pytest.mark.parametrize("text, kind", [("4 -2\n-2 6\n", "type2"), ("1 0\n0 3\n", "no-screener")],
+                         ids=["screeners", "none"])
+def test_rank2_walks_the_lattice_once(tmp_path, capsys, monkeypatch, text, kind):
+    import latscreen.cli
+    import latscreen.recognition
+    from latscreen.screeners import all_screeners
+
+    walks = []
+
+    def counting(lat):
+        walks.append(lat.gram)
+        return all_screeners(lat)
+
+    monkeypatch.setattr(latscreen.cli, "all_screeners", counting)
+    monkeypatch.setattr(latscreen.recognition, "all_screeners", counting)
+    assert main(["rank2", "--input", write(tmp_path, text)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]["kind"] == kind
+    assert len(walks) == 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,6 +18,7 @@ from latscreen import (
     sublattice_gram,
 )
 
+from latscreen.core import over_common_denominator
 from oracle import det_fraction
 
 A2 = [[2, -1], [-1, 2]]
@@ -203,6 +205,102 @@ def test_in_extended_dual():
     assert in_extended_dual(Lattice(A2), (f(1), f(-2)))
 
 
+def _random_rational(rng, ints_only=False):
+    """An int, or a Fraction with a small, large or negative denominator."""
+    num = rng.randint(-10**6, 10**6) if rng.random() < 0.2 else rng.randint(-9, 9)
+    if ints_only or rng.random() < 0.3:
+        return num
+    den = rng.choice((1, 2, 3, 6, 7, 12, 10**9 + 7, 2**61 - 1, rng.randint(1, 10**12)))
+    return Fraction(num, -den if rng.random() < 0.5 else den)
+
+
+def _dual_inner_reference(lat, v, w):
+    """The double sum of Fraction products that dual_inner replaced."""
+    d = lat.rank
+    return sum(
+        (Fraction(v[i]) * lat.gram[i][j] * Fraction(w[j]) for i in range(d) for j in range(d)),
+        Fraction(0),
+    )
+
+
+def _in_extended_dual_reference(lat, v):
+    """in_extended_dual with one Fraction sum per pairing, as it was written before."""
+    d = lat.rank
+    h = []
+    for j in range(d):
+        hj = 2 * sum(Fraction(v[i]) * lat.gram[i][j] for i in range(d))
+        if hj.denominator != 1:
+            return False
+        h.append(hj.numerator)
+    odd = {h[j] % 2 for j in range(d) if lat.gram[j][j] % 2}
+    return all(h[j] % 2 == 0 for j in range(d) if lat.gram[j][j] % 2 == 0) and len(odd) <= 1
+
+
+def _random_gram(rng, d):
+    while True:
+        g = [[0] * d for _ in range(d)]
+        for i in range(d):
+            g[i][i] = rng.randint(1, 30)
+            for j in range(i + 1, d):
+                g[i][j] = g[j][i] = rng.randint(-8, 8)
+        if is_positive_definite(g):
+            return Lattice(g)
+
+
+def test_dual_inner_matches_the_fraction_double_sum():
+    rng = random.Random(606)
+    checked = 0
+    for d in range(1, 7):
+        for _ in range(60):
+            lat = _random_gram(rng, d)
+            ints = rng.random() < 0.25
+            v = [_random_rational(rng, ints) for _ in range(d)]
+            w = [_random_rational(rng, ints) for _ in range(d)]
+            got = lat.dual_inner(v, w)
+            assert type(got) is Fraction
+            assert got == _dual_inner_reference(lat, v, w)
+            assert lat.dual_inner(v, v) == _dual_inner_reference(lat, v, v)
+            checked += 1
+    assert checked == 360
+    lat = Lattice(A2)
+    with pytest.raises(LatticeError, match="length 3"):
+        lat.dual_inner((Fraction(1, 2), 0, 1), (1, 0))
+    with pytest.raises(LatticeError, match="length 1"):
+        lat.dual_inner((1, 0), (Fraction(1, 3),))
+
+
+def test_over_common_denominator():
+    f = Fraction
+    assert over_common_denominator((f(1, 2), f(-1, 3), 4)) == ([3, -2, 24], 6)
+    assert over_common_denominator((f(3, -4), f(5, 6))) == ([-9, 10], 12)
+    assert over_common_denominator((0, 7)) == ([0, 7], 1)
+    rng = random.Random(7)
+    for _ in range(300):
+        v = [_random_rational(rng) for _ in range(rng.randint(1, 6))]
+        nums, q = over_common_denominator(v)
+        assert q > 0 and all(type(n) is int for n in nums)
+        assert [Fraction(n, q) for n in nums] == [Fraction(t) for t in v]
+        # q is the least such denominator exactly when no prime divides q and every numerator
+        assert gcd(q, *nums) == 1
+
+
+def test_in_extended_dual_matches_the_fraction_sums():
+    rng = random.Random(808)
+    hits = 0
+    for d in range(1, 6):
+        for _ in range(80):
+            lat = _random_gram(rng, d)
+            det = lat.determinant
+            # dual vectors with denominators dividing 2 det hit both answers
+            v = [Fraction(rng.randint(-3 * det, 3 * det), rng.choice((1, 2, det, 2 * det))) for _ in range(d)]
+            got = in_extended_dual(lat, v)
+            assert got == _in_extended_dual_reference(lat, v)
+            hits += got
+    assert 0 < hits < 400
+    with pytest.raises(LatticeError, match="length 1"):
+        in_extended_dual(Lattice(A2), (Fraction(1, 2),))
+
+
 def test_extend_to_basis_small():
     lat = Lattice([[1, 0], [0, 1]])
     cols = extend_to_basis(lat, (2, 3))
@@ -218,7 +316,6 @@ def test_extend_to_basis_small():
 def test_extend_to_basis_random():
     """Random primitive vectors always extend to a unimodular basis."""
     from latscreen.intlinalg import determinant
-    from math import gcd
 
     rng = random.Random(23)
     checked = 0

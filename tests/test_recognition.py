@@ -353,3 +353,18 @@ def test_roundtrip_scrambled_orthogonal_sums():
         got = sorted((c.kind, c.n, c.scale) for c in comps)
         assert got == parts, (parts, scrambled)
 
+
+
+def test_rank2_normal_form_on_every_reduced_form_up_to_det_150():
+    """The exhaustive rank-2 certificate at det <= 150; CI runs it at 1000.
+    The form count pins the enumeration so the checked set cannot shrink."""
+    from certificates import rank2_certificate
+
+    assert rank2_certificate(150) == {"max_det": 150, "forms": 902, "no_screener": 438, "warned": 6}
+
+
+def test_rank2_normal_form_rejects_a_foreign_screener_set():
+    lat = Lattice([[4, -2], [-2, 6]])
+    assert rank2_normal_form(lat, all_screeners(lat)) == rank2_normal_form(lat)
+    with pytest.raises(LatticeError, match="another lattice"):
+        rank2_normal_form(lat, all_screeners(Lattice([[2, -1], [-1, 2]])))
