@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -205,7 +206,7 @@ def cmd_decompose(args) -> int:
     sset = all_screeners(lat)
     basis = screener_basis(lat, sset)
     reduced = reduce_screener_basis(lat, basis)
-    comps = recognize_components(lat, reduced)
+    comps = recognize_components(lat, reduced, sset)
     results = {
         "screener_basis": [list(v) for v in basis],
         "reduced_basis": [{"coords": list(v), "norm": lat.norm(v)} for v in reduced],
@@ -502,10 +503,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_negative_alpha(argv: list[str]) -> list[str]:
+    """Rewrite `--alpha -1,0` as `--alpha=-1,0`.
+
+    argparse takes a token that starts with '-' and is not a plain negative
+    number, such as -1,0, for an option, so a negative first coordinate
+    would leave --alpha without its value.  A bare --alpha stays as it is.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--alpha" and i + 1 < len(argv) and re.match(r"-\d", argv[i + 1]):
+            out.append(f"--alpha={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_alpha(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -81,6 +81,10 @@ class Lattice:
     def norm(self, x: Sequence[int]) -> int:
         return self.inner(x, x)
 
+    def row_gram(self, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+        """Inner products <rows[i], rows[j]> of lattice vectors: R G R^T."""
+        return intlinalg.matmul(intlinalg.matmul(rows, self.gram), list(zip(*rows)))
+
     def parity(self, x: Sequence[int]) -> int:
         """Norm mod 2; splits the lattice into its even and odd parts."""
         return self.norm(x) % 2
@@ -236,7 +240,7 @@ def sublattice_gram(lat: Lattice, vs: Sequence[Sequence[int]]) -> Lattice:
         lat._check_dim(v)
     if intlinalg.rank(rows) != len(rows):
         raise LatticeError("vectors are linearly dependent")
-    return Lattice(intlinalg.matmul(intlinalg.matmul(rows, lat.gram), list(zip(*rows))))
+    return Lattice(lat.row_gram(rows))
 
 
 def canonical(x: Sequence[int]) -> Vec:

@@ -5,16 +5,23 @@ norm in each scale form root systems; recognizing the components and merging
 the non-root screeners on top yields an extended type (B/C/F/G alongside the
 simply laced A/D/E) whose root count must equal the actual screener count.
 The rank-2 case additionally has a complete normal-form classification.
+
+The lattice is walked once, by `all_screeners`; everything after works on
+that set.  A reduced screener basis splits L into orthogonal norm blocks,
+the roots of each block are the screeners of its norm supported in it, and
+the components are the classes of a union-find over those supports, so
+recognition and the per-group count both read the screeners' coordinates in
+the reduced basis and enumerate nothing (proofs in recognize_components).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from . import intlinalg
 from .core import Lattice, LatticeError, Vec, canonical, sublattice_gram
-from .enumeration import enumerate_exact_norm
 from .screeners import ScreenerSet, all_screeners, is_screener
 
 
@@ -91,6 +98,10 @@ def reduce_screener_basis(lat: Lattice, basis: Sequence[Sequence[int]]) -> list[
     lowers the norm of u_l to that of u_i, so the procedure terminates with
     every pair of distinct norms orthogonal.  Inner products outside
     {0, +-n/2, +-n} contradict the screener trichotomy and raise.
+
+    Each pass builds the Gram matrix of the rows once, sorts rows and Gram by
+    (norm, coordinates) and reads every norm and inner product from it; a
+    replacement ends the pass.
     """
     if not lat.is_even:
         raise LatticeError("reduction requires an even lattice")
@@ -103,13 +114,16 @@ def reduce_screener_basis(lat: Lattice, basis: Sequence[Sequence[int]]) -> list[
         if not is_screener(lat, r):
             raise LatticeError(f"basis vector {r} is not a screening vector")
     while True:
-        rows.sort(key=lambda v: (lat.norm(v), v))
+        g = lat.row_gram(rows)
+        order = sorted(range(len(rows)), key=lambda k: (g[k][k], rows[k]))
+        rows = [rows[k] for k in order]
+        g = [[g[a][b] for b in order] for a in order]
         replaced = False
         for l in range(len(rows)):
-            nl = lat.norm(rows[l])
+            nl = g[l][l]
             for i in range(l):
-                ni = lat.norm(rows[i])
-                t = lat.inner(rows[i], rows[l])
+                ni = g[i][i]
+                t = g[i][l]
                 if 2 * abs(t) not in (0, nl, 2 * nl):
                     raise ClassificationError(
                         f"inner product {t} of screeners with norms {ni}, {nl} violates the trichotomy"
@@ -127,84 +141,138 @@ def reduce_screener_basis(lat: Lattice, basis: Sequence[Sequence[int]]) -> list[
             if replaced:
                 break
         if not replaced:
-            break
-    rows.sort(key=lambda v: (lat.norm(v), v))
-    return rows
+            return rows
 
 
-def recognize_components(lat: Lattice, reduced: Sequence[Sequence[int]]) -> list[Component]:
-    """Group a reduced screener basis into indecomposable root components.
+def _reduced_supports(
+    lat: Lattice, reduced: Sequence[Sequence[int]], screeners: ScreenerSet
+) -> tuple[list[Vec], list[int], list[tuple[int, ...]]]:
+    """Check a reduced screener basis and locate every screener in it.
 
-    Within each norm-2p block the vectors of that exact norm in the block
-    sublattice form a root system; connectivity of its +- classes under the
-    inner product separates the components, and (rank, root count) pins the
-    type: A_n has n(n+1) roots, D_n has 2n(n-1), E_6/7/8 have 72/126/240.
+    Returns the rows, their norms, and for each screener of the set the
+    positions where its reduced-basis coordinates are nonzero.  Raises
+    LatticeError unless the set belongs to lat, the rows are a basis of L,
+    every row is a screener (its unit coordinate vector is in the set) and
+    rows of distinct norm are orthogonal.  One inverse and one product map
+    all the screeners.
     """
+    if screeners.lattice != lat:
+        raise LatticeError("the screener set belongs to another lattice")
     rows = [tuple(int(v) for v in u) for u in reduced]
-    by_norm: dict[int, list[int]] = {}
-    for pos, u in enumerate(rows):
-        nrm = lat.norm(u)
-        if nrm % 2 != 0:
-            raise LatticeError(f"vector {u} has odd norm {nrm}")
-        by_norm.setdefault(nrm, []).append(pos)
-    comps: list[Component] = []
-    for nrm in sorted(by_norm):
-        positions = by_norm[nrm]
-        block_vecs = [rows[pos] for pos in positions]
-        block = sublattice_gram(lat, block_vecs)
-        reps = enumerate_exact_norm(block, nrm).vectors
-        ips = intlinalg.matmul(intlinalg.matmul(reps, block.gram), list(zip(*reps)))
-        parent = list(range(len(reps)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if ips[i][j] != 0:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-        rep_index = {r: k for k, r in enumerate(reps)}
-        classes: dict[int, list[int]] = {}
-        for k in range(len(reps)):
-            classes.setdefault(find(k), []).append(k)
-        for members in classes.values():
-            units = []
-            for local_j in range(len(block_vecs)):
-                e = tuple(1 if t == local_j else 0 for t in range(len(block_vecs)))
-                if rep_index.get(e) in members:
-                    units.append(local_j)
-            if not units:
-                raise ClassificationError(
-                    f"a norm-{nrm} root component contains no basis vector"
-                )
-            rank_span = intlinalg.rank([list(reps[k]) for k in members])
-            if rank_span != len(units):
-                raise ClassificationError(
-                    f"component span rank {rank_span} != {len(units)} basis vectors"
-                )
-            count = 2 * len(members)
-            kind = _component_kind(rank_span, count)
-            if kind is None:
-                raise ClassificationError(
-                    f"no A/D/E root system has rank {rank_span} with {count} roots"
-                )
-            comps.append(
-                Component(
-                    kind=kind,
-                    n=rank_span,
-                    scale=nrm // 2,
-                    basis=tuple(block_vecs[j] for j in sorted(units)),
-                    positions=tuple(positions[j] for j in sorted(units)),
-                    root_count=count,
-                )
+    if len(rows) != lat.rank:
+        raise LatticeError("basis size does not match the rank")
+    for u in rows:
+        lat._check_dim(u)
+    try:
+        binv = intlinalg.invert_unimodular(rows)
+    except ValueError:
+        raise LatticeError("vectors are not a basis of the lattice") from None
+    g = lat.row_gram(rows)
+    norms = [g[j][j] for j in range(len(rows))]
+    for i, j in combinations(range(len(rows)), 2):
+        if norms[i] != norms[j] and g[i][j] != 0:
+            raise LatticeError(
+                f"basis vectors {rows[i]}, {rows[j]} of norms {norms[i]}, {norms[j]} are not orthogonal"
             )
+    supports = [tuple(j for j, c in enumerate(coeffs) if c != 0)
+                for coeffs in intlinalg.matmul(screeners.vectors, binv)]
+    units = {s[0] for s in supports if len(s) == 1}
+    for j, u in enumerate(rows):
+        if j not in units:
+            raise LatticeError(f"basis vector {u} is not a screening vector")
+    return rows, norms, supports
+
+
+def _components(
+    rows: Sequence[Vec], norms: Sequence[int], supports: Sequence[tuple[int, ...]],
+    screener_norms: Sequence[int],
+) -> list[Component]:
+    """Union-find over the supports of the roots: the screeners whose norm is
+    that of every basis vector they involve."""
+    parent = list(range(len(rows)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    roots = [s for s, nrm in zip(supports, screener_norms) if all(norms[j] == nrm for j in s)]
+    for s in roots:
+        for j in s[1:]:
+            ri, rj = find(s[0]), find(j)
+            if ri != rj:
+                parent[ri] = rj
+    classes: dict[int, list[int]] = {}
+    for j in range(len(rows)):
+        classes.setdefault(find(j), []).append(j)
+    counts = dict.fromkeys(classes, 0)
+    for s in roots:
+        counts[find(s[0])] += 2
+    comps: list[Component] = []
+    for key, members in classes.items():
+        rank, count = len(members), counts[key]
+        kind = _component_kind(rank, count)
+        if kind is None:
+            raise ClassificationError(
+                f"no A/D/E root system has rank {rank} with {count} roots"
+            )
+        comps.append(
+            Component(
+                kind=kind,
+                n=rank,
+                scale=norms[members[0]] // 2,
+                basis=tuple(rows[j] for j in members),
+                positions=tuple(members),
+                root_count=count,
+            )
+        )
     comps.sort(key=lambda c: (c.scale, c.n, c.kind, c.basis))
     return comps
+
+
+def recognize_components(
+    lat: Lattice, reduced: Sequence[Sequence[int]], screeners: ScreenerSet | None = None
+) -> list[Component]:
+    """Group a reduced screener basis into indecomposable root components.
+
+    reduced is a reduced screener basis u_1..u_d of L: a basis of screeners
+    in which vectors of distinct norm are orthogonal (the output of
+    reduce_screener_basis).  screeners is the screener set of lat when the
+    caller holds it (`all_screeners(lat)`); without it the lattice is walked
+    here.  Nothing else is enumerated: every screener is written once in
+    reduced-basis coordinates, and its support is the set of positions with
+    a nonzero coordinate.
+
+    - The roots of the norm-2p block are exactly the norm-2p screeners whose
+      support lies in that block.  L is the orthogonal sum of its norm
+      blocks.  Each u_i of norm 2p is a screener, so <u_i, x> lies in pZ for
+      every x in L; a block vector r of norm 2p therefore has 2r/<r,r> =
+      r/p in L*, and r is not in 2L (r = 2y puts y in the block, whose norms
+      are multiples of 2p, with norm p/2).  So r is a screener, and
+      conversely a norm-2p screener supported in the block is a block root.
+    - A union-find over those supports gives the irreducible components.
+      Each u_i is a root, so it lies in one component, and the block is the
+      direct sum of the components' lattices, which makes every root
+      supported on its own component's positions.  If a component's
+      positions split into S and T that no root's support meets both of,
+      its roots in span(S) and in span(T) cannot all be orthogonal, and for
+      non-orthogonal roots a in span(S), b in span(T) the root
+      s_a(b) = b - (<a,b>/p) a has support meeting both.  A component's rank
+      is its number of positions, and its root count is twice its number of
+      screeners (one per +- pair).
+
+    (rank, root count) pins the type: A_n has n(n+1) roots, D_n has
+    2n(n-1), E_6/7/8 have 72/126/240.  Raises LatticeError for a screener
+    set of another lattice, for rows that are not a basis of screeners and
+    for rows of distinct norm that are not orthogonal.  Once those checks
+    pass, every class is a nonempty set of basis vectors, so it cannot miss
+    a basis vector and its roots span a lattice of rank equal to its number
+    of positions; neither needs a check of its own.
+    """
+    if screeners is None:
+        screeners = all_screeners(lat)
+    return _components(*_reduced_supports(lat, reduced, screeners), screeners.norms)
 
 
 def screener_basis(lat: Lattice, screeners: ScreenerSet) -> list[Vec]:
@@ -248,13 +316,17 @@ def identify_extended_type(lat: Lattice) -> tuple[list[ExtendedGroup], ScreenerS
     A_3 -> C_3, D_4 -> F_4, D_n -> C_n for n > 4; everything else keeps its
     type.  The expected screener count of every group must match the actual
     count, otherwise a ClassificationError reports the discrepancy.
+
+    The lattice is walked once.  Recognition and the count share one map of
+    the screeners to reduced-basis supports (`_reduced_supports`).
     """
     if not lat.is_even:
         raise NotGeneratedError("lattice is not even")
     screeners = all_screeners(lat)
     basis = screener_basis(lat, screeners)
     reduced = reduce_screener_basis(lat, basis)
-    comps = recognize_components(lat, reduced)
+    rows, norms, supports = _reduced_supports(lat, reduced, screeners)
+    comps = _components(rows, norms, supports, screeners.norms)
 
     # merge per scale
     groups: list[tuple[str, int, int, list[Component]]] = []
@@ -281,21 +353,20 @@ def identify_extended_type(lat: Lattice) -> tuple[list[ExtendedGroup], ScreenerS
             else:
                 groups.append((c.kind, c.n, scale, [c]))
 
-    # count actual screeners per group through the reduced-basis coordinates
-    binv = intlinalg.invert_unimodular([list(r) for r in reduced])
+    # count actual screeners per group through their reduced-basis supports
     pos_to_group: dict[int, int] = {}
     for gi, (_, _, _, cs) in enumerate(groups):
         for c in cs:
             for pos in c.positions:
                 pos_to_group[pos] = gi
     actual = [0] * len(groups)
-    for v, coeffs in zip(screeners.vectors, intlinalg.matmul(screeners.vectors, binv)):
-        support = {pos_to_group[i] for i, t in enumerate(coeffs) if t != 0}
-        if len(support) != 1:
+    for v, support in zip(screeners.vectors, supports):
+        hit = {pos_to_group[i] for i in support}
+        if len(hit) != 1:
             raise ClassificationError(
-                f"screener {v} spreads over {len(support)} component groups"
+                f"screener {v} spreads over {len(hit)} component groups"
             )
-        actual[support.pop()] += 2
+        actual[hit.pop()] += 2
 
     out = []
     for gi, (name, n, scale, cs) in enumerate(groups):

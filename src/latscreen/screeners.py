@@ -111,7 +111,7 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     h = intlinalg.matmul([[v[r][i] * (dn // invariants[i]) for i in range(d)] for r in range(d)], u)
     for t in intlinalg.divisors(dn, 2 * dn // form_minimum(h)):
         basis = _mod_kernel_basis(v_mod, invariants, t)
-        sub = Lattice(intlinalg.matmul(intlinalg.matmul(basis, gram), list(zip(*basis))))
+        sub = Lattice(lat.row_gram(basis))
         found = enumerate_up_to_norm(sub, 2 * t)
         shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
         for x in map(canonical, intlinalg.matmul(shell, basis)):

@@ -1,22 +1,30 @@
-"""Exhaustive certificates for the rank-2 classification.
+"""Exhaustive certificates for the classification theorems.
 
 Every positive definite binary form is equivalent to exactly one
 Gauss-reduced form [[a, b], [b, c]] with 0 <= 2b <= a <= c, so checking all
 of them up to a determinant bound checks the normal-form theorem on every
-rank-2 lattice of that determinant.  From the repository root:
+rank-2 lattice of that determinant.  The classification of lattices
+generated by screeners is checked on every orthogonal sum of scaled A/D/E
+components up to a rank and a scale, each in a scrambled basis.  From the
+repository root:
 
     PYTHONPATH=src:tests python -c "import certificates; print(certificates.rank2_certificate(1000))"
+    PYTHONPATH=src:tests python -c "import certificates; print(certificates.classification_certificate(8, 3))"
 
 prints the counts, or raises CertificateFailure with the first mismatches.
 """
 
 from __future__ import annotations
 
+import random
+
 from latscreen import (
     WARN_2B_ODD,
     Lattice,
     NoScreener,
     all_screeners,
+    catalog,
+    identify_extended_type,
     rank2_normal_form,
     rank2_predicted_in_lattice,
 )
@@ -72,4 +80,109 @@ def rank2_certificate(max_det: int) -> dict:
             bad.append(((a, b, c), f"predicted {predicted}", sset.vectors))
     if bad:
         raise CertificateFailure(f"{len(bad)} of {counts['forms']} forms disagree: {bad[:5]}")
+    return counts
+
+
+def random_unimodular(rng: random.Random, d: int, max_entry: int = 3) -> list[list[int]]:
+    """A d x d unimodular matrix from 6d random row additions, keeping every
+    entry within max_entry."""
+    u = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    for _ in range(6 * d):
+        i, j = rng.randrange(d), rng.randrange(d)
+        if i == j:
+            continue
+        c = rng.choice((-1, 1))
+        trial = [row[:] for row in u]
+        for k in range(d):
+            trial[i][k] += c * trial[j][k]
+        if all(abs(v) <= max_entry for row in trial for v in row):
+            u = trial
+    return u
+
+
+def orthogonal_sum(parts) -> list[list[int]]:
+    """Block-diagonal Gram of the catalog components (kind, n, scale)."""
+    d = sum(n for _, n, _ in parts)
+    gram = [[0] * d for _ in range(d)]
+    ofs = 0
+    for kind, n, scale in parts:
+        block = catalog(kind, n, scale=scale).gram
+        for i in range(n):
+            gram[ofs + i][ofs:ofs + n] = block[i]
+        ofs += n
+    return gram
+
+
+def scrambled(gram, rng: random.Random) -> list[list[int]]:
+    """U^T G U for a random unimodular U: the same lattice in another basis."""
+    d = len(gram)
+    u = random_unimodular(rng, d)
+    return [[sum(u[a][i] * gram[a][b] * u[b][j] for a in range(d) for b in range(d))
+             for j in range(d)] for i in range(d)]
+
+
+def component_multisets(max_rank: int, max_scale: int):
+    """Every nonempty multiset of components (kind, n, scale), A_n (n >= 1),
+    D_n (n >= 4) and E_6..E_8 at scales 1..max_scale, with total rank at most
+    max_rank; each as a sorted tuple."""
+    kinds = [("A", n) for n in range(1, max_rank + 1)]
+    kinds += [("D", n) for n in range(4, max_rank + 1)]
+    kinds += [("E", n) for n in (6, 7, 8) if n <= max_rank]
+    pool = sorted((k, n, s) for k, n in kinds for s in range(1, max_scale + 1))
+
+    def extend(start, parts, rank):
+        if parts:
+            yield tuple(parts)
+        for i in range(start, len(pool)):
+            n = pool[i][1]
+            if rank + n <= max_rank:
+                yield from extend(i, parts + [pool[i]], rank + n)
+
+    yield from extend(0, [], 0)
+
+
+def merged_groups(parts) -> list[tuple[str, int, int]]:
+    """The extended groups the merge rules predict, sorted by (scale, n, name):
+    per scale, k >= 2 A_1 merge to B_k, A_2 -> G_2, A_3 -> C_3, D_4 -> F_4,
+    D_n -> C_n for n > 4, and every other component keeps its type."""
+    out = []
+    for scale in {s for _, _, s in parts}:
+        a1 = sum(1 for k, n, s in parts if (k, n, s) == ("A", 1, scale))
+        if a1:
+            out.append(("B", a1, scale) if a1 >= 2 else ("A", 1, scale))
+        for kind, n, s in parts:
+            if s != scale or (kind, n) == ("A", 1):
+                continue
+            if kind == "A" and n in (2, 3):
+                out.append(("G" if n == 2 else "C", n, scale))
+            elif kind == "D":
+                out.append(("F" if n == 4 else "C", n, scale))
+            else:
+                out.append((kind, n, scale))
+    return sorted(out, key=lambda g: (g[2], g[1], g[0]))
+
+
+def classification_certificate(max_rank: int, max_scale: int, seed: int = 0) -> dict:
+    """Check `identify_extended_type` on every orthogonal sum of catalog
+    components with total rank <= max_rank and scales <= max_scale.
+
+    Each sum is classified once, in a basis scrambled by a unimodular matrix
+    drawn from one generator seeded with seed, and must give exactly the
+    groups of `merged_groups`.
+    """
+    rng = random.Random(seed)
+    counts = {"max_rank": max_rank, "max_scale": max_scale, "sums": 0}
+    bad = []
+    for parts in component_multisets(max_rank, max_scale):
+        counts["sums"] += 1
+        gram = scrambled(orthogonal_sum(parts), rng)
+        try:
+            groups, _ = identify_extended_type(Lattice(gram))
+            got = [(g.name, g.n, g.scale) for g in groups]
+        except ValueError as e:
+            got = f"{type(e).__name__}: {e}"
+        if got != merged_groups(parts):
+            bad.append((parts, gram, got))
+    if bad:
+        raise CertificateFailure(f"{len(bad)} of {counts['sums']} sums disagree: {bad[:5]}")
     return counts

@@ -309,3 +309,48 @@ def test_rank2_walks_the_lattice_once(tmp_path, capsys, monkeypatch, text, kind)
     assert main(["rank2", "--input", write(tmp_path, text)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["results"]["kind"] == kind
     assert len(walks) == 1
+
+
+def _walks(monkeypatch, tmp_path, capsys, argv, text):
+    """Run main(argv + --input) with both all_screeners bindings counted."""
+    import latscreen.cli
+    import latscreen.recognition
+    from latscreen.screeners import all_screeners
+
+    walks = []
+
+    def counting(lat):
+        walks.append(lat.gram)
+        return all_screeners(lat)
+
+    monkeypatch.setattr(latscreen.cli, "all_screeners", counting)
+    monkeypatch.setattr(latscreen.recognition, "all_screeners", counting)
+    assert main(argv + ["--input", write(tmp_path, text)]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)["results"], walks
+
+
+D4_TEXT = "2 0 -1 0\n0 2 -1 0\n-1 -1 2 -1\n0 0 -1 2\n"
+
+
+def test_decompose_walks_the_lattice_once(tmp_path, capsys, monkeypatch):
+    results, walks = _walks(monkeypatch, tmp_path, capsys, ["decompose"], D4_TEXT)
+    assert [c["label"] for c in results["components"]] == ["D4"]
+    assert len(walks) == 1
+
+
+def test_classify_walks_the_lattice_once(tmp_path, capsys, monkeypatch):
+    results, walks = _walks(monkeypatch, tmp_path, capsys, ["classify"], D4_TEXT)
+    assert [g["extended_type"] for g in results["groups"]] == ["F4"]
+    assert len(walks) == 1
+
+
+def test_pairs_takes_a_negative_alpha_in_either_spelling(tmp_path, capsys):
+    path = write(tmp_path, A2_TEXT)
+    outs = []
+    for argv in (["--alpha", "-1,0"], ["--alpha=-1,0"]):
+        assert main(["pairs", "--input", path] + argv) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["results"]["screeners"][0]["alpha"] == [-1, 0]
+    assert main(["pairs", "--input", path, "--alpha"]) == EXIT_USAGE
+    assert "expected one argument" in capsys.readouterr().err

@@ -368,6 +368,12 @@ def test_sublattice_gram():
         sublattice_gram(lat, [(1, 1), (2, 2)])
 
 
+def test_row_gram_takes_dependent_rows():
+    lat = Lattice(A2)
+    assert lat.row_gram([(1, -1), (1, 2)]) == [[6, -3], [-3, 6]]
+    assert lat.row_gram([(1, 1), (2, 2)]) == [[2, 4], [4, 8]]
+
+
 def test_package_has_no_assert_statements():
     """Checks that guard results must survive python -O, which strips assert."""
     import ast

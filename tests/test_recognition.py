@@ -19,8 +19,12 @@ from latscreen import (
     recognize_components,
     reduce_screener_basis,
 )
+from certificates import orthogonal_sum, scrambled
+from latscreen import intlinalg
+from latscreen.core import sublattice_gram
+from latscreen.enumeration import enumerate_exact_norm
 from latscreen.intlinalg import determinant
-from latscreen.recognition import screener_basis
+from latscreen.recognition import Component, _component_kind, screener_basis
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -307,24 +311,8 @@ def test_screener_norms_live_in_three_shells():
 
 # --------------------------------------------------------------- roundtrip
 
-def _random_unimodular(rng, d, max_entry=3):
-    u = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for _ in range(6 * d):
-        i, j = rng.randrange(d), rng.randrange(d)
-        if i == j:
-            continue
-        c = rng.choice((-1, 1))
-        trial = [row[:] for row in u]
-        for k in range(d):
-            trial[i][k] += c * trial[j][k]
-        if all(abs(v) <= max_entry for row in trial for v in row):
-            u = trial
-    return u
-
-
-def test_roundtrip_scrambled_orthogonal_sums():
-    """Block sums of rescaled root lattices survive a unimodular scramble:
-    the recognized component multiset equals the construction."""
+def _roundtrip_sums():
+    """50 block sums of rescaled root lattices, each in a scrambled basis."""
     pool = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5)]
     rng = random.Random(2029)
     for _ in range(50):
@@ -335,24 +323,130 @@ def test_roundtrip_scrambled_orthogonal_sums():
             scale = rng.choice((1, 1, 2))
             parts.append((name, n, scale))
         parts.sort()
-        d = sum(n for _, n, _ in parts)
-        gram = [[0] * d for _ in range(d)]
-        ofs = 0
-        for name, n, scale in parts:
-            block = catalog(name, n, scale=scale).gram
-            for i in range(n):
-                for j in range(n):
-                    gram[ofs + i][ofs + j] = block[i][j]
-            ofs += n
-        u = _random_unimodular(rng, d)
-        scrambled = [[sum(u[a][i] * gram[a][b] * u[b][j] for a in range(d) for b in range(d))
-                      for j in range(d)] for i in range(d)]
-        lat = Lattice(scrambled)
+        yield parts, scrambled(orthogonal_sum(parts), rng)
+
+
+def test_roundtrip_scrambled_orthogonal_sums():
+    """Block sums of rescaled root lattices survive a unimodular scramble:
+    the recognized component multiset equals the construction."""
+    for parts, gram in _roundtrip_sums():
+        lat = Lattice(gram)
         basis = screener_basis(lat, all_screeners(lat))
         comps = recognize_components(lat, reduce_screener_basis(lat, basis))
         got = sorted((c.kind, c.n, c.scale) for c in comps)
-        assert got == parts, (parts, scrambled)
+        assert got == parts, (parts, gram)
 
+
+# ------------------------------------- recognition against the block walk
+
+def _components_by_block_enumeration(lat, reduced):
+    """The recognition that enumerated each norm block a second time, kept as
+    the reference: the exact-norm vectors of the block sublattice, a
+    union-find over their nonzero inner products, and the basis vectors
+    found among each class."""
+    rows = [tuple(int(v) for v in u) for u in reduced]
+    by_norm = {}
+    for pos, u in enumerate(rows):
+        by_norm.setdefault(lat.norm(u), []).append(pos)
+    comps = []
+    for nrm in sorted(by_norm):
+        positions = by_norm[nrm]
+        block_vecs = [rows[pos] for pos in positions]
+        block = sublattice_gram(lat, block_vecs)
+        reps = enumerate_exact_norm(block, nrm).vectors
+        ips = intlinalg.matmul(intlinalg.matmul(reps, block.gram), list(zip(*reps)))
+        parent = list(range(len(reps)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i in range(len(reps)):
+            for j in range(i + 1, len(reps)):
+                if ips[i][j] != 0 and find(i) != find(j):
+                    parent[find(i)] = find(j)
+        classes = {}
+        for k in range(len(reps)):
+            classes.setdefault(find(k), []).append(k)
+        for members in classes.values():
+            units = [j for j in range(len(block_vecs))
+                     if tuple(int(t == j) for t in range(len(block_vecs))) in {reps[k] for k in members}]
+            rank = intlinalg.rank([list(reps[k]) for k in members])
+            assert units and rank == len(units)
+            comps.append(Component(
+                kind=_component_kind(rank, 2 * len(members)),
+                n=rank,
+                scale=nrm // 2,
+                basis=tuple(block_vecs[j] for j in units),
+                positions=tuple(positions[j] for j in units),
+                root_count=2 * len(members),
+            ))
+    comps.sort(key=lambda c: (c.scale, c.n, c.kind, c.basis))
+    return comps
+
+
+def _assert_recognition_matches_reference(gram):
+    lat = Lattice(gram)
+    sset = all_screeners(lat)
+    reduced = reduce_screener_basis(lat, screener_basis(lat, sset))
+    got = recognize_components(lat, reduced, sset)
+    assert got == _components_by_block_enumeration(lat, reduced), gram
+    assert recognize_components(lat, reduced) == got
+
+
+def test_recognition_matches_block_enumeration_on_the_catalog():
+    """A1-A10, D4-D10, E6-E8 at scales 1-4, in their own basis and in a
+    seeded scrambled one: every Component field equals the reference's."""
+    rng = random.Random(4410)
+    for scale in (1, 2, 3, 4):
+        for kind, ns in (("A", range(1, 11)), ("D", range(4, 11)), ("E", (6, 7, 8))):
+            for n in ns:
+                gram = [list(r) for r in catalog(kind, n, scale=scale).gram]
+                _assert_recognition_matches_reference(gram)
+                _assert_recognition_matches_reference(scrambled(gram, rng))
+
+
+def test_recognition_matches_block_enumeration_on_orthogonal_sums():
+    for _, gram in _roundtrip_sums():
+        _assert_recognition_matches_reference(gram)
+
+
+def test_recognize_rejects_rows_that_are_not_a_basis():
+    lat = Lattice(A2)
+    sset = all_screeners(lat)
+    for rows in ([(1, 0), (2, 0)], [(1, 0), (1, 2)], [(1, 0)]):
+        with pytest.raises(LatticeError, match="not a basis|does not match"):
+            recognize_components(lat, rows, sset)
+
+
+def test_recognize_rejects_distinct_norms_that_are_not_orthogonal():
+    # (1, 0) and (0, 1) are screeners of norms 2 and 4 with inner product -2
+    lat = Lattice([[2, -2], [-2, 4]])
+    with pytest.raises(LatticeError, match="not orthogonal"):
+        recognize_components(lat, [(1, 0), (0, 1)], all_screeners(lat))
+
+
+def test_recognize_rejects_rows_that_are_not_screeners():
+    # norm 4 with inner product 1: neither basis vector is a screener
+    lat = Lattice([[4, 1], [1, 4]])
+    with pytest.raises(LatticeError, match="not a screening vector"):
+        recognize_components(lat, [(1, 0), (0, 1)], all_screeners(lat))
+
+
+def test_recognize_rejects_a_foreign_screener_set():
+    lat = Lattice([[2, 0], [0, 2]])
+    with pytest.raises(LatticeError, match="another lattice"):
+        recognize_components(lat, [(1, 0), (0, 1)], all_screeners(Lattice(A2)))
+
+
+def test_classification_certificate_up_to_rank_6_scale_2():
+    """Every orthogonal sum of catalog components with rank <= 6 and scales
+    <= 2 classifies as the merge rules predict; CI runs rank 8, scale 3.
+    The sum count pins the enumeration so the checked set cannot shrink."""
+    from certificates import classification_certificate
+
+    assert classification_certificate(6, 2) == {"max_rank": 6, "max_scale": 2, "sums": 164}
 
 
 def test_rank2_normal_form_on_every_reduced_form_up_to_det_150():
