@@ -504,17 +504,21 @@ def build_parser() -> _Parser:
 
 
 def _join_negative_alpha(argv: list[str]) -> list[str]:
-    """Rewrite `--alpha -1,0` as `--alpha=-1,0`.
+    """Rewrite `--alpha -1,0` as `--alpha=-1,0`, and likewise for the
+    prefixes of --alpha that argparse accepts (`--alp -1,0`).
 
     argparse takes a token that starts with '-' and is not a plain negative
     number, such as -1,0, for an option, so a negative first coordinate
-    would leave --alpha without its value.  A bare --alpha stays as it is.
+    would leave --alpha without its value.  The typed prefix is kept, so
+    argparse still judges it; a bare --alpha stays as it is.
     """
     out: list[str] = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--alpha" and i + 1 < len(argv) and re.match(r"-\d", argv[i + 1]):
-            out.append(f"--alpha={argv[i + 1]}")
+        tok = argv[i]
+        if (len(tok) >= 3 and "--alpha".startswith(tok) and i + 1 < len(argv)
+                and re.match(r"-\d", argv[i + 1])):
+            out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
             out.append(argv[i])

@@ -9,9 +9,9 @@ block of the eliminated Gram matrix is exactly D_i * S_i, so one elimination
 pass yields every level as an integer matrix.  Candidate ranges come from
 integer square roots, so no floats decide anything.
 
-box_enumerate is the independent reference: a numpy scan of the whole
-coordinate box, on int64 arrays when a bound proves that safe and on object
-(Python int) arrays otherwise.
+box_enumerate is the independent reference: a plain scan of the whole
+coordinate box, with every norm computed exactly on Python integers.  It
+shares only the exact box bounds with the walker.
 """
 
 from __future__ import annotations
@@ -21,13 +21,9 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-import numpy as np
-
 from . import intlinalg as _intlinalg
 from .core import Lattice, LatticeError, Vec, canonical
 from .intlinalg import determinant as _int_determinant
-
-_INT64_SAFE = 1 << 61
 
 
 @dataclass(frozen=True)
@@ -42,9 +38,6 @@ class EnumerationResult:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.vectors, dtype=np.int64).reshape(len(self.vectors), self.lattice.rank)
 
 
 def _schur_levels(gram: list[list[int]]) -> tuple[list[int], list[list[list[int]]]]:
@@ -147,7 +140,7 @@ def form_minimum(gram: list[list[int]]) -> int:
 
 
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
-    canon = sorted({(int(nrm), canonical(coords)) for coords, nrm in pairs if any(coords)})
+    canon = sorted({(nrm, canonical(coords)) for coords, nrm in pairs})
     return EnumerationResult(
         lattice=lat,
         bound=bound,
@@ -198,51 +191,19 @@ def box_enumerate(lat: Lattice, bound: int) -> EnumerationResult:
     """Reference enumeration by scanning the full coordinate box.
 
     Use for cross-checks: same contract as enumerate_up_to_norm but with a
-    deliberately naive algorithm.
+    deliberately naive algorithm.  Every x with |x_j| <= sqrt(bound *
+    (G^-1)_jj) is tried, and x^T G x is computed exactly on Python integers,
+    so no entry size can overflow.
     """
     bound = int(bound)
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
     if bound == 0:
         return EnumerationResult(lattice=lat, bound=0, vectors=(), norms=())
-    limits = _coordinate_limits(lat, bound)
-    d = lat.rank
-    maxg = max(abs(v) for row in lat.gram for v in row)
-    maxx = max(limits)
-    # every product and partial sum of x^T G x is at most d^2 * maxg * maxx^2
-    safe = d * d * maxg * (maxx + 1) * (maxx + 1) < _INT64_SAFE
-    return _finish(lat, bound, _box_numpy(lat, limits, bound, np.int64 if safe else object))
-
-
-def _box_numpy(lat: Lattice, limits, bound, dtype, chunk_rows: int = 2_000_000):
-    d = lat.rank
-    g = np.array([list(r) for r in lat.gram], dtype=dtype)
-    # split coordinates so the materialized tail block stays small
-    tail_size = 1
-    split = 0
-    for j in range(d - 1, -1, -1):
-        width = 2 * limits[j] + 1
-        if tail_size * width > chunk_rows:
-            split = j + 1
-            break
-        tail_size *= width
-    head_ranges = [range(-limits[j], limits[j] + 1) for j in range(split)]
-    cols = []
-    reps = 1
-    for j in range(split, d):
-        width = 2 * limits[j] + 1
-        vals = np.arange(-limits[j], limits[j] + 1, dtype=dtype)
-        tiles = tail_size // (reps * width)
-        cols.append(np.tile(np.repeat(vals, tiles), reps))
-        reps *= width
-    tail = np.column_stack(cols) if cols else np.zeros((1, 0), dtype=dtype)
-    out = []
-    for head in itertools.product(*head_ranges):
-        block = np.empty((tail.shape[0], d), dtype=dtype)
-        block[:, :split] = np.array(head, dtype=dtype)
-        block[:, split:] = tail
-        norms = (block.dot(g) * block).sum(axis=1)
-        keep = (norms > 0) & (norms <= bound)
-        for row, n in zip(block[keep], norms[keep]):
-            out.append((tuple(int(v) for v in row), int(n)))
-    return out
+    gram = lat.gram
+    pairs = []
+    for x in itertools.product(*(range(-m, m + 1) for m in _coordinate_limits(lat, bound))):
+        nrm = sum(xi * sum(map(mul, row, x)) for row, xi in zip(gram, x))
+        if 0 < nrm <= bound:
+            pairs.append((x, nrm))
+    return _finish(lat, bound, pairs)

@@ -286,8 +286,9 @@ def screener_basis(lat: Lattice, screeners: ScreenerSet) -> list[Vec]:
     """
     d = lat.rank
     vecs = screeners.vectors
-    span = intlinalg.hnf_rows([list(v) for v in vecs])
-    if len(span) != d or abs(intlinalg.determinant(span)) != 1:
+    # a full-rank Hermite form has determinant the product of its pivots,
+    # so the screeners generate L exactly when the form is I_d
+    if intlinalg.hnf_rows([list(v) for v in vecs]) != intlinalg.identity(d):
         raise NotGeneratedError("screeners do not generate the lattice")
 
     def extend(start: int, rows: list[Vec]) -> list[Vec] | None:

@@ -140,13 +140,6 @@ def test_empty_and_degenerate_bounds():
         enumerate_up_to_norm(lat, -1)
 
 
-def test_as_array():
-    res = enumerate_up_to_norm(Lattice(A2), 6)
-    arr = res.as_array()
-    assert arr.shape == (6, 2)
-    assert arr.tolist() == [list(v) for v in res.vectors]
-
-
 def test_root_counts_of_standard_lattices():
     # full root systems, counted with both signs
     assert 2 * len(enumerate_exact_norm(catalog("A", 4), 2)) == 20

@@ -4,7 +4,9 @@ A unimodular U takes the basis rows B to U B and the Gram matrix G to
 U G U^T; a vector with coordinates x in the old basis has coordinates
 x U^-1 in the new one.  Screeners are defined by the lattice alone, so the
 screener set must move exactly that way, and the extended type must not
-move at all.  derandomize keeps every run on the same examples.
+move at all.  Rescaling G by p keeps every screener of G, with p times
+its norm, and adds new ones only when p is even and G is odd.  derandomize
+keeps every run on the same examples.
 """
 
 from functools import lru_cache
@@ -12,7 +14,14 @@ from functools import lru_cache
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from latscreen import Lattice, all_screeners, catalog, identify_extended_type, is_positive_definite
+from latscreen import (
+    Lattice,
+    all_screeners,
+    catalog,
+    identify_extended_type,
+    is_positive_definite,
+    is_screener,
+)
 from latscreen.core import canonical
 from latscreen.intlinalg import identity, invert_unimodular, matmul
 
@@ -78,6 +87,28 @@ def test_screeners_move_with_a_unimodular_basis_change(case):
     uinv = invert_unimodular(u)
     moved = sorted(zip(before.norms, map(canonical, matmul(before.vectors, uinv))))
     assert list(zip(after.norms, after.vectors)) == moved
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from(KNOWN), random_gram()), st.integers(2, 5))
+def test_scaling_keeps_the_screeners(gram, p):
+    """With n = <x,x>_G, x is a screener of pG exactly when p n is even,
+    x is not in 2L and n divides 2Gx.  For odd p or even G that is the
+    condition on G, so the sets agree; for even p and odd G the vectors of
+    odd n can join, and only those."""
+    lat = Lattice(gram)
+    scaled = Lattice([[p * v for v in row] for row in gram])
+    before = all_screeners(lat)
+    after = all_screeners(scaled)
+    if p % 2 or lat.is_even:
+        assert after.vectors == before.vectors
+        assert after.norms == tuple(p * n for n in before.norms)
+    else:
+        norms = dict(zip(after.vectors, after.norms))
+        assert all(norms.get(v) == p * n for v, n in zip(before.vectors, before.norms))
+        for v in set(after.vectors) - set(before.vectors):
+            assert lat.norm(v) % 2 == 1
+            assert is_screener(scaled, v)
 
 
 CATALOG = [(kind, n, scale) for kind, ns in (("A", range(1, 6)), ("D", (4, 5)), ("E", (6,)))

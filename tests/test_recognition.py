@@ -112,6 +112,42 @@ def test_screener_basis_not_generated():
                         all_screeners(Lattice([[4, 0], [0, 3]])))
 
 
+def test_generation_check_agrees_with_the_determinant():
+    """screener_basis compares the Hermite form of the screeners with I_d;
+    the screeners generate L exactly when that form has rank d and
+    determinant +-1, so both tests must agree on generating sets, on
+    rank-deficient ones and on spans of index 2."""
+    rng = random.Random(2031)
+    grams = [[[4, 1], [1, 4]], [[4, 0], [0, 3]], [[2, 0], [0, 4]]]
+    grams += [scrambled(orthogonal_sum(parts), rng)
+              for parts in ([("A", 2, 1)], [("D", 4, 2)], [("A", 1, 1), ("A", 3, 2)])]
+    while len(grams) < 80:
+        d = rng.randint(1, 4)
+        g = [[0] * d for _ in range(d)]
+        for i in range(d):
+            g[i][i] = rng.randint(1, 10)
+            for j in range(i + 1, d):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        if is_positive_definite(g):
+            grams.append(g)
+    indices = set()
+    for gram in grams:
+        lat = Lattice(gram)
+        sset = all_screeners(lat)
+        span = intlinalg.hnf_rows([list(v) for v in sset.vectors])
+        index = abs(determinant(span)) if len(span) == lat.rank else 0
+        indices.add(index)
+        if index == 1:
+            try:
+                screener_basis(lat, sset)
+            except NotGeneratedError as e:
+                assert "do not generate" not in str(e), gram
+        else:
+            with pytest.raises(NotGeneratedError, match="do not generate"):
+                screener_basis(lat, sset)
+    assert {0, 1, 2} <= indices
+
+
 # ------------------------------------------------------- extended matching
 
 def test_extended_types_of_standard_lattices():
