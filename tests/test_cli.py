@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -377,3 +379,108 @@ def test_pairs_takes_a_negative_alpha_in_either_spelling(tmp_path, capsys):
     assert json.loads(outs[0])["results"]["screeners"][0]["alpha"] == [-1, 0]
     assert main(["pairs", "--input", path, "--alpha"]) == EXIT_USAGE
     assert "expected one argument" in capsys.readouterr().err
+
+
+# Every subcommand in both formats, on success and error inputs.  A case is
+# (name, argv, text): text goes to stdin when argv names --input itself, and
+# otherwise to a file appended as --input.
+REPORT_CASES = [
+    ("screeners-a2", ["screeners"], A2_TEXT),
+    ("screeners-json-named-scaled", ["screeners"], '{"gram": [[2, -1], [-1, 2]], "name": "a2", "scale": 3}'),
+    ("screeners-stdin", ["screeners", "--input", "-"], A2_TEXT),
+    ("screeners-rank1", ["screeners"], "12\n"),
+    ("screeners-rank3", ["screeners"], "2 -1 0\n-1 2 -1\n0 -1 4\n"),
+    ("screeners-not-definite", ["screeners"], "0 1\n1 0\n"),
+    ("screeners-negative-definite", ["screeners"], "-2 0\n0 -2\n"),
+    ("screeners-not-symmetric", ["screeners"], "2 1\n0 2\n"),
+    ("screeners-bad-token", ["screeners"], "2 x\nx 2\n"),
+    ("screeners-not-square", ["screeners"], "1 2 3\n"),
+    ("screeners-empty", ["screeners"], "  \n"),
+    ("screeners-bad-json", ["screeners"], '{"gram": [[2,]]}'),
+    ("screeners-json-not-integer", ["screeners"], '{"gram": [[2, 0.5], [0.5, 2]]}'),
+    ("screeners-missing-file", ["screeners", "--input", "/nonexistent/lattice.txt"], None),
+    ("decompose-d4", ["decompose"], D4_TEXT),
+    ("decompose-two-blocks", ["decompose"], "2 -2\n-2 4\n"),
+    ("decompose-mixed-scales", ["decompose"], "2 0 0\n0 4 -2\n0 -2 4\n"),
+    ("decompose-stdin", ["decompose", "--input", "-"], '{"gram": [[2, -1], [-1, 2]], "scale": 2}'),
+    ("decompose-not-generated", ["decompose"], "4 1\n1 4\n"),
+    ("decompose-odd", ["decompose"], "1 0\n0 1\n"),
+    ("decompose-odd-generated", ["decompose"], "1\n"),
+    ("decompose-not-definite", ["decompose"], "2 3\n3 2\n"),
+    ("classify-d4", ["classify"], D4_TEXT),
+    ("classify-two-blocks", ["classify"], "2 -2\n-2 4\n"),
+    ("classify-mixed-scales", ["classify"], "2 0 0\n0 4 -2\n0 -2 4\n"),
+    ("classify-stdin", ["classify", "--input", "-"], '{"gram": [[2, -1], [-1, 2]], "scale": 2}'),
+    ("classify-not-generated", ["classify"], "4 1\n1 4\n"),
+    ("classify-odd", ["classify"], "1 0\n0 1\n"),
+    ("classify-odd-generated", ["classify"], "1\n"),
+    ("classify-not-definite", ["classify"], "2 3\n3 2\n"),
+    ("rank2-warning", ["rank2"], "1 0\n0 1\n"),
+    ("rank2-type2b", ["rank2"], "4 -2\n-2 2\n"),
+    ("rank2-no-screener", ["rank2"], "1 0\n0 3\n"),
+    ("rank2-type2a", ["rank2"], "4 -2\n-2 6\n"),
+    ("rank2-type1", ["rank2"], "2 0\n0 5\n"),
+    ("rank2-stdin", ["rank2", "--input", "-"], A2_TEXT),
+    ("rank2-rank3", ["rank2"], "2 -1 0\n-1 2 -1\n0 -1 2\n"),
+    ("pairs-single-alpha", ["pairs", "--alpha", "1"], "12\n"),
+    ("pairs-every-screener", ["pairs"], A2_TEXT),
+    ("pairs-negative-alpha", ["pairs", "--alpha", "-1,0"], A2_TEXT),
+    ("pairs-negative-alpha-joined", ["pairs", "--alpha=-1,0"], A2_TEXT),
+    ("pairs-negative-alpha-prefix", ["pairs", "--alph", "-1,0"], A2_TEXT),
+    ("pairs-max-r", ["pairs", "--max-r", "7"], "4 -2\n-2 6\n"),
+    ("pairs-stdin", ["pairs", "--input", "-", "--alpha", "1,1"], A2_TEXT),
+    ("pairs-bad-alpha", ["pairs", "--alpha", "1,x"], "12\n"),
+    ("pairs-zero-alpha", ["pairs", "--alpha", "0,0"], A2_TEXT),
+    ("pairs-alpha-wrong-length", ["pairs", "--alpha", "1"], A2_TEXT),
+    ("pairs-alpha-without-value", ["pairs", "--alpha"], A2_TEXT),
+    ("pairs-not-definite", ["pairs"], "0 1\n1 0\n"),
+    ("catalog-a2", ["catalog", "A", "2"], None),
+    ("catalog-d4-scaled", ["catalog", "D", "4", "--scale", "2"], None),
+    ("catalog-e8", ["catalog", "E", "8"], None),
+    ("catalog-d2", ["catalog", "D", "2"], None),
+    ("catalog-a0", ["catalog", "A", "0"], None),
+    ("catalog-e5", ["catalog", "E", "5"], None),
+    ("catalog-scale-0", ["catalog", "A", "2", "--scale", "0"], None),
+    ("oracle-check-rank2", ["oracle-check", "--rank", "2", "--cases", "3", "--seed", "1"], None),
+    ("oracle-check-rank3", ["oracle-check", "--rank", "3", "--cases", "12", "--seed", "5",
+                            "--max-entry", "4"], None),
+    ("oracle-check-no-seed", ["oracle-check", "--cases", "1"], None),
+]
+
+REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
+
+
+def report_digests(workdir) -> dict[str, str]:
+    """sha256 of [exit code, stdout, stderr] for every case in REPORT_CASES
+    and format; oracle-check's stderr carries timings and stands as null.
+
+    Regenerate the fixture with
+    PYTHONPATH=src:tests python -c "import json, tempfile, test_cli;
+    print(json.dumps(test_cli.report_digests(tempfile.mkdtemp()), indent=1, sort_keys=True))"
+    """
+    digests = {}
+    for name, argv, text in REPORT_CASES:
+        argv = list(argv)
+        stdin = io.StringIO(text or "")
+        if text is not None and "--input" not in argv:
+            argv += ["--input", write(Path(workdir), text, name=f"{name}.txt")]
+        for fmt in ("json", "text"):
+            out, err = io.StringIO(), io.StringIO()
+            stdin.seek(0)
+            saved = sys.stdin
+            sys.stdin = stdin
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv + ["--format", fmt])
+            finally:
+                sys.stdin = saved
+            stderr = None if argv[0] == "oracle-check" else err.getvalue()
+            blob = json.dumps([code, out.getvalue(), stderr])
+            digests[f"{name}/{fmt}"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_reports_are_unchanged(tmp_path):
+    """Exit code, stdout and stderr of every subcommand match the digests
+    recorded before the report code was shared between the subcommands."""
+    assert report_digests(tmp_path) == json.loads(REPORT_DIGESTS.read_text())
