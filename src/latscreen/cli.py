@@ -4,8 +4,16 @@ Every subcommand writes one deterministic report to stdout (JSON by default,
 a plain-text rendering with --format text); all diagnostics and timings go
 to stderr so report bytes are reproducible run to run.
 
+A subcommand is a function from (parsed args, lattice) to its results dict,
+plus a renderer from the report to text.  `main` does the rest in one place:
+it reads --input and parses the lattice (None for the commands without
+input), builds the `input` block (digest, name, rank, determinant), takes
+`options` from the argparse namespace, and prints the report.  A `warnings`
+list among the results moves to the report's top level, and results with
+`pass` false exit 3.
+
 Exit codes: 0 success, 1 usage, 2 input parse or validation failure,
-3 classification mismatch.
+3 classification or oracle mismatch.
 """
 
 from __future__ import annotations
@@ -27,16 +35,12 @@ from .pairs import analyze_screener
 from .recognition import (
     ClassificationError,
     NoScreener,
-    NotGeneratedError,
-    WARN_2B_ODD,
     catalog,
+    decompose,
     identify_extended_type,
     rank2_normal_form,
     rank2_predicted_in_lattice,
     rank2_screener_list,
-    recognize_components,
-    reduce_screener_basis,
-    screener_basis,
 )
 from .screeners import all_screeners, is_screener
 
@@ -117,17 +121,13 @@ def _read_input(path: str) -> str:
         raise ParseFailure(f"cannot read {path}: {e.strerror}")
 
 
-def _digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, Lattice):
         return [list(r) for r in obj.gram]
     if dataclasses.is_dataclass(obj):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -135,81 +135,42 @@ def _jsonable(obj):
     return obj
 
 
-def _report(command: str, options: dict, results: dict, warnings: list[dict], inp: dict | None = None) -> dict:
-    rep = {
-        "command": command,
-        "options": _jsonable(options),
-        "results": _jsonable(results),
-        "warnings": warnings,
-    }
-    if inp is not None:
-        rep["input"] = inp
-    return rep
-
-
-def _emit(report: dict, fmt: str, text_renderer) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(text_renderer(report))
-
-
-def _input_block(text: str, lat: Lattice, name: str | None) -> dict:
-    return {
-        "digest": _digest(text),
-        "name": name,
-        "rank": lat.rank,
-        "determinant": lat.determinant,
-    }
-
-
 def _vec(v) -> str:
     return "(" + ", ".join(str(t) for t in v) + ")"
 
 
-def cmd_screeners(args) -> int:
-    text = _read_input(args.input)
-    lat, name = parse_lattice(text)
+def _screeners(args, lat: Lattice) -> dict:
     sset = all_screeners(lat)
     min_norm = sset.min_norm
     rows = [
-        {"coords": list(v), "norm": n, "nonroot": bool(min_norm is not None and n > min_norm)}
+        {"coords": v, "norm": n, "nonroot": bool(min_norm is not None and n > min_norm)}
         for v, n in zip(sset.vectors, sset.norms)
     ]
-    results = {
+    return {
         "bound": 2 * lat.determinant,
         "count": len(sset),
         "total_count": sset.total_count,
         "min_norm": min_norm,
         "screeners": rows,
     }
-    rep = _report("screeners", {"format": args.format}, results,
-                  [], _input_block(text, lat, name))
-
-    def render(r):
-        lines = [f"screeners of {r['input']['name'] or 'lattice'} "
-                 f"(rank {r['input']['rank']}, det {r['input']['determinant']})"]
-        lines.append(f"searched norms <= {r['results']['bound']}")
-        lines.append(f"{r['results']['count']} canonical, {r['results']['total_count']} with signs")
-        for row in r["results"]["screeners"]:
-            flag = "  nonroot" if row["nonroot"] else ""
-            lines.append(f"  {_vec(row['coords'])} norm {row['norm']}{flag}")
-        return "\n".join(lines) + "\n"
-
-    _emit(rep, args.format, render)
-    return EXIT_OK
 
 
-def cmd_decompose(args) -> int:
-    text = _read_input(args.input)
-    lat, name = parse_lattice(text)
-    sset = all_screeners(lat)
-    basis = screener_basis(lat, sset)
-    reduced = reduce_screener_basis(lat, basis)
-    comps = recognize_components(lat, reduced, sset)
-    results = {
-        "screener_basis": [list(v) for v in basis],
-        "reduced_basis": [{"coords": list(v), "norm": lat.norm(v)} for v in reduced],
+def _render_screeners(r: dict) -> str:
+    lines = [f"screeners of {r['input']['name'] or 'lattice'} "
+             f"(rank {r['input']['rank']}, det {r['input']['determinant']})"]
+    lines.append(f"searched norms <= {r['results']['bound']}")
+    lines.append(f"{r['results']['count']} canonical, {r['results']['total_count']} with signs")
+    for row in r["results"]["screeners"]:
+        flag = "  nonroot" if row["nonroot"] else ""
+        lines.append(f"  {_vec(row['coords'])} norm {row['norm']}{flag}")
+    return "\n".join(lines) + "\n"
+
+
+def _decompose(args, lat: Lattice) -> dict:
+    dec = decompose(lat)
+    return {
+        "screener_basis": dec.basis,
+        "reduced_basis": [{"coords": v, "norm": lat.norm(v)} for v in dec.reduced],
         "components": [
             {
                 "type": c.kind,
@@ -217,33 +178,27 @@ def cmd_decompose(args) -> int:
                 "label": c.label,
                 "scale": c.scale,
                 "root_count": c.root_count,
-                "basis": [list(v) for v in c.basis],
+                "basis": c.basis,
             }
-            for c in comps
+            for c in dec.components
         ],
     }
-    rep = _report("decompose", {"format": args.format}, results, [],
-                  _input_block(text, lat, name))
-
-    def render(r):
-        lines = [f"decomposition (rank {r['input']['rank']}, det {r['input']['determinant']})"]
-        lines.append("reduced basis:")
-        for row in r["results"]["reduced_basis"]:
-            lines.append(f"  {_vec(row['coords'])} norm {row['norm']}")
-        lines.append("components:")
-        for c in r["results"]["components"]:
-            lines.append(f"  {c['label']} scale {c['scale']} roots {c['root_count']}")
-        return "\n".join(lines) + "\n"
-
-    _emit(rep, args.format, render)
-    return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    text = _read_input(args.input)
-    lat, name = parse_lattice(text)
+def _render_decompose(r: dict) -> str:
+    lines = [f"decomposition (rank {r['input']['rank']}, det {r['input']['determinant']})"]
+    lines.append("reduced basis:")
+    for row in r["results"]["reduced_basis"]:
+        lines.append(f"  {_vec(row['coords'])} norm {row['norm']}")
+    lines.append("components:")
+    for c in r["results"]["components"]:
+        lines.append(f"  {c['label']} scale {c['scale']} roots {c['root_count']}")
+    return "\n".join(lines) + "\n"
+
+
+def _classify(args, lat: Lattice) -> dict:
     groups, sset = identify_extended_type(lat)
-    results = {
+    return {
         "screener_count": sset.total_count,
         "groups": [
             {
@@ -258,83 +213,71 @@ def cmd_classify(args) -> int:
             for g in groups
         ],
     }
-    rep = _report("classify", {"format": args.format}, results, [],
-                  _input_block(text, lat, name))
-
-    def render(r):
-        lines = [f"classification (rank {r['input']['rank']}, det {r['input']['determinant']})"]
-        for g in r["results"]["groups"]:
-            lines.append(
-                f"  {g['extended_type']} scale {g['scale']}: "
-                f"{g['actual_count']} screeners (expected {g['expected_count']})"
-            )
-        lines.append(f"total screeners {r['results']['screener_count']}")
-        return "\n".join(lines) + "\n"
-
-    _emit(rep, args.format, render)
-    return EXIT_OK
 
 
-def cmd_rank2(args) -> int:
-    text = _read_input(args.input)
-    lat, name = parse_lattice(text)
+def _render_classify(r: dict) -> str:
+    lines = [f"classification (rank {r['input']['rank']}, det {r['input']['determinant']})"]
+    for g in r["results"]["groups"]:
+        lines.append(
+            f"  {g['extended_type']} scale {g['scale']}: "
+            f"{g['actual_count']} screeners (expected {g['expected_count']})"
+        )
+    lines.append(f"total screeners {r['results']['screener_count']}")
+    return "\n".join(lines) + "\n"
+
+
+def _rank2(args, lat: Lattice) -> dict:
     # one walk serves the normal form and the actual list; other ranks fail before any walk
     sset = all_screeners(lat) if lat.rank == 2 else None
     form = rank2_normal_form(lat, sset)
-    warnings = []
     if isinstance(form, NoScreener):
-        results = {"kind": "no-screener"}
-    else:
-        predicted = rank2_predicted_in_lattice(form)
-        actual = sset.vectors
-        agrees = set(predicted) == set(actual)
-        for w in form.warnings:
-            warnings.append({
+        return {"kind": "no-screener"}
+    predicted = rank2_predicted_in_lattice(form)
+    actual = sset.vectors
+    agrees = set(predicted) == set(actual)
+    if not agrees and not form.warnings:
+        raise ClassificationError(
+            f"normal-form screener list {sorted(predicted)} disagrees with "
+            f"the actual set {sorted(actual)}"
+        )
+    return {
+        "kind": form.kind,
+        "p": form.p,
+        "m": form.m,
+        "subtype": form.subtype,
+        "normal_form_gram": form.gram,
+        "basis_change_columns": list(zip(*form.basis_change)),
+        "predicted_normal_form_coords": rank2_screener_list(form),
+        "predicted": predicted,
+        "actual": actual,
+        "agrees": agrees,
+        "warnings": [
+            {
                 "code": w,
                 "message": "type 2b normal form with odd scale: the nominal "
                            "screener list overcounts; definition-level screeners win",
-            })
-        if not agrees and not form.warnings:
-            raise ClassificationError(
-                f"normal-form screener list {sorted(predicted)} disagrees with "
-                f"the actual set {sorted(actual)}"
-            )
-        results = {
-            "kind": form.kind,
-            "p": form.p,
-            "m": form.m,
-            "subtype": form.subtype,
-            "normal_form_gram": form.gram,
-            "basis_change_columns": [list(c) for c in zip(*form.basis_change)],
-            "predicted_normal_form_coords": [list(v) for v in rank2_screener_list(form)],
-            "predicted": [list(v) for v in predicted],
-            "actual": [list(v) for v in actual],
-            "agrees": agrees,
-        }
-    rep = _report("rank2", {"format": args.format}, results, warnings,
-                  _input_block(text, lat, name))
-
-    def render(r):
-        res = r["results"]
-        if res.get("kind") == "no-screener":
-            return "no screeners: the lattice has no screening vector\n"
-        lines = [f"normal form: {res['kind']} p={res['p']} m={res['m']}"
-                 + (f" subtype {res['subtype']}" if res["subtype"] else "")]
-        lines.append(f"gram {res['normal_form_gram']}")
-        lines.append(f"predicted screeners {res['predicted']}")
-        lines.append(f"actual screeners    {res['actual']}")
-        lines.append(f"agreement: {res['agrees']}")
-        for w in r["warnings"]:
-            lines.append(f"warning {w['code']}: {w['message']}")
-        return "\n".join(lines) + "\n"
-
-    _emit(rep, args.format, render)
-    return EXIT_OK
+            }
+            for w in form.warnings
+        ],
+    }
 
 
-def cmd_pairs(args) -> int:
-    text = _read_input(args.input)
-    lat, name = parse_lattice(text)
+def _render_rank2(r: dict) -> str:
+    res = r["results"]
+    if res.get("kind") == "no-screener":
+        return "no screeners: the lattice has no screening vector\n"
+    lines = [f"normal form: {res['kind']} p={res['p']} m={res['m']}"
+             + (f" subtype {res['subtype']}" if res["subtype"] else "")]
+    lines.append(f"gram {res['normal_form_gram']}")
+    lines.append(f"predicted screeners {res['predicted']}")
+    lines.append(f"actual screeners    {res['actual']}")
+    lines.append(f"agreement: {res['agrees']}")
+    for w in r["warnings"]:
+        lines.append(f"warning {w['code']}: {w['message']}")
+    return "\n".join(lines) + "\n"
+
+
+def _pairs(args, lat: Lattice) -> dict:
     if args.alpha is not None:
         try:
             alpha = tuple(int(t) for t in args.alpha.split(","))
@@ -342,65 +285,55 @@ def cmd_pairs(args) -> int:
             raise UsageError(f"--alpha expects comma-separated integers, got {args.alpha!r}")
         targets = [alpha]
     else:
-        targets = list(all_screeners(lat).vectors)
+        targets = all_screeners(lat).vectors
     reports = [analyze_screener(lat, a, max_r=args.max_r) for a in targets]
-    results = {"max_r": args.max_r, "screeners": reports}
-    rep = _report("pairs", {"format": args.format, "alpha": args.alpha, "max_r": args.max_r},
-                  results, [], _input_block(text, lat, name))
+    return {"max_r": args.max_r, "screeners": reports}
 
-    def render(r):
-        lines = [f"screening pairs (rank {r['input']['rank']})"]
-        for srep in r["results"]["screeners"]:
-            note = "  [doubled: odd parity]" if srep["substituted"] else ""
-            lines.append(f"alpha {_vec(srep['alpha'])} norm {srep['norm']}{note}")
-            for ent in srep["entries"]:
-                lines.append(f"  (p, p') = ({ent['p']}, {ent['p_prime']})")
-                if "type_i" in ent:
-                    ti = ent["type_i"]
-                    lines.append(f"    type I: gamma {_vec(ti['gamma'])} c {ti['c']}")
+
+def _render_pairs(r: dict) -> str:
+    lines = [f"screening pairs (rank {r['input']['rank']})"]
+    for srep in r["results"]["screeners"]:
+        note = "  [doubled: odd parity]" if srep["substituted"] else ""
+        lines.append(f"alpha {_vec(srep['alpha'])} norm {srep['norm']}{note}")
+        for ent in srep["entries"]:
+            lines.append(f"  (p, p') = ({ent['p']}, {ent['p_prime']})")
+            if "type_i" in ent:
+                ti = ent["type_i"]
+                lines.append(f"    type I: gamma {_vec(ti['gamma'])} c {ti['c']}")
+            else:
+                lines.append(f"    type I: error: {ent['type_i_error']}")
+            for key, label in (("type_ii", "type II"), ("type_iii", "type III")):
+                fr = ent[key]
+                if fr["feasible"]:
+                    lines.append(f"    {label}: feasible, c {fr['pair']['c']}, beta {fr['pair']['beta']}")
                 else:
-                    lines.append(f"    type I: error: {ent['type_i_error']}")
-                for key, label in (("type_ii", "type II"), ("type_iii", "type III")):
-                    fr = ent[key]
-                    if fr["feasible"]:
-                        lines.append(f"    {label}: feasible, c {fr['pair']['c']}, beta {fr['pair']['beta']}")
-                    else:
-                        lines.append(f"    {label}: infeasible ({'; '.join(fr['reasons'])})")
-                if ent["type_iv"]:
-                    for sol in ent["type_iv"]:
-                        lines.append(
-                            f"    type IV {sol['branch']}: r1={sol['r1']} r2={sol['r2']} m {sol['m_values']}"
-                        )
-                else:
-                    lines.append("    type IV: none")
-        return "\n".join(lines) + "\n"
-
-    _emit(rep, args.format, render)
-    return EXIT_OK
+                    lines.append(f"    {label}: infeasible ({'; '.join(fr['reasons'])})")
+            if ent["type_iv"]:
+                for sol in ent["type_iv"]:
+                    lines.append(
+                        f"    type IV {sol['branch']}: r1={sol['r1']} r2={sol['r2']} m {sol['m_values']}"
+                    )
+            else:
+                lines.append("    type IV: none")
+    return "\n".join(lines) + "\n"
 
 
-def cmd_catalog(args) -> int:
-    lat = catalog(args.kind, args.n, args.scale)
-    results = {"kind": args.kind, "n": args.n, "scale": args.scale, "gram": lat}
-    rep = _report("catalog", {"kind": args.kind, "n": args.n, "scale": args.scale,
-                              "format": args.format}, results, [])
-
-    def render(r):
-        rows = r["results"]["gram"]
-        width = max(len(str(v)) for row in rows for v in row)
-        return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows) + "\n"
-
-    _emit(rep, args.format, render)
-    return EXIT_OK
+def _catalog(args, _) -> dict:
+    return {"kind": args.kind, "n": args.n, "scale": args.scale,
+            "gram": catalog(args.kind, args.n, args.scale)}
 
 
-def cmd_oracle_check(args) -> int:
+def _render_catalog(r: dict) -> str:
+    rows = r["results"]["gram"]
+    width = max(len(str(v)) for row in rows for v in row)
+    return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows) + "\n"
+
+
+def _oracle_check(args, _) -> dict:
     rng = random.Random(args.seed)
     mismatches = []
     done = 0
-    attempts = 0
     while done < args.cases:
-        attempts += 1
         d = rng.randint(1, args.rank)
         g = [[0] * d for _ in range(d)]
         for i in range(d):
@@ -421,12 +354,8 @@ def cmd_oracle_check(args) -> int:
               f"screeners {len(fast)} {'ok' if ok else 'MISMATCH'} ({dt:.3f}s)",
               file=sys.stderr)
         if not ok:
-            mismatches.append({
-                "gram": g,
-                "fast": [list(v) for v in fast.vectors],
-                "box": [list(v) for v in slow],
-            })
-    results = {
+            mismatches.append({"gram": g, "fast": fast.vectors, "box": slow})
+    return {
         "cases": args.cases,
         "rank_max": args.rank,
         "max_entry": args.max_entry,
@@ -434,18 +363,13 @@ def cmd_oracle_check(args) -> int:
         "mismatches": mismatches,
         "pass": not mismatches,
     }
-    rep = _report("oracle-check", {"rank": args.rank, "cases": args.cases,
-                                   "seed": args.seed, "max_entry": args.max_entry,
-                                   "format": args.format}, results, [])
 
-    def render(r):
-        res = r["results"]
-        status = "PASS" if res["pass"] else f"FAIL ({len(res['mismatches'])} mismatches)"
-        return (f"oracle-check: {status} over {res['cases']} cases "
-                f"(rank <= {res['rank_max']}, entries <= {res['max_entry']}, seed {res['seed']})\n")
 
-    _emit(rep, args.format, render)
-    return EXIT_OK if not mismatches else EXIT_MISMATCH
+def _render_oracle_check(r: dict) -> str:
+    res = r["results"]
+    status = "PASS" if res["pass"] else f"FAIL ({len(res['mismatches'])} mismatches)"
+    return (f"oracle-check: {status} over {res['cases']} cases "
+            f"(rank <= {res['rank_max']}, entries <= {res['max_entry']}, seed {res['seed']})\n")
 
 
 @functools.cache
@@ -458,48 +382,37 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
+    def command(name, help, run, render, with_input=True):
+        p = sub.add_parser(name, help=help)
         if with_input:
             p.add_argument("--input", required=True,
                            help="lattice file (JSON or plain matrix block; '-' for stdin)")
         p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(run=run, render=render)
+        return p
 
-    p = sub.add_parser("screeners", help="enumerate all screening vectors")
-    add_common(p)
-    p.set_defaults(func=cmd_screeners)
+    command("screeners", "enumerate all screening vectors", _screeners, _render_screeners)
+    command("decompose", "reduce a screener basis and recognize root components",
+            _decompose, _render_decompose)
+    command("classify", "extended-type classification with count check", _classify, _render_classify)
+    command("rank2", "rank-2 normal form and predicted screeners", _rank2, _render_rank2)
 
-    p = sub.add_parser("decompose", help="reduce a screener basis and recognize root components")
-    add_common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("classify", help="extended-type classification with count check")
-    add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("rank2", help="rank-2 normal form and predicted screeners")
-    add_common(p)
-    p.set_defaults(func=cmd_rank2)
-
-    p = sub.add_parser("pairs", help="screening-pair data per screener")
-    add_common(p)
+    p = command("pairs", "screening-pair data per screener", _pairs, _render_pairs)
     p.add_argument("--alpha", help="comma-separated coordinates (default: every screener)")
     p.add_argument("--max-r", type=int, default=50, help="level bound for the sporadic search")
-    p.set_defaults(func=cmd_pairs)
 
-    p = sub.add_parser("catalog", help="standard Gram matrices (A/D/E, scaled)")
+    p = command("catalog", "standard Gram matrices (A/D/E, scaled)", _catalog, _render_catalog,
+                with_input=False)
     p.add_argument("kind", choices=("A", "D", "E"))
     p.add_argument("n", type=int)
     p.add_argument("--scale", type=int, default=1)
-    add_common(p, with_input=False)
-    p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("oracle-check", help="randomized cross-check against the box oracle")
+    p = command("oracle-check", "randomized cross-check against the box oracle",
+                _oracle_check, _render_oracle_check, with_input=False)
     p.add_argument("--rank", type=int, default=4, help="maximum rank of the random lattices")
     p.add_argument("--cases", type=int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-entry", type=int, default=8)
-    add_common(p, with_input=False)
-    p.set_defaults(func=cmd_oracle_check)
     return parser
 
 
@@ -526,18 +439,38 @@ def _join_negative_alpha(argv: list[str]) -> list[str]:
     return out
 
 
+# namespace entries that select the command rather than configure it
+_NOT_OPTIONS = ("command", "run", "render", "input")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_join_negative_alpha(sys.argv[1:] if argv is None else list(argv)))
-        return args.func(args)
+        report = {"command": args.command}
+        lat = None
+        if "input" in vars(args):
+            text = _read_input(args.input)
+            lat, name = parse_lattice(text)
+            report["input"] = {
+                "digest": "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                "name": name,
+                "rank": lat.rank,
+                "determinant": lat.determinant,
+            }
+        results = args.run(args, lat)
+        report["warnings"] = results.pop("warnings", [])
+        report["options"] = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+        report["results"] = _jsonable(results)
+        if args.format == "json":
+            sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        else:
+            sys.stdout.write(args.render(report))
+        return EXIT_MISMATCH if results.get("pass") is False else EXIT_OK
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ParseFailure as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotGeneratedError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ClassificationError as e:

@@ -9,9 +9,10 @@ block of the eliminated Gram matrix is exactly D_i * S_i, so one elimination
 pass yields every level as an integer matrix.  Candidate ranges come from
 integer square roots, so no floats decide anything.
 
-box_enumerate is the independent reference: a plain scan of the whole
-coordinate box, with every norm computed exactly on Python integers.  It
-shares only the exact box bounds with the walker.
+box_enumerate is the independent reference: a plain scan of the half of the
+coordinate box with first nonzero coordinate positive, with every norm
+computed exactly on Python integers.  It shares only the exact box bounds
+with the walker.
 """
 
 from __future__ import annotations
@@ -188,12 +189,14 @@ def enumerate_exact_norm(lat: Lattice, norm: int) -> EnumerationResult:
 
 
 def box_enumerate(lat: Lattice, bound: int) -> EnumerationResult:
-    """Reference enumeration by scanning the full coordinate box.
+    """Reference enumeration by scanning the coordinate box.
 
     Use for cross-checks: same contract as enumerate_up_to_norm but with a
     deliberately naive algorithm.  Every x with |x_j| <= sqrt(bound *
-    (G^-1)_jj) is tried, and x^T G x is computed exactly on Python integers,
-    so no entry size can overflow.
+    (G^-1)_jj) whose first nonzero coordinate is positive is tried: for each
+    position k, x_k runs over 1..m_k after k zeros and the later coordinates
+    run free.  x^T G x is computed exactly on Python integers, so no entry
+    size can overflow.
     """
     bound = int(bound)
     if bound < 0:
@@ -201,9 +204,12 @@ def box_enumerate(lat: Lattice, bound: int) -> EnumerationResult:
     if bound == 0:
         return EnumerationResult(lattice=lat, bound=0, vectors=(), norms=())
     gram = lat.gram
+    limits = _coordinate_limits(lat, bound)
     pairs = []
-    for x in itertools.product(*(range(-m, m + 1) for m in _coordinate_limits(lat, bound))):
-        nrm = sum(xi * sum(map(mul, row, x)) for row, xi in zip(gram, x))
-        if 0 < nrm <= bound:
-            pairs.append((x, nrm))
+    for k, m in enumerate(limits):
+        ranges = [range(0, 1)] * k + [range(1, m + 1)] + [range(-t, t + 1) for t in limits[k + 1:]]
+        for x in itertools.product(*ranges):
+            nrm = sum(xi * sum(map(mul, row, x)) for row, xi in zip(gram, x))
+            if nrm <= bound:
+                pairs.append((x, nrm))
     return _finish(lat, bound, pairs)

@@ -7,9 +7,10 @@ simply laced A/D/E) whose root count must equal the actual screener count.
 The rank-2 case additionally has a complete normal-form classification.
 
 The lattice is walked once, by `all_screeners`; everything after works on
-that set.  A reduced screener basis splits L into orthogonal norm blocks,
-the roots of each block are the screeners of its norm supported in it, and
-the components are the classes of a union-find over those supports, so
+that set, and `decompose` is the one function that runs the pipeline.  A
+reduced screener basis splits L into orthogonal norm blocks, the roots of
+each block are the screeners of its norm supported in it, and the
+components are the classes of a union-find over those supports, so
 recognition and the per-group count both read the screeners' coordinates in
 the reduced basis and enumerate nothing (proofs in recognize_components).
 """
@@ -21,7 +22,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import intlinalg
-from .core import Lattice, LatticeError, Vec, canonical, sublattice_gram
+from .core import Lattice, LatticeError, Vec, canonical
 from .screeners import ScreenerSet, all_screeners, is_screener
 
 
@@ -309,6 +310,44 @@ def screener_basis(lat: Lattice, screeners: ScreenerSet) -> list[Vec]:
     return found
 
 
+@dataclass(frozen=True)
+class Decomposition:
+    """A lattice split along a reduced screener basis.
+
+    screeners is the lattice's screener set, basis the first screener basis
+    (`screener_basis`), reduced its reduction (`reduce_screener_basis`), and
+    components the root components over the reduced basis, sorted by
+    (scale, rank, type, basis).  supports[k] holds the positions where the
+    reduced-basis coordinates of screeners.vectors[k] are nonzero.
+    """
+
+    screeners: ScreenerSet
+    basis: tuple[Vec, ...]
+    reduced: tuple[Vec, ...]
+    components: tuple[Component, ...]
+    supports: tuple[tuple[int, ...], ...]
+
+
+def decompose(lat: Lattice) -> Decomposition:
+    """Screener set, screener basis, reduction and recognition, with the
+    lattice walked once.
+
+    Raises NotGeneratedError when the screeners do not generate L; the
+    errors of the reduction and of recognition pass through.
+    """
+    screeners = all_screeners(lat)
+    basis = screener_basis(lat, screeners)
+    reduced = reduce_screener_basis(lat, basis)
+    rows, norms, supports = _reduced_supports(lat, reduced, screeners)
+    return Decomposition(
+        screeners=screeners,
+        basis=tuple(basis),
+        reduced=tuple(rows),
+        components=tuple(_components(rows, norms, supports, screeners.norms)),
+        supports=tuple(supports),
+    )
+
+
 def identify_extended_type(lat: Lattice) -> tuple[list[ExtendedGroup], ScreenerSet]:
     """Full classification: screener basis, reduction, recognition, merge.
 
@@ -319,20 +358,16 @@ def identify_extended_type(lat: Lattice) -> tuple[list[ExtendedGroup], ScreenerS
     count, otherwise a ClassificationError reports the discrepancy.
 
     The lattice is walked once.  Recognition and the count share one map of
-    the screeners to reduced-basis supports (`_reduced_supports`).
+    the screeners to reduced-basis supports (`decompose`).
     """
     if not lat.is_even:
         raise NotGeneratedError("lattice is not even")
-    screeners = all_screeners(lat)
-    basis = screener_basis(lat, screeners)
-    reduced = reduce_screener_basis(lat, basis)
-    rows, norms, supports = _reduced_supports(lat, reduced, screeners)
-    comps = _components(rows, norms, supports, screeners.norms)
+    dec = decompose(lat)
 
     # merge per scale
     groups: list[tuple[str, int, int, list[Component]]] = []
     by_scale: dict[int, list[Component]] = {}
-    for c in comps:
+    for c in dec.components:
         by_scale.setdefault(c.scale, []).append(c)
     for scale in sorted(by_scale):
         a1s = [c for c in by_scale[scale] if c.kind == "A" and c.n == 1]
@@ -361,7 +396,7 @@ def identify_extended_type(lat: Lattice) -> tuple[list[ExtendedGroup], ScreenerS
             for pos in c.positions:
                 pos_to_group[pos] = gi
     actual = [0] * len(groups)
-    for v, support in zip(screeners.vectors, supports):
+    for v, support in zip(dec.screeners.vectors, dec.supports):
         hit = {pos_to_group[i] for i in support}
         if len(hit) != 1:
             raise ClassificationError(
@@ -387,7 +422,7 @@ def identify_extended_type(lat: Lattice) -> tuple[list[ExtendedGroup], ScreenerS
             )
         )
     out.sort(key=lambda g: (g.scale, g.n, g.name))
-    return out, screeners
+    return out, dec.screeners
 
 
 @dataclass(frozen=True)
@@ -501,9 +536,9 @@ def rank2_normal_form(lat: Lattice, screeners: ScreenerSet | None = None) -> Ran
     )
 
 
-def _gram_of(lat: Lattice, cols: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+def _gram_of(lat: Lattice, cols: Sequence[Sequence[int]]) -> list[list[int]]:
     """Gram matrix of the basis held in the columns of cols."""
-    return sublattice_gram(lat, list(zip(*cols))).gram
+    return lat.row_gram(list(zip(*cols)))
 
 
 def _cols_tuple(cols) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -239,6 +239,20 @@ def test_oracle_check_small_run(capsys):
     assert captured.err.count("case ") == 3
 
 
+def test_oracle_check_mismatch_exits_3(capsys, monkeypatch):
+    """A box scan that finds no screener disagrees on every case: the report
+    still prints, and the exit code is 3."""
+    import latscreen.cli
+
+    monkeypatch.setattr(latscreen.cli, "is_screener", lambda lat, v: False)
+    argv = ["oracle-check", "--rank", "2", "--cases", "3", "--seed", "1"]
+    assert main(argv) == EXIT_MISMATCH
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["pass"] is False and len(res["mismatches"]) == 3
+    assert main(argv + ["--format", "text"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out.startswith("oracle-check: FAIL (3 mismatches)")
+
+
 def test_oracle_check_seed_is_required(capsys):
     assert main(["oracle-check", "--cases", "1"]) == EXIT_USAGE
 

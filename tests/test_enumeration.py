@@ -12,6 +12,7 @@ from latscreen import (
     enumerate_up_to_norm,
     is_positive_definite,
 )
+from latscreen.enumeration import _coordinate_limits
 from latscreen.intlinalg import solve_linear_system
 
 from oracle import box_vectors
@@ -19,9 +20,9 @@ from oracle import box_vectors
 A2 = [[2, -1], [-1, 2]]
 
 
-def random_lattice(rng, max_rank, max_entry):
+def random_lattice(rng, max_rank, max_entry, min_rank=1):
     while True:
-        d = rng.randint(1, max_rank)
+        d = rng.randint(min_rank, max_rank)
         g = [[0] * d for _ in range(d)]
         for i in range(d):
             g[i][i] = rng.randint(1, max_entry)
@@ -66,12 +67,16 @@ def test_matches_box_oracle():
 
 def test_box_enumerate_matches_oracle():
     rng = random.Random(31)
-    for _ in range(60):
-        lat = random_lattice(rng, 3, 8)
-        bound = rng.randint(1, 15)
+    cases = [(random_lattice(rng, 3, 8), rng.randint(1, 15)) for _ in range(60)]
+    # ranks 3 and 4, and bounds small enough that some coordinate limits are 0
+    cases += [(random_lattice(rng, 4, 8, min_rank=3), rng.randint(1, 4)) for _ in range(40)]
+    zero_limits = set()
+    for lat, bound in cases:
         res = box_enumerate(lat, bound)
         expected = box_vectors([list(r) for r in lat.gram], bound)
         assert [(v, n) for v, n in zip(res.vectors, res.norms)] == expected
+        zero_limits.update(j for j, m in enumerate(_coordinate_limits(lat, bound)) if m == 0)
+    assert zero_limits == {0, 1, 2, 3}
 
 
 def test_canonical_and_sorted():

@@ -4,6 +4,7 @@ import pytest
 
 from latscreen import (
     ClassificationError,
+    Decomposition,
     Lattice,
     LatticeError,
     NoScreener,
@@ -11,6 +12,7 @@ from latscreen import (
     WARN_2B_ODD,
     all_screeners,
     catalog,
+    decompose,
     identify_extended_type,
     is_positive_definite,
     is_screener,
@@ -423,12 +425,23 @@ def _components_by_block_enumeration(lat, reduced):
 
 
 def _assert_recognition_matches_reference(gram):
+    """Recognition equals the block walk, and `decompose` returns what the
+    step-by-step calls return."""
     lat = Lattice(gram)
     sset = all_screeners(lat)
-    reduced = reduce_screener_basis(lat, screener_basis(lat, sset))
+    basis = screener_basis(lat, sset)
+    reduced = reduce_screener_basis(lat, basis)
     got = recognize_components(lat, reduced, sset)
     assert got == _components_by_block_enumeration(lat, reduced), gram
     assert recognize_components(lat, reduced) == got
+    coords = intlinalg.matmul(sset.vectors, intlinalg.invert_unimodular(reduced))
+    assert decompose(lat) == Decomposition(
+        screeners=sset,
+        basis=tuple(basis),
+        reduced=tuple(reduced),
+        components=tuple(got),
+        supports=tuple(tuple(j for j, c in enumerate(row) if c) for row in coords),
+    ), gram
 
 
 def test_recognition_matches_block_enumeration_on_the_catalog():
