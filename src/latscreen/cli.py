@@ -330,6 +330,10 @@ def _render_catalog(r: dict) -> str:
 
 
 def _oracle_check(args, _) -> dict:
+    for flag, value, least in (("--rank", args.rank, 1), ("--max-entry", args.max_entry, 1),
+                               ("--cases", args.cases, 0)):
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
     mismatches = []
     done = 0

@@ -43,7 +43,7 @@ class Lattice:
             for j in range(i + 1, d):
                 if rows[i][j] != rows[j][i]:
                     raise LatticeError(f"Gram matrix is not symmetric at ({i}, {j})")
-        minors = intlinalg.leading_minors([list(r) for r in rows])
+        minors = intlinalg.leading_minors(rows)
         for k, m in enumerate(minors):
             if m <= 0:
                 raise LatticeError(
@@ -120,14 +120,13 @@ def over_common_denominator(v: Sequence[Fraction | int]) -> tuple[list[int], int
 
 
 def is_positive_definite(gram: Sequence[Sequence[int]]) -> bool:
-    """Whether a symmetric integer matrix has all leading minors positive."""
-    rows = [list(map(int, row)) for row in gram]
-    d = len(rows)
-    if d == 0 or any(len(r) != d for r in rows):
+    """Whether gram is a nonempty square symmetric integer matrix with all
+    leading minors positive, that is whether Lattice(gram) constructs."""
+    try:
+        Lattice(gram)
+    except LatticeError:
         return False
-    if any(rows[i][j] != rows[j][i] for i in range(d) for j in range(d)):
-        return False
-    return all(m > 0 for m in intlinalg.leading_minors(rows))
+    return True
 
 
 def in_dual(lat: Lattice, x: Sequence[int], k: int) -> bool:

@@ -6,8 +6,9 @@ overflow.  At level i the quadratic condition for coordinate x_i uses the
 Schur complement S_i of the first i basis vectors scaled by the i-th leading
 minor D_i.  After i fraction-free Bareiss steps (Bareiss 1968) the trailing
 block of the eliminated Gram matrix is exactly D_i * S_i, so one elimination
-pass yields every level as an integer matrix.  Candidate ranges come from
-integer square roots, so no floats decide anything.
+pass, intlinalg.bareiss_steps, yields every level as an integer matrix.
+Candidate ranges come from integer square roots, so no floats decide
+anything.
 
 box_enumerate is the independent reference: a plain scan of the half of the
 coordinate box with first nonzero coordinate positive, with every norm
@@ -41,29 +42,6 @@ class EnumerationResult:
         return len(self.vectors)
 
 
-def _schur_levels(gram: list[list[int]]) -> tuple[list[int], list[list[list[int]]]]:
-    """Leading minors D_0..D_{d-1} and the integer matrices D_i * S_i.
-
-    S_i is the Schur complement of the leading i x i block.  Bareiss step k
-    turns the trailing block into D_{k+1} * S_{k+1} (Sylvester's identity),
-    with every division exact, so the levels are copies of that block.
-    """
-    a = [list(r) for r in gram]
-    d = len(a)
-    dmins: list[int] = []
-    hmats: list[list[list[int]]] = []
-    prev = 1
-    for k in range(d):
-        dmins.append(prev)
-        hmats.append([row[k:] for row in a[k:]])
-        piv = a[k][k]
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
-        prev = piv
-    return dmins, hmats
-
-
 def _floor_sqrt_ratio(num: int, den: int) -> int:
     """floor(sqrt(num/den)) for num >= 0, den > 0, exact."""
     if num <= 0:
@@ -92,20 +70,24 @@ def _coordinate_limits(lat: Lattice, bound: int) -> list[int]:
     return limits
 
 
-def _depth_first(dmins, hmats, bound: int) -> list[tuple[Vec, int]]:
+def _depth_first(gram: list[list[int]], bound: int) -> list[tuple[Vec, int]]:
     """Every x with first nonzero coordinate positive and 0 < x^T G x <= bound,
-    with its norm, unsorted.  Coordinates are fixed from the last level
-    inwards; linear memory.
+    with its norm, unsorted, for a positive definite G.  Coordinates are fixed
+    from the last level inwards; linear memory.
 
     With the outer coordinates fixed, level i asks a*v^2 + 2*b*v + c <= m for
     v = x_i, which is (a*v + b)^2 <= disc, so the integer range of v follows
     exactly from s = isqrt(disc)."""
-    d = len(dmins)
+    d = len(gram)
     out: list[tuple[Vec, int]] = []
     x = [0] * d
-    # per level: a, the b coefficients, the c matrix rows and m = bound * D_i
-    levels = [(h[0][0], h[0][1:], [hj[1:] for hj in h[1:]], bound * dm)
-              for h, dm in zip(hmats, dmins)]
+    # per level, copied from D_i * S_i before Bareiss step i: a, the b
+    # coefficients, the c matrix rows and m = bound * D_i
+    levels = []
+    dm = 1
+    for i, h in enumerate(_intlinalg.bareiss_steps(gram)):
+        levels.append((h[i][i], h[i][i + 1:], [hj[i + 1:] for hj in h[i + 1:]], bound * dm))
+        dm = h[i][i]
 
     def level(i: int) -> None:
         a, brow, crows, m = levels[i]
@@ -127,6 +109,13 @@ def _depth_first(dmins, hmats, bound: int) -> list[tuple[Vec, int]]:
     return out
 
 
+def _reduced(gram) -> tuple[list[list[int]], list[list[int]]]:
+    """LLL rows w of a positive definite gram and the reduced Gram w gram w^T,
+    on which the walker's level ranges stay tight."""
+    w = _intlinalg.lll_rows(gram)
+    return w, _intlinalg.matmul(_intlinalg.matmul(w, gram), list(zip(*w)))
+
+
 def form_minimum(gram: list[list[int]]) -> int:
     """The least value of x^T gram x over nonzero integer x, for a positive
     definite integer matrix.
@@ -134,10 +123,9 @@ def form_minimum(gram: list[list[int]]) -> int:
     One LLL reduction bounds it by the shortest reduced basis vector; one
     walk up to that bound finds it exactly.
     """
-    w = _intlinalg.lll_rows(gram)
-    red = _intlinalg.matmul(_intlinalg.matmul(w, gram), list(zip(*w)))
+    _, red = _reduced(gram)
     bound = min(red[i][i] for i in range(len(red)))
-    return min(nrm for _, nrm in _depth_first(*_schur_levels(red), bound))
+    return min(nrm for _, nrm in _depth_first(red, bound))
 
 
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
@@ -161,16 +149,10 @@ def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
         raise LatticeError("norm bound must be nonnegative")
     if bound == 0:
         return EnumerationResult(lattice=lat, bound=0, vectors=(), norms=())
-    gram = [list(r) for r in lat.gram]
-    w = _intlinalg.lll_rows(gram)
-    if w == _intlinalg.identity(lat.rank):
-        pairs = _depth_first(*_schur_levels(gram), bound)
-    else:
-        red = _intlinalg.matmul(_intlinalg.matmul(w, gram), list(zip(*w)))
-        pairs = _depth_first(*_schur_levels(red), bound)
-        xs = _intlinalg.matmul([z for z, _ in pairs], w)
-        pairs = [(x, nrm) for x, (_, nrm) in zip(xs, pairs)]
-    return _finish(lat, bound, pairs)
+    w, red = _reduced(lat.gram)
+    pairs = _depth_first(red, bound)
+    xs = _intlinalg.matmul([z for z, _ in pairs], w)
+    return _finish(lat, bound, [(x, nrm) for x, (_, nrm) in zip(xs, pairs)])
 
 
 def enumerate_exact_norm(lat: Lattice, norm: int) -> EnumerationResult:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 Matrix = list[list[int]]
 
@@ -28,31 +28,42 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def leading_minors(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Leading principal minors det(mat[:k,:k]) for k = 1..n, by Bareiss.
+def bareiss_steps(mat: Sequence[Sequence[int]]) -> Iterator[Matrix]:
+    """Fraction-free Bareiss elimination (Bareiss 1968), without pivoting.
 
-    Fraction-free: every intermediate entry is an integer, and the pivot after
-    eliminating column k equals the k+1-st leading minor.  Returns the minors;
-    a zero is reported in place if a leading submatrix is singular.
+    Yields the working matrix a before each step k = 0, 1, ...  Its
+    trailing block a[k:][k:] is then D_k * S_k (Sylvester's identity), with
+    D_k the k-th leading minor and S_k the Schur complement of the leading
+    k x k block, so a[k][k] = D_{k+1}.  The list is updated in place after
+    each yield; a consumer copies what it keeps.  Stops after a zero pivot.
     """
     a = copy_matrix(mat)
     n = len(a)
-    minors = []
     prev = 1
     for k in range(n):
-        piv = a[k][k]
-        minors.append(piv)
+        yield a
+        rk = a[k]
+        piv = rk[k]
         if piv == 0:
-            # Bareiss needs nonzero pivots; once a leading minor vanishes the
-            # remaining ones are computed one by one with row pivoting.
-            for t in range(k + 1, n):
-                minors.append(determinant([row[: t + 1] for row in mat[: t + 1]]))
-            return minors
+            return
         for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+                ri[j] = (ri[j] * piv - f * rk[j]) // prev
         prev = piv
+
+
+def leading_minors(mat: Sequence[Sequence[int]]) -> list[int]:
+    """Leading principal minors det(mat[:k,:k]) for k = 1..n.
+
+    They are the pivots of bareiss_steps.  Returns the minors; a zero is
+    reported in place if a leading submatrix is singular.
+    """
+    minors = [a[k][k] for k, a in enumerate(bareiss_steps(mat))]
+    # after a vanishing minor the steps stop; the rest come one by one with row pivoting
+    minors += [determinant([row[: t + 1] for row in mat[: t + 1]])
+               for t in range(len(minors), len(mat))]
     return minors
 
 
@@ -60,6 +71,7 @@ def determinant(mat: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free Bareiss elimination with row
     pivoting: a zero pivot is replaced by a lower row with a nonzero entry in
     its column (flipping the sign), and a column with none gives 0."""
+    # own loop: it pivots past the zeros of non-definite input, and tests use it as reference
     a = copy_matrix(mat)
     n = len(a)
     sign = 1
@@ -414,6 +426,7 @@ def lll_rows(gram: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)) ->
     g = [[int(gram[i][j]) for j in range(n)] for i in range(n)]
     dd = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
+    # lower triangle only: bareiss_steps' full symmetric elimination does about twice this
     for i in range(n):
         for j in range(i + 1):
             s = g[i][j]

@@ -47,14 +47,8 @@ def pair_decompositions(lat: Lattice, a: Sequence[int]) -> list[tuple[int, int]]
     if nrm % 2 != 0:
         raise LatticeError(f"norm {nrm} is odd; no even factorization 2*p*p'")
     half = nrm // 2
-    out = []
-    for p in range(1, half + 1):
-        if half % p:
-            continue
-        q = half // p
-        if in_dual(lat, a, p) and in_dual(lat, a, q):
-            out.append((p, q))
-    return out
+    return [(p, half // p) for p in intlinalg.divisors(half, half)
+            if in_dual(lat, a, p) and in_dual(lat, a, half // p)]
 
 
 def _shift_vector(lat: Lattice, a: Sequence[int], scale: int) -> DualVec:

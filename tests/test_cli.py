@@ -257,6 +257,18 @@ def test_oracle_check_seed_is_required(capsys):
     assert main(["oracle-check", "--cases", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rank", "0"], "--rank must be at least 1, got 0"),
+    (["--max-entry", "0"], "--max-entry must be at least 1, got 0"),
+    (["--cases", "-3"], "--cases must be at least 0, got -3"),
+])
+def test_oracle_check_rejects_out_of_range_flags(capsys, flags, message):
+    assert main(["oracle-check", "--seed", "1"] + flags) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def _run_python(args):
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))

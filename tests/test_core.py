@@ -52,6 +52,11 @@ def test_is_positive_definite():
     assert not is_positive_definite([[1, 2], [2, 1]])
     assert not is_positive_definite([[2, -1], [1, 2]])
     assert is_positive_definite([[1]])
+    assert not is_positive_definite([])
+    assert not is_positive_definite([[2, -1], [-1]])
+    assert not is_positive_definite([[2, -1]])
+    # positive leading minors do not make an asymmetric matrix definite
+    assert not is_positive_definite([[2, 0], [1, 2]])
 
 
 def test_basic_accessors():
@@ -114,6 +119,52 @@ def test_determinant_with_vanishing_leading_minors():
     assert singular > 50
     assert determinant([]) == 1
     assert determinant([[0, 1], [1, 0]]) == -1
+
+
+def _scaled_schur_by_fractions(m, k):
+    """(D_k, D_k * S_k) by plain fraction elimination of the first k columns;
+    needs the first k pivots nonzero."""
+    a = [[Fraction(v) for v in row] for row in m]
+    n = len(a)
+    dk = Fraction(1)
+    for t in range(k):
+        dk *= a[t][t]
+        for i in range(t + 1, n):
+            f = a[i][t] / a[t][t]
+            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return dk, [[dk * v for v in row[k:]] for row in a[k:]]
+
+
+def test_bareiss_steps_yield_scaled_schur_complements():
+    """Before step k the trailing block is D_k * S_k, on symmetric and
+    non-symmetric matrices, and the steps end right after the first zero
+    pivot."""
+    from latscreen.intlinalg import bareiss_steps
+
+    rng = random.Random(47)
+    stopped_early = 0
+    for case in range(300):
+        d = rng.randint(0, 6)
+        m = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+        if case % 2:
+            m = [[m[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)]
+        if d and rng.random() < 0.3:
+            k = rng.randint(1, d)
+            if k == 1:
+                m[0][0] = 0
+            else:
+                m[k - 1][:k] = m[0][:k]
+        minors = [det_fraction([r[:t] for r in m[:t]]) for t in range(1, d + 1)]
+        expected_steps = next((t + 1 for t, mn in enumerate(minors) if mn == 0), d)
+        steps = 0
+        for k, a in enumerate(bareiss_steps(m)):
+            dk, block = _scaled_schur_by_fractions(m, k)
+            assert dk == (minors[k - 1] if k else 1)
+            assert [r[k:] for r in a[k:]] == block, (m, k)
+            steps += 1
+        assert steps == expected_steps, m
+        stopped_early += steps < d
+    assert stopped_early > 30
 
 
 def test_invert_unimodular():

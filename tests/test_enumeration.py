@@ -13,9 +13,9 @@ from latscreen import (
     is_positive_definite,
 )
 from latscreen.enumeration import _coordinate_limits
-from latscreen.intlinalg import solve_linear_system
+from latscreen.intlinalg import lll_rows, matmul, solve_linear_system
 
-from oracle import box_vectors
+from oracle import box_vectors, det_fraction
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -152,3 +152,39 @@ def test_root_counts_of_standard_lattices():
     assert 2 * len(enumerate_exact_norm(catalog("E", 6), 2)) == 72
     assert 2 * len(enumerate_exact_norm(catalog("E", 7), 2)) == 126
     assert 2 * len(enumerate_exact_norm(catalog("E", 8), 2)) == 240
+
+
+def test_lll_rows_are_unimodular_and_reduced():
+    """The rows every walk runs on: unimodular, size reduced (|mu_ij| <= 1/2)
+    and Lovasz reduced with delta = 3/4, checked by fraction Gram-Schmidt on
+    the reduced Gram, on skewed Grams of rank 1-8, some scaled by 10^18."""
+    rng = random.Random(61)
+    moved = 0
+    for case in range(120):
+        d = 1 + case % 8
+        while True:
+            b = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+            if det_fraction(b) != 0:
+                break
+        for _ in range(2 * d):  # shear the basis so that LLL has work to do
+            i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+            if i != j:
+                f = rng.randint(-6, 6)
+                b[i] = [x + f * y for x, y in zip(b[i], b[j])]
+        gram = matmul(b, list(zip(*b)))
+        if case % 3 == 0:
+            gram = [[10**18 * v for v in row] for row in gram]
+        u = lll_rows(gram)
+        assert abs(det_fraction(u)) == 1, gram
+        red = matmul(matmul(u, gram), list(zip(*u)))
+        mu = [[Fraction(0)] * d for _ in range(d)]
+        bstar = []
+        for i in range(d):
+            for j in range(i):
+                mu[i][j] = (red[i][j] - sum(mu[j][t] * mu[i][t] * bstar[t] for t in range(j))) / bstar[j]
+                assert abs(mu[i][j]) <= Fraction(1, 2), (gram, i, j)
+            bstar.append(red[i][i] - sum(mu[i][t] ** 2 * bstar[t] for t in range(i)))
+        for k in range(1, d):
+            assert bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1], (gram, k)
+        moved += any(u[i][j] != (i == j) for i in range(d) for j in range(d))
+    assert moved > 60

@@ -11,6 +11,7 @@ from latscreen import (
     catalog,
     conformal_weight,
     in_dual,
+    is_positive_definite,
     make_type_i,
     pair_decompositions,
     rank1_central_charge,
@@ -32,6 +33,31 @@ def test_pair_decompositions_a2():
     assert pair_decompositions(A2, (1, 2)) == [(1, 3), (3, 1)]
     # a root: norm 2, only the trivial split
     assert pair_decompositions(A2, (1, 0)) == [(1, 1)]
+
+
+def test_pair_decompositions_match_trial_division():
+    """Only the divisors of <a,a>/2 are tried, in ascending order; the
+    reference trial-divides every p up to <a,a>/2."""
+    rng = random.Random(19)
+    seen = 0
+    while seen < 150:
+        d = rng.randint(1, 3)
+        g = [[0] * d for _ in range(d)]
+        for i in range(d):
+            g[i][i] = rng.randint(1, 8)
+            for j in range(i + 1, d):
+                g[i][j] = g[j][i] = rng.randint(-6, 6)
+        if not is_positive_definite(g):
+            continue
+        lat = Lattice(g)
+        for a in all_screeners(lat).vectors:
+            half = lat.norm(a) // 2
+            reference = [(p, half // p) for p in range(1, half + 1)
+                         if half % p == 0 and in_dual(lat, a, p) and in_dual(lat, a, half // p)]
+            assert pair_decompositions(lat, a) == reference, (g, a)
+            seen += 1
+    # norm 1.8e9: trial division up to <a,a>/2 would not finish
+    assert pair_decompositions(A2, (30000, 0)) == [(30000, 30000)]
 
 
 def test_pair_decompositions_requires_dual_membership():
