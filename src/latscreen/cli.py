@@ -169,8 +169,7 @@ def _render_screeners(r: dict) -> str:
 def _decompose(args, lat: Lattice) -> dict:
     dec = decompose(lat)
     return {
-        "screener_basis": dec.basis,
-        "reduced_basis": [{"coords": v, "norm": lat.norm(v)} for v in dec.reduced],
+        "simple_roots": [{"coords": v, "norm": lat.norm(v)} for v in dec.simple_roots],
         "components": [
             {
                 "type": c.kind,
@@ -187,8 +186,8 @@ def _decompose(args, lat: Lattice) -> dict:
 
 def _render_decompose(r: dict) -> str:
     lines = [f"decomposition (rank {r['input']['rank']}, det {r['input']['determinant']})"]
-    lines.append("reduced basis:")
-    for row in r["results"]["reduced_basis"]:
+    lines.append("simple roots:")
+    for row in r["results"]["simple_roots"]:
         lines.append(f"  {_vec(row['coords'])} norm {row['norm']}")
     lines.append("components:")
     for c in r["results"]["components"]:
@@ -278,6 +277,8 @@ def _render_rank2(r: dict) -> str:
 
 
 def _pairs(args, lat: Lattice) -> dict:
+    if args.max_r < 0:
+        raise UsageError(f"--max-r must be at least 0, got {args.max_r}")
     if args.alpha is not None:
         try:
             alpha = tuple(int(t) for t in args.alpha.split(","))
@@ -396,7 +397,7 @@ def build_parser() -> _Parser:
         return p
 
     command("screeners", "enumerate all screening vectors", _screeners, _render_screeners)
-    command("decompose", "reduce a screener basis and recognize root components",
+    command("decompose", "simple roots and root components of the screeners",
             _decompose, _render_decompose)
     command("classify", "extended-type classification with count check", _classify, _render_classify)
     command("rank2", "rank-2 normal form and predicted screeners", _rank2, _render_rank2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -141,93 +141,6 @@ def in_scaled_lattice(x: Sequence[int], n: int) -> bool:
     if n == 0:
         return all(v == 0 for v in x)
     return all(v % n == 0 for v in x)
-
-
-def in_extended_dual(lat: Lattice, v: Sequence[Fraction | int]) -> bool:
-    """Whether v pairs into Z with even vectors and into (1/2)Z, uniformly,
-    with odd vectors.
-
-    Concretely: h_j = 2 <v, b_j> over the basis must be even at every
-    even-parity basis vector, integral everywhere, and of one parity across
-    all odd-parity basis vectors.  The uniformity matters: a vector pairing
-    half-integrally with one odd basis vector and integrally with another
-    shifts parity classes inconsistently and is not in the extended dual.
-    """
-    nums, q = over_common_denominator(v)
-    # G is symmetric, so (G n)_j = q <v, b_j>
-    twice = [2 * s for s in lat.gram_times(nums)]
-    if any(s % q for s in twice):
-        return False
-    h = [s // q for s in twice]
-    odd_parities = set()
-    for j in range(lat.rank):
-        if lat.gram[j][j] % 2 == 0:
-            if h[j] % 2 != 0:
-                return False
-        else:
-            odd_parities.add(h[j] % 2)
-    return len(odd_parities) <= 1
-
-
-def extend_to_basis(lat: Lattice, x: Sequence[int]) -> list[list[int]]:
-    """A basis of the lattice whose first vector is x, as matrix columns.
-
-    Requires x primitive (coordinate gcd 1); determinant of the result is
-    +-1, and the construction is deterministic.
-    """
-    lat._check_dim(x)
-    g = gcd(*x)
-    if g != 1:
-        raise LatticeError(f"vector {tuple(x)} is not primitive (gcd {g})")
-    return intlinalg.unimodular_with_first_column(x)
-
-
-def orthogonal_split(
-    lat: Lattice, a: Sequence[int]
-) -> tuple[Lattice, Lattice, list[list[int]]]:
-    """Split off the rank-1 sublattice spanned by a when <a, L> = <a, a> Z.
-
-    Requires that <a, b_j> is divisible by n = <a, a> for every basis vector,
-    which makes the Gram-Schmidt corrections integral.  Returns the rank-1
-    Gram [[n]], the Gram of the orthogonal complement, and the basis change
-    (columns: a followed by the corrected complement basis).
-    """
-    lat._check_dim(a)
-    n = lat.norm(a)
-    ga = lat.gram_times(a)
-    bad = [j for j in range(lat.rank) if ga[j] % n != 0]
-    if bad:
-        raise LatticeError(
-            f"<a, b_{bad[0]}> = {ga[bad[0]]} is not divisible by <a, a> = {n}; no orthogonal split"
-        )
-    if lat.rank == 1:
-        raise LatticeError("rank-1 lattice has no complement to split off")
-    cols = extend_to_basis(lat, a)
-    d = lat.rank
-    basis = [[cols[i][0] for i in range(d)]]
-    for j in range(1, d):
-        b = [cols[i][j] for i in range(d)]
-        t = lat.inner(a, b) // n
-        basis.append([b[i] - t * a[i] for i in range(d)])
-    new_gram = sublattice_gram(lat, basis).gram
-    if any(new_gram[0][j] != 0 for j in range(1, d)):
-        raise LatticeError(f"internal: split of {tuple(a)} left a nonzero pairing {new_gram[0]}")
-    rest = [[new_gram[i][j] for j in range(1, d)] for i in range(1, d)]
-    witness = [[basis[j][i] for j in range(d)] for i in range(d)]
-    return Lattice([[n]]), Lattice(rest), witness
-
-
-def quotient_invariants(lat: Lattice) -> tuple[int, ...]:
-    """Elementary divisors of the dual quotient; their product is det G."""
-    divisors = tuple(intlinalg.invariant_factors([list(r) for r in lat.gram]))
-    prod = 1
-    for v in divisors:
-        prod *= v
-    if prod != lat.determinant:
-        raise LatticeError(
-            f"internal: invariants {divisors} multiply to {prod}, not det {lat.determinant}"
-        )
-    return divisors
 
 
 def sublattice_gram(lat: Lattice, vs: Sequence[Sequence[int]]) -> Lattice:

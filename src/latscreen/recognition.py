@@ -1,24 +1,44 @@
 """Root-system structure of screener sets.
 
-For an even lattice generated by its screeners, the screeners of minimal
-norm in each scale form root systems; recognizing the components and merging
-the non-root screeners on top yields an extended type (B/C/F/G alongside the
-simply laced A/D/E) whose root count must equal the actual screener count.
-The rank-2 case additionally has a complete normal-form classification.
+The screeners of a lattice L form a reduced crystallographic root system in
+their span (Bourbaki, *Lie Groups and Lie Algebras*, ch. VI §1.1):
 
-The lattice is walked once, by `all_screeners`; everything after works on
-that set, and `decompose` is the one function that runs the pipeline.  A
-reduced screener basis splits L into orthogonal norm blocks, the roots of
-each block are the screeners of its norm supported in it, and the
-components are the classes of a union-find over those supports, so
-recognition and the per-group count both read the screeners' coordinates in
-the reduced basis and enumerate nothing (proofs in recognize_components).
+- For a screener a, 2<a, x>/<a, a> is an integer for every x in L, so the
+  reflection s_a(x) = x - (2<a, x>/<a, a>) a is an isometry of L.  It keeps
+  norms, maps 2L onto 2L and s_a(b) pairs with L as b does, so s_a
+  permutes the screeners.
+- a and ca are both screeners only for c = +-1: 2a lies in 2L, and 3a would
+  need 2<a, 3a>/<3a, 3a> = 2/3 to be an integer.
+
+`ScreenerSet.vectors` holds each screener with its first nonzero coordinate
+positive.  That lexicographic order is total and compatible with addition,
+so these vectors are a positive system (Bourbaki ch. VI §1.6-1.7; Humphreys,
+*Introduction to Lie Algebras and Representation Theory*, §10.1).  A
+positive root v that is not simple has a simple root s with v - s a
+positive root (Humphreys §10.2, Lemma A), and s is lexicographically smaller
+than v.  So walking the positive roots in lexicographic order and keeping v
+unless v - s is a positive root for a simple root s kept before it finds the
+simple roots.  They are a Z-basis of the lattice the screeners generate,
+which is L exactly when there are rank-many of them with determinant +-1.
+
+The nonzero entries of the simple roots' Gram matrix give the Dynkin diagram,
+and each connected component's type follows from the diagram alone
+(Humphreys §11.4): a triple bond is G2; with a double bond the number of
+short simple roots tells B, C and F4; otherwise a path is A and the arms of
+the branch node tell D and E.  A screener lies in the one component whose
+simple roots it pairs with nonzero, and every component must hold as many
+screeners as its type has positive roots.
+
+The lattice is walked once, by `all_screeners`; `recognize_components` works
+on that set and `decompose` runs the pipeline.  The rank-2 case additionally
+has a complete normal-form classification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import sub
 from typing import Sequence
 
 from . import intlinalg
@@ -36,13 +56,12 @@ class NotGeneratedError(LatticeError):
 
 @dataclass(frozen=True)
 class Component:
-    """One indecomposable root-lattice component at a single scale."""
+    """One simply laced Dynkin component at a single scale."""
 
     kind: str  # 'A', 'D' or 'E'
     n: int
     scale: int
-    basis: tuple[Vec, ...]
-    positions: tuple[int, ...]  # indices into the reduced basis
+    basis: tuple[Vec, ...]  # its simple roots
     root_count: int
 
     @property
@@ -52,7 +71,8 @@ class Component:
 
 @dataclass(frozen=True)
 class ExtendedGroup:
-    """A merged component group with its extended type and screener counts."""
+    """One Dynkin component of the screeners with its type and screener
+    counts; components are the Dynkin components of its short roots."""
 
     name: str  # 'A'..'G'
     n: int
@@ -67,28 +87,20 @@ class ExtendedGroup:
 
 
 _E_ROOTS = {6: 72, 7: 126, 8: 240}
+_E_ARMS = ((1, 2, 2), (1, 2, 3), (1, 2, 4))
 
 
-def _component_kind(rank: int, root_count: int) -> str | None:
-    if root_count == rank * (rank + 1):
-        return "A"
-    if rank >= 4 and root_count == 2 * rank * (rank - 1):
-        return "D"
-    if rank in _E_ROOTS and root_count == _E_ROOTS[rank]:
-        return "E"
-    return None
-
-
-def _extended_count(name: str, n: int) -> int:
+def _root_count(name: str, n: int) -> int:
+    """Number of roots of the irreducible root system of type name_n."""
     if name == "A":
         return n * (n + 1)
     if name in ("B", "C"):
         return 2 * n * n
-    if name == "G":
-        return 12
-    if name == "F":
-        return 48
-    return _E_ROOTS[n]
+    if name == "D":
+        return 2 * n * (n - 1)
+    if name == "E":
+        return _E_ROOTS[n]
+    return 48 if name == "F" else 12
 
 
 def reduce_screener_basis(lat: Lattice, basis: Sequence[Sequence[int]]) -> list[Vec]:
@@ -145,284 +157,186 @@ def reduce_screener_basis(lat: Lattice, basis: Sequence[Sequence[int]]) -> list[
             return rows
 
 
-def _reduced_supports(
-    lat: Lattice, reduced: Sequence[Sequence[int]], screeners: ScreenerSet
-) -> tuple[list[Vec], list[int], list[tuple[int, ...]]]:
-    """Check a reduced screener basis and locate every screener in it.
+def _simple_roots(positive: Sequence[Vec]) -> list[Vec]:
+    """The simple roots of a set of lexicographically positive roots, in
+    lexicographic order (the walk of the module docstring)."""
+    members = set(positive)
+    simple: list[Vec] = []
+    for v in sorted(positive):
+        if all(tuple(map(sub, v, s)) not in members for s in simple):
+            simple.append(v)
+    return simple
 
-    Returns the rows, their norms, and for each screener of the set the
-    positions where its reduced-basis coordinates are nonzero.  Raises
-    LatticeError unless the set belongs to lat, the rows are a basis of L,
-    every row is a screener (its unit coordinate vector is in the set) and
-    rows of distinct norm are orthogonal.  One inverse and one product map
-    all the screeners.
+
+def _arm(neighbours: dict[int, list[int]], prev: int, node: int) -> int:
+    """Number of nodes on the path from prev through node to a leaf."""
+    length = 1
+    while len(neighbours[node]) > 1:
+        prev, node = node, next(j for j in neighbours[node] if j != prev)
+        length += 1
+    return length
+
+
+def _dynkin_type(g: Sequence[Sequence[int]], nodes: Sequence[int]) -> tuple[str, int]:
+    """Type and rank of the connected Dynkin diagram of the simple roots at
+    nodes, g being the Gram matrix of all the simple roots.
+
+    Simple roots a, b are joined by 4<a,b>^2/(<a,a><b,b>) bonds; a connected
+    diagram with one edge fewer than nodes is a tree.
     """
-    if screeners.lattice != lat:
-        raise LatticeError("the screener set belongs to another lattice")
-    rows = [tuple(int(v) for v in u) for u in reduced]
-    if len(rows) != lat.rank:
-        raise LatticeError("basis size does not match the rank")
-    for u in rows:
-        lat._check_dim(u)
-    try:
-        binv = intlinalg.invert_unimodular(rows)
-    except ValueError:
-        raise LatticeError("vectors are not a basis of the lattice") from None
-    g = lat.row_gram(rows)
-    norms = [g[j][j] for j in range(len(rows))]
-    for i, j in combinations(range(len(rows)), 2):
-        if norms[i] != norms[j] and g[i][j] != 0:
-            raise LatticeError(
-                f"basis vectors {rows[i]}, {rows[j]} of norms {norms[i]}, {norms[j]} are not orthogonal"
-            )
-    supports = [tuple(j for j, c in enumerate(coeffs) if c != 0)
-                for coeffs in intlinalg.matmul(screeners.vectors, binv)]
-    units = {s[0] for s in supports if len(s) == 1}
-    for j, u in enumerate(rows):
-        if j not in units:
-            raise LatticeError(f"basis vector {u} is not a screening vector")
-    return rows, norms, supports
+    k = len(nodes)
+    bonds = [4 * g[i][j] ** 2 // (g[i][i] * g[j][j]) for i, j in combinations(nodes, 2) if g[i][j]]
+    if len(bonds) == k - 1 and set(bonds) <= {1, 2, 3}:
+        if 3 in bonds:
+            return "G", k
+        if 2 in bonds:
+            shortest = min(g[i][i] for i in nodes)
+            short = sum(g[i][i] == shortest for i in nodes)
+            if short == 1:
+                return "B", k
+            if (k, short) == (4, 2):
+                return "F", 4
+            if short == k - 1:
+                return "C", k
+        else:
+            neighbours = {i: [j for j in nodes if j != i and g[i][j]] for i in nodes}
+            branch = [i for i in nodes if len(neighbours[i]) > 2]
+            if not branch:
+                return "A", k
+            if len(branch) == 1 and len(neighbours[branch[0]]) == 3:
+                arms = tuple(sorted(_arm(neighbours, branch[0], j) for j in neighbours[branch[0]]))
+                if arms[:2] == (1, 1):
+                    return "D", k
+                if arms in _E_ARMS:
+                    return "E", k
+    raise ClassificationError(
+        f"simple roots with Gram {[[g[i][j] for j in nodes] for i in nodes]} form no Dynkin diagram"
+    )
 
 
-def _components(
-    rows: Sequence[Vec], norms: Sequence[int], supports: Sequence[tuple[int, ...]],
-    screener_norms: Sequence[int],
-) -> list[Component]:
-    """Union-find over the supports of the roots: the screeners whose norm is
-    that of every basis vector they involve."""
-    parent = list(range(len(rows)))
+def _dynkin_components(
+    lat: Lattice, roots: Sequence[Vec], norms: Sequence[int]
+) -> tuple[list[Vec], list[tuple[str, int, int, tuple[Vec, ...], list[tuple[Vec, int]]]]]:
+    """Simple roots of the lexicographically positive roots (with their
+    norms), and for each connected component of their Dynkin diagram its
+    type, rank, scale, simple roots and (root, norm) members.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    roots = [s for s, nrm in zip(supports, screener_norms) if all(norms[j] == nrm for j in s)]
-    for s in roots:
-        for j in s[1:]:
-            ri, rj = find(s[0]), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    classes: dict[int, list[int]] = {}
-    for j in range(len(rows)):
-        classes.setdefault(find(j), []).append(j)
-    counts = dict.fromkeys(classes, 0)
-    for s in roots:
-        counts[find(s[0])] += 2
-    comps: list[Component] = []
-    for key, members in classes.items():
-        rank, count = len(members), counts[key]
-        kind = _component_kind(rank, count)
-        if kind is None:
+    Every root must pair nonzero with the simple roots of exactly one
+    component, and every component must hold half the roots of its type.
+    """
+    simple = _simple_roots(roots)
+    if not simple:
+        return simple, []
+    # <root, simple root> for every root; the simple roots' rows are their Gram matrix
+    pairings = intlinalg.matmul(roots, intlinalg.matmul(lat.gram, list(zip(*simple))))
+    row_of = dict(zip(roots, pairings))
+    g = [row_of[s] for s in simple]
+    owner = [-1] * len(simple)
+    components: list[list[int]] = []
+    for i in range(len(simple)):
+        if owner[i] < 0:
+            owner[i] = len(components)
+            nodes = [i]
+            for a in nodes:
+                for b, t in enumerate(g[a]):
+                    if t and owner[b] < 0:
+                        owner[b] = owner[i]
+                        nodes.append(b)
+            components.append(sorted(nodes))
+    members: list[list[tuple[Vec, int]]] = [[] for _ in components]
+    for v, nrm, row in zip(roots, norms, pairings):
+        hit = {owner[j] for j, t in enumerate(row) if t}
+        if len(hit) != 1:
+            raise ClassificationError(f"screener {v} spreads over {len(hit)} component groups")
+        members[hit.pop()].append((v, nrm))
+    out = []
+    for nodes, mem in zip(components, members):
+        name, n = _dynkin_type(g, nodes)
+        scale = min(nrm for _, nrm in mem) // 2
+        expected = _root_count(name, n)
+        if expected != 2 * len(mem):
             raise ClassificationError(
-                f"no A/D/E root system has rank {rank} with {count} roots"
+                f"group {name}{n} at scale {scale} expects {expected} screeners, found {2 * len(mem)}"
             )
-        comps.append(
-            Component(
-                kind=kind,
-                n=rank,
-                scale=norms[members[0]] // 2,
-                basis=tuple(rows[j] for j in members),
-                positions=tuple(members),
-                root_count=count,
-            )
-        )
-    comps.sort(key=lambda c: (c.scale, c.n, c.kind, c.basis))
-    return comps
-
-
-def recognize_components(
-    lat: Lattice, reduced: Sequence[Sequence[int]], screeners: ScreenerSet | None = None
-) -> list[Component]:
-    """Group a reduced screener basis into indecomposable root components.
-
-    reduced is a reduced screener basis u_1..u_d of L: a basis of screeners
-    in which vectors of distinct norm are orthogonal (the output of
-    reduce_screener_basis).  screeners is the screener set of lat when the
-    caller holds it (`all_screeners(lat)`); without it the lattice is walked
-    here.  Nothing else is enumerated: every screener is written once in
-    reduced-basis coordinates, and its support is the set of positions with
-    a nonzero coordinate.
-
-    - The roots of the norm-2p block are exactly the norm-2p screeners whose
-      support lies in that block.  L is the orthogonal sum of its norm
-      blocks.  Each u_i of norm 2p is a screener, so <u_i, x> lies in pZ for
-      every x in L; a block vector r of norm 2p therefore has 2r/<r,r> =
-      r/p in L*, and r is not in 2L (r = 2y puts y in the block, whose norms
-      are multiples of 2p, with norm p/2).  So r is a screener, and
-      conversely a norm-2p screener supported in the block is a block root.
-    - A union-find over those supports gives the irreducible components.
-      Each u_i is a root, so it lies in one component, and the block is the
-      direct sum of the components' lattices, which makes every root
-      supported on its own component's positions.  If a component's
-      positions split into S and T that no root's support meets both of,
-      its roots in span(S) and in span(T) cannot all be orthogonal, and for
-      non-orthogonal roots a in span(S), b in span(T) the root
-      s_a(b) = b - (<a,b>/p) a has support meeting both.  A component's rank
-      is its number of positions, and its root count is twice its number of
-      screeners (one per +- pair).
-
-    (rank, root count) pins the type: A_n has n(n+1) roots, D_n has
-    2n(n-1), E_6/7/8 have 72/126/240.  Raises LatticeError for a screener
-    set of another lattice, for rows that are not a basis of screeners and
-    for rows of distinct norm that are not orthogonal.  Once those checks
-    pass, every class is a nonempty set of basis vectors, so it cannot miss
-    a basis vector and its roots span a lattice of rank equal to its number
-    of positions; neither needs a check of its own.
-    """
-    if screeners is None:
-        screeners = all_screeners(lat)
-    return _components(*_reduced_supports(lat, reduced, screeners), screeners.norms)
-
-
-def screener_basis(lat: Lattice, screeners: ScreenerSet) -> list[Vec]:
-    """First (in canonical order) subset of screeners forming a Z-basis of L.
-
-    Raises NotGeneratedError at once when the screeners do not generate L.
-    Otherwise searches depth-first over the sorted screener list; a partial
-    selection is kept only while it is a basis of a saturated sublattice,
-    since every prefix of a lattice basis is.  Matches the greedy
-    maximal-independent choice whenever that choice already generates L.
-    """
-    d = lat.rank
-    vecs = screeners.vectors
-    # a full-rank Hermite form has determinant the product of its pivots,
-    # so the screeners generate L exactly when the form is I_d
-    if intlinalg.hnf_rows([list(v) for v in vecs]) != intlinalg.identity(d):
-        raise NotGeneratedError("screeners do not generate the lattice")
-
-    def extend(start: int, rows: list[Vec]) -> list[Vec] | None:
-        if len(rows) == d:
-            return rows
-        for t in range(start, len(vecs)):
-            cand = rows + [vecs[t]]
-            if not intlinalg.is_saturated_basis(cand):
-                continue
-            got = extend(t + 1, cand)
-            if got is not None:
-                return got
-        return None
-
-    found = extend(0, [])
-    if found is None:
-        raise NotGeneratedError("no subset of the screeners is a basis of the lattice")
-    return found
+        out.append((name, n, scale, tuple(simple[i] for i in nodes), mem))
+    return simple, out
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A lattice split along a reduced screener basis.
+    """The screening root system of a lattice.
 
-    screeners is the lattice's screener set, basis the first screener basis
-    (`screener_basis`), reduced its reduction (`reduce_screener_basis`), and
-    components the root components over the reduced basis, sorted by
-    (scale, rank, type, basis).  supports[k] holds the positions where the
-    reduced-basis coordinates of screeners.vectors[k] are nonzero.
+    screeners is the lattice's screener set, simple_roots the simple roots
+    of its positive system in lexicographic order, and groups its Dynkin
+    components, sorted by (scale, rank, type).
     """
 
     screeners: ScreenerSet
-    basis: tuple[Vec, ...]
-    reduced: tuple[Vec, ...]
-    components: tuple[Component, ...]
-    supports: tuple[tuple[int, ...], ...]
+    simple_roots: tuple[Vec, ...]
+    groups: tuple[ExtendedGroup, ...]
+
+    @property
+    def components(self) -> tuple[Component, ...]:
+        """The groups' short-root components, sorted by (scale, rank, type,
+        basis)."""
+        comps = (c for g in self.groups for c in g.components)
+        return tuple(sorted(comps, key=lambda c: (c.scale, c.n, c.kind, c.basis)))
+
+
+def recognize_components(lat: Lattice, screeners: ScreenerSet | None = None) -> Decomposition:
+    """Simple roots and typed Dynkin components of the screeners of lat.
+
+    screeners is the lattice's screener set when the caller holds it
+    (`all_screeners(lat)`); without it the lattice is walked here.  Each
+    Dynkin component becomes an ExtendedGroup whose scale is half its
+    shortest norm and whose components are the Dynkin components of its
+    shortest roots, found the same way: B_k gives k A_1, C_n gives D_n
+    (C_3 gives A_3), F_4 gives D_4, G_2 gives A_2, and a simply laced group
+    gives itself.  Works for every lattice; `decompose` adds the generation
+    check.
+    """
+    if screeners is None:
+        screeners = all_screeners(lat)
+    elif screeners.lattice != lat:
+        raise LatticeError("the screener set belongs to another lattice")
+    simple, found = _dynkin_components(lat, screeners.vectors, screeners.norms)
+    groups = []
+    for name, n, scale, _, members in found:
+        short = [(v, nrm) for v, nrm in members if nrm == 2 * scale]
+        comps = tuple(
+            Component(kind=kind, n=m, scale=scale, basis=basis, root_count=2 * len(mem))
+            for kind, m, _, basis, mem in _dynkin_components(lat, *zip(*short))[1]
+        )
+        groups.append(ExtendedGroup(
+            name=name, n=n, scale=scale, expected_count=_root_count(name, n),
+            actual_count=2 * len(members), components=comps,
+        ))
+    groups.sort(key=lambda gr: (gr.scale, gr.n, gr.name))
+    return Decomposition(screeners=screeners, simple_roots=tuple(simple), groups=tuple(groups))
 
 
 def decompose(lat: Lattice) -> Decomposition:
-    """Screener set, screener basis, reduction and recognition, with the
-    lattice walked once.
+    """The screening root system of a lattice generated by its screeners,
+    with the lattice walked once.
 
-    Raises NotGeneratedError when the screeners do not generate L; the
-    errors of the reduction and of recognition pass through.
+    Raises NotGeneratedError unless the simple roots are a basis of L:
+    rank-many of them with determinant +-1.
     """
-    screeners = all_screeners(lat)
-    basis = screener_basis(lat, screeners)
-    reduced = reduce_screener_basis(lat, basis)
-    rows, norms, supports = _reduced_supports(lat, reduced, screeners)
-    return Decomposition(
-        screeners=screeners,
-        basis=tuple(basis),
-        reduced=tuple(rows),
-        components=tuple(_components(rows, norms, supports, screeners.norms)),
-        supports=tuple(supports),
-    )
+    dec = recognize_components(lat)
+    simple = [list(r) for r in dec.simple_roots]
+    if len(simple) != lat.rank or abs(intlinalg.determinant(simple)) != 1:
+        raise NotGeneratedError("screeners do not generate the lattice")
+    return dec
 
 
 def identify_extended_type(lat: Lattice) -> tuple[list[ExtendedGroup], ScreenerSet]:
-    """Full classification: screener basis, reduction, recognition, merge.
-
-    Requires an even lattice generated by its screeners.  Groups share a
-    scale: k >= 2 orthogonal A_1 components merge to B_k, A_2 -> G_2,
-    A_3 -> C_3, D_4 -> F_4, D_n -> C_n for n > 4; everything else keeps its
-    type.  The expected screener count of every group must match the actual
-    count, otherwise a ClassificationError reports the discrepancy.
-
-    The lattice is walked once.  Recognition and the count share one map of
-    the screeners to reduced-basis supports (`decompose`).
-    """
+    """Full classification: the Dynkin components of the screeners of an
+    even lattice generated by them, each with its type A-G, its scale and
+    its expected and actual screener counts (`decompose`)."""
     if not lat.is_even:
         raise NotGeneratedError("lattice is not even")
     dec = decompose(lat)
-
-    # merge per scale
-    groups: list[tuple[str, int, int, list[Component]]] = []
-    by_scale: dict[int, list[Component]] = {}
-    for c in dec.components:
-        by_scale.setdefault(c.scale, []).append(c)
-    for scale in sorted(by_scale):
-        a1s = [c for c in by_scale[scale] if c.kind == "A" and c.n == 1]
-        if len(a1s) >= 2:
-            groups.append(("B", len(a1s), scale, a1s))
-        elif len(a1s) == 1:
-            groups.append(("A", 1, scale, a1s))
-        for c in by_scale[scale]:
-            if c.kind == "A" and c.n == 1:
-                continue
-            if c.kind == "A" and c.n == 2:
-                groups.append(("G", 2, scale, [c]))
-            elif c.kind == "A" and c.n == 3:
-                groups.append(("C", 3, scale, [c]))
-            elif c.kind == "D" and c.n == 4:
-                groups.append(("F", 4, scale, [c]))
-            elif c.kind == "D" and c.n > 4:
-                groups.append(("C", c.n, scale, [c]))
-            else:
-                groups.append((c.kind, c.n, scale, [c]))
-
-    # count actual screeners per group through their reduced-basis supports
-    pos_to_group: dict[int, int] = {}
-    for gi, (_, _, _, cs) in enumerate(groups):
-        for c in cs:
-            for pos in c.positions:
-                pos_to_group[pos] = gi
-    actual = [0] * len(groups)
-    for v, support in zip(dec.screeners.vectors, dec.supports):
-        hit = {pos_to_group[i] for i in support}
-        if len(hit) != 1:
-            raise ClassificationError(
-                f"screener {v} spreads over {len(hit)} component groups"
-            )
-        actual[hit.pop()] += 2
-
-    out = []
-    for gi, (name, n, scale, cs) in enumerate(groups):
-        expected = _extended_count(name, n)
-        if expected != actual[gi]:
-            raise ClassificationError(
-                f"group {name}{n} at scale {scale} expects {expected} screeners, found {actual[gi]}"
-            )
-        out.append(
-            ExtendedGroup(
-                name=name,
-                n=n,
-                scale=scale,
-                expected_count=expected,
-                actual_count=actual[gi],
-                components=tuple(cs),
-            )
-        )
-    out.sort(key=lambda g: (g.scale, g.n, g.name))
-    return out, dec.screeners
+    return list(dec.groups), dec.screeners
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from latscreen import (
     WARN_2B_ODD,
     Lattice,
     NoScreener,
+    NotGeneratedError,
     all_screeners,
     catalog,
     identify_extended_type,
@@ -49,6 +50,22 @@ def reduced_binary_forms(max_det: int):
         a += 1
 
 
+def rank2_groups(form) -> list[tuple[str, int, int]] | None:
+    """The extended groups that a rank-2 normal form predicts, or None when
+    the lattice is odd or not generated by its screeners: type 1 with even m
+    is A1 at scale p plus A1 at scale m/2, type 2b with even p is B2 at
+    scale p/2, type 2c is G2 at scale p."""
+    if isinstance(form, NoScreener):
+        return None
+    if form.kind == "type1":
+        if form.m % 2:
+            return None
+        return sorted([("A", 1, form.p), ("A", 1, form.m // 2)], key=lambda g: g[2])
+    if form.subtype == "2b" and form.p % 2 == 0:
+        return [("B", 2, form.p // 2)]
+    return [("G", 2, form.p)] if form.subtype == "2c" else None
+
+
 def rank2_certificate(max_det: int) -> dict:
     """Check the rank-2 normal form on every reduced form with det <= max_det.
 
@@ -57,14 +74,25 @@ def rank2_certificate(max_det: int) -> dict:
     set of L exactly when the form carries no WARN_2B_ODD warning (the odd
     scale type 2b prediction overcounts, as documented).  The screener set is
     walked once and handed to `rank2_normal_form`.
+
+    The two classification theorems must also agree: `identify_extended_type`
+    gives the groups of `rank2_groups`, and raises NotGeneratedError exactly
+    where those are None.  `generated` counts the forms it classifies.
     """
-    counts = {"max_det": max_det, "forms": 0, "no_screener": 0, "warned": 0}
+    counts = {"max_det": max_det, "forms": 0, "no_screener": 0, "warned": 0, "generated": 0}
     bad = []
     for a, b, c in reduced_binary_forms(max_det):
         counts["forms"] += 1
         lat = Lattice([[a, b], [b, c]])
         sset = all_screeners(lat)
         form = rank2_normal_form(lat, sset)
+        try:
+            groups = [(g.name, g.n, g.scale) for g in identify_extended_type(lat)[0]]
+            counts["generated"] += 1
+        except NotGeneratedError:
+            groups = None
+        if groups != rank2_groups(form):
+            bad.append(((a, b, c), f"normal form {form} but groups {groups}", sset.vectors))
         if isinstance(form, NoScreener):
             counts["no_screener"] += 1
             if sset.vectors:

@@ -19,6 +19,7 @@ from latscreen import (
     all_screeners,
     box_enumerate,
     catalog,
+    decompose,
     enumerate_exact_norm,
     identify_extended_type,
     in_dual,
@@ -29,14 +30,12 @@ from latscreen import (
     rank1_central_charge,
     rank2_normal_form,
     rank2_predicted_in_lattice,
-    recognize_components,
-    reduce_screener_basis,
     screener_splitting,
     solve_weight_quadratic,
     type_iv_search,
 )
 from latscreen.cli import main
-from latscreen.recognition import NoScreener, screener_basis
+from latscreen.recognition import NoScreener
 from latscreen.screeners import in_sublattice
 
 
@@ -297,10 +296,7 @@ def test_08_scrambled_orthogonal_sums_round_trip():
         u = random_unimodular(d)
         scr = [[sum(u[a][i] * gram[a][b] * u[b][j] for a in range(d) for b in range(d))
                 for j in range(d)] for i in range(d)]
-        lat = Lattice(scr)
-        basis = screener_basis(lat, all_screeners(lat))
-        comps = recognize_components(lat, reduce_screener_basis(lat, basis))
-        got = sorted((c.kind, c.n, c.scale) for c in comps)
+        got = sorted((c.kind, c.n, c.scale) for c in decompose(Lattice(scr)).components)
         assert got == parts, (case, parts, got)
     _ok("round-trip", f"{cases} scrambled orthogonal sums fully recovered", t0)
 

@@ -269,6 +269,23 @@ def test_oracle_check_rejects_out_of_range_flags(capsys, flags, message):
     assert captured.err == f"usage error: {message}\n"
 
 
+def test_pairs_rejects_a_negative_max_r(tmp_path, capsys):
+    """A negative level bound would search no level and hide the type IV
+    solution at (2, 3); 0 and 1 keep meaning that no level >= 2 is searched."""
+    path = write(tmp_path, "12\n")
+    assert main(["pairs", "--input", path, "--max-r", "-5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --max-r must be at least 0, got -5\n"
+    for bound in ("0", "1"):
+        assert main(["pairs", "--input", path, "--max-r", bound]) == EXIT_OK
+        entries = json.loads(capsys.readouterr().out)["results"]["screeners"][0]["entries"]
+        assert all(ent["type_iv"] == [] for ent in entries)
+    assert main(["pairs", "--input", path]) == EXIT_OK
+    entries = json.loads(capsys.readouterr().out)["results"]["screeners"][0]["entries"]
+    assert (2, 3) in [(e["p"], e["p_prime"]) for e in entries if e["type_iv"]]
+
+
 def _run_python(args):
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,13 +9,9 @@ from latscreen import (
     Lattice,
     LatticeError,
     catalog,
-    extend_to_basis,
     in_dual,
-    in_extended_dual,
     in_scaled_lattice,
     is_positive_definite,
-    orthogonal_split,
-    quotient_invariants,
     sublattice_gram,
 )
 
@@ -245,17 +242,6 @@ def test_in_scaled_lattice():
     assert in_scaled_lattice((0, 0), 7)
 
 
-def test_in_extended_dual():
-    f = Fraction
-    assert in_extended_dual(Lattice([[2]]), (f(1, 2),))
-    assert in_extended_dual(Lattice(A2), (f(1, 3), f(2, 3)))
-    # the doubled pairing with a unit vector is odd, so this is outside
-    assert not in_extended_dual(Lattice([[1, 0], [0, 1]]), (f(1, 2), f(0)))
-    # both pairings odd: allowed, the parity is uniform across odd basis vectors
-    assert in_extended_dual(Lattice([[1, 0], [0, 1]]), (f(1, 2), f(1, 2)))
-    assert in_extended_dual(Lattice(A2), (f(1), f(-2)))
-
-
 def _random_rational(rng, ints_only=False):
     """An int, or a Fraction with a small, large or negative denominator."""
     num = rng.randint(-10**6, 10**6) if rng.random() < 0.2 else rng.randint(-9, 9)
@@ -272,19 +258,6 @@ def _dual_inner_reference(lat, v, w):
         (Fraction(v[i]) * lat.gram[i][j] * Fraction(w[j]) for i in range(d) for j in range(d)),
         Fraction(0),
     )
-
-
-def _in_extended_dual_reference(lat, v):
-    """in_extended_dual with one Fraction sum per pairing, as it was written before."""
-    d = lat.rank
-    h = []
-    for j in range(d):
-        hj = 2 * sum(Fraction(v[i]) * lat.gram[i][j] for i in range(d))
-        if hj.denominator != 1:
-            return False
-        h.append(hj.numerator)
-    odd = {h[j] % 2 for j in range(d) if lat.gram[j][j] % 2}
-    return all(h[j] % 2 == 0 for j in range(d) if lat.gram[j][j] % 2 == 0) and len(odd) <= 1
 
 
 def _random_gram(rng, d):
@@ -335,38 +308,22 @@ def test_over_common_denominator():
         assert gcd(q, *nums) == 1
 
 
-def test_in_extended_dual_matches_the_fraction_sums():
-    rng = random.Random(808)
-    hits = 0
-    for d in range(1, 6):
-        for _ in range(80):
-            lat = _random_gram(rng, d)
-            det = lat.determinant
-            # dual vectors with denominators dividing 2 det hit both answers
-            v = [Fraction(rng.randint(-3 * det, 3 * det), rng.choice((1, 2, det, 2 * det))) for _ in range(d)]
-            got = in_extended_dual(lat, v)
-            assert got == _in_extended_dual_reference(lat, v)
-            hits += got
-    assert 0 < hits < 400
-    with pytest.raises(LatticeError, match="length 1"):
-        in_extended_dual(Lattice(A2), (Fraction(1, 2),))
-
-
 def test_extend_to_basis_small():
-    lat = Lattice([[1, 0], [0, 1]])
-    cols = extend_to_basis(lat, (2, 3))
+    from latscreen.intlinalg import unimodular_with_first_column
+
+    cols = unimodular_with_first_column((2, 3))
     assert [row[0] for row in cols] == [2, 3]
     det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
     assert det in (1, -1)
-    with pytest.raises(LatticeError):
-        extend_to_basis(lat, (2, 4))
-    with pytest.raises(LatticeError):
-        extend_to_basis(lat, (0, 0))
+    with pytest.raises(ValueError, match="not primitive"):
+        unimodular_with_first_column((2, 4))
+    with pytest.raises(ValueError, match="zero vector"):
+        unimodular_with_first_column((0, 0))
 
 
 def test_extend_to_basis_random():
     """Random primitive vectors always extend to a unimodular basis."""
-    from latscreen.intlinalg import determinant
+    from latscreen.intlinalg import determinant, unimodular_with_first_column
 
     rng = random.Random(23)
     checked = 0
@@ -379,36 +336,22 @@ def test_extend_to_basis_random():
         if g != 1:
             continue
         checked += 1
-        lat = Lattice([[2 if i == j else 0 for j in range(d)] for i in range(d)])
-        cols = extend_to_basis(lat, tuple(x))
+        cols = unimodular_with_first_column(x)
         assert [row[0] for row in cols] == list(x)
         assert determinant(cols) in (1, -1)
 
 
-def test_orthogonal_split():
-    sub, comp, cols = orthogonal_split(Lattice([[2, 0], [0, 4]]), (1, 0))
-    assert sub.gram == ((2,),)
-    assert comp.gram == ((4,),)
-    assert cols == [[1, 0], [0, 1]]
-
-    # D2 = A1 + A1 in skew coordinates
-    lat = Lattice([[4, 2], [2, 2]])
-    sub, comp, cols = orthogonal_split(lat, (0, 1))
-    assert sub.gram == ((2,),)
-    assert comp.determinant * 2 == lat.determinant
-
-
-def test_orthogonal_split_requires_divisibility():
-    with pytest.raises(LatticeError, match="no orthogonal split"):
-        orthogonal_split(Lattice([[1, 0], [0, 3]]), (1, 1))
-
-
 def test_quotient_invariants():
-    assert quotient_invariants(Lattice(A2)) == (1, 3)
-    assert quotient_invariants(Lattice([[1, 0], [0, 1]])) == (1, 1)
-    assert quotient_invariants(Lattice([[2, 0], [0, 2]])) == (2, 2)
-    assert quotient_invariants(catalog("D", 4)) == (1, 1, 2, 2)
-    assert quotient_invariants(catalog("E", 8)) == (1,) * 8
+    """The Smith invariants of G are the elementary divisors of L*/L and
+    multiply to det G."""
+    from latscreen.intlinalg import invariant_factors
+
+    for lat, want in ((Lattice(A2), [1, 3]), (Lattice([[1, 0], [0, 1]]), [1, 1]),
+                      (Lattice([[2, 0], [0, 2]]), [2, 2]), (catalog("D", 4), [1, 1, 2, 2]),
+                      (catalog("E", 8), [1] * 8)):
+        got = invariant_factors([list(r) for r in lat.gram])
+        assert got == want
+        assert math.prod(got) == lat.determinant
 
 
 def test_sublattice_gram():

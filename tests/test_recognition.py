@@ -3,7 +3,6 @@ import random
 import pytest
 
 from latscreen import (
-    ClassificationError,
     Decomposition,
     Lattice,
     LatticeError,
@@ -23,10 +22,7 @@ from latscreen import (
 )
 from certificates import orthogonal_sum, scrambled
 from latscreen import intlinalg
-from latscreen.core import sublattice_gram
-from latscreen.enumeration import enumerate_exact_norm
 from latscreen.intlinalg import determinant
-from latscreen.recognition import Component, _component_kind, screener_basis
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -66,8 +62,7 @@ def test_reduce_output_invariants():
     different norms end up orthogonal."""
     for lat in [Lattice(A2), catalog("A", 3), catalog("A", 4), catalog("D", 4),
                 catalog("D", 5), catalog("E", 6), Lattice([[2, -2], [-2, 4]])]:
-        basis = screener_basis(lat, all_screeners(lat))
-        out = reduce_screener_basis(lat, basis)
+        out = reduce_screener_basis(lat, decompose(lat).simple_roots)
         assert determinant([list(v) for v in out]) in (1, -1)
         for v in out:
             assert is_screener(lat, v)
@@ -81,9 +76,7 @@ def test_reduce_output_invariants():
 
 def test_recognize_single_root_lattices():
     for name, n in (("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)):
-        lat = catalog(name, n)
-        basis = screener_basis(lat, all_screeners(lat))
-        comps = recognize_components(lat, reduce_screener_basis(lat, basis))
+        comps = recognize_components(catalog(name, n)).components
         assert len(comps) == 1
         c = comps[0]
         assert (c.kind, c.n, c.scale) == (name, n, 1)
@@ -91,34 +84,29 @@ def test_recognize_single_root_lattices():
 
 
 def test_recognize_root_counts():
-    lat = catalog("D", 4)
-    basis = screener_basis(lat, all_screeners(lat))
-    comps = recognize_components(lat, reduce_screener_basis(lat, basis))
-    assert comps[0].root_count == 24
-
-    lat = catalog("E", 6)
-    basis = screener_basis(lat, all_screeners(lat))
-    comps = recognize_components(lat, reduce_screener_basis(lat, basis))
-    assert comps[0].root_count == 72
+    assert recognize_components(catalog("D", 4)).components[0].root_count == 24
+    assert recognize_components(catalog("E", 6)).components[0].root_count == 72
 
 
 def test_recognize_mixed_scales():
-    lat = Lattice([[2, 0], [0, 4]])
-    comps = recognize_components(lat, [(1, 0), (0, 1)])
-    assert [(c.kind, c.n, c.scale) for c in comps] == [("A", 1, 1), ("A", 1, 2)]
+    dec = recognize_components(Lattice([[2, 0], [0, 4]]))
+    assert [(c.kind, c.n, c.scale) for c in dec.components] == [("A", 1, 1), ("A", 1, 2)]
+    assert dec.simple_roots == ((0, 1), (1, 0))
 
 
 def test_screener_basis_not_generated():
-    with pytest.raises(NotGeneratedError):
-        screener_basis(Lattice([[4, 0], [0, 3]]),
-                        all_screeners(Lattice([[4, 0], [0, 3]])))
+    """The screeners of [[4, 0], [0, 3]] (only (1, 0)) hold no basis of L."""
+    lat = Lattice([[4, 0], [0, 3]])
+    assert recognize_components(lat).simple_roots == ((1, 0),)
+    with pytest.raises(NotGeneratedError, match="do not generate"):
+        decompose(lat)
 
 
 def test_generation_check_agrees_with_the_determinant():
-    """screener_basis compares the Hermite form of the screeners with I_d;
-    the screeners generate L exactly when that form has rank d and
-    determinant +-1, so both tests must agree on generating sets, on
-    rank-deficient ones and on spans of index 2."""
+    """decompose accepts a lattice exactly when its screeners generate it,
+    that is when their Hermite form has rank d and determinant +-1.  Both
+    tests must agree on generating sets, on rank-deficient ones and on
+    spans of index 2."""
     rng = random.Random(2031)
     grams = [[[4, 1], [1, 4]], [[4, 0], [0, 3]], [[2, 0], [0, 4]]]
     grams += [scrambled(orthogonal_sum(parts), rng)
@@ -140,13 +128,10 @@ def test_generation_check_agrees_with_the_determinant():
         index = abs(determinant(span)) if len(span) == lat.rank else 0
         indices.add(index)
         if index == 1:
-            try:
-                screener_basis(lat, sset)
-            except NotGeneratedError as e:
-                assert "do not generate" not in str(e), gram
+            assert decompose(lat).screeners == sset, gram
         else:
             with pytest.raises(NotGeneratedError, match="do not generate"):
-                screener_basis(lat, sset)
+                decompose(lat)
     assert {0, 1, 2} <= indices
 
 
@@ -162,8 +147,10 @@ def test_extended_types_of_standard_lattices():
         (catalog("D", 5), [("C", 5, 1, 50)]),
         (catalog("D", 6), [("C", 6, 1, 72)]),
         (catalog("E", 6), [("E", 6, 1, 72)]),
+        (catalog("E", 8), [("E", 8, 1, 240)]),
         ([[4, -2], [-2, 2]], [("B", 2, 1, 8)]),
         ([[2, 0], [0, 2]], [("B", 2, 1, 8)]),
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [("B", 3, 1, 18)]),
         ([[2, 0], [0, 4]], [("A", 1, 1, 2), ("A", 1, 2, 2)]),
     ]
     for gram, expected in cases:
@@ -368,85 +355,107 @@ def test_roundtrip_scrambled_orthogonal_sums():
     """Block sums of rescaled root lattices survive a unimodular scramble:
     the recognized component multiset equals the construction."""
     for parts, gram in _roundtrip_sums():
-        lat = Lattice(gram)
-        basis = screener_basis(lat, all_screeners(lat))
-        comps = recognize_components(lat, reduce_screener_basis(lat, basis))
-        got = sorted((c.kind, c.n, c.scale) for c in comps)
+        got = sorted((c.kind, c.n, c.scale) for c in decompose(Lattice(gram)).components)
         assert got == parts, (parts, gram)
 
 
-# ------------------------------------- recognition against the block walk
+# --------------------------------------- recognition against the root count
 
-def _components_by_block_enumeration(lat, reduced):
-    """The recognition that enumerated each norm block a second time, kept as
-    the reference: the exact-norm vectors of the block sublattice, a
-    union-find over their nonzero inner products, and the basis vectors
-    found among each class."""
-    rows = [tuple(int(v) for v in u) for u in reduced]
-    by_norm = {}
-    for pos, u in enumerate(rows):
-        by_norm.setdefault(lat.norm(u), []).append(pos)
-    comps = []
-    for nrm in sorted(by_norm):
-        positions = by_norm[nrm]
-        block_vecs = [rows[pos] for pos in positions]
-        block = sublattice_gram(lat, block_vecs)
-        reps = enumerate_exact_norm(block, nrm).vectors
-        ips = intlinalg.matmul(intlinalg.matmul(reps, block.gram), list(zip(*reps)))
-        parent = list(range(len(reps)))
+def _type_by_root_count(rank, count, short):
+    """The irreducible root system with this rank, number of roots and
+    number of roots of the shortest norm."""
+    if short == count:
+        if count == rank * (rank + 1):
+            return "A"
+        if rank >= 4 and count == 2 * rank * (rank - 1):
+            return "D"
+        if {6: 72, 7: 126, 8: 240}.get(rank) == count:
+            return "E"
+    elif count == 2 * rank * rank and short in (2 * rank, 2 * rank * (rank - 1)):
+        return "B" if short == 2 * rank else "C"
+    elif (rank, count, short) in ((4, 48, 24), (2, 12, 6)):
+        return "F" if rank == 4 else "G"
+    raise ValueError(f"no root system of rank {rank} has {count} roots, {short} of them short")
 
-        def find(i):
-            while parent[i] != i:
-                i = parent[i]
-            return i
 
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if ips[i][j] != 0 and find(i) != find(j):
-                    parent[find(i)] = find(j)
-        classes = {}
-        for k in range(len(reps)):
-            classes.setdefault(find(k), []).append(k)
-        for members in classes.values():
-            units = [j for j in range(len(block_vecs))
-                     if tuple(int(t == j) for t in range(len(block_vecs))) in {reps[k] for k in members}]
-            rank = intlinalg.rank([list(reps[k]) for k in members])
-            assert units and rank == len(units)
-            comps.append(Component(
-                kind=_component_kind(rank, 2 * len(members)),
-                n=rank,
-                scale=nrm // 2,
-                basis=tuple(block_vecs[j] for j in units),
-                positions=tuple(positions[j] for j in units),
-                root_count=2 * len(members),
-            ))
-    comps.sort(key=lambda c: (c.scale, c.n, c.kind, c.basis))
-    return comps
+def _components_by_root_count(lat, vectors):
+    """The reference recognition, which needs no simple roots: a union-find
+    over the nonzero inner products of all the vectors, each class typed by
+    its rank, root count and short-root count.  Gives (type, rank, scale,
+    root count, short vectors) per class."""
+    vecs = list(vectors)
+    ips = lat.row_gram(vecs)
+    parent = list(range(len(vecs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            if ips[i][j] and find(i) != find(j):
+                parent[find(i)] = find(j)
+    classes = {}
+    for k in range(len(vecs)):
+        classes.setdefault(find(k), []).append(k)
+    out = []
+    for members in classes.values():
+        shortest = min(ips[k][k] for k in members)
+        short = [vecs[k] for k in members if ips[k][k] == shortest]
+        rank = intlinalg.rank([list(vecs[k]) for k in members])
+        count = 2 * len(members)
+        out.append((_type_by_root_count(rank, count, 2 * len(short)), rank, shortest // 2, count, short))
+    return out
+
+
+def _nonnegative_coefficients(lat, basis, vectors):
+    """Assert that every vector is a combination of the basis with
+    nonnegative integer coefficients (so basis is the base of the positive
+    system holding the vectors: Humphreys §10.1) and return how many there
+    are."""
+    gram = lat.row_gram(basis)
+    n = len(basis)
+    cols = [intlinalg.solve_linear_system(gram, [int(i == j) for i in range(n)]) for j in range(n)]
+    pairings = intlinalg.matmul(vectors, intlinalg.matmul(lat.gram, list(zip(*basis))))
+    for v, row in zip(vectors, pairings):
+        coeffs = [sum(p * c[j] for p, c in zip(row, cols)) for j in range(n)]
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs), (basis, v, coeffs)
+        assert tuple(sum(int(c) * b[i] for c, b in zip(coeffs, basis)) for i in range(lat.rank)) == v
+    return len(vectors)
 
 
 def _assert_recognition_matches_reference(gram):
-    """Recognition equals the block walk, and `decompose` returns what the
-    step-by-step calls return."""
+    """Every ExtendedGroup field equals the root-count reference's; the
+    simple roots and every component's basis are bases of their roots; and
+    `decompose` returns what `recognize_components` returns."""
     lat = Lattice(gram)
     sset = all_screeners(lat)
-    basis = screener_basis(lat, sset)
-    reduced = reduce_screener_basis(lat, basis)
-    got = recognize_components(lat, reduced, sset)
-    assert got == _components_by_block_enumeration(lat, reduced), gram
-    assert recognize_components(lat, reduced) == got
-    coords = intlinalg.matmul(sset.vectors, intlinalg.invert_unimodular(reduced))
-    assert decompose(lat) == Decomposition(
-        screeners=sset,
-        basis=tuple(basis),
-        reduced=tuple(reduced),
-        components=tuple(got),
-        supports=tuple(tuple(j for j, c in enumerate(row) if c) for row in coords),
-    ), gram
+    dec = recognize_components(lat, sset)
+    got = sorted(
+        (g.name, g.n, g.scale, g.expected_count, g.actual_count,
+         sorted((c.kind, c.n, c.scale, c.root_count) for c in g.components))
+        for g in dec.groups
+    )
+    want = sorted(
+        (name, n, scale, count, count,
+         sorted((kind, m, scale, c) for kind, m, _, c, _ in _components_by_root_count(lat, short)))
+        for name, n, scale, count, short in _components_by_root_count(lat, sset.vectors)
+    )
+    assert got == want, gram
+    assert [(g.scale, g.n, g.name) for g in dec.groups] == sorted((g.scale, g.n, g.name) for g in dec.groups)
+    assert dec.simple_roots == tuple(sorted(dec.simple_roots))
+    assert _nonnegative_coefficients(lat, dec.simple_roots, sset.vectors) == len(sset)
+    for c in dec.components:
+        roots = [v for v, nrm in zip(sset.vectors, sset.norms)
+                 if nrm == 2 * c.scale and any(lat.inner(v, b) for b in c.basis)]
+        assert 2 * _nonnegative_coefficients(lat, c.basis, roots) == c.root_count, (gram, c)
+    assert decompose(lat) == dec == recognize_components(lat), gram
 
 
-def test_recognition_matches_block_enumeration_on_the_catalog():
+def test_recognition_matches_the_root_count_on_the_catalog():
     """A1-A10, D4-D10, E6-E8 at scales 1-4, in their own basis and in a
-    seeded scrambled one: every Component field equals the reference's."""
+    seeded scrambled one."""
     rng = random.Random(4410)
     for scale in (1, 2, 3, 4):
         for kind, ns in (("A", range(1, 11)), ("D", range(4, 11)), ("E", (6, 7, 8))):
@@ -456,37 +465,35 @@ def test_recognition_matches_block_enumeration_on_the_catalog():
                 _assert_recognition_matches_reference(scrambled(gram, rng))
 
 
-def test_recognition_matches_block_enumeration_on_orthogonal_sums():
+def test_recognition_matches_the_root_count_on_orthogonal_sums():
     for _, gram in _roundtrip_sums():
         _assert_recognition_matches_reference(gram)
-
-
-def test_recognize_rejects_rows_that_are_not_a_basis():
-    lat = Lattice(A2)
-    sset = all_screeners(lat)
-    for rows in ([(1, 0), (2, 0)], [(1, 0), (1, 2)], [(1, 0)]):
-        with pytest.raises(LatticeError, match="not a basis|does not match"):
-            recognize_components(lat, rows, sset)
-
-
-def test_recognize_rejects_distinct_norms_that_are_not_orthogonal():
-    # (1, 0) and (0, 1) are screeners of norms 2 and 4 with inner product -2
-    lat = Lattice([[2, -2], [-2, 4]])
-    with pytest.raises(LatticeError, match="not orthogonal"):
-        recognize_components(lat, [(1, 0), (0, 1)], all_screeners(lat))
-
-
-def test_recognize_rejects_rows_that_are_not_screeners():
-    # norm 4 with inner product 1: neither basis vector is a screener
-    lat = Lattice([[4, 1], [1, 4]])
-    with pytest.raises(LatticeError, match="not a screening vector"):
-        recognize_components(lat, [(1, 0), (0, 1)], all_screeners(lat))
 
 
 def test_recognize_rejects_a_foreign_screener_set():
     lat = Lattice([[2, 0], [0, 2]])
     with pytest.raises(LatticeError, match="another lattice"):
-        recognize_components(lat, [(1, 0), (0, 1)], all_screeners(Lattice(A2)))
+        recognize_components(lat, all_screeners(Lattice(A2)))
+
+
+def test_decomposition_carries_the_simple_roots_and_groups():
+    lat = catalog("D", 4)
+    dec = decompose(lat)
+    assert isinstance(dec, Decomposition)
+    assert [lat.norm(r) for r in dec.simple_roots] == [2, 2, 4, 4]
+    assert [g.label for g in dec.groups] == ["F4"]
+    assert dec.components == dec.groups[0].components
+    assert [c.label for c in dec.components] == ["D4"]
+
+
+def test_non_generated_lattices_still_get_a_root_system():
+    """recognize_components types the screeners of any lattice; only
+    decompose insists that they generate it."""
+    dec = recognize_components(Lattice([[4, 1], [1, 4]]))
+    assert [(g.label, g.scale) for g in dec.groups] == [("A1", 3), ("A1", 5)]
+    assert recognize_components(Lattice([[1]])).groups == ()
+    dec = recognize_components(Lattice([[1, 0], [0, 1]]))
+    assert [(g.label, g.scale) for g in dec.groups] == [("A1", 1), ("A1", 1)]
 
 
 def test_classification_certificate_up_to_rank_6_scale_2():
@@ -499,11 +506,14 @@ def test_classification_certificate_up_to_rank_6_scale_2():
 
 
 def test_rank2_normal_form_on_every_reduced_form_up_to_det_150():
-    """The exhaustive rank-2 certificate at det <= 150; CI runs it at 1000.
-    The form count pins the enumeration so the checked set cannot shrink."""
+    """The exhaustive rank-2 certificate at det <= 150, with the normal form
+    and identify_extended_type agreeing on every form; CI runs it at 1000.
+    The counts pin the enumeration so the checked set cannot shrink."""
     from certificates import rank2_certificate
 
-    assert rank2_certificate(150) == {"max_det": 150, "forms": 902, "no_screener": 438, "warned": 6}
+    assert rank2_certificate(150) == {
+        "max_det": 150, "forms": 902, "no_screener": 438, "warned": 6, "generated": 81,
+    }
 
 
 def test_rank2_normal_form_rejects_a_foreign_screener_set():
