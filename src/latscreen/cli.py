@@ -65,6 +65,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _json_syntax_error(text: str, pos: int) -> ParseFailure:
+    """The JSON syntax error at text[pos], worded here rather than by the
+    json module, whose message and column differ between Python versions.
+    A comma after a value and before a closing bracket is reported at the
+    bracket, where Python up to 3.12 puts it (3.13 points at the comma)."""
+    ws = " \t\n\r"
+    if text[pos:pos + 1] == "," and text[:pos].rstrip(ws)[-1:] not in ("[", "{", ","):
+        after = len(text) - len(text[pos + 1:].lstrip(ws))
+        if text[after:after + 1] in ("]", "}"):
+            pos = after
+    what = f"unexpected {text[pos]!r}" if pos < len(text) else "unexpected end of input"
+    return ParseFailure(f"invalid JSON: {what}", text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
 def parse_lattice(text: str) -> tuple[Lattice, str | None]:
     """Read a Gram matrix from JSON ({"gram": [[...]], "name"?, "scale"?})
     or from a plain whitespace-separated d*d integer block."""
@@ -73,7 +87,7 @@ def parse_lattice(text: str) -> tuple[Lattice, str | None]:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
-            raise ParseFailure(f"invalid JSON: {e.msg}", e.lineno, e.colno)
+            raise _json_syntax_error(text, e.pos)
         if not isinstance(doc, dict) or "gram" not in doc:
             raise ParseFailure("JSON input must be an object with a 'gram' key")
         gram = doc["gram"]

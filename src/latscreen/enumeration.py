@@ -2,13 +2,28 @@
 
 One walker serves every input: the depth-first triangular recursion of
 Fincke and Pohst (1985), run on Python integers so that no entry size can
-overflow.  At level i the quadratic condition for coordinate x_i uses the
-Schur complement S_i of the first i basis vectors scaled by the i-th leading
-minor D_i.  After i fraction-free Bareiss steps (Bareiss 1968) the trailing
-block of the eliminated Gram matrix is exactly D_i * S_i, so one elimination
-pass, intlinalg.bareiss_steps, yields every level as an integer matrix.
-Candidate ranges come from integer square roots, so no floats decide
-anything.
+overflow.  Coordinates are fixed from the last one inwards.  With D_k the
+k-th leading minor of G (D_0 = 1), S_i the Schur complement of the first i
+basis vectors and P_i = x[i:]^T S_i x[i:] the norm the levels from i
+outwards contribute, P_i = P_{i+1} + e_i^2 / (D_i D_{i+1}), where
+e_i = D_{i+1} x_i + b_i and b_i is the cross term of row i of D_i S_i with
+x[i+1:].  After i fraction-free Bareiss steps (Bareiss 1968) the trailing
+block of the eliminated Gram matrix is exactly D_i S_i, so one elimination
+pass, intlinalg.bareiss_steps, yields D_{i+1} and the b_i rows as integers.
+
+As in Schnorr and Euchner (1994), what the outer levels leave is carried
+down rather than recomputed: the residual rho_i = D_i D_{i+1} (B - P_{i+1})
+of the bound B starts at D_{d-1} D_d B, level i admits the x_i with
+e_i^2 <= rho_i (an integer square root gives the range, so no floats decide
+anything), and a child gets rho_{i-1} = D_{i-1} (rho_i - e_i^2) / D_{i+1}.
+That division is exact: D_i P_i is the integer x[i:]^T (D_i S_i) x[i:], so
+rho_{i-1} = D_{i-1} (D_i B - D_i P_i) is an integer.  A leaf's norm is
+B - (rho_0 - e_0^2) / D_1.  Each node costs one O(d) dot product for b_i.
+
+The sign is fixed at the outermost nonzero level, as Fincke and Pohst do:
+while every coordinate above level i is zero, b_i = 0 and x_i starts at 0,
+so of each +-pair only the vector whose last nonzero coordinate is positive
+is walked, and the zero vector is never emitted.
 
 box_enumerate is the independent reference: a plain scan of the half of the
 coordinate box with first nonzero coordinate positive, with every norm
@@ -71,41 +86,48 @@ def _coordinate_limits(lat: Lattice, bound: int) -> list[int]:
 
 
 def _depth_first(gram: list[list[int]], bound: int) -> list[tuple[Vec, int]]:
-    """Every x with first nonzero coordinate positive and 0 < x^T G x <= bound,
-    with its norm, unsorted, for a positive definite G.  Coordinates are fixed
-    from the last level inwards; linear memory.
+    """Every x with last nonzero coordinate positive and 0 < x^T G x <= bound,
+    with its norm, unsorted, for a positive definite G.  Linear memory.
 
-    With the outer coordinates fixed, level i asks a*v^2 + 2*b*v + c <= m for
-    v = x_i, which is (a*v + b)^2 <= disc, so the integer range of v follows
-    exactly from s = isqrt(disc)."""
+    Level i walks the integer v = x_i with (a v + b)^2 <= rho, a = D_{i+1},
+    b = b_i, rho = rho_i; the child's residual is
+    rho_{i-1} = D_{i-1} (rho - e^2) / D_{i+1} with e = a v + b, exact
+    because D_i P_i is an integer (module docstring).  While the outer
+    coordinates are all zero, b = 0 and v runs from 0, the v = 0 branch
+    staying in that state, so one vector of each +-pair is walked and the
+    zero vector never reaches a leaf."""
     d = len(gram)
     out: list[tuple[Vec, int]] = []
     x = [0] * d
-    # per level, copied from D_i * S_i before Bareiss step i: a, the b
-    # coefficients, the c matrix rows and m = bound * D_i
-    levels = []
-    dm = 1
-    for i, h in enumerate(_intlinalg.bareiss_steps(gram)):
-        levels.append((h[i][i], h[i][i + 1:], [hj[i + 1:] for hj in h[i + 1:]], bound * dm))
-        dm = h[i][i]
+    # per level, from D_i * S_i before Bareiss step i: a = D_{i+1} and the
+    # b coefficients on x[i+1:]; minors[k] = D_k
+    levels = [(h[i][i], h[i][i + 1:]) for i, h in enumerate(_intlinalg.bareiss_steps(gram))]
+    minors = [1] + [a for a, _ in levels]
 
-    def level(i: int) -> None:
-        a, brow, crows, m = levels[i]
-        tail = x[i + 1:]
-        b = sum(map(mul, brow, tail))
-        c = sum(xj * sum(map(mul, row, tail)) for row, xj in zip(crows, tail))
-        disc = b * b - a * (c - m)
-        if disc < 0:
-            return
-        s = math.isqrt(disc)
-        for v in range(-((b + s) // a), (s - b) // a + 1):
-            x[i] = v
+    def level(i: int, rho: int, top: bool) -> None:
+        a, brow = levels[i]
+        s = math.isqrt(rho)
+        if top:  # x[i+1:] is zero, so b = 0; v = 0 keeps the sign open
+            b = 0
+            lo = 1
             if i:
-                level(i - 1)
-            elif next((t for t in x if t != 0), 0) > 0:
-                out.append((tuple(x), a * v * v + 2 * b * v + c))
+                level(i - 1, minors[i - 1] * rho // a, True)
+        else:
+            b = sum(map(mul, brow, x[i + 1:]))
+            lo = -((b + s) // a)
+        if i:
+            below = minors[i - 1]
+            for v in range(lo, (s - b) // a + 1):
+                x[i] = v
+                e = a * v + b
+                level(i - 1, below * (rho - e * e) // a, False)
+        else:
+            for v in range(lo, (s - b) // a + 1):
+                x[0] = v
+                e = a * v + b
+                out.append((tuple(x), bound - (rho - e * e) // a))
 
-    level(d - 1)
+    level(d - 1, minors[d - 1] * minors[d] * bound, True)
     return out
 
 
@@ -120,16 +142,19 @@ def form_minimum(gram: list[list[int]]) -> int:
     """The least value of x^T gram x over nonzero integer x, for a positive
     definite integer matrix.
 
-    One LLL reduction bounds it by the shortest reduced basis vector; one
-    walk up to that bound finds it exactly.
+    One LLL reduction bounds it by b, the norm of the shortest reduced basis
+    vector; one walk up to b - 1 finds anything shorter, and when it finds
+    nothing the minimum is b.
     """
     _, red = _reduced(gram)
     bound = min(red[i][i] for i in range(len(red)))
-    return min(nrm for _, nrm in _depth_first(red, bound))
+    return min((nrm for _, nrm in _depth_first(red, bound - 1)), default=bound)
 
 
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
-    canon = sorted({(nrm, canonical(coords)) for coords, nrm in pairs})
+    """Sort (coords, norm) pairs that hold one vector of each +-pair, as the
+    walker and the half-box scan give them, with canonical signs."""
+    canon = sorted((nrm, canonical(coords)) for coords, nrm in pairs)
     return EnumerationResult(
         lattice=lat,
         bound=bound,

@@ -80,9 +80,11 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     """Every screener of the lattice.
 
     A screener x of norm 2t lies in M_t, so the search enumerates the
-    norm-2t shell of M_t for each t that can hold one and keeps the vectors
-    that pass is_screener.  With d_1 | ... | d_n the Smith invariants of G,
-    only these t are walked:
+    norm-2t shell of M_t for each t that can hold one.  On that shell the
+    norm is even and 2 G x / <x,x> = G x / t is integral by the definition
+    of M_t, so of the screener conditions only x not in 2L is left: a shell
+    vector is a screener exactly when some coordinate is odd.  With
+    d_1 | ... | d_n the Smith invariants of G, only these t are walked:
 
     - t | d_n.  If q^k divides t exactly but not d_n, q divides every Smith
       coordinate of x, so x = q x' with x' in L: q = 2 contradicts x not in
@@ -115,7 +117,7 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
         found = enumerate_up_to_norm(sub, 2 * t)
         shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
         for x in map(canonical, intlinalg.matmul(shell, basis)):
-            if is_screener(lat, x):
+            if any(v % 2 for v in x):
                 pairs.append((2 * t, x))
     pairs.sort()
     return ScreenerSet(

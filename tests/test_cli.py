@@ -62,8 +62,19 @@ def test_parse_json_rejects_bad_scale():
 
 
 def test_parse_json_syntax_error_has_location():
-    with pytest.raises(ParseFailure, match=r"line 1, column"):
-        parse_lattice('{"gram": [[2,]]}')
+    """The message is worded by parse_lattice, so it reads the same under
+    every Python version; a trailing comma is reported at the bracket."""
+    cases = [
+        ('{"gram": [[2,]]}', "unexpected ']' (line 1, column 14)"),
+        ('{"gram": [[2]],\n}', "unexpected '}' (line 2, column 1)"),
+        ('{"gram": [,]}', "unexpected ',' (line 1, column 11)"),
+        ('{"gram": [[2, 1] [1, 2]]}', "unexpected '[' (line 1, column 18)"),
+        ('{"gram": [[2]]', "unexpected end of input (line 1, column 15)"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseFailure) as e:
+            parse_lattice(text)
+        assert str(e.value) == "invalid JSON: " + message
 
 
 def test_parse_bad_token_has_location():

@@ -12,8 +12,9 @@ from latscreen import (
     enumerate_up_to_norm,
     is_positive_definite,
 )
-from latscreen.enumeration import _coordinate_limits
-from latscreen.intlinalg import lll_rows, matmul, solve_linear_system
+from latscreen.core import canonical
+from latscreen.enumeration import _coordinate_limits, _depth_first, _reduced, form_minimum
+from latscreen.intlinalg import identity, lll_rows, matmul, solve_linear_system
 
 from oracle import box_vectors, det_fraction
 
@@ -21,8 +22,12 @@ A2 = [[2, -1], [-1, 2]]
 
 
 def random_lattice(rng, max_rank, max_entry, min_rank=1):
+    """A positive definite Gram whose rank is drawn evenly from
+    min_rank..max_rank.  The rank is drawn once and only the entries are
+    redrawn until the Gram is definite, so the rejection does not thin out
+    the high ranks."""
+    d = rng.randint(min_rank, max_rank)
     while True:
-        d = rng.randint(min_rank, max_rank)
         g = [[0] * d for _ in range(d)]
         for i in range(d):
             g[i][i] = rng.randint(1, max_entry)
@@ -77,6 +82,64 @@ def test_box_enumerate_matches_oracle():
         assert [(v, n) for v, n in zip(res.vectors, res.norms)] == expected
         zero_limits.update(j for j, m in enumerate(_coordinate_limits(lat, bound)) if m == 0)
     assert zero_limits == {0, 1, 2, 3}
+
+
+def _dense_gram(rng, d):
+    """A A^T + D with entries of A in [-1, 1] and of D in [1, 3]: definite,
+    with (G^-1)_jj <= 1, so the box scan stays small up to rank 6."""
+    a = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(d)]
+    g = matmul(a, list(zip(*a)))
+    for i in range(d):
+        g[i][i] += rng.randint(1, 3)
+    return g
+
+
+def test_depth_first_walks_one_vector_of_each_pair():
+    """The walker on its own, on Grams of rank 1-6 as drawn (not LLL
+    reduced), a third of them scaled by 10^18: exactly one vector of each
+    +-pair of the box scan, the one whose last nonzero coordinate is
+    positive, with its norm, and never the zero vector."""
+    rng = random.Random(907)
+    for case in range(120):
+        d = 1 + case % 6
+        gram = _dense_gram(rng, d)
+        bound = rng.randint(0, 2 * d + 2)
+        s = 10**18 if case // 6 % 3 == 0 else 1
+        walked = _depth_first([[s * v for v in row] for row in gram], s * bound)
+        for x, _ in walked:
+            assert any(x) and [t for t in x if t][-1] > 0, (gram, bound, x)
+        expected = [(n * s, x) for x, n in box_vectors(gram, bound)]
+        assert sorted((n, canonical(x)) for x, n in walked) == sorted(expected), (gram, bound)
+
+
+# forms whose minimum lies one below the shortest LLL diagonal b
+BELOW_LLL_DIAGONAL = [
+    [[14, -8, 9], [-8, 13, -1], [9, -1, 14]],
+    [[4, 2, 4, -2], [2, 18, -7, 2], [4, -7, 10, 1], [-2, 2, 1, 19]],
+]
+
+
+def test_form_minimum_matches_the_box_minimum():
+    """form_minimum walks up to b - 1, b the shortest LLL diagonal, and
+    falls back to b.  Rank 1, Z^n, A2 and the catalog have minimum b and
+    their walk to b - 1 is empty; the fixed forms have minimum b - 1; seeded
+    forms of rank 1-4 are checked against the box scan too."""
+    rng = random.Random(419)
+    at_diagonal = [[[k]] for k in (1, 2, 7)] + [identity(n) for n in range(1, 6)] + [A2]
+    seeded = [[list(r) for r in random_lattice(rng, 4, 6).gram] for _ in range(40)]
+    one_below = 0
+    for gram in at_diagonal + BELOW_LLL_DIAGONAL + seeded:
+        _, red = _reduced(gram)
+        b = min(red[i][i] for i in range(len(red)))
+        minimum = box_vectors(gram, b)[0][1]
+        assert form_minimum(gram) == minimum, gram
+        one_below += minimum == b - 1
+        if gram in at_diagonal:
+            assert minimum == b and _depth_first(red, b - 1) == [], gram
+    assert one_below >= len(BELOW_LLL_DIAGONAL)
+    for kind, n in [("A", 1), ("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]:
+        for scale in (1, 3):
+            assert form_minimum([list(r) for r in catalog(kind, n, scale).gram]) == 2 * scale
 
 
 def test_canonical_and_sorted():

@@ -427,19 +427,25 @@ def _mod_kernel_columns(lat, t):
     return [[t // math.gcd(diag[i][i], t) * v[r][i] for r in range(d)] for i in range(d)]
 
 
+def _shell(lat, t):
+    """The norm-2t vectors of M_t up to sign, in the lattice's coordinates
+    with first nonzero coordinate positive."""
+    cols = _mod_kernel_columns(lat, t)
+    sub = Lattice([[lat.inner(a, b) for b in cols] for a in cols])
+    out = []
+    for z in enumerate_up_to_norm(sub, 2 * t).vectors:
+        x = tuple(sum(zi * col[r] for zi, col in zip(z, cols)) for r in range(lat.rank))
+        if next(v for v in x if v != 0) < 0:
+            x = tuple(-v for v in x)
+        if lat.norm(x) == 2 * t:
+            out.append(x)
+    return out
+
+
 def _unpruned_screeners(lat):
     """Every screener by walking every divisor shell of det G."""
-    pairs = []
-    for t in divisors(lat.determinant, lat.determinant):
-        cols = _mod_kernel_columns(lat, t)
-        sub = Lattice([[lat.inner(a, b) for b in cols] for a in cols])
-        for z in enumerate_up_to_norm(sub, 2 * t).vectors:
-            x = tuple(sum(zi * col[r] for zi, col in zip(z, cols)) for r in range(lat.rank))
-            if next(v for v in x if v != 0) < 0:
-                x = tuple(-v for v in x)
-            if lat.norm(x) == 2 * t and is_screener(lat, x):
-                pairs.append((2 * t, x))
-    pairs.sort()
+    pairs = sorted((2 * t, x) for t in divisors(lat.determinant, lat.determinant)
+                   for x in _shell(lat, t) if is_screener(lat, x))
     return tuple(x for _, x in pairs), tuple(n for n, _ in pairs)
 
 
@@ -461,6 +467,30 @@ def test_all_screeners_matches_unpruned_walk():
     for lat in CUT_POOL:
         s = all_screeners(lat)
         assert (s.vectors, s.norms) == _unpruned_screeners(lat), lat.gram
+
+
+def test_shell_screeners_are_the_vectors_outside_2l():
+    """On the norm-2t shell of M_t the norm is even and G x / t is integral,
+    so a shell vector is a screener exactly when one of its coordinates is
+    odd; over every walked t those vectors are all_screeners' output.  Shell
+    vectors in 2L occur, so an even-norm test in its place would fail."""
+    kinds = [("A", n) for n in range(1, 8)] + [("D", n) for n in range(4, 8)] + [("E", n) for n in range(6, 9)]
+    lattices = CUT_POOL + [catalog(kind, n, scale) for kind, n in kinds for scale in (1, 2, 3)]
+    in_2l = 0
+    for lat in lattices:
+        dn, hmin = _exponent_and_dual_minimum(lat)
+        pairs = []
+        for t in divisors(dn, 2 * dn // hmin):
+            for x in _shell(lat, t):
+                odd = any(v % 2 for v in x)
+                assert is_screener(lat, x) == odd, (lat.gram, x)
+                if odd:
+                    pairs.append((2 * t, x))
+                in_2l += not odd
+        pairs.sort()
+        s = all_screeners(lat)
+        assert (s.vectors, s.norms) == (tuple(x for _, x in pairs), tuple(n for n, _ in pairs)), lat.gram
+    assert in_2l > 0
 
 
 def test_form_minimum_matches_enumeration():
