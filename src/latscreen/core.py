@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from . import intlinalg
@@ -22,6 +22,14 @@ DualVec = tuple[Fraction, ...]
 
 class LatticeError(ValueError):
     """Raised for inputs that do not describe a valid lattice or operation."""
+
+
+def _integer_entry(v: object, i: int, j: int) -> int:
+    """Gram entry (i, j) as an int; a float, str or Fraction is refused, not truncated."""
+    try:
+        return index(v)
+    except TypeError:
+        raise LatticeError(f"Gram entry ({i}, {j}) is {v!r}, not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -35,7 +43,8 @@ class Lattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __init__(self, gram: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in gram)
+        rows = tuple(tuple(_integer_entry(v, i, j) for j, v in enumerate(row))
+                     for i, row in enumerate(gram))
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise LatticeError("Gram matrix must be square and nonempty")
@@ -141,18 +150,6 @@ def in_scaled_lattice(x: Sequence[int], n: int) -> bool:
     if n == 0:
         return all(v == 0 for v in x)
     return all(v % n == 0 for v in x)
-
-
-def sublattice_gram(lat: Lattice, vs: Sequence[Sequence[int]]) -> Lattice:
-    """Gram matrix of the sublattice spanned by the given independent vectors."""
-    rows = [list(map(int, v)) for v in vs]
-    if not rows:
-        raise LatticeError("need at least one vector")
-    for v in rows:
-        lat._check_dim(v)
-    if intlinalg.rank(rows) != len(rows):
-        raise LatticeError("vectors are linearly dependent")
-    return Lattice(lat.row_gram(rows))
 
 
 def canonical(x: Sequence[int]) -> Vec:

@@ -215,33 +215,8 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> Matrix:
     return a[:r]
 
 
-def in_row_span(hnf: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
-    """Whether x lies in the integer row span given in Hermite form."""
-    rem = [int(v) for v in x]
-    n = len(rem)
-    for row in hnf:
-        c = next((j for j in range(n) if row[j] != 0), None)
-        if c is None:
-            continue
-        if rem[c] % row[c] != 0:
-            return False
-        q = rem[c] // row[c]
-        if q:
-            rem = [rem[j] - q * row[j] for j in range(n)]
-    return all(v == 0 for v in rem)
-
-
 def rank(mat: Sequence[Sequence[int]]) -> int:
     return len(hnf_rows(mat))
-
-
-def is_saturated_basis(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether the k rows are a basis of a saturated sublattice of Z^n.
-
-    That holds exactly when the rows are independent with all invariant
-    factors 1, that is when the n columns generate Z^k: the row Hermite
-    form of the transpose is the k x k identity."""
-    return hnf_rows(list(zip(*rows))) == identity(len(rows))
 
 
 def _nearest_quotient(x: int, p: int) -> int:
@@ -347,48 +322,6 @@ def kernel_rows(mat: Sequence[Sequence[int]]) -> Matrix:
     # the nonzero diagonal entries come first; columns r..n-1 of v span the kernel
     r = sum(1 for t in range(min(m, n)) if d[t][t] != 0)
     return [[v[i][j] for i in range(n)] for j in range(r, n)]
-
-
-def saturation_rows(rows: Sequence[Sequence[int]]) -> Matrix:
-    """Basis rows of (Q-span of rows) intersected with Z^n."""
-    n = len(rows[0]) if rows else 0
-    # ker spans the integer vectors orthogonal to every row; the integer
-    # vectors orthogonal to all of ker are the rows' Q-span intersected with Z^n
-    ker = kernel_rows(rows)
-    sat = kernel_rows(ker) if ker else identity(n)
-    return hnf_rows(sat)
-
-
-def invert_unimodular(mat: Sequence[Sequence[int]]) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1.
-
-    The Hermite form of the rows [A | I] is [H | W] with W A = H, and
-    H = I exactly when A is unimodular, so then W is the inverse."""
-    n = len(mat)
-    rows = hnf_rows([list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)])
-    if any(not any(row[:n]) for row in rows):
-        raise ValueError("matrix is singular")
-    if any(rows[i][j] != (i == j) for i in range(n) for j in range(n)):
-        raise ValueError("matrix is not unimodular")
-    return [row[n:] for row in rows]
-
-
-def complement_rows(sat: Sequence[Sequence[int]]) -> Matrix:
-    """Rows completing a saturated basis to a basis of Z^n.
-
-    The input rows must be a basis of a saturated sublattice; the returned
-    rows together with the input form a Z^n basis.
-    """
-    if not sat:
-        raise ValueError("empty input")
-    n = len(sat[0])
-    r = len(sat)
-    if not is_saturated_basis(sat):
-        raise ValueError("rows are not a basis of a saturated sublattice")
-    _, _, v = smith_normal_form(sat)
-    vinv = invert_unimodular(v)
-    # sat = u^-1 [I 0] vinv, so rows r..n-1 of vinv complete the basis
-    return [vinv[i] for i in range(r, n)]
 
 
 def solve_linear_system(mat: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]) -> list[Fraction]:

@@ -288,8 +288,10 @@ def type_iv_search(p: int, p_prime: int, max_r: int) -> list[TypeIVSolution]:
     """All quadratic solutions with one level >= 2, levels up to max_r.
 
     Branch A discriminants decrease in r2, so the scan stops at the first
-    negative one; branch B discriminants grow without bound and are checked
-    for squareness one by one.  Only solutions with a positive m survive.
+    negative one.  Branch B needs u^2 + 4pp' = s^2 with u = (r1 - 1)p + p',
+    so only r1 <= p' can solve it: s - u and s + u are both even with
+    product 4pp', so s + u <= 2pp', hence u < pp' and (r1 - 1)p < p'(p - 1) < p'p.
+    Only solutions with a positive m survive.
     """
     out: list[TypeIVSolution] = []
     for r2 in range(2, max_r + 1):
@@ -302,7 +304,7 @@ def type_iv_search(p: int, p_prime: int, max_r: int) -> list[TypeIVSolution]:
         ms = solve_weight_quadratic(p, p_prime, 0, r2)
         if ms:
             out.append(TypeIVSolution(branch="A", r1=0, r2=r2, disc_sqrt=s, m_values=ms))
-    for r1 in range(2, max_r + 1):
+    for r1 in range(2, min(max_r, p_prime) + 1):
         disc = ((r1 - 1) * p + p_prime) ** 2 + 4 * p * p_prime
         s = math.isqrt(disc)
         if s * s != disc:

@@ -23,7 +23,7 @@ from math import gcd
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, canonical, sublattice_gram
+from .core import DualVec, Lattice, LatticeError, Vec, canonical
 from .enumeration import enumerate_up_to_norm, form_minimum
 
 
@@ -134,69 +134,6 @@ def screening_system(screeners: ScreenerSet) -> tuple[Vec, ...]:
         if intlinalg.rank(picked + [v]) > len(picked):
             picked.append(v)
     return tuple(picked)
-
-
-@dataclass(frozen=True)
-class SpanLattice:
-    """Z-span of a screener set: Hermite basis rows with their Gram matrix."""
-
-    basis: tuple[Vec, ...]
-    gram: Lattice
-    index_in_lattice: int | None  # None when the span has lower rank
-
-
-def screener_span(screeners: ScreenerSet) -> SpanLattice:
-    lat = screeners.lattice
-    if not screeners.vectors:
-        raise LatticeError("screener set is empty, the span is trivial")
-    basis = intlinalg.hnf_rows([list(v) for v in screeners.vectors])
-    gram = sublattice_gram(lat, basis)
-    index = None
-    if len(basis) == lat.rank:
-        index = abs(intlinalg.determinant(basis))
-    return SpanLattice(
-        basis=tuple(tuple(r) for r in basis), gram=gram, index_in_lattice=index
-    )
-
-
-@dataclass(frozen=True)
-class SplitSublattice:
-    """The finite-index sublattice generated by the screeners together with
-    the part of the lattice orthogonal in the quotient sense: Z-span of the
-    screeners plus a complement of its saturation."""
-
-    basis: tuple[Vec, ...]
-    gram: Lattice
-    index_in_lattice: int
-    span_rank: int
-
-
-def screener_splitting(screeners: ScreenerSet) -> SplitSublattice:
-    lat = screeners.lattice
-    d = lat.rank
-    span = intlinalg.hnf_rows([list(v) for v in screeners.vectors]) if screeners.vectors else []
-    r = len(span)
-    if r == 0:
-        rows = intlinalg.identity(d)
-    elif r == d:
-        rows = span
-    else:
-        sat = intlinalg.saturation_rows(span)
-        comp = intlinalg.complement_rows(sat)
-        rows = span + comp
-    gram = sublattice_gram(lat, rows)
-    index = abs(intlinalg.determinant(rows))
-    return SplitSublattice(
-        basis=tuple(tuple(r_) for r_ in rows),
-        gram=gram,
-        index_in_lattice=index,
-        span_rank=r,
-    )
-
-
-def in_sublattice(basis: Sequence[Vec], x: Sequence[int]) -> bool:
-    """Whether x is an integer combination of the given basis rows."""
-    return intlinalg.in_row_span(intlinalg.hnf_rows([list(b) for b in basis]), x)
 
 
 def dual_pairing_unit(lat: Lattice, a: Sequence[int]) -> DualVec:

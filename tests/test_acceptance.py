@@ -30,13 +30,13 @@ from latscreen import (
     rank1_central_charge,
     rank2_normal_form,
     rank2_predicted_in_lattice,
-    screener_splitting,
+    recognize_components,
     solve_weight_quadratic,
     type_iv_search,
 )
 from latscreen.cli import main
+from latscreen.intlinalg import invariant_factors
 from latscreen.recognition import NoScreener
-from latscreen.screeners import in_sublattice
 
 
 def _ok(label: str, detail: str, t0: float) -> None:
@@ -244,16 +244,13 @@ def test_07_structural_properties_on_every_computed_set():
             acc = acc * (n // 2) // math.gcd(acc, n // 2)
         if vs:
             assert lat.determinant % acc == 0
-        # the span chain: 2L inside the split sublattice inside L
-        split = screener_splitting(s)
-        basis = [list(b) for b in split.basis]
-        d = lat.rank
-        for i in range(d):
-            doubled = tuple(2 if j == i else 0 for j in range(d))
-            assert in_sublattice(basis, doubled)
-        assert split.gram.determinant == split.index_in_lattice ** 2 * lat.determinant
-        if split.index_in_lattice > 1:
-            assert (4 ** d * lat.determinant) % split.gram.determinant == 0
+        # the span chain 2L in R + C in L, with R the screener lattice and C a
+        # complement of its saturation: every invariant factor of R is 1 or 2
+        simple = recognize_components(lat, s).simple_roots
+        factors = invariant_factors(simple)
+        assert len(factors) == len(simple) and set(factors) <= {1, 2}
+        if len(simple) == lat.rank:
+            assert Lattice(lat.row_gram(simple)).determinant == math.prod(factors) ** 2 * lat.determinant
     _ok("properties", f"{len(lattices)} lattices, {checked} screeners, all structural laws hold", t0)
 
 

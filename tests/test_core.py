@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import types
 from fractions import Fraction
 from math import gcd
 
@@ -12,13 +14,24 @@ from latscreen import (
     in_dual,
     in_scaled_lattice,
     is_positive_definite,
-    sublattice_gram,
 )
 
 from latscreen.core import over_common_denominator
 from oracle import det_fraction
 
 A2 = [[2, -1], [-1, 2]]
+
+
+def test_lattice_rejects_non_integer_entries():
+    """A float, str or Fraction entry is refused with its position, not
+    truncated to an int."""
+    for gram, where, shown in (([[2.5, 1], [1, 2.9]], "(0, 0)", "2.5"),
+                               ([[2, -1], ["-1", 2]], "(1, 0)", "'-1'"),
+                               ([[2, Fraction(1, 2)], [Fraction(1, 2), 2]], "(0, 1)", "Fraction(1, 2)")):
+        with pytest.raises(LatticeError, match=re.escape(f"entry {where} is {shown}")):
+            Lattice(gram)
+    with pytest.raises(LatticeError, match="not an integer"):
+        Lattice([[Fraction(2)]])
 
 
 def test_lattice_rejects_non_square():
@@ -164,69 +177,6 @@ def test_bareiss_steps_yield_scaled_schur_complements():
     assert stopped_early > 30
 
 
-def test_invert_unimodular():
-    from latscreen.intlinalg import identity, invert_unimodular, matmul, unimodular_with_first_column
-
-    rng = random.Random(37)
-    for _ in range(200):
-        d = rng.randint(1, 6)
-        a = identity(d)
-        for _ in range(3 * d):
-            i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
-            if i != j:
-                f = rng.randint(-3, 3)
-                a[i] = [x + f * y for x, y in zip(a[i], a[j])]
-            if rng.random() < 0.3:
-                a[i] = [-x for x in a[i]]
-        inv = invert_unimodular(a)
-        assert matmul(a, inv) == identity(d)
-        assert matmul(inv, a) == identity(d)
-    x = [rng.randint(-20, 20) for _ in range(5)] + [1]
-    a = unimodular_with_first_column(x)
-    assert matmul(invert_unimodular(a), a) == identity(6)
-    with pytest.raises(ValueError, match="not unimodular"):
-        invert_unimodular([[2, 0], [0, 1]])
-    with pytest.raises(ValueError, match="not unimodular"):
-        invert_unimodular([[1, 1], [1, -1]])
-    with pytest.raises(ValueError, match="singular"):
-        invert_unimodular([[1, 2], [2, 4]])
-    with pytest.raises(ValueError, match="singular"):
-        invert_unimodular([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
-
-
-def test_is_saturated_basis_matches_invariant_factors():
-    """The Hermite test on the transpose agrees with the Smith-form
-    definition: rank k and every invariant factor 1."""
-    from latscreen.intlinalg import invariant_factors, is_saturated_basis, rank
-
-    rng = random.Random(53)
-    outcomes = {True: 0, False: 0}
-    dependent = scaled = 0
-    for _ in range(600):
-        d = rng.randint(1, 5)
-        k = rng.randint(1, d + 1)
-        rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(k)]
-        shape = rng.random()
-        if shape < 0.2 and k >= 2:
-            # a combination of the other rows: dependent
-            f, g = rng.randint(-2, 2), rng.randint(-2, 2)
-            rows[-1] = [f * x + g * y for x, y in zip(rows[0], rows[1 % (k - 1)])]
-            dependent += 1
-        elif shape < 0.4:
-            # a multiple of a row: a sublattice that is not saturated
-            c = rng.randint(2, 4)
-            rows[0] = [c * x for x in rows[0]]
-            scaled += 1
-        want = rank(rows) == k and all(f == 1 for f in invariant_factors(rows))
-        assert is_saturated_basis(rows) == want, rows
-        outcomes[want] += 1
-    assert outcomes[True] > 100 and outcomes[False] > 100
-    assert dependent > 50 and scaled > 50
-    assert is_saturated_basis([[1, 0, 0], [0, 1, 0]])
-    assert not is_saturated_basis([[1, 1], [1, -1]])
-    assert not is_saturated_basis([[2, 4, 6]])
-
-
 def test_in_dual():
     lat = Lattice(A2)
     assert in_dual(lat, (1, 2), 3)
@@ -309,12 +259,16 @@ def test_over_common_denominator():
 
 
 def test_extend_to_basis_small():
-    from latscreen.intlinalg import unimodular_with_first_column
+    from latscreen.intlinalg import determinant, unimodular_with_first_column
 
     cols = unimodular_with_first_column((2, 3))
     assert [row[0] for row in cols] == [2, 3]
     det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
     assert det in (1, -1)
+    x = [-17, 4, 0, 13, -9, 1]
+    cols = unimodular_with_first_column(x)
+    assert [row[0] for row in cols] == x
+    assert determinant(cols) in (1, -1)
     with pytest.raises(ValueError, match="not primitive"):
         unimodular_with_first_column((2, 4))
     with pytest.raises(ValueError, match="zero vector"):
@@ -352,14 +306,6 @@ def test_quotient_invariants():
         got = invariant_factors([list(r) for r in lat.gram])
         assert got == want
         assert math.prod(got) == lat.determinant
-
-
-def test_sublattice_gram():
-    lat = Lattice(A2)
-    assert sublattice_gram(lat, [(1, -1), (1, 2)]).gram == ((6, -3), (-3, 6))
-    assert sublattice_gram(lat, [(1, 0)]).gram == ((2,),)
-    with pytest.raises(LatticeError):
-        sublattice_gram(lat, [(1, 1), (2, 2)])
 
 
 def test_row_gram_takes_dependent_rows():
@@ -400,3 +346,17 @@ def test_no_module_imports_a_private_name_of_another():
                 continue
             found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
     assert not found, found
+
+
+def test_all_is_the_public_api():
+    """__all__ names exactly the package's public non-module attributes,
+    and each of them resolves."""
+    import latscreen
+
+    public = {name for name, value in vars(latscreen).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(latscreen.__all__)) == len(latscreen.__all__)
+    assert set(latscreen.__all__) == public
+    star: dict = {}
+    exec("from latscreen import *", star)
+    assert all(star[name] is getattr(latscreen, name) for name in latscreen.__all__)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -246,6 +247,17 @@ def test_type_iv_solutions_satisfy_quadratic():
                 assert (r1 >= 2) != (r2 >= 2)
                 for m in sol.m_values:
                     assert m * m + 2 * m * (p * (r1 - 1) + q) + 4 * p * q * (r2 - 1) == 0
+
+
+def test_type_iv_branch_b_stops_at_p_prime():
+    """Branch B has no square discriminant past r1 = p', so a huge level
+    bound returns at once and finds what a bound of 400 finds."""
+    for p in range(1, 31):
+        for q in range(1, 31):
+            assert type_iv_search(p, q, 10**12) == type_iv_search(p, q, 400)
+            for r1 in range(q + 1, 400):
+                disc = ((r1 - 1) * p + q) ** 2 + 4 * p * q
+                assert math.isqrt(disc) ** 2 != disc, (p, q, r1)
 
 
 def test_rank1_central_charge_values():

@@ -17,8 +17,7 @@ from latscreen import (
     is_positive_definite,
     is_screener,
     make_type_i,
-    screener_span,
-    screener_splitting,
+    recognize_components,
     screening_system,
     virasoro_shift,
 )
@@ -26,7 +25,7 @@ from latscreen.enumeration import enumerate_up_to_norm, form_minimum
 from latscreen.intlinalg import (
     determinant, divisors, hnf_rows, invariant_factors, matmul, smith_normal_form, solve_linear_system,
 )
-from latscreen.screeners import _mod_kernel_basis, in_sublattice
+from latscreen.screeners import _mod_kernel_basis
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -240,7 +239,7 @@ def test_screening_system():
         if not s.vectors:
             continue
         system = screening_system(s)
-        assert len(system) == screener_span(s).gram.rank
+        assert len(system) == len(recognize_components(lat, s).simple_roots)
 
 
 def _fraction_echelon_system(vectors):
@@ -269,49 +268,64 @@ def test_screening_system_matches_fraction_echelon():
     assert checked > 20
 
 
-def test_screener_span():
-    span = screener_span(all_screeners(Lattice(A2)))
-    assert span.index_in_lattice == 1
-    assert span.basis == ((1, 0), (0, 1))
+def _screener_lattice(lat):
+    """Hermite basis of the lattice the screeners generate; the simple
+    roots are a Z-basis of it."""
+    return hnf_rows(recognize_components(lat).simple_roots)
 
-    span = screener_span(all_screeners(Lattice([[4, 0], [0, 3]])))
-    assert span.index_in_lattice is None
-    assert span.gram.gram == ((4,),)
+
+def test_screener_span():
+    basis = _screener_lattice(Lattice(A2))
+    assert basis == [[1, 0], [0, 1]]
+    assert abs(determinant(basis)) == 1
+
+    lat = Lattice([[4, 0], [0, 3]])
+    basis = _screener_lattice(lat)
+    assert len(basis) == 1
+    assert lat.row_gram(basis) == [[4]]
 
     # rank-2 type 2a: the span has index 2 and rescaled square Gram
-    span = screener_span(all_screeners(Lattice([[2, -1], [-1, 3]])))
-    assert span.basis == ((1, 0), (0, 2))
-    assert span.index_in_lattice == 2
-    assert span.gram.determinant == 20
+    lat = Lattice([[2, -1], [-1, 3]])
+    basis = _screener_lattice(lat)
+    assert basis == [[1, 0], [0, 2]]
+    assert abs(determinant(basis)) == 2
+    assert Lattice(lat.row_gram(basis)).determinant == 20
     # the basis (a1, a1 + 2 a2) spans the same sublattice diagonally
-    assert in_sublattice([list(b) for b in span.basis], (1, 2))
-    assert Lattice([[2, 0], [0, 10]]).determinant == span.gram.determinant
+    assert hnf_rows(basis + [[1, 2]]) == basis
+    assert Lattice([[2, 0], [0, 10]]).determinant == 20
 
 
 def test_screener_splitting():
-    split = screener_splitting(all_screeners(Lattice(A2)))
-    assert split.index_in_lattice == 1
-    assert split.span_rank == 2
+    """The index of the simple roots in their saturation is the product of
+    their invariant factors."""
+    simple = recognize_components(Lattice(A2)).simple_roots
+    assert len(simple) == 2
+    assert invariant_factors(simple) == [1, 1]
 
-    split = screener_splitting(all_screeners(Lattice([[4, 0], [0, 3]])))
-    assert split.index_in_lattice == 1
-    assert split.span_rank == 1
-    assert split.gram.gram == ((4, 0), (0, 3))
+    lat = Lattice([[4, 0], [0, 3]])
+    simple = recognize_components(lat).simple_roots
+    assert simple == ((1, 0),)
+    assert invariant_factors(simple) == [1]
+    assert lat.row_gram(simple) == [[4]]
 
 
 def test_splitting_chain():
-    """2L sits inside the split sublattice, which sits inside L, and the
-    determinant grows by the square of the index."""
+    """Every invariant factor of the simple roots R is 1 or 2, that is
+    2 sat(R) lies in R.  With C a complement of sat(R) in L this is the
+    chain 2L in R + C in L.  At full rank the Gram determinant of R is its
+    index squared times det L, and the index divides 2^d."""
+    twos = 0
     for lat in POOL:
-        split = screener_splitting(all_screeners(lat))
-        basis = [list(b) for b in split.basis]
-        d = lat.rank
-        for i in range(d):
-            doubled = tuple(2 if j == i else 0 for j in range(d))
-            assert in_sublattice(basis, doubled)
-        assert split.gram.determinant == split.index_in_lattice ** 2 * lat.determinant
-        if split.index_in_lattice > 1:
-            assert (4 ** d * lat.determinant) % split.gram.determinant == 0
+        simple = [list(r) for r in recognize_components(lat).simple_roots]
+        factors = invariant_factors(simple)
+        assert len(factors) == len(simple)
+        assert set(factors) <= {1, 2}, (lat, factors)
+        twos += 2 in factors
+        if len(simple) == lat.rank:
+            index = math.prod(factors)
+            assert abs(determinant(simple)) == index
+            assert Lattice(lat.row_gram(simple)).determinant == index ** 2 * lat.determinant
+    assert twos > 0
 
 
 def test_dual_pairing_unit():
