@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 
 from . import intlinalg as _intlinalg
 from .core import Lattice, LatticeError, Vec, canonical
@@ -55,6 +55,14 @@ class EnumerationResult:
 
     def __len__(self) -> int:
         return len(self.vectors)
+
+
+def _integer(v: object, what: str) -> int:
+    """v as an int; a float, str or Fraction is refused, not truncated."""
+    try:
+        return index(v)
+    except TypeError:
+        raise LatticeError(f"{what} is {v!r}, not an integer") from None
 
 
 def _floor_sqrt_ratio(num: int, den: int) -> int:
@@ -169,7 +177,7 @@ def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
     The depth-first walker runs in LLL coordinates, where its level ranges
     stay tight, and the solutions are mapped back to the lattice's basis.
     """
-    bound = int(bound)
+    bound = _integer(bound, "norm bound")
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
     if bound == 0:
@@ -182,7 +190,7 @@ def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
 
 def enumerate_exact_norm(lat: Lattice, norm: int) -> EnumerationResult:
     """All vectors of one exact norm, up to sign."""
-    norm = int(norm)
+    norm = _integer(norm, "norm")
     if norm < 0:
         raise LatticeError("norm must be nonnegative")
     below = enumerate_up_to_norm(lat, norm)
@@ -205,7 +213,7 @@ def box_enumerate(lat: Lattice, bound: int) -> EnumerationResult:
     run free.  x^T G x is computed exactly on Python integers, so no entry
     size can overflow.
     """
-    bound = int(bound)
+    bound = _integer(bound, "norm bound")
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
     if bound == 0:

@@ -1,14 +1,15 @@
-"""Exact integer matrix utilities: determinants, Hermite/Smith forms, basis extension.
+"""Exact integer matrix utilities: one Bareiss elimination behind minors,
+determinants and linear solves, Hermite/Smith forms, LLL.
 
-All routines work over Python ints (or Fractions where a division is genuinely
-needed) so results are exact at any size.  Matrices are lists of row lists;
-ranks here are small, so clarity beats asymptotics.
+All routines work over Python ints, so results are exact at any size; a
+Fraction appears only in the solution solve_linear_system returns.  Matrices
+are lists of row lists; ranks here are small, so clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -29,66 +30,71 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
 
 
 def bareiss_steps(mat: Sequence[Sequence[int]]) -> Iterator[Matrix]:
-    """Fraction-free Bareiss elimination (Bareiss 1968), without pivoting.
+    """Fraction-free Bareiss elimination (Bareiss 1968) with row pivoting.
 
-    Yields the working matrix a before each step k = 0, 1, ...  Its
-    trailing block a[k:][k:] is then D_k * S_k (Sylvester's identity), with
-    D_k the k-th leading minor and S_k the Schur complement of the leading
-    k x k block, so a[k][k] = D_{k+1}.  The list is updated in place after
-    each yield; a consumer copies what it keeps.  Stops after a zero pivot.
+    Yields the working matrix a before each step k = 0, 1, ...  Up to the
+    first zero pivot its trailing block a[k:][k:] is D_k * S_k (Sylvester's
+    identity), with D_k the k-th leading minor and S_k the Schur complement
+    of the leading k x k block, so a[k][k] = D_{k+1}.  A zero pivot is
+    replaced by the first lower row with a nonzero entry in its column,
+    negated so that the determinant keeps its sign; the steps stop at a
+    column with no such row.  Rows may carry extra columns, which are
+    eliminated along.  The list is updated in place after each yield; a
+    consumer copies what it keeps.
     """
     a = copy_matrix(mat)
     n = len(a)
+    width = len(a[0]) if a else 0
     prev = 1
     for k in range(n):
         yield a
         rk = a[k]
         piv = rk[k]
         if piv == 0:
-            return
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return
+            a[k], a[swap] = [-v for v in a[swap]], rk
+            rk = a[k]
+            piv = rk[k]
         for i in range(k + 1, n):
             ri = a[i]
             f = ri[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 ri[j] = (ri[j] * piv - f * rk[j]) // prev
         prev = piv
+
+
+def _eliminate(mat: Sequence[Sequence[int]]) -> tuple[Matrix, int]:
+    """The last working matrix of bareiss_steps and its last pivot, which is
+    the determinant of the square part: 1 for the empty matrix, 0 when the
+    steps stop early."""
+    a: Matrix = []
+    piv = 1
+    for k, a in enumerate(bareiss_steps(mat)):
+        piv = a[k][k]
+    return a, piv
 
 
 def leading_minors(mat: Sequence[Sequence[int]]) -> list[int]:
     """Leading principal minors det(mat[:k,:k]) for k = 1..n.
 
-    They are the pivots of bareiss_steps.  Returns the minors; a zero is
-    reported in place if a leading submatrix is singular.
+    They are the pivots of bareiss_steps up to the first zero; past it rows
+    are swapped, so the rest come one by one from determinant.
     """
-    minors = [a[k][k] for k, a in enumerate(bareiss_steps(mat))]
-    # after a vanishing minor the steps stop; the rest come one by one with row pivoting
+    minors = []
+    for k, a in enumerate(bareiss_steps(mat)):
+        minors.append(a[k][k])
+        if not a[k][k]:
+            break
     minors += [determinant([row[: t + 1] for row in mat[: t + 1]])
                for t in range(len(minors), len(mat))]
     return minors
 
 
 def determinant(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free Bareiss elimination with row
-    pivoting: a zero pivot is replaced by a lower row with a nonzero entry in
-    its column (flipping the sign), and a column with none gives 0."""
-    # own loop: it pivots past the zeros of non-definite input, and tests use it as reference
-    a = copy_matrix(mat)
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * piv - a[i][k] * a[k][j]) // prev
-        prev = piv
-    return sign * prev
+    """Exact determinant: the last pivot of bareiss_steps."""
+    return _eliminate(mat)[1]
 
 
 def divisors(n: int, limit: int) -> list[int]:
@@ -137,38 +143,6 @@ def solve_gcd_one(x: Sequence[int]) -> list[int]:
     if g != 1:
         raise ValueError(f"coordinates have gcd {g}, expected 1")
     return z
-
-
-def unimodular_with_first_column(x: Sequence[int]) -> Matrix:
-    """Integer matrix with determinant +-1 whose first column is x.
-
-    Requires gcd(x) = 1.  Built from the inverses of the 2x2 elimination
-    steps that reduce x to e_1, applied in index order, so the result is
-    deterministic.
-    """
-    x = [int(v) for v in x]
-    d = len(x)
-    if d == 0 or all(v == 0 for v in x):
-        raise ValueError("cannot extend the zero vector")
-    if d == 1:
-        if abs(x[0]) != 1:
-            raise ValueError("coordinates have gcd > 1, vector is not primitive")
-        return [[x[0]]]
-    m = identity(d)
-    g = x[0]
-    for i in range(1, d):
-        g2, s, t = xgcd(g, x[i])
-        # inverse of the step mapping (g, x_i) -> (g2, 0) on coordinates (0, i)
-        f = identity(d)
-        f[0][0] = g // g2 if g2 else 1
-        f[0][i] = -t
-        f[i][0] = x[i] // g2 if g2 else 0
-        f[i][i] = s
-        m = matmul(m, f)
-        g = g2
-    if g != 1:
-        raise ValueError("coordinates have gcd > 1, vector is not primitive")
-    return m
 
 
 def hnf_rows(rows: Sequence[Sequence[int]]) -> Matrix:
@@ -325,26 +299,29 @@ def kernel_rows(mat: Sequence[Sequence[int]]) -> Matrix:
 
 
 def solve_linear_system(mat: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]) -> list[Fraction]:
-    """Unique exact solution of mat @ x = rhs for invertible mat."""
+    """Unique exact solution of mat @ x = rhs for invertible mat.
+
+    One Bareiss pass on [mat | q rhs], q the lcm of the denominators of rhs,
+    leaves the rows sum_{j >= i} a[i][j] x'_j = a[i][n] for x' = q x.  With
+    D = det mat, y = D x' = adj(mat) q rhs is integral, so the back
+    substitution y_i = (D a[i][n] - sum_{j > i} a[i][j] y_j) / a[i][i] divides
+    exactly, and x = y / (D q).
+    """
     n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [v * inv for v in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [a[r][j] - f * a[c][j] for j in range(n + 1)]
-    return [a[i][n] for i in range(n)]
+    q = lcm(*(v.denominator for v in rhs))
+    a, det = _eliminate([list(row) + [v.numerator * (q // v.denominator)] for row, v in zip(mat, rhs)])
+    if det == 0:
+        raise ValueError("matrix is singular")
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        y[i] = (det * row[n] - sum(map(mul, row[i + 1:n], y[i + 1:]))) // row[i]
+    return [Fraction(v, det * q) for v in y]
 
 
-def lll_rows(gram: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)) -> Matrix:
-    """Unimodular rows u with u * gram * u^T LLL-reduced, computed on the
-    Gram matrix alone in all-integer arithmetic.
+def lll_rows(gram: Sequence[Sequence[int]]) -> Matrix:
+    """Unimodular rows u with u * gram * u^T LLL-reduced (delta = 3/4),
+    computed on the Gram matrix alone in all-integer arithmetic.
 
     The enumerators need this: their level-by-level ranges stay tight only on
     a reduced basis, and mod-kernel bases straight out of the Smith form can
@@ -385,8 +362,7 @@ def lll_rows(gram: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)) ->
     while k < n:
         reduce_row(k, k - 1)
         lb = lam[k][k - 1]
-        swap = delta.denominator * (dd[k + 1] * dd[k - 1] + lb * lb)
-        if swap < delta.numerator * dd[k] * dd[k]:
+        if 4 * (dd[k + 1] * dd[k - 1] + lb * lb) < 3 * dd[k] * dd[k]:
             u[k], u[k - 1] = u[k - 1], u[k]
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]

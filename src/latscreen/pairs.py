@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Sequence
 
 from . import intlinalg
@@ -326,7 +327,11 @@ def analyze_screener(lat: Lattice, a: Sequence[int], max_r: int = 50) -> dict:
     An odd-parity vector is doubled first (the screening theory only sees
     its even multiple); the report notes the substitution.
     """
-    a_t = tuple(int(v) for v in a)
+    try:
+        alpha = tuple(map(index, a))
+    except TypeError:
+        raise LatticeError(f"alpha {tuple(a)!r} has an entry that is not an integer") from None
+    a_t = alpha
     substituted = False
     if lat.parity(a_t) == 1:
         a_t = tuple(2 * v for v in a_t)
@@ -352,7 +357,7 @@ def analyze_screener(lat: Lattice, a: Sequence[int], max_r: int = 50) -> dict:
         entry["type_iv"] = type_iv_search(p, q, max_r)
         entries.append(entry)
     return {
-        "alpha": tuple(int(v) for v in a),
+        "alpha": alpha,
         "alpha_used": a_t,
         "substituted": substituted,
         "norm": lat.norm(a_t),

@@ -382,10 +382,14 @@ def _require(ok: bool, what: str) -> None:
 def rank2_normal_form(lat: Lattice, screeners: ScreenerSet | None = None) -> Rank2Form | NoScreener:
     """Classify a rank-2 lattice by an explicit unimodular change of basis.
 
-    Picks the first minimal-norm screener, completes it to a basis, and
-    clears the off-diagonal pairing: an even multiple of p diagonalizes
-    (type 1, converted to type 2 when the diagonal is (2p, 2p)), an odd
-    multiple leaves -p (type 2, flipped until m >= p).
+    Picks the first minimal-norm screener a1 = (x, y), completes it to the
+    basis [[x, -z1], [y, z0]] with z0 x + z1 y = 1, and clears the
+    off-diagonal pairing: an even multiple of p diagonalizes (type 1,
+    converted to type 2 when the diagonal is (2p, 2p)), an odd multiple
+    leaves -p (type 2).  Type 2 always has m >= p: otherwise v = a1 + 2e,
+    e the second basis vector, has norm 4m - 2p < 2p, which is positive
+    since 2pm > p^2; its pairings with a1 and e are 0 and 2m - p, and its
+    a1-coordinate is 1, so v is a screener (not in 2L) shorter than a1.
 
     screeners is the lattice's screener set when the caller already holds
     it (`all_screeners(lat)`); without it the lattice is walked here.
@@ -402,8 +406,9 @@ def rank2_normal_form(lat: Lattice, screeners: ScreenerSet | None = None) -> Ran
     nrm = screeners.norms[0]
     _require(nrm % 2 == 0, f"minimal screener norm {nrm} is odd")
     p = nrm // 2
-    cols = intlinalg.unimodular_with_first_column(list(a1))
-    change = cols
+    x, y = a1
+    z0, z1 = intlinalg.solve_gcd_one(a1)
+    change = [[x, -z1], [y, z0]]
     g = _gram_of(lat, change)
     b = g[0][1]
     _require(b % p == 0, f"pairing {b} is not a multiple of p = {p} in Gram {g}")
@@ -432,11 +437,7 @@ def rank2_normal_form(lat: Lattice, screeners: ScreenerSet | None = None) -> Ran
     g = _gram_of(lat, change)
     _require(g[0][1] == -p, f"clearing the pairing left Gram {g}, expected -{p} off the diagonal")
     m = g[1][1]
-    while m < p:
-        change = intlinalg.matmul(change, [[1, -1], [2, -1]])
-        g = _gram_of(lat, change)
-        p, m = g[0][0] // 2, g[1][1]
-        _require(g[0][1] == -p, f"flipping gave Gram {g}, expected -{p} off the diagonal")
+    _require(m >= p, f"type 2 Gram {g} has m < p, so a1 + 2e is a shorter screener")
     if m == p:
         subtype = "2b"
     elif m == 2 * p:

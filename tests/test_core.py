@@ -104,12 +104,25 @@ def test_determinant_matches_fraction_elimination():
         assert Fraction(lat.determinant) == det_fraction(g)
 
 
+def _solve_by_fractions(m, rhs):
+    """x with m x = rhs by Cramer's rule over the oracle's fraction
+    determinant, or None when m is singular."""
+    det = det_fraction(m)
+    if det == 0:
+        return None
+    return [det_fraction([row[:j] + [b] + row[j + 1:] for row, b in zip(m, rhs)]) / det
+            for j in range(len(m))]
+
+
 def test_determinant_with_vanishing_leading_minors():
-    """Row pivoting: matrices whose leading minors vanish, singular ones
-    included, against fraction elimination."""
-    from latscreen.intlinalg import determinant, leading_minors
+    """Row pivoting: non-symmetric matrices whose leading minors vanish,
+    singular ones included, against fraction elimination, for determinant,
+    leading_minors and solve_linear_system with int and Fraction
+    right-hand sides."""
+    from latscreen.intlinalg import determinant, leading_minors, solve_linear_system
 
     rng = random.Random(31)
+    rhs_rng = random.Random(59)
     singular = 0
     for _ in range(400):
         d = rng.randint(1, 6)
@@ -125,10 +138,22 @@ def test_determinant_with_vanishing_leading_minors():
         assert 0 in leading_minors(m)
         assert Fraction(determinant(m)) == det_fraction(m), m
         assert leading_minors(m) == [int(det_fraction([r[:t] for r in m[:t]])) for t in range(1, d + 1)]
+        rhs = [rhs_rng.randint(-9, 9) if rhs_rng.random() < 0.4
+               else Fraction(rhs_rng.randint(-9, 9), rhs_rng.randint(1, 12)) for _ in range(d)]
+        want = _solve_by_fractions(m, rhs)
+        if want is None:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                solve_linear_system(m, rhs)
+        else:
+            got = solve_linear_system(m, rhs)
+            assert all(type(v) is Fraction for v in got)
+            assert got == want, (m, rhs)
         singular += determinant(m) == 0
-    assert singular > 50
+    assert 50 < singular < 350
     assert determinant([]) == 1
     assert determinant([[0, 1], [1, 0]]) == -1
+    assert solve_linear_system([], []) == []
+    assert solve_linear_system([[0, 2], [3, 0]], [Fraction(1, 2), 6]) == [2, Fraction(1, 4)]
 
 
 def _scaled_schur_by_fractions(m, k):
@@ -146,13 +171,14 @@ def _scaled_schur_by_fractions(m, k):
 
 
 def test_bareiss_steps_yield_scaled_schur_complements():
-    """Before step k the trailing block is D_k * S_k, on symmetric and
-    non-symmetric matrices, and the steps end right after the first zero
-    pivot."""
+    """Up to the first zero pivot the trailing block before step k is
+    D_k * S_k, on symmetric and non-symmetric matrices; past it the steps go
+    on exactly while a lower row has a nonzero entry in the pivot column,
+    and the last pivot is the determinant."""
     from latscreen.intlinalg import bareiss_steps
 
     rng = random.Random(47)
-    stopped_early = 0
+    pivoted = stopped_early = 0
     for case in range(300):
         d = rng.randint(0, 6)
         m = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
@@ -164,17 +190,27 @@ def test_bareiss_steps_yield_scaled_schur_complements():
                 m[0][0] = 0
             else:
                 m[k - 1][:k] = m[0][:k]
+        if d and rng.random() < 0.15:
+            c = rng.randrange(d)
+            for r in m:
+                r[c] = 0
         minors = [det_fraction([r[:t] for r in m[:t]]) for t in range(1, d + 1)]
-        expected_steps = next((t + 1 for t, mn in enumerate(minors) if mn == 0), d)
-        steps = 0
+        first_zero = next((t for t, mn in enumerate(minors) if mn == 0), d)
+        steps, last, can_go_on = 0, 1, True
         for k, a in enumerate(bareiss_steps(m)):
-            dk, block = _scaled_schur_by_fractions(m, k)
-            assert dk == (minors[k - 1] if k else 1)
-            assert [r[k:] for r in a[k:]] == block, (m, k)
+            assert can_go_on, (m, k)
+            if k <= first_zero:
+                dk, block = _scaled_schur_by_fractions(m, k)
+                assert dk == (minors[k - 1] if k else 1)
+                assert [r[k:] for r in a[k:]] == block, (m, k)
+            last = a[k][k]
+            can_go_on = last != 0 or any(r[k] for r in a[k + 1:])
             steps += 1
-        assert steps == expected_steps, m
+        assert steps == d or not can_go_on, m
+        assert last == det_fraction(m), m
+        pivoted += first_zero < steps - 1
         stopped_early += steps < d
-    assert stopped_early > 30
+    assert pivoted > 20 and stopped_early > 10
 
 
 def test_in_dual():
@@ -256,43 +292,6 @@ def test_over_common_denominator():
         assert [Fraction(n, q) for n in nums] == [Fraction(t) for t in v]
         # q is the least such denominator exactly when no prime divides q and every numerator
         assert gcd(q, *nums) == 1
-
-
-def test_extend_to_basis_small():
-    from latscreen.intlinalg import determinant, unimodular_with_first_column
-
-    cols = unimodular_with_first_column((2, 3))
-    assert [row[0] for row in cols] == [2, 3]
-    det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-    assert det in (1, -1)
-    x = [-17, 4, 0, 13, -9, 1]
-    cols = unimodular_with_first_column(x)
-    assert [row[0] for row in cols] == x
-    assert determinant(cols) in (1, -1)
-    with pytest.raises(ValueError, match="not primitive"):
-        unimodular_with_first_column((2, 4))
-    with pytest.raises(ValueError, match="zero vector"):
-        unimodular_with_first_column((0, 0))
-
-
-def test_extend_to_basis_random():
-    """Random primitive vectors always extend to a unimodular basis."""
-    from latscreen.intlinalg import determinant, unimodular_with_first_column
-
-    rng = random.Random(23)
-    checked = 0
-    while checked < 1000:
-        d = rng.randint(1, 5)
-        x = [rng.randint(-50, 50) for _ in range(d)]
-        g = 0
-        for v in x:
-            g = gcd(g, v)
-        if g != 1:
-            continue
-        checked += 1
-        cols = unimodular_with_first_column(x)
-        assert [row[0] for row in cols] == list(x)
-        assert determinant(cols) in (1, -1)
 
 
 def test_quotient_invariants():

@@ -1,11 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from latscreen import (
     Lattice,
+    LatticeError,
     box_enumerate,
     catalog,
     enumerate_exact_norm,
@@ -206,6 +208,32 @@ def test_empty_and_degenerate_bounds():
     assert len(enumerate_up_to_norm(lat, 1)) == 0
     with pytest.raises(ValueError):
         enumerate_up_to_norm(lat, -1)
+
+
+def test_enumerate_up_to_norm_rejects_a_non_integer_bound():
+    """A float, str or Fraction bound is refused, not truncated, as a Gram
+    entry is."""
+    lat = Lattice(A2)
+    for bound in (2.5, "8", Fraction(5, 2), Fraction(2)):
+        with pytest.raises(LatticeError, match=f"norm bound is {re.escape(repr(bound))}, not an integer"):
+            enumerate_up_to_norm(lat, bound)
+    assert len(enumerate_up_to_norm(lat, 2)) == 3
+
+
+def test_enumerate_exact_norm_rejects_a_non_integer_norm():
+    """Truncating 2.5 used to return the norm-2 vector of [[2]]."""
+    lat = Lattice([[2]])
+    with pytest.raises(LatticeError, match="norm is 2.5, not an integer"):
+        enumerate_exact_norm(lat, 2.5)
+    assert enumerate_exact_norm(lat, 2).vectors == ((1,),)
+
+
+def test_box_enumerate_rejects_a_non_integer_bound():
+    lat = Lattice(A2)
+    with pytest.raises(LatticeError, match="norm bound is '8', not an integer"):
+        box_enumerate(lat, "8")
+    with pytest.raises(LatticeError, match="norm bound is 8.0, not an integer"):
+        box_enumerate(lat, 8.0)
 
 
 def test_root_counts_of_standard_lattices():

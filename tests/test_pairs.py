@@ -295,6 +295,15 @@ def test_analyze_screener_doubles_odd_parity():
         assert "imprimitive" in entry["type_i_error"]
 
 
+def test_analyze_screener_rejects_a_non_integer_alpha():
+    """Truncating used to report alpha (1,) for (1.9,)."""
+    with pytest.raises(LatticeError, match=r"alpha \(1\.9,\) has an entry that is not an integer"):
+        analyze_screener(Lattice([[2]]), (1.9,))
+    with pytest.raises(LatticeError, match="not an integer"):
+        analyze_screener(A2, (1, Fraction(2)))
+    assert analyze_screener(Lattice([[2]]), (1,))["alpha"] == (1,)
+
+
 def test_analyze_screener_dual_membership_everywhere():
     # every reported decomposition really is one
     for lat in [Lattice([[12]]), A2, catalog("A", 3), Lattice([[12, 0], [0, 2]])]:
