@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -287,6 +288,7 @@ def test_rank2_random_agreement():
         # basis change really is unimodular and reproduces the normal form
         cols = f.basis_change
         assert determinant([list(r) for r in cols]) in (1, -1)
+        assert lat.row_gram(list(zip(*cols))) == [list(r) for r in f.gram.gram]
 
 
 # ---------------------------------------------------------------- catalogs
@@ -310,6 +312,17 @@ def test_catalog_e():
     assert catalog("E", 6).determinant == 3
     assert catalog("E", 7).determinant == 2
     assert catalog("E", 8).determinant == 1
+
+
+def test_catalog_grams_are_pinned():
+    """One digest over every catalog Gram matrix A1-A12, D2-D12 and E6-E8
+    at scales 1-3, computed with one hand-written builder per family, so a
+    new builder must give every matrix entry for entry."""
+    names = ([("A", n) for n in range(1, 13)] + [("D", n) for n in range(2, 13)]
+             + [("E", n) for n in (6, 7, 8)])
+    grams = [(k, n, s, catalog(k, n, s).gram) for k, n in names for s in (1, 2, 3)]
+    digest = hashlib.sha256(repr(grams).encode()).hexdigest()
+    assert digest == "38da08316410d8b09a3b15424c2d1223972362b83e0570389ce69ae2b3d57e02"
 
 
 def test_catalog_scale_and_errors():
