@@ -8,7 +8,8 @@ A subcommand is a function from (parsed args, lattice) to its results dict,
 plus a renderer from the report to text.  `main` does the rest in one place:
 it reads --input and parses the lattice (None for the commands without
 input), builds the `input` block (digest, name, rank, determinant), takes
-`options` from the argparse namespace, and prints the report.  A `warnings`
+`options` from the argparse namespace, and prints the report, or for
+--format text the renderer's reading of that same JSON text.  A `warnings`
 list among the results moves to the report's top level, and results with
 `pass` false exit 3.
 
@@ -135,18 +136,15 @@ def _read_input(path: str) -> str:
         raise ParseFailure(f"cannot read {path}: {e.strerror}")
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """The JSON form of a report value json cannot write itself."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, Lattice):
-        return [list(r) for r in obj.gram]
+        return obj.gram
     if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _vec(v) -> str:
@@ -480,11 +478,9 @@ def main(argv=None) -> int:
         results = args.run(args, lat)
         report["warnings"] = results.pop("warnings", [])
         report["options"] = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
-        report["results"] = _jsonable(results)
-        if args.format == "json":
-            sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        else:
-            sys.stdout.write(args.render(report))
+        report["results"] = results
+        text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+        sys.stdout.write(text + "\n" if args.format == "json" else args.render(json.loads(text)))
         return EXIT_MISMATCH if results.get("pass") is False else EXIT_OK
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -81,15 +81,11 @@ def _coordinate_limits(lat: Lattice, bound: int) -> list[int]:
     det = lat.determinant
     limits = []
     for j in range(d):
-        if d == 1:
-            adj = 1
-        else:
-            minor = [
-                [lat.gram[r][c] for c in range(d) if c != j]
-                for r in range(d) if r != j
-            ]
-            adj = _int_determinant(minor)
-        limits.append(_floor_sqrt_ratio(bound * adj, det))
+        minor = [
+            [lat.gram[r][c] for c in range(d) if c != j]
+            for r in range(d) if r != j
+        ]
+        limits.append(_floor_sqrt_ratio(bound * _int_determinant(minor), det))
     return limits
 
 
@@ -161,7 +157,8 @@ def form_minimum(gram: list[list[int]]) -> int:
 
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
     """Sort (coords, norm) pairs that hold one vector of each +-pair, as the
-    walker and the half-box scan give them, with canonical signs."""
+    walker, the half-box scan and the exact-norm filter give them, with
+    canonical signs."""
     canon = sorted((nrm, canonical(coords)) for coords, nrm in pairs)
     return EnumerationResult(
         lattice=lat,
@@ -180,8 +177,6 @@ def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
     bound = _integer(bound, "norm bound")
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
-    if bound == 0:
-        return EnumerationResult(lattice=lat, bound=0, vectors=(), norms=())
     w, red = _reduced(lat.gram)
     pairs = _depth_first(red, bound)
     xs = _intlinalg.matmul([z for z, _ in pairs], w)
@@ -194,13 +189,7 @@ def enumerate_exact_norm(lat: Lattice, norm: int) -> EnumerationResult:
     if norm < 0:
         raise LatticeError("norm must be nonnegative")
     below = enumerate_up_to_norm(lat, norm)
-    pairs = [(v, n) for v, n in zip(below.vectors, below.norms) if n == norm]
-    return EnumerationResult(
-        lattice=lat,
-        bound=norm,
-        vectors=tuple(v for v, _ in pairs),
-        norms=tuple(n for _, n in pairs),
-    )
+    return _finish(lat, norm, [(v, n) for v, n in zip(below.vectors, below.norms) if n == norm])
 
 
 def box_enumerate(lat: Lattice, bound: int) -> EnumerationResult:
@@ -216,8 +205,6 @@ def box_enumerate(lat: Lattice, bound: int) -> EnumerationResult:
     bound = _integer(bound, "norm bound")
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
-    if bound == 0:
-        return EnumerationResult(lattice=lat, bound=0, vectors=(), norms=())
     gram = lat.gram
     limits = _coordinate_limits(lat, bound)
     pairs = []

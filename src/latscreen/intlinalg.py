@@ -290,8 +290,6 @@ def kernel_rows(mat: Sequence[Sequence[int]]) -> Matrix:
     """Basis rows of {x : mat @ x = 0} over the integers (saturated)."""
     m = len(mat)
     n = len(mat[0]) if mat else 0
-    if m == 0:
-        return identity(n)
     _, d, v = smith_normal_form(mat)
     # the nonzero diagonal entries come first; columns r..n-1 of v span the kernel
     r = sum(1 for t in range(min(m, n)) if d[t][t] != 0)

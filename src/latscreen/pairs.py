@@ -40,8 +40,17 @@ class PairSpec:
     beta: Vec | None = None
 
 
+def _alpha(a: Sequence[int]) -> Vec:
+    """alpha as ints; a float, str or Fraction entry is refused, not truncated."""
+    try:
+        return tuple(map(index, a))
+    except TypeError:
+        raise LatticeError(f"alpha {tuple(a)!r} has an entry that is not an integer") from None
+
+
 def pair_decompositions(lat: Lattice, a: Sequence[int]) -> list[tuple[int, int]]:
     """All factorizations <a,a> = 2*p*p' with both a/p and a/p' in the dual."""
+    a = _alpha(a)
     nrm = lat.norm(a)
     if nrm == 0:
         raise LatticeError("alpha is the zero vector; it has no factorization 2*p*p'")
@@ -80,14 +89,14 @@ def make_type_i(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> PairSpe
     gamma = 0.  Raises when (p, p') is not a valid decomposition or when a
     is imprimitive with p != p'.
     """
+    a = _alpha(a)
     if (p, p_prime) not in pair_decompositions(lat, a):
         raise LatticeError(f"({p}, {p_prime}) does not decompose <a,a> = {lat.norm(a)}")
     gamma = _shift_vector(lat, a, p - p_prime)
-    a_t = tuple(int(v) for v in a)
-    _require_weight_one(lat, gamma, (tuple(Fraction(-v, p) for v in a_t), 0),
-                        (tuple(Fraction(v, p_prime) for v in a_t), 0))
+    _require_weight_one(lat, gamma, (tuple(Fraction(-v, p) for v in a), 0),
+                        (tuple(Fraction(v, p_prime) for v in a), 0))
     return PairSpec(
-        alpha=a_t,
+        alpha=a,
         p=p,
         p_prime=p_prime,
         pair_type="I",
@@ -107,6 +116,7 @@ def virasoro_shift(lat: Lattice, a: Sequence[int], p: int, q: int) -> DualVec:
     integral, and a is not in 2L).  For p = q the shift is zero.  Raises when
     a is not a screener or the norm does not match.
     """
+    a = _alpha(a)
     if p < 1 or q < 1:
         raise LatticeError("p and q must be positive")
     if not is_screener(lat, a):
@@ -128,16 +138,9 @@ class FeasibilityReport:
 def _orthogonal_witness(lat: Lattice, a: Sequence[int], w: Sequence[Fraction]) -> tuple[Vec | None, str | None]:
     """Integer vector orthogonal (under G) to the dual vector w and not
     proportional to a; None with a reason when no direction exists."""
-    d = lat.rank
     nums, q = over_common_denominator(w)
     # G w = u / q; dividing u by gcd(q, u) gives G w over its least denominator
     u = lat.gram_times(nums)
-    if not any(u):
-        for j in range(d):
-            e = tuple(1 if i == j else 0 for i in range(d))
-            if not _proportional(e, a):
-                return e, None
-        return None, "every coordinate direction is proportional to alpha"
     g = gcd(q, *u)
     for row in intlinalg.kernel_rows([[t // g for t in u]]):
         if not _proportional(row, a):
@@ -160,6 +163,7 @@ def type_ii_feasible(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> Fe
     primitive so the shift vector exists.  The dressing direction beta must
     be orthogonal to (p - p') a/(p p') - 2 gamma and independent of a.
     """
+    a = _alpha(a)
     nrm = lat.norm(a)
     if nrm != 2 * p * p_prime:
         raise LatticeError(f"<a,a> = {nrm} != 2*{p}*{p_prime}")
@@ -180,11 +184,10 @@ def type_ii_feasible(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> Fe
         reasons.append(f"alpha is imprimitive (gcd {g}); the shift vector is not defined")
     if reasons:
         return FeasibilityReport(feasible=False, reasons=tuple(reasons))
-    a_t = tuple(int(v) for v in a)
     m = 2 * (p - p_prime)
-    mom2 = tuple(Fraction(m * v, 2 * p * p_prime) for v in a_t)
-    return _dressed_pair(lat, a_t, p, p_prime, "II", {"m": m}, _shift_vector(lat, a, p - p_prime),
-                         (tuple(Fraction(-v, p) for v in a_t), 0), (mom2, 1))
+    mom2 = tuple(Fraction(m * v, 2 * p * p_prime) for v in a)
+    return _dressed_pair(lat, a, p, p_prime, "II", {"m": m}, _shift_vector(lat, a, p - p_prime),
+                         (tuple(Fraction(-v, p) for v in a), 0), (mom2, 1))
 
 
 def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> FeasibilityReport:
@@ -196,6 +199,7 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
     dressing direction must be orthogonal to a/p + 2 gamma and independent
     of a.
     """
+    a = _alpha(a)
     reasons = []
     if r <= p_prime:
         reasons.append("requires r > p_prime")
@@ -206,10 +210,9 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
         reasons.append(
             f"p = (r^2 - p_prime^2)/(4 p_prime) = {Fraction(num, 4 * p_prime)} is not a positive integer"
         )
-        return FeasibilityReport(feasible=False, reasons=tuple(reasons))
-    p = num // (4 * p_prime)
     if reasons:
         return FeasibilityReport(feasible=False, reasons=tuple(reasons))
+    p = num // (4 * p_prime)
     nrm = lat.norm(a)
     if nrm != 2 * p * p_prime:
         reasons.append(f"<a,a> = {nrm} != 2*p*p_prime = {2 * p * p_prime}")
@@ -227,10 +230,9 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
         reasons.append(f"alpha is imprimitive (gcd {g}); the shift vector is not defined")
     if reasons:
         return FeasibilityReport(feasible=False, reasons=tuple(reasons))
-    a_t = tuple(int(v) for v in a)
-    mom2 = tuple(Fraction(m * v, 2 * p * p_prime) for v in a_t)
-    return _dressed_pair(lat, a_t, p, p_prime, "III", {"m": m, "r": r}, _shift_vector(lat, a, -p_prime),
-                         (tuple(Fraction(-v, p) for v in a_t), 1), (mom2, 0))
+    mom2 = tuple(Fraction(m * v, 2 * p * p_prime) for v in a)
+    return _dressed_pair(lat, a, p, p_prime, "III", {"m": m, "r": r}, _shift_vector(lat, a, -p_prime),
+                         (tuple(Fraction(-v, p) for v in a), 1), (mom2, 0))
 
 
 def _dressed_pair(lat: Lattice, a: Vec, p: int, p_prime: int, pair_type: str, extra: dict,
@@ -327,11 +329,7 @@ def analyze_screener(lat: Lattice, a: Sequence[int], max_r: int = 50) -> dict:
     An odd-parity vector is doubled first (the screening theory only sees
     its even multiple); the report notes the substitution.
     """
-    try:
-        alpha = tuple(map(index, a))
-    except TypeError:
-        raise LatticeError(f"alpha {tuple(a)!r} has an entry that is not an integer") from None
-    a_t = alpha
+    a_t = alpha = _alpha(a)
     substituted = False
     if lat.parity(a_t) == 1:
         a_t = tuple(2 * v for v in a_t)

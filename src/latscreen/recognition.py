@@ -225,8 +225,6 @@ def _dynkin_components(
     component, and every component must hold half the roots of its type.
     """
     simple = _simple_roots(roots)
-    if not simple:
-        return simple, []
     # <root, simple root> for every root; the simple roots' rows are their Gram matrix
     pairings = intlinalg.matmul(roots, intlinalg.matmul(lat.gram, list(zip(*simple))))
     row_of = dict(zip(roots, pairings))
@@ -413,11 +411,12 @@ def rank2_normal_form(lat: Lattice, screeners: ScreenerSet | None = None) -> Ran
     b = g[0][1]
     _require(b % p == 0, f"pairing {b} is not a multiple of p = {p} in Gram {g}")
     n = -(b // p)
+    # shearing e by n // 2 copies of a1 leaves the pairing b + 2p (n // 2): 0 or -p
+    change = intlinalg.matmul(change, [[1, n // 2], [0, 1]])
+    g = _gram_of(lat, change)
+    m = g[1][1]
     if n % 2 == 0:
-        change = intlinalg.matmul(change, [[1, n // 2], [0, 1]])
-        g = _gram_of(lat, change)
         _require(g[0][1] == 0, f"diagonalizing left Gram {g}")
-        m = g[1][1]
         if m != 2 * p:
             return Rank2Form(
                 kind="type1", p=p, m=m, subtype=None,
@@ -433,10 +432,7 @@ def rank2_normal_form(lat: Lattice, screeners: ScreenerSet | None = None) -> Ran
             basis_change=_cols_tuple(change),
             warnings=(WARN_2B_ODD,) if p2 % 2 else (),
         )
-    change = intlinalg.matmul(change, [[1, (n - 1) // 2], [0, 1]])
-    g = _gram_of(lat, change)
     _require(g[0][1] == -p, f"clearing the pairing left Gram {g}, expected -{p} off the diagonal")
-    m = g[1][1]
     _require(m >= p, f"type 2 Gram {g} has m < p, so a1 + 2e is a shorter screener")
     if m == p:
         subtype = "2b"
@@ -486,32 +482,12 @@ def rank2_predicted_in_lattice(form: Rank2Form) -> tuple[Vec, ...]:
     return tuple(sorted(map(canonical, intlinalg.matmul(rank2_screener_list(form), list(zip(*cols))))))
 
 
-def _path_gram(n: int) -> list[list[int]]:
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-        if i + 1 < n:
-            g[i][i + 1] = g[i + 1][i] = -1
-    return g
-
-
-def _d_gram(n: int) -> list[list[int]]:
-    if n == 2:
-        return [[2, 0], [0, 2]]
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-    g[0][2] = g[2][0] = -1
-    g[1][2] = g[2][1] = -1
-    for i in range(2, n - 1):
-        g[i][i + 1] = g[i + 1][i] = -1
-    return g
-
-
-def _e_gram(n: int) -> list[list[int]]:
-    g = _path_gram(n)
-    g[n - 2][n - 1] = g[n - 1][n - 2] = 0
-    g[n - 4][n - 1] = g[n - 1][n - 4] = -1
+def _cartan(n: int, edges) -> list[list[int]]:
+    """Cartan matrix of a simply laced Dynkin diagram on nodes 0..n-1: 2 on
+    the diagonal and -1 on each edge (Humphreys §11.4)."""
+    g = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = -1
     return g
 
 
@@ -520,12 +496,13 @@ def catalog(kind: str, n: int, scale: int = 1) -> Lattice:
     multiplied by a positive scale."""
     if scale < 1:
         raise LatticeError("scale must be a positive integer")
+    path = [(i, i + 1) for i in range(n - 1)]
     if kind == "A" and n >= 1:
-        base = _path_gram(n)
+        edges = path
     elif kind == "D" and n >= 2:
-        base = _d_gram(n)
+        edges = ([(0, 2), (1, 2)] if n > 2 else []) + path[2:]
     elif kind == "E" and n in (6, 7, 8):
-        base = _e_gram(n)
+        edges = path[:n - 2] + [(n - 4, n - 1)]
     else:
         raise LatticeError(f"no catalog lattice {kind}{n}")
-    return Lattice([[scale * v for v in row] for row in base])
+    return Lattice([[scale * v for v in row] for row in _cartan(n, edges)])

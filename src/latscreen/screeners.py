@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Sequence
 
 from . import intlinalg
@@ -140,10 +141,12 @@ def dual_pairing_unit(lat: Lattice, a: Sequence[int]) -> DualVec:
     """The deterministic dual vector pairing to exactly 1 with a.
 
     Built as G^-1 z where z comes from folding gcd steps over the
-    coordinates in index order; requires a primitive.
+    coordinates in index order; requires a primitive with integer entries.
     """
     try:
-        z = intlinalg.solve_gcd_one([int(v) for v in a])
+        z = intlinalg.solve_gcd_one(list(map(index, a)))
+    except TypeError:
+        raise LatticeError(f"alpha {tuple(a)!r} has an entry that is not an integer") from None
     except ValueError as e:
         raise LatticeError(str(e))
     sol = intlinalg.solve_linear_system([list(r) for r in lat.gram], z)

@@ -307,6 +307,19 @@ def test_quotient_invariants():
         assert math.prod(got) == lat.determinant
 
 
+def test_kernel_rows_of_no_row_a_zero_row_and_one_row():
+    """The Smith-form path covers the edge cases: no rows give no kernel
+    rows, and a zero row gives the unit vectors in order."""
+    from latscreen.intlinalg import invariant_factors, kernel_rows
+
+    assert kernel_rows([]) == []
+    assert kernel_rows([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    rows = kernel_rows([[2, 3, 4]])
+    assert len(rows) == 2
+    assert all(2 * x + 3 * y + 4 * z == 0 for x, y, z in rows)
+    assert invariant_factors(rows) == [1, 1]  # saturated
+
+
 def test_row_gram_takes_dependent_rows():
     lat = Lattice(A2)
     assert lat.row_gram([(1, -1), (1, 2)]) == [[6, -3], [-3, 6]]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latscreen import (
+    EnumerationResult,
     Lattice,
     LatticeError,
     box_enumerate,
@@ -204,7 +205,10 @@ def test_scaling_by_huge_factor_matches_oracle():
 
 def test_empty_and_degenerate_bounds():
     lat = Lattice(A2)
-    assert len(enumerate_up_to_norm(lat, 0)) == 0
+    for bounded in (lat, Lattice([[2]])):
+        empty = EnumerationResult(lattice=bounded, bound=0, vectors=(), norms=())
+        assert enumerate_up_to_norm(bounded, 0) == empty
+        assert box_enumerate(bounded, 0) == empty
     assert len(enumerate_up_to_norm(lat, 1)) == 0
     with pytest.raises(ValueError):
         enumerate_up_to_norm(lat, -1)

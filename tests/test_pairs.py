@@ -11,6 +11,7 @@ from latscreen import (
     analyze_screener,
     catalog,
     conformal_weight,
+    dual_pairing_unit,
     in_dual,
     is_positive_definite,
     make_type_i,
@@ -20,6 +21,7 @@ from latscreen import (
     type_ii_feasible,
     type_iii_feasible,
     type_iv_search,
+    virasoro_shift,
 )
 
 A2 = Lattice([[2, -1], [-1, 2]])
@@ -302,6 +304,24 @@ def test_analyze_screener_rejects_a_non_integer_alpha():
     with pytest.raises(LatticeError, match="not an integer"):
         analyze_screener(A2, (1, Fraction(2)))
     assert analyze_screener(Lattice([[2]]), (1,))["alpha"] == (1,)
+
+
+@pytest.mark.parametrize("alpha", [(1.0, 0.0), (1.5, 0), ("1", 0)])
+@pytest.mark.parametrize("call", [
+    lambda a: pair_decompositions(A2, a),
+    lambda a: make_type_i(A2, a, 1, 1),
+    lambda a: type_ii_feasible(A2, a, 1, 1),
+    lambda a: type_iii_feasible(A2, a, 1, 3),
+    lambda a: virasoro_shift(A2, a, 1, 1),
+    lambda a: dual_pairing_unit(A2, a),
+], ids=["pair_decompositions", "make_type_i", "type_ii_feasible", "type_iii_feasible",
+        "virasoro_shift", "dual_pairing_unit"])
+def test_pair_functions_reject_a_non_integer_alpha(call, alpha):
+    """Each refuses alpha before anything else reads it: a float used to
+    raise a bare TypeError or report an odd norm, type_iii_feasible returned
+    a report and dual_pairing_unit truncated (1.5, 0) to (1, 0)."""
+    with pytest.raises(LatticeError, match="has an entry that is not an integer"):
+        call(alpha)
 
 
 def test_analyze_screener_dual_membership_everywhere():

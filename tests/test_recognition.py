@@ -316,8 +316,8 @@ def test_catalog_e():
 
 def test_catalog_grams_are_pinned():
     """One digest over every catalog Gram matrix A1-A12, D2-D12 and E6-E8
-    at scales 1-3, computed with one hand-written builder per family, so a
-    new builder must give every matrix entry for entry."""
+    at scales 1-3, computed with one hand-written Gram function per family,
+    so a new construction must give every matrix entry for entry."""
     names = ([("A", n) for n in range(1, 13)] + [("D", n) for n in range(2, 13)]
              + [("E", n) for n in (6, 7, 8)])
     grams = [(k, n, s, catalog(k, n, s).gram) for k, n in names for s in (1, 2, 3)]
