@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -335,3 +336,41 @@ def test_analyze_screener_dual_membership_everywhere():
                 assert 2 * p * q == rep["norm"]
                 assert in_dual(lat, used, p)
                 assert in_dual(lat, used, q)
+
+
+def _pin_pool():
+    """Seeded positive definite Grams of rank 1 to 3, after four chosen
+    ones: feasible type II and III pairs and a norm with 240 splits."""
+    rng = random.Random(1603)
+    grams = [[[12, 0], [0, 2]], [[12, 0], [0, 5]], [[16, 0], [0, 14]], [[1441440]]]
+    while len(grams) < 200:
+        d = rng.randint(1, 3)
+        g = [[0] * d for _ in range(d)]
+        for i in range(d):
+            g[i][i] = rng.randint(1, 16)
+            for j in range(i + 1, d):
+                g[i][j] = g[j][i] = rng.randint(-6, 6)
+        if is_positive_definite(g):
+            grams.append(g)
+    return grams
+
+
+PAIR_LAYER_SHA256 = "68df9d1a5b2c3195d04808ba3623941af59b4eeb1cfbe31f0f21dd0dfa750a10"
+
+
+def test_pair_layer_is_pinned():
+    """One sha256 over the repr of analyze_screener(lat, a, max_r=60) for
+    every screener of the pool and of type_iv_search(p, p', 400) for
+    1 <= p, p' <= 60; any byte the pair layer reports moves it."""
+    h = hashlib.sha256()
+    screeners = 0
+    for g in _pin_pool():
+        lat = Lattice(g)
+        for a in all_screeners(lat).vectors:
+            h.update(repr(analyze_screener(lat, a, max_r=60)).encode())
+            screeners += 1
+    for p in range(1, 61):
+        for q in range(1, 61):
+            h.update(repr(type_iv_search(p, q, 400)).encode())
+    assert screeners > 100
+    assert h.hexdigest() == PAIR_LAYER_SHA256
