@@ -9,14 +9,18 @@ in the second momentum multiplier m, with r1, r2 the operator levels.  The
 four realizable shapes: both operators at level 0 (type I), a level-0 and a
 dressed level-1 operator (type II), the mirrored arrangement (type III), and
 the sporadic level >= 2 solutions of the quadratic (type IV, two branches).
+A change of basis keeps the splits, type I success, <gamma, a> = p - p' and
+type IV, but gamma is folded from a's coordinates in index order, so gamma,
+c and the type II and III verdicts can move: type II at a = (1, 0), (8, 1)
+on [[16, 0], [0, 14]] is feasible, and not in the basis [[1, 1], [-2, -1]].
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from numbers import Integral
 from operator import index
 from typing import Sequence
 
@@ -48,15 +52,26 @@ def _alpha(a: Sequence[int]) -> Vec:
         raise LatticeError(f"alpha {tuple(a)!r} has an entry that is not an integer") from None
 
 
-def pair_decompositions(lat: Lattice, a: Sequence[int]) -> list[tuple[int, int]]:
-    """All factorizations <a,a> = 2*p*p' with both a/p and a/p' in the dual."""
-    a = _alpha(a)
+def _positive(**values: int) -> None:
+    """Refuse a split or level that is not a positive integer."""
+    if not all(isinstance(v, Integral) and v >= 1 for v in values.values()):
+        raise LatticeError(f"{' and '.join(values)} must be positive integers")
+
+
+def _half_norm(lat: Lattice, a: Vec) -> int:
+    """<a,a>/2, refusing the zero vector and an odd norm."""
     nrm = lat.norm(a)
     if nrm == 0:
         raise LatticeError("alpha is the zero vector; it has no factorization 2*p*p'")
     if nrm % 2 != 0:
         raise LatticeError(f"norm {nrm} is odd; no even factorization 2*p*p'")
-    half = nrm // 2
+    return nrm // 2
+
+
+def pair_decompositions(lat: Lattice, a: Sequence[int]) -> list[tuple[int, int]]:
+    """All factorizations <a,a> = 2*p*p' with both a/p and a/p' in the dual."""
+    a = _alpha(a)
+    half = _half_norm(lat, a)
     return [(p, half // p) for p in intlinalg.divisors(half, half)
             if in_dual(lat, a, p) and in_dual(lat, a, half // p)]
 
@@ -70,8 +85,7 @@ def _shift_vector(lat: Lattice, a: Sequence[int], scale: int) -> DualVec:
         raise LatticeError(
             f"alpha {tuple(a)} is imprimitive (gcd {g}); the shift vector is not defined"
         )
-    unit = dual_pairing_unit(lat, a)
-    return tuple(scale * t for t in unit)
+    return tuple(scale * t for t in dual_pairing_unit(lat, a))
 
 
 def _require_weight_one(lat: Lattice, gamma: DualVec, *operators) -> None:
@@ -86,12 +100,14 @@ def make_type_i(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> PairSpe
     """Two level-0 screening operators with momenta -a/p and a/p'.
 
     gamma = (p - p') * gbar makes both weights exactly 1; p = p' gives
-    gamma = 0.  Raises when (p, p') is not a valid decomposition or when a
-    is imprimitive with p != p'.
+    gamma = 0.  Raises unless p p' = <a,a>/2 with a/p and a/p' in the dual,
+    and when a is imprimitive with p != p'.
     """
     a = _alpha(a)
-    if (p, p_prime) not in pair_decompositions(lat, a):
-        raise LatticeError(f"({p}, {p_prime}) does not decompose <a,a> = {lat.norm(a)}")
+    _positive(p=p, p_prime=p_prime)
+    half = _half_norm(lat, a)
+    if p * p_prime != half or not in_dual(lat, a, p) or not in_dual(lat, a, p_prime):
+        raise LatticeError(f"({p}, {p_prime}) does not decompose <a,a> = {2 * half}")
     gamma = _shift_vector(lat, a, p - p_prime)
     _require_weight_one(lat, gamma, (tuple(Fraction(-v, p) for v in a), 0),
                         (tuple(Fraction(v, p_prime) for v in a), 0))
@@ -117,8 +133,7 @@ def virasoro_shift(lat: Lattice, a: Sequence[int], p: int, q: int) -> DualVec:
     a is not a screener or the norm does not match.
     """
     a = _alpha(a)
-    if p < 1 or q < 1:
-        raise LatticeError("p and q must be positive")
+    _positive(p=p, q=q)
     if not is_screener(lat, a):
         raise LatticeError(f"{tuple(a)} is not a screening vector")
     if lat.norm(a) != 2 * p * q:
@@ -164,6 +179,7 @@ def type_ii_feasible(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> Fe
     be orthogonal to (p - p') a/(p p') - 2 gamma and independent of a.
     """
     a = _alpha(a)
+    _positive(p=p, p_prime=p_prime)
     nrm = lat.norm(a)
     if nrm != 2 * p * p_prime:
         raise LatticeError(f"<a,a> = {nrm} != 2*{p}*{p_prime}")
@@ -176,8 +192,7 @@ def type_ii_feasible(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> Fe
         reasons.append("rank must be at least 2")
     if not in_dual(lat, a, p):
         reasons.append("alpha/p is not in the dual")
-    ga = lat.gram_times(a)
-    if any(((p - p_prime) * t) % (p * p_prime) for t in ga):
+    if not in_dual(lat, [(p - p_prime) * v for v in a], p * p_prime):
         reasons.append("(p - p_prime) alpha / (p p_prime) is not in the dual")
     g = gcd(*a)
     if g != 1:
@@ -200,6 +215,7 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
     of a.
     """
     a = _alpha(a)
+    _positive(p_prime=p_prime, r=r)
     reasons = []
     if r <= p_prime:
         reasons.append("requires r > p_prime")
@@ -221,10 +237,8 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
     if not reasons and not in_dual(lat, a, p):
         reasons.append("alpha/p is not in the dual")
     m = r - p_prime
-    if not reasons:
-        ga = lat.gram_times(a)
-        if any((m * t) % (2 * p * p_prime) for t in ga):
-            reasons.append("m alpha / (2 p p_prime) is not in the dual")
+    if not reasons and not in_dual(lat, [m * v for v in a], 2 * p * p_prime):
+        reasons.append("m alpha / (2 p p_prime) is not in the dual")
     g = gcd(*a)
     if g != 1:
         reasons.append(f"alpha is imprimitive (gcd {g}); the shift vector is not defined")
@@ -258,18 +272,20 @@ def _dressed_pair(lat: Lattice, a: Vec, p: int, p_prime: int, pair_type: str, ex
     return FeasibilityReport(feasible=True, reasons=(), pair=pair)
 
 
+def _weight_roots(p: int, p_prime: int, r1: int, r2: int) -> tuple[int | None, tuple[int, ...]]:
+    """The root s of the discriminant of m^2 + 2m(p(r1-1) + p') + 4pp'(r2-1) = 0,
+    None unless it is a perfect square, and the positive integer roots m."""
+    b = p * (r1 - 1) + p_prime
+    disc = b * b - 4 * p * p_prime * (r2 - 1)
+    s = isqrt(max(disc, 0))
+    if s * s != disc:
+        return None, ()
+    return s, tuple(m for m in sorted({-b + s, -b - s}) if m > 0)
+
+
 def solve_weight_quadratic(p: int, p_prime: int, r1: int, r2: int) -> tuple[int, ...]:
     """Positive integer roots m of m^2 + 2m(p(r1-1) + p') + 4pp'(r2-1) = 0."""
-    b = p * (r1 - 1) + p_prime
-    c = 4 * p * p_prime * (r2 - 1)
-    disc = b * b - c
-    if disc < 0:
-        return ()
-    s = math.isqrt(disc)
-    if s * s != disc:
-        return ()
-    roots = sorted({-b + s, -b - s})
-    return tuple(m for m in roots if m > 0)
+    return _weight_roots(p, p_prime, r1, r2)[1]
 
 
 @dataclass(frozen=True)
@@ -296,23 +312,16 @@ def type_iv_search(p: int, p_prime: int, max_r: int) -> list[TypeIVSolution]:
     product 4pp', so s + u <= 2pp', hence u < pp' and (r1 - 1)p < p'(p - 1) < p'p.
     Only solutions with a positive m survive.
     """
+    _positive(p=p, p_prime=p_prime)
     out: list[TypeIVSolution] = []
     for r2 in range(2, max_r + 1):
-        disc = (p_prime - p) ** 2 + 4 * p * p_prime * (1 - r2)
-        if disc < 0:
+        if (p_prime - p) ** 2 < 4 * p * p_prime * (r2 - 1):
             break
-        s = math.isqrt(disc)
-        if s * s != disc:
-            continue
-        ms = solve_weight_quadratic(p, p_prime, 0, r2)
+        s, ms = _weight_roots(p, p_prime, 0, r2)
         if ms:
             out.append(TypeIVSolution(branch="A", r1=0, r2=r2, disc_sqrt=s, m_values=ms))
     for r1 in range(2, min(max_r, p_prime) + 1):
-        disc = ((r1 - 1) * p + p_prime) ** 2 + 4 * p * p_prime
-        s = math.isqrt(disc)
-        if s * s != disc:
-            continue
-        ms = solve_weight_quadratic(p, p_prime, r1, 0)
+        s, ms = _weight_roots(p, p_prime, r1, 0)
         if ms:
             out.append(TypeIVSolution(branch="B", r1=r1, r2=0, disc_sqrt=s, m_values=ms))
     return out
@@ -329,11 +338,9 @@ def analyze_screener(lat: Lattice, a: Sequence[int], max_r: int = 50) -> dict:
     An odd-parity vector is doubled first (the screening theory only sees
     its even multiple); the report notes the substitution.
     """
-    a_t = alpha = _alpha(a)
-    substituted = False
-    if lat.parity(a_t) == 1:
-        a_t = tuple(2 * v for v in a_t)
-        substituted = True
+    alpha = _alpha(a)
+    substituted = lat.parity(alpha) == 1
+    a_t = tuple(2 * v for v in alpha) if substituted else alpha
     decs = pair_decompositions(lat, a_t)
     entries = []
     for p, q in decs:
@@ -343,14 +350,14 @@ def analyze_screener(lat: Lattice, a: Sequence[int], max_r: int = 50) -> dict:
         except LatticeError as e:
             entry["type_i_error"] = str(e)
         entry["type_ii"] = type_ii_feasible(lat, a_t, p, q)
-        disc = q * q + 4 * p * q
-        s = math.isqrt(disc)
-        if s * s == disc:
-            entry["type_iii"] = type_iii_feasible(lat, a_t, q, s)
+        # type III needs r^2 = p'^2 + 4pp', the discriminant at levels (1, 0)
+        r, _ = _weight_roots(p, q, 1, 0)
+        if r is not None:
+            entry["type_iii"] = type_iii_feasible(lat, a_t, q, r)
         else:
             entry["type_iii"] = FeasibilityReport(
                 feasible=False,
-                reasons=(f"no integer r with r^2 = p_prime^2 + 4*p*p_prime = {disc}",),
+                reasons=(f"no integer r with r^2 = p_prime^2 + 4*p*p_prime = {q * q + 4 * p * q}",),
             )
         entry["type_iv"] = type_iv_search(p, q, max_r)
         entries.append(entry)

@@ -128,15 +128,6 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     )
 
 
-def screening_system(screeners: ScreenerSet) -> tuple[Vec, ...]:
-    """Greedy maximal linearly independent subset, taken in canonical order."""
-    picked: list[Vec] = []
-    for v in screeners.vectors:
-        if intlinalg.rank(picked + [v]) > len(picked):
-            picked.append(v)
-    return tuple(picked)
-
-
 def dual_pairing_unit(lat: Lattice, a: Sequence[int]) -> DualVec:
     """The deterministic dual vector pairing to exactly 1 with a.
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from latscreen import (
     Lattice,
     all_screeners,
+    analyze_screener,
     catalog,
     identify_extended_type,
     is_positive_definite,
@@ -108,6 +109,36 @@ def test_scaling_keeps_the_screeners(gram, p):
         for v in set(after.vectors) - set(before.vectors):
             assert lat.norm(v) % 2 == 1
             assert is_screener(scaled, v)
+
+
+def _pair_invariants(lat, a):
+    """The part of analyze_screener that the basis cannot move, after
+    checking <gamma, alpha> = p - p' for every type I pair."""
+    rep = analyze_screener(lat, a)
+    entries = []
+    for e in rep["entries"]:
+        spec = e.get("type_i")
+        if spec is not None:
+            assert lat.dual_inner(spec.gamma, rep["alpha_used"]) == e["p"] - e["p_prime"]
+        entries.append((e["p"], e["p_prime"], spec is not None, e["type_iv"]))
+    return rep["norm"], rep["substituted"], rep["decompositions"], entries
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from(KNOWN), random_gram()).flatmap(
+    lambda g: st.tuples(st.just(g), unimodular(len(g)))))
+def test_pair_data_moves_with_a_unimodular_basis_change(case):
+    """alpha in the new basis is x U^-1, so each screener and unit vector y
+    of U G U^T is compared with x = y U of G: the splits, the norm, the
+    odd-parity substitution, whether type I succeeds, <gamma, alpha> = p - p'
+    and the type IV solutions stay.  gamma itself does not: it is folded
+    from alpha's coordinates in index order, so c and the type II and III
+    verdicts can change with the basis."""
+    gram, u = case
+    lat, moved = Lattice(gram), Lattice(_transform(gram, u))
+    units = [tuple(int(i == j) for j in range(moved.rank)) for i in range(moved.rank)]
+    for y in list(all_screeners(moved).vectors) + units:
+        assert _pair_invariants(moved, y) == _pair_invariants(lat, matmul([y], u)[0])
 
 
 CATALOG = [(kind, n, scale) for kind, ns in (("A", range(1, 6)), ("D", (4, 5)), ("E", (6,)))

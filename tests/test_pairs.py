@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import latscreen.pairs
 from latscreen import (
     Lattice,
     LatticeError,
@@ -323,6 +324,75 @@ def test_pair_functions_reject_a_non_integer_alpha(call, alpha):
     a report and dual_pairing_unit truncated (1.5, 0) to (1, 0)."""
     with pytest.raises(LatticeError, match="has an entry that is not an integer"):
         call(alpha)
+
+
+@pytest.mark.parametrize("x, y", [(0, 1), (1, -2), (1.0, 1), (1, Fraction(2)), ("2", 1)])
+@pytest.mark.parametrize("call, names", [
+    (lambda x, y: make_type_i(A2, (1, 0), x, y), "p and p_prime"),
+    (lambda x, y: virasoro_shift(A2, (1, 0), x, y), "p and q"),
+    (lambda x, y: type_ii_feasible(Lattice([[4]]), (1,), x, y), "p and p_prime"),
+    (lambda x, y: type_iii_feasible(Lattice([[4]]), (1,), x, y), "p_prime and r"),
+    (lambda x, y: type_iv_search(x, y, 10), "p and p_prime"),
+], ids=["make_type_i", "virasoro_shift", "type_ii_feasible", "type_iii_feasible", "type_iv_search"])
+def test_pair_functions_reject_a_split_that_is_not_a_positive_integer(call, names, x, y):
+    """Each refuses a bad p, p' or r before reading it: a negative split
+    used to fail inside in_dual, make isqrt raise ValueError or give a type
+    III report naming only the rank, and a float raised a bare TypeError."""
+    with pytest.raises(LatticeError, match=f"^{names} must be positive integers$"):
+        call(x, y)
+
+
+def test_make_type_i_accepts_exactly_the_listed_splits():
+    """Over screeners and other vectors of seeded lattices and every split
+    1 <= p, p' <= 12, make_type_i succeeds exactly on the splits that
+    pair_decompositions lists, with alpha primitive or p = p'; elsewhere it
+    raises the refusal of pair_decompositions, "does not decompose" or the
+    shift vector's "imprimitive"."""
+    rng = random.Random(29)
+    built = 0
+    for g in _pin_pool():
+        lat = Lattice(g)
+        others = [tuple(rng.randint(-2, 2) for _ in g) for _ in range(3)]
+        for a in list(all_screeners(lat).vectors) + others:
+            try:
+                splits, refusal = pair_decompositions(lat, a), None
+            except LatticeError as e:
+                splits, refusal = [], str(e)
+            g_a = math.gcd(*a)
+            for p in range(1, 13):
+                for q in range(1, 13):
+                    if refusal is not None:
+                        expected = refusal
+                    elif (p, q) not in splits:
+                        expected = f"({p}, {q}) does not decompose <a,a> = {lat.norm(a)}"
+                    elif p != q and g_a != 1:
+                        expected = f"alpha {a} is imprimitive (gcd {g_a}); the shift vector is not defined"
+                    else:
+                        expected = None
+                    try:
+                        make_type_i(lat, a, p, q)
+                        got = None
+                    except LatticeError as e:
+                        got = str(e)
+                    assert got == expected, (g, a, p, q)
+                    built += got is None
+    assert built > 400
+
+
+def test_analyze_screener_lists_the_splits_once(monkeypatch):
+    """make_type_i checks its split by the definition, so the 240 splits of
+    norm 1441440 cost one pair_decompositions call, not 241."""
+    calls = []
+    real = latscreen.pairs.pair_decompositions
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(latscreen.pairs, "pair_decompositions", counted)
+    rep = analyze_screener(Lattice([[1441440]]), (1,), max_r=0)
+    assert len(rep["entries"]) == 240
+    assert len(calls) == 1
 
 
 def test_analyze_screener_dual_membership_everywhere():

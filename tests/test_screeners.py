@@ -18,12 +18,12 @@ from latscreen import (
     is_screener,
     make_type_i,
     recognize_components,
-    screening_system,
     virasoro_shift,
 )
 from latscreen.enumeration import enumerate_up_to_norm, form_minimum
 from latscreen.intlinalg import (
-    determinant, divisors, hnf_rows, invariant_factors, matmul, smith_normal_form, solve_linear_system,
+    determinant, divisors, hnf_rows, invariant_factors, matmul, rank, smith_normal_form,
+    solve_linear_system,
 )
 from latscreen.screeners import _mod_kernel_basis
 
@@ -229,45 +229,6 @@ def test_rescaling_bijection():
             assert sp.total_count == s0.total_count
 
 
-def test_screening_system():
-    sys_a2 = screening_system(all_screeners(Lattice(A2)))
-    assert sys_a2 == ((0, 1), (1, 0))
-    assert screening_system(all_screeners(Lattice([[2]]))) == ((1,),)
-    assert screening_system(all_screeners(Lattice([[4, 0], [0, 3]]))) == ((1, 0),)
-    for lat in POOL:
-        s = all_screeners(lat)
-        if not s.vectors:
-            continue
-        system = screening_system(s)
-        assert len(system) == len(recognize_components(lat, s).simple_roots)
-
-
-def _fraction_echelon_system(vectors):
-    """Reference for screening_system: keep each vector that a Fraction
-    echelon of the vectors kept so far does not reduce to zero."""
-    picked, echelon = [], []
-    for v in vectors:
-        row = [Fraction(t) for t in v]
-        for er in echelon:
-            piv = next(j for j, t in enumerate(er) if t != 0)
-            if row[piv] != 0:
-                f = row[piv] / er[piv]
-                row = [a - f * b for a, b in zip(row, er)]
-        if any(row):
-            echelon.append(row)
-            picked.append(v)
-    return tuple(picked)
-
-
-def test_screening_system_matches_fraction_echelon():
-    checked = 0
-    for lat in POOL + CUT_POOL:
-        s = all_screeners(lat)
-        assert screening_system(s) == _fraction_echelon_system(s.vectors)
-        checked += len(s.vectors) > 1
-    assert checked > 20
-
-
 def _screener_lattice(lat):
     """Hermite basis of the lattice the screeners generate; the simple
     roots are a Z-basis of it."""
@@ -313,10 +274,13 @@ def test_splitting_chain():
     """Every invariant factor of the simple roots R is 1 or 2, that is
     2 sat(R) lies in R.  With C a complement of sat(R) in L this is the
     chain 2L in R + C in L.  At full rank the Gram determinant of R is its
-    index squared times det L, and the index divides 2^d."""
+    index squared times det L, and the index divides 2^d.  The simple
+    roots are linearly independent and span the screeners over Q."""
     twos = 0
     for lat in POOL:
-        simple = [list(r) for r in recognize_components(lat).simple_roots]
+        s = all_screeners(lat)
+        simple = [list(r) for r in recognize_components(lat, s).simple_roots]
+        assert rank(simple) == len(simple) == rank(s.vectors)
         factors = invariant_factors(simple)
         assert len(factors) == len(simple)
         assert set(factors) <= {1, 2}, (lat, factors)
