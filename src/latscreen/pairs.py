@@ -1,16 +1,24 @@
 """Screening-pair data for a screening vector.
 
-A screener a with <a,a> = 2*p*p' supports pairs of screening operators whose
-joint weight-1 condition reduces to the integer quadratic
+A screener a with <a,a> = 2*p*p' supports pairs of screening operators,
+-a/p at level r1 and m*a/(2*p*p') at level r2.  The first has weight 1
+exactly when <gamma, a> = p - p' - r1*p, so gamma is that multiple of the
+dual vector gbar with <gbar, a> = 1, and the second then has weight 1
+exactly when m solves the integer quadratic
 
-    m^2 + 2*m*(p*(r1 - 1) + p') + 4*p*p'*(r2 - 1) = 0
+    m^2 + 2*m*(p*(r1 - 1) + p') + 4*p*p'*(r2 - 1) = 0.
 
-in the second momentum multiplier m, with r1, r2 the operator levels.  The
-four realizable shapes: both operators at level 0 (type I), a level-0 and a
-dressed level-1 operator (type II), the mirrored arrangement (type III), and
-the sporadic level >= 2 solutions of the quadratic (type IV, two branches).
-A change of basis keeps the splits, type I success, <gamma, a> = p - p' and
-type IV, but gamma is folded from a's coordinates in index order, so gamma,
+The four types are its levels:
+
+    type   (r1, r2)   m            <gamma, a>
+    I      (0, 0)     2p           p - p'
+    II     (0, 1)     2(p - p')    p - p'
+    III    (1, 0)     r - p'       -p'
+    IV     one >= 2   sporadic     (two branches, A and B)
+
+The level-1 operator of types II and III is dressed by a direction beta.
+A change of basis keeps the splits, type I success, <gamma, a> and
+type IV, but gbar is folded from a's coordinates in index order, so gamma,
 c and the type II and III verdicts can move: type II at a = (1, 0), (8, 1)
 on [[16, 0], [0, 14]] is feasible, and not in the basis [[1, 1], [-2, -1]].
 """
@@ -58,6 +66,12 @@ def _positive(**values: int) -> None:
         raise LatticeError(f"{' and '.join(values)} must be positive integers")
 
 
+def _level_bound(max_r: int) -> None:
+    """Refuse a type IV level bound that is not a nonnegative integer."""
+    if not isinstance(max_r, Integral) or max_r < 0:
+        raise LatticeError(f"max_r must be a nonnegative integer, got {max_r!r}")
+
+
 def _half_norm(lat: Lattice, a: Vec) -> int:
     """<a,a>/2, refusing the zero vector and an odd norm."""
     nrm = lat.norm(a)
@@ -76,26 +90,6 @@ def pair_decompositions(lat: Lattice, a: Sequence[int]) -> list[tuple[int, int]]
             if in_dual(lat, a, p) and in_dual(lat, a, half // p)]
 
 
-def _shift_vector(lat: Lattice, a: Sequence[int], scale: int) -> DualVec:
-    """gamma = scale * gbar with <gbar, a> = 1; needs a primitive unless scale = 0."""
-    if scale == 0:
-        return tuple(Fraction(0) for _ in range(lat.rank))
-    g = gcd(*a)
-    if g != 1:
-        raise LatticeError(
-            f"alpha {tuple(a)} is imprimitive (gcd {g}); the shift vector is not defined"
-        )
-    return tuple(scale * t for t in dual_pairing_unit(lat, a))
-
-
-def _require_weight_one(lat: Lattice, gamma: DualVec, *operators) -> None:
-    """Check that every (momentum, level) operator has conformal weight 1."""
-    for mom, lvl in operators:
-        wt = conformal_weight(lat, mom, gamma, lvl)
-        if wt != 1:
-            raise LatticeError(f"internal: weight {wt} != 1 at level {lvl}")
-
-
 def make_type_i(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> PairSpec:
     """Two level-0 screening operators with momenta -a/p and a/p'.
 
@@ -108,18 +102,7 @@ def make_type_i(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> PairSpe
     half = _half_norm(lat, a)
     if p * p_prime != half or not in_dual(lat, a, p) or not in_dual(lat, a, p_prime):
         raise LatticeError(f"({p}, {p_prime}) does not decompose <a,a> = {2 * half}")
-    gamma = _shift_vector(lat, a, p - p_prime)
-    _require_weight_one(lat, gamma, (tuple(Fraction(-v, p) for v in a), 0),
-                        (tuple(Fraction(v, p_prime) for v in a), 0))
-    return PairSpec(
-        alpha=a,
-        p=p,
-        p_prime=p_prime,
-        pair_type="I",
-        gamma=gamma,
-        c=central_charge(lat.rank, gamma, lat),
-        extra={"m": 2 * p},
-    )
+    return _pair(lat, a, p, p_prime, 0, 0, "I")
 
 
 def virasoro_shift(lat: Lattice, a: Sequence[int], p: int, q: int) -> DualVec:
@@ -150,17 +133,15 @@ class FeasibilityReport:
     pair: PairSpec | None = None
 
 
-def _orthogonal_witness(lat: Lattice, a: Sequence[int], w: Sequence[Fraction]) -> tuple[Vec | None, str | None]:
+def _orthogonal_witness(lat: Lattice, a: Sequence[int], w: Sequence[Fraction]) -> Vec | None:
     """Integer vector orthogonal (under G) to the dual vector w and not
-    proportional to a; None with a reason when no direction exists."""
+    proportional to a; None when no such direction exists."""
     nums, q = over_common_denominator(w)
     # G w = u / q; dividing u by gcd(q, u) gives G w over its least denominator
     u = lat.gram_times(nums)
     g = gcd(q, *u)
-    for row in intlinalg.kernel_rows([[t // g for t in u]]):
-        if not _proportional(row, a):
-            return tuple(row), None
-    return None, "the orthogonal hyperplane holds no direction independent of alpha"
+    return next((tuple(row) for row in intlinalg.kernel_rows([[t // g for t in u]])
+                 if not _proportional(row, a)), None)
 
 
 def _proportional(x: Sequence[int], y: Sequence[int]) -> bool:
@@ -199,10 +180,7 @@ def type_ii_feasible(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> Fe
         reasons.append(f"alpha is imprimitive (gcd {g}); the shift vector is not defined")
     if reasons:
         return FeasibilityReport(feasible=False, reasons=tuple(reasons))
-    m = 2 * (p - p_prime)
-    mom2 = tuple(Fraction(m * v, 2 * p * p_prime) for v in a)
-    return _dressed_pair(lat, a, p, p_prime, "II", {"m": m}, _shift_vector(lat, a, p - p_prime),
-                         (tuple(Fraction(-v, p) for v in a), 0), (mom2, 1))
+    return _dressed(_pair(lat, a, p, p_prime, 0, 1, "II"))
 
 
 def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> FeasibilityReport:
@@ -236,39 +214,52 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
         reasons.append("rank must be at least 2")
     if not reasons and not in_dual(lat, a, p):
         reasons.append("alpha/p is not in the dual")
-    m = r - p_prime
-    if not reasons and not in_dual(lat, [m * v for v in a], 2 * p * p_prime):
+    if not reasons and not in_dual(lat, [(r - p_prime) * v for v in a], 2 * p * p_prime):
         reasons.append("m alpha / (2 p p_prime) is not in the dual")
     g = gcd(*a)
     if g != 1:
         reasons.append(f"alpha is imprimitive (gcd {g}); the shift vector is not defined")
     if reasons:
         return FeasibilityReport(feasible=False, reasons=tuple(reasons))
-    mom2 = tuple(Fraction(m * v, 2 * p * p_prime) for v in a)
-    return _dressed_pair(lat, a, p, p_prime, "III", {"m": m, "r": r}, _shift_vector(lat, a, -p_prime),
-                         (tuple(Fraction(-v, p) for v in a), 1), (mom2, 0))
+    return _dressed(_pair(lat, a, p, p_prime, 1, 0, "III", r=r))
 
 
-def _dressed_pair(lat: Lattice, a: Vec, p: int, p_prime: int, pair_type: str, extra: dict,
-                  gamma: DualVec, *operators) -> FeasibilityReport:
-    """The pair of a type II or III check that passed: both (momentum, level)
-    operators at weight 1, and a dressing direction beta orthogonal to
-    v - 2 gamma, v the level-1 momentum, and independent of a."""
-    _require_weight_one(lat, gamma, *operators)
-    dressed = next(mom for mom, lvl in operators if lvl == 1)
-    beta, why = _orthogonal_witness(lat, a, tuple(v - 2 * g for v, g in zip(dressed, gamma)))
-    if beta is None:
-        return FeasibilityReport(feasible=False, reasons=(why,))
-    pair = PairSpec(
-        alpha=a,
-        p=p,
-        p_prime=p_prime,
-        pair_type=pair_type,
-        gamma=gamma,
-        c=central_charge(lat.rank, gamma, lat),
-        extra=extra,
-        beta=beta,
-    )
+def _pair(lat: Lattice, a: Vec, p: int, p_prime: int, r1: int, r2: int, pair_type: str,
+          **extra) -> PairSpec:
+    """The pair -a/p at level r1 and m a/(2pp') at level r2, for r2 <= 1.
+
+    gamma = (p - p' - r1 p) gbar, zero without gbar when that scale is 0.
+    m is the one positive root: the roots multiply to 4pp'(r2 - 1) <= 0,
+    and the callers' checks make one positive (roots 2p and -2p' at (0, 0),
+    2(p - p') > 0 and 0 at (0, 1), r - p' > 0 and -r - p' at (1, 0)).
+    beta dresses a level-1 momentum v: orthogonal to v - 2 gamma and
+    independent of a; None when there is none or no level is 1.
+    """
+    (m,) = _weight_roots(p, p_prime, r1, r2)[1]
+    scale = p - p_prime - r1 * p
+    gamma = (Fraction(0),) * lat.rank
+    if scale != 0:
+        g = gcd(*a)
+        if g != 1:
+            raise LatticeError(f"alpha {a} is imprimitive (gcd {g}); the shift vector is not defined")
+        gamma = tuple(scale * t for t in dual_pairing_unit(lat, a))
+    beta = None
+    for mom, lvl in ((tuple(Fraction(-v, p) for v in a), r1),
+                     (tuple(Fraction(m * v, 2 * p * p_prime) for v in a), r2)):
+        wt = conformal_weight(lat, mom, gamma, lvl)
+        if wt != 1:
+            raise LatticeError(f"internal: weight {wt} != 1 at level {lvl}")
+        if lvl == 1:
+            beta = _orthogonal_witness(lat, a, tuple(v - 2 * t for v, t in zip(mom, gamma)))
+    return PairSpec(alpha=a, p=p, p_prime=p_prime, pair_type=pair_type, gamma=gamma,
+                    c=central_charge(lat.rank, gamma, lat), extra={"m": m, **extra}, beta=beta)
+
+
+def _dressed(pair: PairSpec) -> FeasibilityReport:
+    """The report of a type II or III pair: feasible when beta exists."""
+    if pair.beta is None:
+        return FeasibilityReport(feasible=False, reasons=(
+            "the orthogonal hyperplane holds no direction independent of alpha",))
     return FeasibilityReport(feasible=True, reasons=(), pair=pair)
 
 
@@ -312,6 +303,7 @@ def type_iv_search(p: int, p_prime: int, max_r: int) -> list[TypeIVSolution]:
     product 4pp', so s + u <= 2pp', hence u < pp' and (r1 - 1)p < p'(p - 1) < p'p.
     Only solutions with a positive m survive.
     """
+    _level_bound(max_r)
     _positive(p=p, p_prime=p_prime)
     out: list[TypeIVSolution] = []
     for r2 in range(2, max_r + 1):
@@ -338,6 +330,7 @@ def analyze_screener(lat: Lattice, a: Sequence[int], max_r: int = 50) -> dict:
     An odd-parity vector is doubled first (the screening theory only sees
     its even multiple); the report notes the substitution.
     """
+    _level_bound(max_r)
     alpha = _alpha(a)
     substituted = lat.parity(alpha) == 1
     a_t = tuple(2 * v for v in alpha) if substituted else alpha

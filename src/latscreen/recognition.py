@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import sub
+from operator import index, sub
 from typing import Sequence
 
 from . import intlinalg
@@ -494,6 +494,10 @@ def _cartan(n: int, edges) -> list[list[int]]:
 def catalog(kind: str, n: int, scale: int = 1) -> Lattice:
     """Standard Gram matrix of A_n (n>=1), D_n (n>=2) or E_n (n in 6..8),
     multiplied by a positive scale."""
+    try:
+        n, scale = index(n), index(scale)
+    except TypeError:
+        raise LatticeError(f"catalog {kind} {n!r} at scale {scale!r}: n and scale must be integers") from None
     if scale < 1:
         raise LatticeError("scale must be a positive integer")
     path = [(i, i + 1) for i in range(n - 1)]

@@ -24,18 +24,15 @@ from operator import index
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, canonical
+from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual, in_scaled_lattice
 from .enumeration import enumerate_up_to_norm, form_minimum
 
 
 def is_screener(lat: Lattice, x: Sequence[int]) -> bool:
-    """Screening condition: even norm, primitive mod 2L, 2*G*x divisible by the norm."""
+    """Screening condition: even norm, x not in 2L, and 2x/<x,x> in the dual;
+    for an even norm, <x,x> divides 2 G x exactly when <x,x>/2 divides G x."""
     nrm = lat.norm(x)
-    if nrm <= 0 or nrm % 2 != 0:
-        return False
-    if all(v % 2 == 0 for v in x):
-        return False
-    return all((2 * v) % nrm == 0 for v in lat.gram_times(x))
+    return nrm > 0 and nrm % 2 == 0 and not in_scaled_lattice(x, 2) and in_dual(lat, x, nrm // 2)
 
 
 @dataclass(frozen=True)

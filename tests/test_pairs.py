@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -112,21 +113,6 @@ def test_type_i_a2():
     assert mirror.c == -30
 
 
-def test_type_i_weights_are_one():
-    # both exponents must sit at weight exactly 1, for every screener of the pool
-    for lat in [Lattice([[12]]), A2, catalog("A", 3), Lattice([[4, 0], [0, 3]])]:
-        for a, nrm in zip(*[(s.vectors, s.norms) for s in [all_screeners(lat)]][0]):
-            for p, q in pair_decompositions(lat, a):
-                try:
-                    spec = make_type_i(lat, a, p, q)
-                except LatticeError:
-                    continue  # imprimitive with p != q
-                lo = tuple(Fraction(-v, p) for v in a)
-                hi = tuple(Fraction(v, q) for v in a)
-                assert conformal_weight(lat, lo, spec.gamma, 0) == 1
-                assert conformal_weight(lat, hi, spec.gamma, 0) == 1
-
-
 def test_type_i_rejects_bad_split():
     with pytest.raises(LatticeError, match="does not decompose"):
         make_type_i(Lattice([[12]]), (1,), 4, 3)
@@ -199,13 +185,41 @@ def test_type_iii_infeasibility_reasons():
     )
 
 
-def test_type_iii_weights_are_one():
-    lat = Lattice([[12, 0], [0, 5]])
-    pair = type_iii_feasible(lat, (1, 0), 1, 5).pair
-    lo = tuple(Fraction(-v, pair.p) for v in pair.alpha)
-    hi = tuple(Fraction(pair.extra["m"] * v, 2 * pair.p * pair.p_prime) for v in pair.alpha)
-    assert conformal_weight(lat, lo, pair.gamma, 1) == 1
-    assert conformal_weight(lat, hi, pair.gamma, 0) == 1
+def test_pair_types_sit_at_their_levels():
+    """Every pair that types I, II and III return solves the weight
+    quadratic at its type's levels (r1, r2) = (0, 0), (0, 1), (1, 0): -a/p
+    at level r1 and m a/(2pp') at level r2 both have weight 1, m is the
+    positive root, and <gamma, a> = p - p' - r1 p.  The pool keeps the
+    inputs of the old per-type weight tests and adds feasible type II and
+    III pairs."""
+    levels = {"I": (0, 0), "II": (0, 1), "III": (1, 0)}
+    pool = [Lattice([[12]]), A2, catalog("A", 3), Lattice([[4, 0], [0, 3]])]
+    pool += [Lattice(g) for g in _pin_pool()]
+    built = Counter()
+    for lat in pool:
+        for a in all_screeners(lat).vectors:
+            for p, q in pair_decompositions(lat, a):
+                try:
+                    specs = [make_type_i(lat, a, p, q)]
+                except LatticeError:
+                    specs = []  # imprimitive with p != q
+                r = math.isqrt(q * q + 4 * p * q)
+                reports = (type_ii_feasible(lat, a, p, q), type_iii_feasible(lat, a, q, r))
+                specs += [rep.pair for rep in reports if rep.feasible]
+                for spec in specs:
+                    r1, r2 = levels[spec.pair_type]
+                    m = spec.extra["m"]
+                    assert (spec.alpha, spec.p, spec.p_prime) == (a, p, q)
+                    assert solve_weight_quadratic(p, q, r1, r2) == (m,)
+                    lo = tuple(Fraction(-v, p) for v in a)
+                    hi = tuple(Fraction(m * v, 2 * p * q) for v in a)
+                    assert conformal_weight(lat, lo, spec.gamma, r1) == 1, (lat, a, spec)
+                    assert conformal_weight(lat, hi, spec.gamma, r2) == 1, (lat, a, spec)
+                    assert lat.dual_inner(spec.gamma, a) == p - q - r1 * p
+                    built[spec.pair_type] += 1
+                    built[lat.gram, spec.pair_type] += 1
+    assert built[((12,),), "I"] and built[((12, 0), (0, 2)), "II"] and built[((12, 0), (0, 5)), "III"]
+    assert built["I"] > 100 and built["II"] > 20 and built["III"] > 5, built
 
 
 def test_solve_weight_quadratic_frozen():
@@ -262,6 +276,23 @@ def test_type_iv_branch_b_stops_at_p_prime():
             for r1 in range(q + 1, 400):
                 disc = ((r1 - 1) * p + q) ** 2 + 4 * p * q
                 assert math.isqrt(disc) ** 2 != disc, (p, q, r1)
+
+
+@pytest.mark.parametrize("max_r", [-5, 2.5, "3"])
+@pytest.mark.parametrize("call", [
+    lambda r: type_iv_search(2, 3, r),
+    lambda r: analyze_screener(Lattice([[12]]), (1,), max_r=r),
+    lambda r: analyze_screener(Lattice([[4, 1], [1, 2]]), (1, 1), max_r=r),
+], ids=["type_iv_search", "analyze_screener", "analyze_screener-no-split"])
+def test_level_bound_must_be_a_nonnegative_integer(call, max_r):
+    """A negative bound used to scan an empty range and hide the branch B
+    solution at r1 = 2 of (2, 3), and 2.5 raised a bare TypeError.  The
+    refusal comes before any work, also for an alpha with no split."""
+    with pytest.raises(LatticeError, match="^max_r must be a nonnegative integer, got "):
+        call(max_r)
+    assert [s.r1 for s in type_iv_search(2, 3, 2)] == [2]
+    assert type_iv_search(2, 3, 0) == []
+    assert analyze_screener(Lattice([[4, 1], [1, 2]]), (1, 1), max_r=0)["entries"] == []
 
 
 def test_rank1_central_charge_values():

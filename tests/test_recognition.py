@@ -335,6 +335,12 @@ def test_catalog_scale_and_errors():
         catalog("D", 1)
     with pytest.raises(LatticeError):
         catalog("A", 2, scale=0)
+    # n = 2.0 raised a bare TypeError from range, and scale 2.5 was blamed
+    # as "Gram entry (0, 0) is 5.0"; the refusal names the values given
+    for n, scale, shown in [(2.0, 1, "2.0 at scale 1"), (2, 2.5, "2 at scale 2.5"),
+                            ("2", 1, "'2' at scale 1"), (2, None, "2 at scale None")]:
+        with pytest.raises(LatticeError, match=f"^catalog A {shown}: n and scale must be integers$"):
+            catalog("A", n, scale)
 
 
 def test_screener_norms_live_in_three_shells():
