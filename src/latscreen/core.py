@@ -32,6 +32,14 @@ def _integer_entry(v: object, i: int, j: int) -> int:
         raise LatticeError(f"Gram entry ({i}, {j}) is {v!r}, not an integer") from None
 
 
+def integer_vector(x: Sequence[int], what: str) -> Vec:
+    """x as ints; a float, str or Fraction entry is refused, not truncated."""
+    try:
+        return tuple(map(index, x))
+    except TypeError:
+        raise LatticeError(f"{what} {tuple(x)!r} has an entry that is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Integral lattice with a positive definite Gram matrix.

@@ -7,9 +7,12 @@ k-th leading minor of G (D_0 = 1), S_i the Schur complement of the first i
 basis vectors and P_i = x[i:]^T S_i x[i:] the norm the levels from i
 outwards contribute, P_i = P_{i+1} + e_i^2 / (D_i D_{i+1}), where
 e_i = D_{i+1} x_i + b_i and b_i is the cross term of row i of D_i S_i with
-x[i+1:].  After i fraction-free Bareiss steps (Bareiss 1968) the trailing
-block of the eliminated Gram matrix is exactly D_i S_i, so one elimination
-pass, intlinalg.bareiss_steps, yields D_{i+1} and the b_i rows as integers.
+x[i+1:].  The walk runs on an LLL-reduced basis b_0..b_{d-1}, and the
+integral LLL of intlinalg.lll_reduce (Cohen, Alg. 2.6.7) ends holding these
+levels: D_k are its minors and row i of D_i S_i is lam[j][i], j > i, since
+S_i is the Gram of the b_j projected orthogonally to b_0..b_{i-1}, so
+(S_i)_ij = <b_i*, b_j> = mu_ji D_{i+1} / D_i.  A Bareiss pass (Bareiss 1968)
+on the reduced Gram would rebuild the same integers; neither is formed.
 
 As in Schnorr and Euchner (1994), what the outer levels leave is carried
 down rather than recomputed: the residual rho_i = D_i D_{i+1} (B - P_{i+1})
@@ -89,9 +92,10 @@ def _coordinate_limits(lat: Lattice, bound: int) -> list[int]:
     return limits
 
 
-def _depth_first(gram: list[list[int]], bound: int) -> list[tuple[Vec, int]]:
+def _depth_first(minors: list[int], lam: list[list[int]], bound: int) -> list[tuple[Vec, int]]:
     """Every x with last nonzero coordinate positive and 0 < x^T G x <= bound,
-    with its norm, unsorted, for a positive definite G.  Linear memory.
+    with its norm, unsorted, for a positive definite G given by its minors
+    D_k and lam[j][i] = D_i (S_i)_ij, j > i (module docstring).  Linear memory.
 
     Level i walks the integer v = x_i with (a v + b)^2 <= rho, a = D_{i+1},
     b = b_i, rho = rho_i; the child's residual is
@@ -100,13 +104,11 @@ def _depth_first(gram: list[list[int]], bound: int) -> list[tuple[Vec, int]]:
     coordinates are all zero, b = 0 and v runs from 0, the v = 0 branch
     staying in that state, so one vector of each +-pair is walked and the
     zero vector never reaches a leaf."""
-    d = len(gram)
+    d = len(lam)
     out: list[tuple[Vec, int]] = []
     x = [0] * d
-    # per level, from D_i * S_i before Bareiss step i: a = D_{i+1} and the
-    # b coefficients on x[i+1:]; minors[k] = D_k
-    levels = [(h[i][i], h[i][i + 1:]) for i, h in enumerate(_intlinalg.bareiss_steps(gram))]
-    minors = [1] + [a for a, _ in levels]
+    # per level: a = D_{i+1} and the b coefficients on x[i+1:], row i of D_i S_i
+    levels = [(minors[i + 1], [lam[j][i] for j in range(i + 1, d)]) for i in range(d)]
 
     def level(i: int, rho: int, top: bool) -> None:
         a, brow = levels[i]
@@ -135,13 +137,6 @@ def _depth_first(gram: list[list[int]], bound: int) -> list[tuple[Vec, int]]:
     return out
 
 
-def _reduced(gram) -> tuple[list[list[int]], list[list[int]]]:
-    """LLL rows w of a positive definite gram and the reduced Gram w gram w^T,
-    on which the walker's level ranges stay tight."""
-    w = _intlinalg.lll_rows(gram)
-    return w, _intlinalg.matmul(_intlinalg.matmul(w, gram), list(zip(*w)))
-
-
 def form_minimum(gram: list[list[int]]) -> int:
     """The least value of x^T gram x over nonzero integer x, for a positive
     definite integer matrix.
@@ -150,9 +145,9 @@ def form_minimum(gram: list[list[int]]) -> int:
     vector; one walk up to b - 1 finds anything shorter, and when it finds
     nothing the minimum is b.
     """
-    _, red = _reduced(gram)
-    bound = min(red[i][i] for i in range(len(red)))
-    return min((nrm for _, nrm in _depth_first(red, bound - 1)), default=bound)
+    u, minors, lam = _intlinalg.lll_reduce(gram)
+    bound = min(sum(wi * sum(map(mul, row, w)) for wi, row in zip(w, gram)) for w in u)
+    return min((nrm for _, nrm in _depth_first(minors, lam, bound - 1)), default=bound)
 
 
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
@@ -177,8 +172,8 @@ def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
     bound = _integer(bound, "norm bound")
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
-    w, red = _reduced(lat.gram)
-    pairs = _depth_first(red, bound)
+    w, minors, lam = _intlinalg.lll_reduce(lat.gram)
+    pairs = _depth_first(minors, lam, bound)
     xs = _intlinalg.matmul([z for z, _ in pairs], w)
     return _finish(lat, bound, [(x, nrm) for x, (_, nrm) in zip(xs, pairs)])
 

@@ -317,24 +317,23 @@ def solve_linear_system(mat: Sequence[Sequence[int]], rhs: Sequence[int | Fracti
     return [Fraction(v, det * q) for v in y]
 
 
-def lll_rows(gram: Sequence[Sequence[int]]) -> Matrix:
+def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], Matrix]:
     """Unimodular rows u with u * gram * u^T LLL-reduced (delta = 3/4),
-    computed on the Gram matrix alone in all-integer arithmetic.
+    computed on the Gram matrix alone in all-integer arithmetic (Cohen,
+    Alg. 2.6.7), with the final lambda/d state of the reduced basis.
 
     The enumerators need this: their level-by-level ranges stay tight only on
     a reduced basis, and mod-kernel bases straight out of the Smith form can
     be arbitrarily skewed.  The state is the classical lambda/d pair, where
-    dd[i] is the Gram determinant of the first i vectors and
-    lam[i][j] = mu[i][j] * dd[j + 1], so every division below is exact and no
-    rational Gram-Schmidt data is ever rebuilt."""
+    minors[i] is the Gram determinant of the first i reduced vectors and
+    lam[i][j] = mu[i][j] * minors[j + 1] for j < i, so every division below
+    is exact and no rational Gram-Schmidt data is ever rebuilt."""
     n = len(gram)
     u = identity(n)
-    if n < 2:
-        return u
     g = [[int(gram[i][j]) for j in range(n)] for i in range(n)]
     dd = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
-    # lower triangle only: bareiss_steps' full symmetric elimination does about twice this
+    # the Gram is symmetric, so the start-up fills lam[i][j] for j < i only
     for i in range(n):
         for j in range(i + 1):
             s = g[i][j]
@@ -377,4 +376,9 @@ def lll_rows(gram: Sequence[Sequence[int]]) -> Matrix:
             for j in range(k - 2, -1, -1):
                 reduce_row(k, j)
             k += 1
-    return u
+    return u, dd, lam
+
+
+def lll_rows(gram: Sequence[Sequence[int]]) -> Matrix:
+    """The rows u of lll_reduce alone."""
+    return lll_reduce(gram)[0]

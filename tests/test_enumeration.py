@@ -16,8 +16,8 @@ from latscreen import (
     is_positive_definite,
 )
 from latscreen.core import canonical
-from latscreen.enumeration import _coordinate_limits, _depth_first, _reduced, form_minimum
-from latscreen.intlinalg import identity, lll_rows, matmul, solve_linear_system
+from latscreen.enumeration import _coordinate_limits, _depth_first, form_minimum
+from latscreen.intlinalg import bareiss_steps, identity, lll_reduce, lll_rows, matmul, solve_linear_system
 
 from oracle import box_vectors, det_fraction
 
@@ -97,18 +97,31 @@ def _dense_gram(rng, d):
     return g
 
 
+def bareiss_levels(gram):
+    """The minors D_k and lam[j][i] = row i of D_i S_i, read off a
+    fraction-free Bareiss pass: the levels _depth_first walks on."""
+    d = len(gram)
+    lam = [[0] * d for _ in range(d)]
+    minors = [1]
+    for i, h in enumerate(bareiss_steps(gram)):
+        minors.append(h[i][i])
+        for j in range(i + 1, d):
+            lam[j][i] = h[i][j]
+    return minors, lam
+
+
 def test_depth_first_walks_one_vector_of_each_pair():
-    """The walker on its own, on Grams of rank 1-6 as drawn (not LLL
-    reduced), a third of them scaled by 10^18: exactly one vector of each
-    +-pair of the box scan, the one whose last nonzero coordinate is
-    positive, with its norm, and never the zero vector."""
+    """The walker on its own, on the Bareiss levels of Grams of rank 1-6 as
+    drawn (not LLL reduced), a third of them scaled by 10^18: exactly one
+    vector of each +-pair of the box scan, the one whose last nonzero
+    coordinate is positive, with its norm, and never the zero vector."""
     rng = random.Random(907)
     for case in range(120):
         d = 1 + case % 6
         gram = _dense_gram(rng, d)
         bound = rng.randint(0, 2 * d + 2)
         s = 10**18 if case // 6 % 3 == 0 else 1
-        walked = _depth_first([[s * v for v in row] for row in gram], s * bound)
+        walked = _depth_first(*bareiss_levels([[s * v for v in row] for row in gram]), s * bound)
         for x, _ in walked:
             assert any(x) and [t for t in x if t][-1] > 0, (gram, bound, x)
         expected = [(n * s, x) for x, n in box_vectors(gram, bound)]
@@ -132,13 +145,14 @@ def test_form_minimum_matches_the_box_minimum():
     seeded = [[list(r) for r in random_lattice(rng, 4, 6).gram] for _ in range(40)]
     one_below = 0
     for gram in at_diagonal + BELOW_LLL_DIAGONAL + seeded:
-        _, red = _reduced(gram)
+        u, minors, lam = lll_reduce(gram)
+        red = matmul(matmul(u, gram), list(zip(*u)))
         b = min(red[i][i] for i in range(len(red)))
         minimum = box_vectors(gram, b)[0][1]
         assert form_minimum(gram) == minimum, gram
         one_below += minimum == b - 1
         if gram in at_diagonal:
-            assert minimum == b and _depth_first(red, b - 1) == [], gram
+            assert minimum == b and _depth_first(minors, lam, b - 1) == [], gram
     assert one_below >= len(BELOW_LLL_DIAGONAL)
     for kind, n in [("A", 1), ("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]:
         for scale in (1, 3):
@@ -249,27 +263,34 @@ def test_root_counts_of_standard_lattices():
     assert 2 * len(enumerate_exact_norm(catalog("E", 8), 2)) == 240
 
 
-def test_lll_rows_are_unimodular_and_reduced():
+def skewed_gram(rng, d, scaled):
+    """The Gram of a random nonsingular basis of rank d, sheared so that LLL
+    has work to do, times 10^18 when scaled."""
+    while True:
+        b = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+        if det_fraction(b) != 0:
+            break
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        if i != j:
+            f = rng.randint(-6, 6)
+            b[i] = [x + f * y for x, y in zip(b[i], b[j])]
+    s = 10**18 if scaled else 1
+    return [[s * v for v in row] for row in matmul(b, list(zip(*b)))]
+
+
+def test_lll_reduce_is_unimodular_and_reduced():
     """The rows every walk runs on: unimodular, size reduced (|mu_ij| <= 1/2)
     and Lovasz reduced with delta = 3/4, checked by fraction Gram-Schmidt on
-    the reduced Gram, on skewed Grams of rank 1-8, some scaled by 10^18."""
+    the reduced Gram, on skewed Grams of rank 1-8, some scaled by 10^18;
+    lll_rows gives the same rows."""
     rng = random.Random(61)
     moved = 0
     for case in range(120):
         d = 1 + case % 8
-        while True:
-            b = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
-            if det_fraction(b) != 0:
-                break
-        for _ in range(2 * d):  # shear the basis so that LLL has work to do
-            i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
-            if i != j:
-                f = rng.randint(-6, 6)
-                b[i] = [x + f * y for x, y in zip(b[i], b[j])]
-        gram = matmul(b, list(zip(*b)))
-        if case % 3 == 0:
-            gram = [[10**18 * v for v in row] for row in gram]
-        u = lll_rows(gram)
+        gram = skewed_gram(rng, d, case % 3 == 0)
+        u = lll_reduce(gram)[0]
+        assert lll_rows(gram) == u
         assert abs(det_fraction(u)) == 1, gram
         red = matmul(matmul(u, gram), list(zip(*u)))
         mu = [[Fraction(0)] * d for _ in range(d)]
@@ -283,3 +304,16 @@ def test_lll_rows_are_unimodular_and_reduced():
             assert bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1], (gram, k)
         moved += any(u[i][j] != (i == j) for i in range(d) for j in range(d))
     assert moved > 60
+
+
+def test_lll_state_is_the_bareiss_levels_of_the_reduced_gram():
+    """What the walker reads off lll_reduce: its minors and lam are the
+    pivots and the rows right of the diagonal of a Bareiss pass on
+    u G u^T, on skewed Grams of rank 1-8, a third of them scaled by 10^18."""
+    rng = random.Random(173)
+    for case in range(240):
+        d = 1 + case % 8
+        gram = skewed_gram(rng, d, case // 8 % 3 == 0)
+        u, minors, lam = lll_reduce(gram)
+        red = matmul(matmul(u, gram), list(zip(*u)))
+        assert (minors, lam) == bareiss_levels(red), gram

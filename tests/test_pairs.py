@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from latscreen import (
     dual_pairing_unit,
     in_dual,
     is_positive_definite,
+    is_screener,
     make_type_i,
     pair_decompositions,
     rank1_central_charge,
@@ -347,13 +349,15 @@ def test_analyze_screener_rejects_a_non_integer_alpha():
     lambda a: type_iii_feasible(A2, a, 1, 3),
     lambda a: virasoro_shift(A2, a, 1, 1),
     lambda a: dual_pairing_unit(A2, a),
+    lambda a: is_screener(A2, a),
 ], ids=["pair_decompositions", "make_type_i", "type_ii_feasible", "type_iii_feasible",
-        "virasoro_shift", "dual_pairing_unit"])
+        "virasoro_shift", "dual_pairing_unit", "is_screener"])
 def test_pair_functions_reject_a_non_integer_alpha(call, alpha):
-    """Each refuses alpha before anything else reads it: a float used to
-    raise a bare TypeError or report an odd norm, type_iii_feasible returned
-    a report and dual_pairing_unit truncated (1.5, 0) to (1, 0)."""
-    with pytest.raises(LatticeError, match="has an entry that is not an integer"):
+    """Each refuses alpha, naming it, before anything else reads it: a float
+    used to raise a bare TypeError or report an odd norm, type_iii_feasible
+    returned a report, dual_pairing_unit truncated (1.5, 0) to (1, 0), and
+    is_screener called (1.0, 0) a screener and (1.5, 0) not one."""
+    with pytest.raises(LatticeError, match=re.escape(f"{alpha!r} has an entry that is not an integer")):
         call(alpha)
 
 
