@@ -44,15 +44,18 @@ def integer_vector(x: Sequence[int], what: str) -> Vec:
 class Lattice:
     """Integral lattice with a positive definite Gram matrix.
 
-    Definiteness is checked once at construction (all leading principal
-    minors positive); afterwards every operation trusts the matrix.
+    Construction checks definiteness once, by intlinalg.gram_schmidt, and keeps
+    its state for lll_reduce; afterwards every operation trusts the matrix.
     """
 
     gram: tuple[tuple[int, ...], ...]
 
     def __init__(self, gram: Sequence[Sequence[int]]):
-        rows = tuple(tuple(_integer_entry(v, i, j) for j, v in enumerate(row))
-                     for i, row in enumerate(gram))
+        try:
+            rows = tuple(tuple(_integer_entry(v, i, j) for j, v in enumerate(row))
+                         for i, row in enumerate(gram))
+        except TypeError:  # gram, or one of its rows, is not a sequence
+            rows = ()
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise LatticeError("Gram matrix must be square and nonempty")
@@ -60,14 +63,13 @@ class Lattice:
             for j in range(i + 1, d):
                 if rows[i][j] != rows[j][i]:
                     raise LatticeError(f"Gram matrix is not symmetric at ({i}, {j})")
-        minors = intlinalg.leading_minors(rows)
-        for k, m in enumerate(minors):
-            if m <= 0:
-                raise LatticeError(
-                    f"Gram matrix is not positive definite: leading principal minor {k + 1} is {m}"
-                )
+        minors, lam = intlinalg.gram_schmidt(rows)
+        if minors[-1] <= 0:
+            raise LatticeError("Gram matrix is not positive definite: "
+                               f"leading principal minor {len(minors) - 1} is {minors[-1]}")
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "_minors", tuple(minors))
+        object.__setattr__(self, "_lam", tuple(map(tuple, lam)))
 
     @property
     def rank(self) -> int:
@@ -79,7 +81,11 @@ class Lattice:
 
     @property
     def leading_minors(self) -> tuple[int, ...]:
-        return self._minors
+        return self._minors[1:]
+
+    def lll_reduce(self) -> tuple[intlinalg.Matrix, list[int], intlinalg.Matrix]:
+        """intlinalg.lll_reduce, started from the state kept at construction."""
+        return intlinalg.lll_reduce(self._minors, self._lam)
 
     @property
     def is_even(self) -> bool:

@@ -7,12 +7,13 @@ k-th leading minor of G (D_0 = 1), S_i the Schur complement of the first i
 basis vectors and P_i = x[i:]^T S_i x[i:] the norm the levels from i
 outwards contribute, P_i = P_{i+1} + e_i^2 / (D_i D_{i+1}), where
 e_i = D_{i+1} x_i + b_i and b_i is the cross term of row i of D_i S_i with
-x[i+1:].  The walk runs on an LLL-reduced basis b_0..b_{d-1}, and the
-integral LLL of intlinalg.lll_reduce (Cohen, Alg. 2.6.7) ends holding these
-levels: D_k are its minors and row i of D_i S_i is lam[j][i], j > i, since
-S_i is the Gram of the b_j projected orthogonally to b_0..b_{i-1}, so
-(S_i)_ij = <b_i*, b_j> = mu_ji D_{i+1} / D_i.  A Bareiss pass (Bareiss 1968)
-on the reduced Gram would rebuild the same integers; neither is formed.
+x[i+1:].  The walk runs on an LLL-reduced basis b_0..b_{d-1}: the integral
+LLL of Lattice.lll_reduce (Cohen, Alg. 2.6.7) starts from the Gram-Schmidt
+state kept at construction, so the Gram is eliminated once, and ends
+holding these levels: D_k are its minors and row i of D_i S_i is lam[j][i],
+j > i, since S_i is the Gram of the b_j projected orthogonally to
+b_0..b_{i-1}, so (S_i)_ij = <b_i*, b_j> = mu_ji D_{i+1} / D_i.  A Bareiss
+pass (Bareiss 1968) on the reduced Gram, never formed, gives the same.
 
 As in Schnorr and Euchner (1994), what the outer levels leave is carried
 down rather than recomputed: the residual rho_i = D_i D_{i+1} (B - P_{i+1})
@@ -137,16 +138,15 @@ def _depth_first(minors: list[int], lam: list[list[int]], bound: int) -> list[tu
     return out
 
 
-def form_minimum(gram: list[list[int]]) -> int:
-    """The least value of x^T gram x over nonzero integer x, for a positive
-    definite integer matrix.
+def form_minimum(lat: Lattice) -> int:
+    """The least norm of a nonzero lattice vector.
 
     One LLL reduction bounds it by b, the norm of the shortest reduced basis
     vector; one walk up to b - 1 finds anything shorter, and when it finds
     nothing the minimum is b.
     """
-    u, minors, lam = _intlinalg.lll_reduce(gram)
-    bound = min(sum(wi * sum(map(mul, row, w)) for wi, row in zip(w, gram)) for w in u)
+    u, minors, lam = lat.lll_reduce()
+    bound = min(map(lat.norm, u))
     return min((nrm for _, nrm in _depth_first(minors, lam, bound - 1)), default=bound)
 
 
@@ -172,7 +172,7 @@ def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
     bound = _integer(bound, "norm bound")
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
-    w, minors, lam = _intlinalg.lll_reduce(lat.gram)
+    w, minors, lam = lat.lll_reduce()
     pairs = _depth_first(minors, lam, bound)
     xs = _intlinalg.matmul([z for z, _ in pairs], w)
     return _finish(lat, bound, [(x, nrm) for x, (_, nrm) in zip(xs, pairs)])

@@ -1,5 +1,5 @@
-"""Exact integer matrix utilities: one Bareiss elimination behind minors,
-determinants and linear solves, Hermite/Smith forms, LLL.
+"""Exact integer matrix utilities: one Bareiss elimination behind determinants
+and linear solves, one Gram-Schmidt pass behind LLL, Hermite/Smith forms.
 
 All routines work over Python ints, so results are exact at any size; a
 Fraction appears only in the solution solve_linear_system returns.  Matrices
@@ -317,34 +317,38 @@ def solve_linear_system(mat: Sequence[Sequence[int]], rhs: Sequence[int | Fracti
     return [Fraction(v, det * q) for v in y]
 
 
-def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], Matrix]:
-    """Unimodular rows u with u * gram * u^T LLL-reduced (delta = 3/4),
-    computed on the Gram matrix alone in all-integer arithmetic (Cohen,
-    Alg. 2.6.7), with the final lambda/d state of the reduced basis.
-
-    The enumerators need this: their level-by-level ranges stay tight only on
-    a reduced basis, and mod-kernel bases straight out of the Smith form can
-    be arbitrarily skewed.  The state is the classical lambda/d pair, where
-    minors[i] is the Gram determinant of the first i reduced vectors and
-    lam[i][j] = mu[i][j] * minors[j + 1] for j < i, so every division below
-    is exact and no rational Gram-Schmidt data is ever rebuilt."""
-    n = len(gram)
-    u = identity(n)
-    g = [[int(gram[i][j]) for j in range(n)] for i in range(n)]
-    dd = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    # the Gram is symmetric, so the start-up fills lam[i][j] for j < i only
-    for i in range(n):
+def gram_schmidt(gram: Sequence[Sequence[int]]) -> tuple[list[int], Matrix]:
+    """The integral Gram-Schmidt state of a symmetric Gram, from its lower
+    triangle: minors[k] = D_k, the k-th leading minor (D_0 = 1), and
+    lam[i][j] = mu[i][j] * D_{j+1} for j < i.  It stops right after the first
+    minor that is not positive, before which every division is exact."""
+    dd, lam = [1], [[0] * len(gram) for _ in gram]
+    for i, row in enumerate(gram):
         for j in range(i + 1):
-            s = g[i][j]
+            s = row[j]
             for k in range(j):
                 s = (dd[k + 1] * s - lam[i][k] * lam[j][k]) // dd[k]
             if j < i:
                 lam[i][j] = s
-            elif s > 0:
-                dd[i + 1] = s
-            else:
-                raise ValueError("gram matrix is not positive definite")
+        dd.append(s)
+        if s <= 0:
+            break
+    return dd, lam
+
+
+def lll_reduce(minors: Sequence[int], lam: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], Matrix]:
+    """Unimodular rows u with u * gram * u^T LLL-reduced (delta = 3/4), in
+    all-integer arithmetic (Cohen, Alg. 2.6.7) from a copy of the Gram's
+    gram_schmidt state, with the same lambda/d state of the reduced basis.
+
+    The enumerators need this: their level-by-level ranges stay tight only on
+    a reduced basis, and mod-kernel bases straight out of the Smith form can
+    be arbitrarily skewed.  Every division below is exact and no rational
+    Gram-Schmidt data is ever rebuilt."""
+    n = len(lam)
+    if len(minors) <= n or min(minors) <= 0:
+        raise ValueError("gram matrix is not positive definite")
+    u, dd, lam = identity(n), list(minors), [list(row) for row in lam]
 
     def reduce_row(k: int, j: int) -> None:
         q = _nearest_quotient(lam[k][j], dd[j + 1])
@@ -381,4 +385,4 @@ def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], Matrix
 
 def lll_rows(gram: Sequence[Sequence[int]]) -> Matrix:
     """The rows u of lll_reduce alone."""
-    return lll_reduce(gram)[0]
+    return lll_reduce(*gram_schmidt(gram))[0]

@@ -267,6 +267,7 @@ def _weight_roots(p: int, p_prime: int, r1: int, r2: int) -> tuple[int | None, t
 
 def solve_weight_quadratic(p: int, p_prime: int, r1: int, r2: int) -> tuple[int, ...]:
     """Positive integer roots m of m^2 + 2m(p(r1-1) + p') + 4pp'(r2-1) = 0."""
+    _positive(p=p, p_prime=p_prime)
     return _weight_roots(p, p_prime, r1, r2)[1]
 
 
@@ -312,6 +313,7 @@ def type_iv_search(p: int, p_prime: int, max_r: int) -> list[TypeIVSolution]:
 
 def rank1_central_charge(p: int, p_prime: int) -> Fraction:
     """c for the rank-1 lattice [[2pp']] with its type-I pair: 1 - 6(p-p')^2/(pp')."""
+    _positive(p=p, p_prime=p_prime)
     return 1 - Fraction(6 * (p - p_prime) ** 2, p * p_prime)
 
 

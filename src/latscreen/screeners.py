@@ -109,7 +109,7 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     v_mod = [[x % dn for x in row] for row in v]
     # H = d_n G^-1 = V diag(d_n / d_i) U, since G^-1 = V D^-1 U
     h = intlinalg.matmul([[v[r][i] * (dn // invariants[i]) for i in range(d)] for r in range(d)], u)
-    for t in intlinalg.divisors(dn, 2 * dn // form_minimum(h)):
+    for t in intlinalg.divisors(dn, 2 * dn // form_minimum(Lattice(h))):
         basis = _mod_kernel_basis(v_mod, invariants, t)
         sub = Lattice(lat.row_gram(basis))
         found = enumerate_up_to_norm(sub, 2 * t)

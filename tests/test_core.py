@@ -17,6 +17,7 @@ from latscreen import (
 )
 
 from latscreen.core import over_common_denominator
+from latscreen.intlinalg import lll_rows
 from oracle import det_fraction
 
 A2 = [[2, -1], [-1, 2]]
@@ -41,6 +42,11 @@ def test_lattice_rejects_non_square():
         Lattice([[2, -1], [-1]])
     with pytest.raises(LatticeError):
         Lattice([])
+    # not a list of rows: a LatticeError, not a bare TypeError
+    with pytest.raises(LatticeError, match="square and nonempty"):
+        Lattice([1, 2])
+    with pytest.raises(LatticeError, match="square and nonempty"):
+        Lattice(None)
 
 
 def test_lattice_rejects_non_symmetric():
@@ -55,6 +61,10 @@ def test_lattice_rejects_indefinite():
         Lattice([[0, 0], [0, 2]])
     with pytest.raises(LatticeError, match="minor 1 is -2"):
         Lattice([[-2, 0], [0, 2]])
+    # LLL started from a minor that is not positive would never stop
+    for g in ([[1, 2], [2, 1]], [[0, 0], [0, 2]], [[-1]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            lll_rows(g)
 
 
 def test_is_positive_definite():
@@ -65,6 +75,8 @@ def test_is_positive_definite():
     assert not is_positive_definite([])
     assert not is_positive_definite([[2, -1], [-1]])
     assert not is_positive_definite([[2, -1]])
+    assert not is_positive_definite([1, 2])
+    assert not is_positive_definite(None)
     # positive leading minors do not make an asymmetric matrix definite
     assert not is_positive_definite([[2, 0], [1, 2]])
 
@@ -174,11 +186,13 @@ def test_bareiss_steps_yield_scaled_schur_complements():
     """Up to the first zero pivot the trailing block before step k is
     D_k * S_k, on symmetric and non-symmetric matrices; past it the steps go
     on exactly while a lower row has a nonzero entry in the pivot column,
-    and the last pivot is the determinant."""
-    from latscreen.intlinalg import bareiss_steps
+    and the last pivot is the determinant.  On a symmetric matrix
+    gram_schmidt gives the leading minors up to the first that is not
+    positive, the one a Lattice names when it refuses the matrix."""
+    from latscreen.intlinalg import bareiss_steps, gram_schmidt, leading_minors
 
     rng = random.Random(47)
-    pivoted = stopped_early = 0
+    pivoted = stopped_early = symmetric = 0
     for case in range(300):
         d = rng.randint(0, 6)
         m = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
@@ -195,6 +209,11 @@ def test_bareiss_steps_yield_scaled_schur_complements():
             for r in m:
                 r[c] = 0
         minors = [det_fraction([r[:t] for r in m[:t]]) for t in range(1, d + 1)]
+        if m == [list(c) for c in zip(*m)]:
+            symmetric += 1
+            lead = leading_minors(m)
+            last_kept = next((t for t, mn in enumerate(lead) if mn <= 0), d - 1)
+            assert gram_schmidt(m)[0] == [1] + lead[:last_kept + 1], m
         first_zero = next((t for t, mn in enumerate(minors) if mn == 0), d)
         steps, last, can_go_on = 0, 1, True
         for k, a in enumerate(bareiss_steps(m)):
@@ -210,7 +229,7 @@ def test_bareiss_steps_yield_scaled_schur_complements():
         assert last == det_fraction(m), m
         pivoted += first_zero < steps - 1
         stopped_early += steps < d
-    assert pivoted > 20 and stopped_early > 10
+    assert pivoted > 20 and stopped_early > 10 and symmetric > 80
 
 
 def test_in_dual():

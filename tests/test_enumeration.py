@@ -17,7 +17,15 @@ from latscreen import (
 )
 from latscreen.core import canonical
 from latscreen.enumeration import _coordinate_limits, _depth_first, form_minimum
-from latscreen.intlinalg import bareiss_steps, identity, lll_reduce, lll_rows, matmul, solve_linear_system
+from latscreen.intlinalg import (
+    bareiss_steps,
+    gram_schmidt,
+    identity,
+    lll_reduce,
+    lll_rows,
+    matmul,
+    solve_linear_system,
+)
 
 from oracle import box_vectors, det_fraction
 
@@ -145,18 +153,18 @@ def test_form_minimum_matches_the_box_minimum():
     seeded = [[list(r) for r in random_lattice(rng, 4, 6).gram] for _ in range(40)]
     one_below = 0
     for gram in at_diagonal + BELOW_LLL_DIAGONAL + seeded:
-        u, minors, lam = lll_reduce(gram)
+        u, minors, lam = Lattice(gram).lll_reduce()
         red = matmul(matmul(u, gram), list(zip(*u)))
         b = min(red[i][i] for i in range(len(red)))
         minimum = box_vectors(gram, b)[0][1]
-        assert form_minimum(gram) == minimum, gram
+        assert form_minimum(Lattice(gram)) == minimum, gram
         one_below += minimum == b - 1
         if gram in at_diagonal:
             assert minimum == b and _depth_first(minors, lam, b - 1) == [], gram
     assert one_below >= len(BELOW_LLL_DIAGONAL)
     for kind, n in [("A", 1), ("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]:
         for scale in (1, 3):
-            assert form_minimum([list(r) for r in catalog(kind, n, scale).gram]) == 2 * scale
+            assert form_minimum(catalog(kind, n, scale)) == 2 * scale
 
 
 def test_canonical_and_sorted():
@@ -289,7 +297,7 @@ def test_lll_reduce_is_unimodular_and_reduced():
     for case in range(120):
         d = 1 + case % 8
         gram = skewed_gram(rng, d, case % 3 == 0)
-        u = lll_reduce(gram)[0]
+        u = lll_reduce(*gram_schmidt(gram))[0]
         assert lll_rows(gram) == u
         assert abs(det_fraction(u)) == 1, gram
         red = matmul(matmul(u, gram), list(zip(*u)))
@@ -309,11 +317,36 @@ def test_lll_reduce_is_unimodular_and_reduced():
 def test_lll_state_is_the_bareiss_levels_of_the_reduced_gram():
     """What the walker reads off lll_reduce: its minors and lam are the
     pivots and the rows right of the diagonal of a Bareiss pass on
-    u G u^T, on skewed Grams of rank 1-8, a third of them scaled by 10^18."""
+    u G u^T, on skewed Grams of rank 1-8, a third of them scaled by 10^18.
+    The state LLL starts from, gram_schmidt of G, is the same Bareiss
+    reading of G itself, and it is the state a Lattice keeps."""
     rng = random.Random(173)
     for case in range(240):
         d = 1 + case % 8
         gram = skewed_gram(rng, d, case // 8 % 3 == 0)
-        u, minors, lam = lll_reduce(gram)
+        assert gram_schmidt(gram) == bareiss_levels(gram), gram
+        u, minors, lam = lll_reduce(*gram_schmidt(gram))
+        assert Lattice(gram).lll_reduce() == (u, minors, lam), gram
         red = matmul(matmul(u, gram), list(zip(*u)))
         assert (minors, lam) == bareiss_levels(red), gram
+
+
+def test_walking_a_lattice_leaves_its_state_unchanged():
+    """Every walk starts LLL from the state the Lattice keeps, so a second
+    walk of the same Lattice gives the same vectors and minimum, and the
+    lattice's attributes are unchanged after both, also when a caller
+    edits the lists one lll_reduce call returned."""
+    rng = random.Random(887)
+    for case in range(40):
+        d = 1 + case % 6
+        lat = Lattice(skewed_gram(rng, d, False))
+        state = dict(vars(lat))
+        first = lat.lll_reduce()
+        u, minors, lam = lat.lll_reduce()
+        u[0][0] += 1
+        minors[-1] += 1
+        lam[-1][0] += 1
+        bound = 2 * first[1][1]  # twice the norm of the first reduced vector
+        walks = [(enumerate_up_to_norm(lat, bound), form_minimum(lat)) for _ in range(2)]
+        assert walks[0] == walks[1], lat
+        assert vars(lat) == state and lat.lll_reduce() == first, lat

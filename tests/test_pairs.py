@@ -368,11 +368,15 @@ def test_pair_functions_reject_a_non_integer_alpha(call, alpha):
     (lambda x, y: type_ii_feasible(Lattice([[4]]), (1,), x, y), "p and p_prime"),
     (lambda x, y: type_iii_feasible(Lattice([[4]]), (1,), x, y), "p_prime and r"),
     (lambda x, y: type_iv_search(x, y, 10), "p and p_prime"),
-], ids=["make_type_i", "virasoro_shift", "type_ii_feasible", "type_iii_feasible", "type_iv_search"])
+    (lambda x, y: solve_weight_quadratic(x, y, 0, 0), "p and p_prime"),
+    (lambda x, y: rank1_central_charge(x, y), "p and p_prime"),
+], ids=["make_type_i", "virasoro_shift", "type_ii_feasible", "type_iii_feasible", "type_iv_search",
+        "solve_weight_quadratic", "rank1_central_charge"])
 def test_pair_functions_reject_a_split_that_is_not_a_positive_integer(call, names, x, y):
     """Each refuses a bad p, p' or r before reading it: a negative split
     used to fail inside in_dual, make isqrt raise ValueError or give a type
-    III report naming only the rank, and a float raised a bare TypeError."""
+    III report naming only the rank, and a float raised a bare TypeError;
+    rank1_central_charge(0, 1) divided by zero."""
     with pytest.raises(LatticeError, match=f"^{names} must be positive integers$"):
         call(x, y)
 

@@ -475,7 +475,7 @@ def test_form_minimum_matches_enumeration():
     for lat in CUT_POOL[:100]:
         gram = [list(r) for r in lat.gram]
         bound = min(gram[i][i] for i in range(lat.rank))
-        assert form_minimum(gram) == enumerate_up_to_norm(lat, bound).norms[0]
+        assert form_minimum(lat) == enumerate_up_to_norm(lat, bound).norms[0]
 
 
 def test_e8_keeps_its_roots_at_the_cut():
