@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -289,6 +290,32 @@ def test_rank2_random_agreement():
         cols = f.basis_change
         assert determinant([list(r) for r in cols]) in (1, -1)
         assert lat.row_gram(list(zip(*cols))) == [list(r) for r in f.gram.gram]
+
+
+RANK2_SHA256 = "5efdecc0e2f56a952d60967d18f334ee9cb75c83fe5abb72ad47910cc96fde06"
+
+
+def test_rank2_normal_form_is_pinned():
+    """One sha256 over repr(rank2_normal_form(Lattice(g))) for every
+    positive definite [[a, b], [b, c]] with 1 <= a <= c <= 15 and |b| <= a,
+    as is, with a and c swapped and with b negated: 4350 forms of every kind
+    and subtype, 39 of them from the diag(2p, 2p) corner and 48 warned.  Any
+    move of a basis change, a scale or a warning moves it."""
+    h = hashlib.sha256()
+    kinds = Counter()
+    for a in range(1, 16):
+        for c in range(a, 16):
+            for b in range(-a, a + 1):
+                if a * c > b * b:
+                    for g in ([[a, b], [b, c]], [[c, b], [b, a]], [[a, -b], [-b, c]]):
+                        f = rank2_normal_form(Lattice(g))
+                        h.update(repr(f).encode())
+                        kinds[None if isinstance(f, NoScreener) else (f.subtype or f.kind, bool(f.warnings))] += 1
+    assert kinds == {
+        None: 2538, ("type1", False): 675, ("2a", False): 1008,
+        ("2b", False): 39, ("2b", True): 48, ("2c", False): 42,
+    }
+    assert h.hexdigest() == RANK2_SHA256
 
 
 # ---------------------------------------------------------------- catalogs
