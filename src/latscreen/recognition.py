@@ -380,14 +380,19 @@ def _require(ok: bool, what: str) -> None:
 def rank2_normal_form(lat: Lattice, screeners: ScreenerSet | None = None) -> Rank2Form | NoScreener:
     """Classify a rank-2 lattice by an explicit unimodular change of basis.
 
-    Picks the first minimal-norm screener a1 = (x, y), completes it to the
-    basis [[x, -z1], [y, z0]] with z0 x + z1 y = 1, and clears the
-    off-diagonal pairing: an even multiple of p diagonalizes (type 1,
-    converted to type 2 when the diagonal is (2p, 2p)), an odd multiple
-    leaves -p (type 2).  Type 2 always has m >= p: otherwise v = a1 + 2e,
-    e the second basis vector, has norm 4m - 2p < 2p, which is positive
-    since 2pm > p^2; its pairings with a1 and e are 0 and 2m - p, and its
-    a1-coordinate is 1, so v is a screener (not in 2L) shorter than a1.
+    Picks the first minimal-norm screener a1 = (x, y) and completes it to
+    the basis a1, e = (-z1, z0) with z0 x + z1 y = 1.  Shearing e by k
+    copies of a1 moves the pairing b = <a1, e> to b + 2pk, so it clears to
+    0 (type 1) when b/p is even and to -p (type 2) when it is odd; one Gram
+    product of the sheared basis then reads the pairing and m = <e, e>.
+    Type 2 always has m >= p: otherwise v = a1 + 2e has norm
+    4m - 2p < 2p, which is positive since 2pm > p^2; its pairings with a1
+    and e are 0 and 2m - p, and its a1-coordinate is 1, so v is a screener
+    (not in 2L) shorter than a1.
+
+    The type 1 corner diag(2p, 2p) is regrouped as type 2b on the basis
+    a1 + e, -e, whose Gram [[4p, -2p], [-2p, 2p]] needs no product.  Its
+    scale 2p is even, so the corner never carries WARN_2B_ODD.
 
     screeners is the lattice's screener set when the caller already holds
     it (`all_screeners(lat)`); without it the lattice is walked here.
@@ -406,54 +411,22 @@ def rank2_normal_form(lat: Lattice, screeners: ScreenerSet | None = None) -> Ran
     p = nrm // 2
     x, y = a1
     z0, z1 = intlinalg.solve_gcd_one(a1)
-    change = [[x, -z1], [y, z0]]
-    g = _gram_of(lat, change)
-    b = g[0][1]
-    _require(b % p == 0, f"pairing {b} is not a multiple of p = {p} in Gram {g}")
-    n = -(b // p)
-    # shearing e by n // 2 copies of a1 leaves the pairing b + 2p (n // 2): 0 or -p
-    change = intlinalg.matmul(change, [[1, n // 2], [0, 1]])
-    g = _gram_of(lat, change)
-    m = g[1][1]
-    if n % 2 == 0:
-        _require(g[0][1] == 0, f"diagonalizing left Gram {g}")
-        if m != 2 * p:
-            return Rank2Form(
-                kind="type1", p=p, m=m, subtype=None,
-                basis_change=_cols_tuple(change),
-            )
-        # diag(2p, 2p) is the boundary case: regroup as type 2 at scale 2p
-        change = intlinalg.matmul(change, [[1, 0], [1, -1]])
-        g = _gram_of(lat, change)
-        p2, m2 = g[0][0] // 2, g[1][1]
-        _require(g[0][1] == -p2 and m2 == p2, f"regrouping diag(2p, 2p) gave Gram {g}")
-        return Rank2Form(
-            kind="type2", p=p2, m=m2, subtype="2b",
-            basis_change=_cols_tuple(change),
-            warnings=(WARN_2B_ODD,) if p2 % 2 else (),
-        )
-    _require(g[0][1] == -p, f"clearing the pairing left Gram {g}, expected -{p} off the diagonal")
-    _require(m >= p, f"type 2 Gram {g} has m < p, so a1 + 2e is a shorter screener")
-    if m == p:
-        subtype = "2b"
-    elif m == 2 * p:
-        subtype = "2c"
-    else:
-        subtype = "2a"
+    b = lat.inner(a1, (-z1, z0))
+    _require(b % p == 0, f"pairing {b} of {a1} and {(-z1, z0)} is not a multiple of p = {p}")
+    k = (-(b // p)) // 2
+    u, v = e = (k * x - z1, k * y + z0)
+    (_, t), (_, m) = lat.row_gram([a1, e])
+    if t == 0 and m == 2 * p:
+        return Rank2Form(kind="type2", p=2 * p, m=2 * p, subtype="2b",
+                         basis_change=((x + u, -u), (y + v, -v)))
+    if t == 0:
+        return Rank2Form(kind="type1", p=p, m=m, subtype=None, basis_change=((x, u), (y, v)))
+    _require(t == -p, f"clearing the pairing of {a1} and {e} left {t}, expected 0 or -{p}")
+    _require(m >= p, f"type 2 basis {a1}, {e} has m = {m} < p = {p}, so a1 + 2e is a shorter screener")
+    subtype = {p: "2b", 2 * p: "2c"}.get(m, "2a")
     warns = (WARN_2B_ODD,) if subtype == "2b" and p % 2 else ()
-    return Rank2Form(
-        kind="type2", p=p, m=m, subtype=subtype,
-        basis_change=_cols_tuple(change), warnings=warns,
-    )
-
-
-def _gram_of(lat: Lattice, cols: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Gram matrix of the basis held in the columns of cols."""
-    return lat.row_gram(list(zip(*cols)))
-
-
-def _cols_tuple(cols) -> tuple[tuple[int, int], tuple[int, int]]:
-    return ((int(cols[0][0]), int(cols[0][1])), (int(cols[1][0]), int(cols[1][1])))
+    return Rank2Form(kind="type2", p=p, m=m, subtype=subtype, basis_change=((x, u), (y, v)),
+                     warnings=warns)
 
 
 def rank2_screener_list(form: Rank2Form) -> tuple[Vec, ...]:
