@@ -32,14 +32,6 @@ def _integer_entry(v: object, i: int, j: int) -> int:
         raise LatticeError(f"Gram entry ({i}, {j}) is {v!r}, not an integer") from None
 
 
-def integer_vector(x: Sequence[int], what: str) -> Vec:
-    """x as ints; a float, str or Fraction entry is refused, not truncated."""
-    try:
-        return tuple(map(index, x))
-    except TypeError:
-        raise LatticeError(f"{what} {tuple(x)!r} has an entry that is not an integer") from None
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Integral lattice with a positive definite Gram matrix.
@@ -90,6 +82,16 @@ class Lattice:
     @property
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
+
+    def vector(self, x: Sequence[int], what: str) -> Vec:
+        """x as ints, refused unless it has rank many entries; a float, str
+        or Fraction entry is refused, not truncated."""
+        try:
+            v = tuple(map(index, x))
+        except TypeError:
+            raise LatticeError(f"{what} {tuple(x)!r} has an entry that is not an integer") from None
+        self._check_dim(v)
+        return v
 
     def gram_times(self, x: Sequence[int]) -> Vec:
         """The vector G x of inner products of x with the basis."""

@@ -32,7 +32,7 @@ from numbers import Integral
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, in_dual, integer_vector, over_common_denominator
+from .core import DualVec, Lattice, LatticeError, Vec, in_dual, over_common_denominator
 from .screeners import central_charge, conformal_weight, dual_pairing_unit, is_screener
 
 
@@ -75,7 +75,7 @@ def _half_norm(lat: Lattice, a: Vec) -> int:
 
 def pair_decompositions(lat: Lattice, a: Sequence[int]) -> list[tuple[int, int]]:
     """All factorizations <a,a> = 2*p*p' with both a/p and a/p' in the dual."""
-    a = integer_vector(a, "alpha")
+    a = lat.vector(a, "alpha")
     half = _half_norm(lat, a)
     return [(p, half // p) for p in intlinalg.divisors(half, half)
             if in_dual(lat, a, p) and in_dual(lat, a, half // p)]
@@ -88,7 +88,7 @@ def make_type_i(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> PairSpe
     gamma = 0.  Raises unless p p' = <a,a>/2 with a/p and a/p' in the dual,
     and when a is imprimitive with p != p'.
     """
-    a = integer_vector(a, "alpha")
+    a = lat.vector(a, "alpha")
     _positive(p=p, p_prime=p_prime)
     half = _half_norm(lat, a)
     if p * p_prime != half or not in_dual(lat, a, p) or not in_dual(lat, a, p_prime):
@@ -106,7 +106,7 @@ def virasoro_shift(lat: Lattice, a: Sequence[int], p: int, q: int) -> DualVec:
     integral, and a is not in 2L).  For p = q the shift is zero.  Raises when
     a is not a screener or the norm does not match.
     """
-    a = integer_vector(a, "alpha")
+    a = lat.vector(a, "alpha")
     _positive(p=p, q=q)
     if not is_screener(lat, a):
         raise LatticeError(f"{tuple(a)} is not a screening vector")
@@ -150,7 +150,7 @@ def type_ii_feasible(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> Fe
     primitive so the shift vector exists.  The dressing direction beta must
     be orthogonal to (p - p') a/(p p') - 2 gamma and independent of a.
     """
-    a = integer_vector(a, "alpha")
+    a = lat.vector(a, "alpha")
     _positive(p=p, p_prime=p_prime)
     nrm = lat.norm(a)
     if nrm != 2 * p * p_prime:
@@ -183,7 +183,7 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
     dressing direction must be orthogonal to a/p + 2 gamma and independent
     of a.
     """
-    a = integer_vector(a, "alpha")
+    a = lat.vector(a, "alpha")
     _positive(p_prime=p_prime, r=r)
     reasons = []
     if r <= p_prime:
@@ -324,7 +324,7 @@ def analyze_screener(lat: Lattice, a: Sequence[int], max_r: int = 50) -> dict:
     its even multiple); the report notes the substitution.
     """
     _level_bound(max_r)
-    alpha = integer_vector(a, "alpha")
+    alpha = lat.vector(a, "alpha")
     substituted = lat.parity(alpha) == 1
     a_t = tuple(2 * v for v in alpha) if substituted else alpha
     decs = pair_decompositions(lat, a_t)

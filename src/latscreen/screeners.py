@@ -23,14 +23,14 @@ from math import gcd
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual, in_scaled_lattice, integer_vector
+from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual, in_scaled_lattice
 from .enumeration import enumerate_up_to_norm, form_minimum
 
 
 def is_screener(lat: Lattice, x: Sequence[int]) -> bool:
     """Screening condition: even norm, x not in 2L, and 2x/<x,x> in the dual;
     for an even norm, <x,x> divides 2 G x exactly when <x,x>/2 divides G x."""
-    x = integer_vector(x, "vector")
+    x = lat.vector(x, "vector")
     nrm = lat.norm(x)
     return nrm > 0 and nrm % 2 == 0 and not in_scaled_lattice(x, 2) and in_dual(lat, x, nrm // 2)
 
@@ -131,7 +131,7 @@ def dual_pairing_unit(lat: Lattice, a: Sequence[int]) -> DualVec:
     Built as G^-1 z where z comes from folding gcd steps over the
     coordinates in index order; requires a primitive with integer entries.
     """
-    a = integer_vector(a, "alpha")
+    a = lat.vector(a, "alpha")
     try:
         z = intlinalg.solve_gcd_one(list(a))
     except ValueError as e:
