@@ -84,7 +84,7 @@ class Lattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def vector(self, x: Sequence[int], what: str) -> Vec:
-        """x as ints, refused unless it has rank many entries; a float, str
+        """x as ints, refused unless it has rank-many entries; a float, str
         or Fraction entry is refused, not truncated."""
         try:
             v = tuple(map(index, x))

@@ -412,7 +412,7 @@ def rank2_normal_form(lat: Lattice, screeners: ScreenerSet | None = None) -> Ran
     x, y = a1
     z0, z1 = intlinalg.solve_gcd_one(a1)
     b = lat.inner(a1, (-z1, z0))
-    _require(b % p == 0, f"pairing {b} of {a1} and {(-z1, z0)} is not a multiple of p = {p}")
+    _require(b % p == 0, f"pairing {b} of {a1} with its completion is not a multiple of p = {p}")
     k = (-(b // p)) // 2
     u, v = e = (k * x - z1, k * y + z0)
     (_, t), (_, m) = lat.row_gram([a1, e])
