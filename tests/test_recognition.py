@@ -542,6 +542,42 @@ def test_non_generated_lattices_still_get_a_root_system():
     assert [(g.label, g.scale) for g in dec.groups] == [("A1", 1), ("A1", 1)]
 
 
+RECOGNITION_SHA256 = "0052ba1ca331ee2cefbbb6b98b298eea7dfbe89f6f41e616478cdcf926cbaccf"
+
+
+def test_recognize_components_is_pinned():
+    """One sha256 over repr(recognize_components(lat)) for 2596 lattices:
+    every positive definite [[a, f12, f13], [f12, b, f23], [f13, f23, c]]
+    with 1 <= a <= b <= c <= 6, |f12|, |f13| <= a // 2 and |f23| <= b // 2,
+    then catalog A1-A8, D4-D8 and E6-E8 at scales 1-3.  Most of them are
+    not generated by their screeners.  Any move of a simple root, a group,
+    a component or a count moves it."""
+    lats = []
+    for a in range(1, 7):
+        for b in range(a, 7):
+            for c in range(b, 7):
+                for f12 in range(-(a // 2), a // 2 + 1):
+                    for f13 in range(-(a // 2), a // 2 + 1):
+                        for f23 in range(-(b // 2), b // 2 + 1):
+                            g = [[a, f12, f13], [f12, b, f23], [f13, f23, c]]
+                            if is_positive_definite(g):
+                                lats.append(Lattice(g))
+    for kind, ns in (("A", range(1, 9)), ("D", range(4, 9)), ("E", (6, 7, 8))):
+        lats += [catalog(kind, n, scale) for n in ns for scale in (1, 2, 3)]
+    h = hashlib.sha256()
+    labels = Counter()
+    for lat in lats:
+        dec = recognize_components(lat)
+        h.update(repr(dec).encode())
+        labels.update(g.label for g in dec.groups)
+    assert len(lats) == 2596
+    assert labels == {
+        "A1": 2590, "A2": 120, **{f"A{n}": 3 for n in range(3, 9)}, "B2": 99, "B3": 11,
+        "C3": 51, **{f"C{n}": 3 for n in range(5, 9)}, "E6": 3, "E7": 3, "E8": 3, "F4": 3, "G2": 75,
+    }
+    assert h.hexdigest() == RECOGNITION_SHA256
+
+
 def test_classification_certificate_up_to_rank_6_scale_2():
     """Every orthogonal sum of catalog components with rank <= 6 and scales
     <= 2 classifies as the merge rules predict; CI runs rank 8, scale 3.
