@@ -25,9 +25,13 @@ The nonzero entries of the simple roots' Gram matrix give the Dynkin diagram,
 and each connected component's type follows from the diagram alone
 (Humphreys §11.4): a triple bond is G2; with a double bond the number of
 short simple roots tells B, C and F4; otherwise a path is A and the arms of
-the branch node tell D and E.  A screener lies in the one component whose
-simple roots it pairs with nonzero, and every component must hold as many
-screeners as its type has positive roots.
+the branch node tell D and E.  Every root lies in one irreducible
+component, and roots of different components are orthogonal, so (v - s) + s
+is no root when v - s and s lie in different ones.  So the walk puts a root
+v that is not simple in the component of the simple root s it found, which
+must also hold v - s, just as v pairs nonzero only with that component's
+simple roots.  Each component must hold as many screeners as its type has
+positive roots.
 
 The lattice is walked once, by `all_screeners`; `recognize_components` works
 on that set and `decompose` runs the pipeline.  The rank-2 case additionally
@@ -157,17 +161,6 @@ def reduce_screener_basis(lat: Lattice, basis: Sequence[Sequence[int]]) -> list[
             return rows
 
 
-def _simple_roots(positive: Sequence[Vec]) -> list[Vec]:
-    """The simple roots of a set of lexicographically positive roots, in
-    lexicographic order (the walk of the module docstring)."""
-    members = set(positive)
-    simple: list[Vec] = []
-    for v in sorted(positive):
-        if all(tuple(map(sub, v, s)) not in members for s in simple):
-            simple.append(v)
-    return simple
-
-
 def _arm(neighbours: dict[int, list[int]], prev: int, node: int) -> int:
     """Number of nodes on the path from prev through node to a leaf."""
     length = 1
@@ -219,16 +212,19 @@ def _dynkin_components(
 ) -> tuple[list[Vec], list[tuple[str, int, int, tuple[Vec, ...], list[tuple[Vec, int]]]]]:
     """Simple roots of the lexicographically positive roots (with their
     norms), and for each connected component of their Dynkin diagram its
-    type, rank, scale, simple roots and (root, norm) members.
-
-    Every root must pair nonzero with the simple roots of exactly one
-    component, and every component must hold half the roots of its type.
-    """
-    simple = _simple_roots(roots)
-    # <root, simple root> for every root; the simple roots' rows are their Gram matrix
-    pairings = intlinalg.matmul(roots, intlinalg.matmul(lat.gram, list(zip(*simple))))
-    row_of = dict(zip(roots, pairings))
-    g = [row_of[s] for s in simple]
+    type, rank, scale, simple roots and (root, norm) members.  The walk of
+    the module docstring places each root, and a component must hold half
+    the roots of its type."""
+    positive = set(roots)
+    simple: list[Vec] = []
+    step: dict[Vec, Vec] = {}
+    for v in sorted(roots):
+        s = next((t for t in simple if tuple(map(sub, v, t)) in positive), None)
+        if s is None:
+            simple.append(v)
+        else:
+            step[v] = s
+    g = lat.row_gram(simple)
     owner = [-1] * len(simple)
     components: list[list[int]] = []
     for i in range(len(simple)):
@@ -241,12 +237,14 @@ def _dynkin_components(
                         owner[b] = owner[i]
                         nodes.append(b)
             components.append(sorted(nodes))
+    where = dict(zip(simple, owner))
+    for v, s in step.items():
+        if where[tuple(map(sub, v, s))] != where[s]:
+            raise ClassificationError(f"screener {v} spreads over 2 component groups")
+        where[v] = where[s]
     members: list[list[tuple[Vec, int]]] = [[] for _ in components]
-    for v, nrm, row in zip(roots, norms, pairings):
-        hit = {owner[j] for j, t in enumerate(row) if t}
-        if len(hit) != 1:
-            raise ClassificationError(f"screener {v} spreads over {len(hit)} component groups")
-        members[hit.pop()].append((v, nrm))
+    for v, nrm in zip(roots, norms):
+        members[where[v]].append((v, nrm))
     out = []
     for nodes, mem in zip(components, members):
         name, n = _dynkin_type(g, nodes)

@@ -159,3 +159,20 @@ def test_extended_type_ignores_the_basis(case):
     gram = catalog(kind, n, scale).gram
     scrambled = tuple(tuple(r) for r in _transform(gram, u))
     assert _type_of(scrambled) == _type_of(gram)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.one_of(st.sampled_from(KNOWN), random_gram(),
+                 st.sampled_from(CATALOG).map(lambda c: catalog(*c).gram)))
+def test_screeners_are_closed_under_their_reflections(gram):
+    """For screeners a and b, k = 2<a, b>/<a, a> is an integer and the
+    reflection s_a(b) = b - k a is a screener again: the screeners form a
+    root system, which the simple-root walk of recognition relies on."""
+    lat = Lattice(gram)
+    sset = all_screeners(lat)
+    members = set(sset.vectors)
+    for a, na in zip(sset.vectors, sset.norms):
+        for b in sset.vectors:
+            k, rest = divmod(2 * lat.inner(a, b), na)
+            assert rest == 0
+            assert canonical(tuple(y - k * x for x, y in zip(a, b))) in members

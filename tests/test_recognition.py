@@ -5,11 +5,13 @@ from collections import Counter
 import pytest
 
 from latscreen import (
+    ClassificationError,
     Decomposition,
     Lattice,
     LatticeError,
     NoScreener,
     NotGeneratedError,
+    ScreenerSet,
     WARN_2B_ODD,
     all_screeners,
     catalog,
@@ -576,6 +578,20 @@ def test_recognize_components_is_pinned():
         "C3": 51, **{f"C{n}": 3 for n in range(5, 9)}, "E6": 3, "E7": 3, "E8": 3, "F4": 3, "G2": 75,
     }
     assert h.hexdigest() == RECOGNITION_SHA256
+
+
+def test_recognition_refuses_a_forged_screener_set():
+    """No lattice's screeners reach the two consistency checks, so hand-built
+    sets do: (1, 1) = (1, 0) + (0, 1) joins two orthogonal components, and
+    two simple roots of A2 without their sum are too few for A2."""
+    lat = Lattice([[2, 0], [0, 2]])
+    forged = ScreenerSet(lattice=lat, vectors=((0, 1), (1, 0), (1, 1)), norms=(2, 2, 4))
+    with pytest.raises(ClassificationError, match=r"^screener \(1, 1\) spreads over 2 component groups$"):
+        recognize_components(lat, forged)
+    lat = Lattice(A2)
+    forged = ScreenerSet(lattice=lat, vectors=((1, 0), (0, 1)), norms=(2, 2))
+    with pytest.raises(ClassificationError, match="^group A2 at scale 1 expects 6 screeners, found 4$"):
+        recognize_components(lat, forged)
 
 
 def test_classification_certificate_up_to_rank_6_scale_2():
