@@ -54,6 +54,12 @@ def _floor_sqrt(x: Fraction) -> int:
     return s
 
 
+def box_limits(gram, bound) -> list[int]:
+    """The coordinate box of a norm bound: floor(sqrt(bound * (G^-1)_jj))
+    for each j, from the exact inverse diagonal."""
+    return [_floor_sqrt(Fraction(bound) * t) for t in inverse_diagonal(gram)]
+
+
 def box_vectors(gram, bound):
     """All nonzero x with x^T G x <= bound, one representative per +-x.
 
@@ -62,8 +68,7 @@ def box_vectors(gram, bound):
     (norm, coordinates).  Returns a list of (coords, norm) pairs.
     """
     n = len(gram)
-    invdiag = inverse_diagonal(gram)
-    limits = [_floor_sqrt(Fraction(bound) * invdiag[j]) for j in range(n)]
+    limits = box_limits(gram, bound)
     found = []
     for x in itertools.product(*(range(-l, l + 1) for l in limits)):
         first = next((v for v in x if v != 0), 0)

@@ -27,7 +27,7 @@ from latscreen.intlinalg import (
     solve_linear_system,
 )
 
-from oracle import box_vectors, det_fraction
+from oracle import box_limits, box_vectors, det_fraction
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -93,6 +93,25 @@ def test_box_enumerate_matches_oracle():
         assert [(v, n) for v, n in zip(res.vectors, res.norms)] == expected
         zero_limits.update(j for j, m in enumerate(_coordinate_limits(lat, bound)) if m == 0)
     assert zero_limits == {0, 1, 2, 3}
+
+
+def test_coordinate_limits_are_the_exact_box():
+    """_coordinate_limits is floor(sqrt(bound * (G^-1)_jj)) exactly, as the
+    oracle computes it in Fractions, not merely a box that holds every
+    vector: on Grams of rank 1-6, a third of them scaled by 10^18, at bounds
+    0, 1, 2 and random bounds up to 10^6 and 10^40."""
+    rng = random.Random(2204)
+    for case in range(600):
+        d = rng.randint(1, 6)
+        a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        gram = matmul(a, list(zip(*a)))
+        for i in range(d):
+            gram[i][i] += rng.randint(1, 5)
+        if case % 3 == 0:
+            gram = [[10**18 * v for v in row] for row in gram]
+        lat = Lattice(gram)
+        for bound in (0, 1, 2, rng.randint(0, 10**6), rng.randint(0, 10**40)):
+            assert _coordinate_limits(lat, bound) == box_limits(gram, bound), (gram, bound)
 
 
 def _dense_gram(rng, d):
