@@ -32,6 +32,14 @@ def _integer_entry(v: object, i: int, j: int) -> int:
         raise LatticeError(f"Gram entry ({i}, {j}) is {v!r}, not an integer") from None
 
 
+def integer(v: object, what: str) -> int:
+    """v as an int; a float, str or Fraction is refused, not truncated."""
+    try:
+        return index(v)
+    except TypeError:
+        raise LatticeError(f"{what} is {v!r}, not an integer") from None
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Integral lattice with a positive definite Gram matrix.
@@ -70,10 +78,6 @@ class Lattice:
     @property
     def determinant(self) -> int:
         return self._minors[-1]
-
-    @property
-    def leading_minors(self) -> tuple[int, ...]:
-        return self._minors[1:]
 
     def lll_reduce(self) -> tuple[intlinalg.Matrix, list[int], intlinalg.Matrix]:
         """intlinalg.lll_reduce, started from the state kept at construction."""
@@ -140,8 +144,11 @@ def over_common_denominator(v: Sequence[Fraction | int]) -> tuple[list[int], int
 
     q is the lcm of the entries' denominators; ints count as denominator 1.
     """
-    q = lcm(*(t.denominator for t in v))
-    return [t.numerator * (q // t.denominator) for t in v], q
+    try:
+        q = lcm(*(t.denominator for t in v))
+        return [t.numerator * (q // t.denominator) for t in v], q
+    except AttributeError:
+        raise LatticeError(f"dual vector {tuple(v)!r} has an entry that is not an int or a Fraction") from None
 
 
 def is_positive_definite(gram: Sequence[Sequence[int]]) -> bool:
@@ -155,7 +162,9 @@ def is_positive_definite(gram: Sequence[Sequence[int]]) -> bool:
 
 
 def in_dual(lat: Lattice, x: Sequence[int], k: int) -> bool:
-    """Whether x/k pairs integrally with the whole lattice (x/k in the dual)."""
+    """Whether x/k pairs integrally with the whole lattice (x/k in the dual),
+    for a lattice vector x and a positive integer k."""
+    x, k = lat.vector(x, "vector"), integer(k, "denominator")
     if k <= 0:
         raise LatticeError("denominator must be positive")
     return all(v % k == 0 for v in lat.gram_times(x))

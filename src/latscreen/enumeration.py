@@ -40,10 +40,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import index, mul
+from operator import mul
 
 from . import intlinalg as _intlinalg
-from .core import Lattice, LatticeError, Vec, canonical
+from .core import Lattice, LatticeError, Vec, canonical, integer
 from .intlinalg import determinant as _int_determinant
 
 
@@ -61,26 +61,9 @@ class EnumerationResult:
         return len(self.vectors)
 
 
-def _integer(v: object, what: str) -> int:
-    """v as an int; a float, str or Fraction is refused, not truncated."""
-    try:
-        return index(v)
-    except TypeError:
-        raise LatticeError(f"{what} is {v!r}, not an integer") from None
-
-
-def _floor_sqrt_ratio(num: int, den: int) -> int:
-    """floor(sqrt(num/den)) for num >= 0, den > 0, exact."""
-    if num <= 0:
-        return 0
-    s = math.isqrt(num // den)
-    while (s + 1) * (s + 1) * den <= num:
-        s += 1
-    return s
-
-
 def _coordinate_limits(lat: Lattice, bound: int) -> list[int]:
-    """Exact per-coordinate box bounds |x_j| <= sqrt(bound * (G^-1)_jj)."""
+    """Exact per-coordinate box bounds |x_j| <= sqrt(bound * C_jj / det), C_jj
+    the cofactor: isqrt(bound * C_jj // det), as k^2 <= n/d iff k^2 <= n // d."""
     d = lat.rank
     det = lat.determinant
     limits = []
@@ -89,7 +72,7 @@ def _coordinate_limits(lat: Lattice, bound: int) -> list[int]:
             [lat.gram[r][c] for c in range(d) if c != j]
             for r in range(d) if r != j
         ]
-        limits.append(_floor_sqrt_ratio(bound * _int_determinant(minor), det))
+        limits.append(math.isqrt(bound * _int_determinant(minor) // det))
     return limits
 
 
@@ -169,7 +152,7 @@ def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
     The depth-first walker runs in LLL coordinates, where its level ranges
     stay tight, and the solutions are mapped back to the lattice's basis.
     """
-    bound = _integer(bound, "norm bound")
+    bound = integer(bound, "norm bound")
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
     w, minors, lam = lat.lll_reduce()
@@ -180,7 +163,7 @@ def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
 
 def enumerate_exact_norm(lat: Lattice, norm: int) -> EnumerationResult:
     """All vectors of one exact norm, up to sign."""
-    norm = _integer(norm, "norm")
+    norm = integer(norm, "norm")
     if norm < 0:
         raise LatticeError("norm must be nonnegative")
     below = enumerate_up_to_norm(lat, norm)
@@ -197,7 +180,7 @@ def box_enumerate(lat: Lattice, bound: int) -> EnumerationResult:
     run free.  x^T G x is computed exactly on Python integers, so no entry
     size can overflow.
     """
-    bound = _integer(bound, "norm bound")
+    bound = integer(bound, "norm bound")
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
     gram = lat.gram

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterator, Sequence
 
 Matrix = list[list[int]]
 
 
 def copy_matrix(mat: Sequence[Sequence[int]]) -> Matrix:
-    return [[int(v) for v in row] for row in mat]
+    """Fresh int rows; a float, str or Fraction entry raises TypeError, not truncated."""
+    return [list(map(index, row)) for row in mat]
 
 
 def identity(n: int) -> Matrix:
@@ -77,19 +78,9 @@ def _eliminate(mat: Sequence[Sequence[int]]) -> tuple[Matrix, int]:
 
 
 def leading_minors(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Leading principal minors det(mat[:k,:k]) for k = 1..n.
-
-    They are the pivots of bareiss_steps up to the first zero; past it rows
-    are swapped, so the rest come one by one from determinant.
-    """
-    minors = []
-    for k, a in enumerate(bareiss_steps(mat)):
-        minors.append(a[k][k])
-        if not a[k][k]:
-            break
-    minors += [determinant([row[: t + 1] for row in mat[: t + 1]])
-               for t in range(len(minors), len(mat))]
-    return minors
+    """Leading principal minors det(mat[:k,:k]) for k = 1..n, one
+    determinant per leading block."""
+    return [determinant([row[:k] for row in mat[:k]]) for k in range(1, len(mat) + 1)]
 
 
 def determinant(mat: Sequence[Sequence[int]]) -> int:

@@ -243,7 +243,7 @@ def _pair(lat: Lattice, a: Vec, p: int, p_prime: int, r1: int, r2: int, pair_typ
         if lvl == 1:
             beta = _orthogonal_witness(lat, a, tuple(v - 2 * t for v, t in zip(mom, gamma)))
     return PairSpec(alpha=a, p=p, p_prime=p_prime, pair_type=pair_type, gamma=gamma,
-                    c=central_charge(lat.rank, gamma, lat), extra={"m": m, **extra}, beta=beta)
+                    c=central_charge(gamma, lat), extra={"m": m, **extra}, beta=beta)
 
 
 def _dressed(pair: PairSpec) -> FeasibilityReport:

@@ -443,7 +443,7 @@ def rank2_screener_list(form: Rank2Form) -> tuple[Vec, ...]:
         if form.subtype == "2c":
             vecs += [(1, -1), (2, 1)]
     glat = form.gram
-    canon = sorted((glat.norm(cv), cv) for cv in map(canonical, vecs))
+    canon = sorted((glat.norm(cv), cv) for cv in vecs)
     return tuple(v for _, v in canon)
 
 

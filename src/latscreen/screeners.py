@@ -10,9 +10,8 @@ shell of M_t only for the divisors t of d_n within that bound.
 
 Each M_t starts from a Hermite basis modulo t, with entries in [0, t]: the
 Hermite form of the Smith-form generators of M_t reduced mod t, plus t Z^d.
-This is M_t itself because t Z^d lies in M_t, and the Smith matrix V is
-reduced mod d_n once because every walked t divides d_n.  LLL of each shell
-then starts from a basis whose size is set by t, not by the entries of V.
+This is M_t itself because t Z^d lies in M_t.  LLL of each shell then starts
+from a basis whose size is set by t, not by the entries of the Smith matrix.
 """
 
 from __future__ import annotations
@@ -57,18 +56,18 @@ class ScreenerSet:
         return self.norms[0] if self.norms else None
 
 
-def _mod_kernel_basis(v_mod: Sequence[Sequence[int]], invariants: Sequence[int], t: int) -> list[list[int]]:
+def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: int) -> list[list[int]]:
     """Basis rows of M_t = {x : G x = 0 mod t} in row Hermite form.
 
     With U G V = D the Smith form, M_t is spanned by the columns s_i V_i,
     s_i = t / gcd(d_i, t); the basis is the Hermite form of those columns
-    reduced mod t together with t e_1, ..., t e_d.  invariants are the d_i
-    and v_mod is V reduced modulo a multiple of t.
+    reduced mod t together with t e_1, ..., t e_d.  invariants are the d_i;
+    V need not be reduced, since s_i V_i is reduced mod t here.
     """
     d = len(invariants)
     if t == 1:
         return intlinalg.identity(d)
-    gens = [[s * v_mod[r][i] % t for r in range(d)]
+    gens = [[s * v[r][i] % t for r in range(d)]
             for i, s in enumerate(t // gcd(di, t) for di in invariants)]
     gens.extend([t if i == j else 0 for j in range(d)] for i in range(d))
     return intlinalg.hnf_rows(gens)
@@ -95,22 +94,18 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     M_t is spanned by the columns s_i V_i of the Smith matrix V, with
     s_i = t / gcd(d_i, t), and the walk starts from the Hermite form of
     those columns reduced mod t together with t Z^d, whose entries lie in
-    [0, t] whatever the size of V.  It is the same lattice:
-
-    - t Z^d lies in M_t, so reducing a generator mod t stays inside M_t;
-    - t | d_n, so V mod t = (V mod d_n) mod t, and V is reduced once.
+    [0, t] whatever the size of V.  It is the same lattice, because t Z^d
+    lies in M_t, so reducing a generator mod t stays inside M_t.
     """
     pairs: list[tuple[int, Vec]] = []
-    gram = [list(r) for r in lat.gram]
-    u, diag, v = intlinalg.smith_normal_form(gram)
+    u, diag, v = intlinalg.smith_normal_form(lat.gram)
     d = lat.rank
     invariants = [diag[i][i] for i in range(d)]
     dn = invariants[-1]
-    v_mod = [[x % dn for x in row] for row in v]
     # H = d_n G^-1 = V diag(d_n / d_i) U, since G^-1 = V D^-1 U
     h = intlinalg.matmul([[v[r][i] * (dn // invariants[i]) for i in range(d)] for r in range(d)], u)
     for t in intlinalg.divisors(dn, 2 * dn // form_minimum(Lattice(h))):
-        basis = _mod_kernel_basis(v_mod, invariants, t)
+        basis = _mod_kernel_basis(v, invariants, t)
         sub = Lattice(lat.row_gram(basis))
         found = enumerate_up_to_norm(sub, 2 * t)
         shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
@@ -149,6 +144,6 @@ def conformal_weight(
     return level + vv / 2 - gv
 
 
-def central_charge(dim: int, gamma: Sequence[Fraction | int], lat: Lattice) -> Fraction:
-    """c = dim - 12 <gamma, gamma>."""
-    return Fraction(dim) - 12 * lat.dual_inner(gamma, gamma)
+def central_charge(gamma: Sequence[Fraction | int], lat: Lattice) -> Fraction:
+    """c = rank - 12 <gamma, gamma>, the central charge shifted by gamma."""
+    return lat.rank - 12 * lat.dual_inner(gamma, gamma)

@@ -85,7 +85,6 @@ def test_basic_accessors():
     lat = Lattice(A2)
     assert lat.rank == 2
     assert lat.determinant == 3
-    assert lat.leading_minors == (2, 3)
     assert lat.inner((1, 0), (0, 1)) == -1
     assert lat.norm((1, 1)) == 2
     assert lat.norm((1, -1)) == 6
@@ -241,6 +240,21 @@ def test_in_dual():
     assert not in_dual(Lattice([[4]]), (1,), 3)
 
 
+def test_in_dual_refuses_what_is_not_a_lattice_vector_over_a_positive_integer():
+    """A non-integer entry or denominator is refused, not reduced mod k:
+    both calls below used to return True on [[2]]."""
+    lat = Lattice([[2]])
+    with pytest.raises(LatticeError, match=re.escape("vector (1.5,) has an entry that is not an integer")):
+        in_dual(lat, (1.5,), 1)
+    with pytest.raises(LatticeError, match="denominator is 0.5, not an integer"):
+        in_dual(lat, (1,), 0.5)
+    with pytest.raises(LatticeError, match="length 2"):
+        in_dual(lat, (1, 0), 1)
+    for k in (0, -2):
+        with pytest.raises(LatticeError, match="denominator must be positive"):
+            in_dual(lat, (1,), k)
+
+
 def test_in_scaled_lattice():
     assert in_scaled_lattice((2, 4), 2)
     assert not in_scaled_lattice((2, 3), 2)
@@ -296,6 +310,37 @@ def test_dual_inner_matches_the_fraction_double_sum():
         lat.dual_inner((Fraction(1, 2), 0, 1), (1, 0))
     with pytest.raises(LatticeError, match="length 1"):
         lat.dual_inner((1, 0), (Fraction(1, 3),))
+
+
+def test_a_float_in_a_dual_vector_is_refused_by_name():
+    """A float reaching over_common_denominator through dual_inner,
+    conformal_weight or central_charge raises a LatticeError naming the
+    vector, not a bare AttributeError."""
+    from latscreen import central_charge, conformal_weight
+
+    lat = Lattice([[2]])
+    shown = re.escape("dual vector (0.5,) has an entry that is not an int or a Fraction")
+    for call in (lambda: lat.dual_inner((0.5,), (1,)),
+                 lambda: lat.dual_inner((1,), (0.5,)),
+                 lambda: conformal_weight(lat, (0.5,), (0,), 0),
+                 lambda: central_charge((0.5,), lat),
+                 lambda: over_common_denominator((0.5,))):
+        with pytest.raises(LatticeError, match=shown):
+            call()
+
+
+def test_intlinalg_refuses_non_integer_entries():
+    """copy_matrix reads each entry with operator.index, so a float is
+    refused, not truncated: these gave 2, [[2, 1]] and diagonal [[2]]."""
+    from latscreen.intlinalg import copy_matrix, determinant, hnf_rows, smith_normal_form
+
+    for call in (lambda: determinant([[2.5]]),
+                 lambda: hnf_rows([[2.5, 1]]),
+                 lambda: smith_normal_form([[2.7]]),
+                 lambda: copy_matrix([[1, Fraction(1, 2)]])):
+        with pytest.raises(TypeError):
+            call()
+    assert copy_matrix(((True, 2), (3, 4))) == [[1, 2], [3, 4]]
 
 
 def test_over_common_denominator():
