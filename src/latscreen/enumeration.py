@@ -62,8 +62,9 @@ class EnumerationResult:
 
 
 def _coordinate_limits(lat: Lattice, bound: int) -> list[int]:
-    """Exact per-coordinate box bounds |x_j| <= sqrt(bound * C_jj / det), C_jj
-    the cofactor: isqrt(bound * C_jj // det), as k^2 <= n/d iff k^2 <= n // d."""
+    """Exact per-coordinate box bounds |x_j| <= sqrt(bound * C_jj / det), with
+    C_jj the (j, j) cofactor, so C_jj / det = (G^-1)_jj.  isqrt of the floor is
+    exact: for an integer k >= 0, k^2 <= n/d exactly when k^2 <= n // d."""
     d = lat.rank
     det = lat.determinant
     limits = []
