@@ -122,7 +122,7 @@ def reduce_screener_basis(lat: Lattice, basis: Sequence[Sequence[int]]) -> list[
     """
     if not lat.is_even:
         raise LatticeError("reduction requires an even lattice")
-    rows = [tuple(int(v) for v in b) for b in basis]
+    rows = [lat.vector(b, "basis vector") for b in basis]
     if len(rows) != lat.rank:
         raise LatticeError("basis size does not match the rank")
     if abs(intlinalg.determinant([list(r) for r in rows])) != 1:

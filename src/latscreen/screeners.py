@@ -6,7 +6,12 @@ lattice, that is, lies in the dual lattice L*.  A screener of norm 2t lies in
 the mod-t kernel sublattice M_t = {x : G x = 0 mod t}, and t is bounded
 twice: it divides the exponent d_n of L*/L, and x/t is a nonzero dual vector
 of norm 2/t, so t is at most 2/lambda_1(L*)^2.  The search walks the norm-2t
-shell of M_t only for the divisors t of d_n within that bound.
+shell of M_t only for the divisors t of d_n within that bound, and skips a t
+before building M_t when the discriminant form of L*/L (Nikulin 1979;
+Conway and Sloane, SPLAG ch. 15) has no element of order t and norm 2/t,
+as the image of x/t must be.  That test reads the p-adic valuations of the
+Smith invariants prime by prime; it needs no Jordan decomposition and is
+necessary, not sufficient.
 
 Each M_t starts from a Hermite basis modulo t, with entries in [0, t]: the
 Hermite form of the Smith-form generators of M_t reduced mod t, plus t Z^d.
@@ -22,7 +27,7 @@ from math import gcd
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual, in_scaled_lattice
+from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual, in_scaled_lattice, integer
 from .enumeration import enumerate_up_to_norm, form_minimum
 
 
@@ -73,6 +78,33 @@ def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: 
     return intlinalg.hnf_rows(gens)
 
 
+def _discriminant_admits(t: int, primes: Sequence[int], invariants: Sequence[int], a: int, even: bool) -> bool:
+    """False when L*/L = (+) Z/d_i holds no y of order t with q(y) = 2/t.
+
+    Tested prime by prime over the primes p of t, which primes holds among
+    others, with p^k the exact power of p in t: for odd p some d_i has
+    v_p(d_i) = k, and when p divides d_n alone, 2 a (d_n/p^k)(t/p^k) is a
+    square mod p (Euler's criterion), with a = <V_n, V_n> / d_n; for p = 2,
+    when the lattice is even or k >= 2, some d_i has 1 <= v_2(d_i) and
+    k - 1 <= v_2(d_i) <= k + 1.  The proof is in `all_screeners`.
+    """
+    dn = invariants[-1]
+    for p in primes:
+        if t % p:
+            continue
+        q = p
+        while t % (q * p) == 0:
+            q *= p
+        if p == 2:
+            if (even or q > 2) and not any(di % max(q // 2, 2) == 0 and di % (4 * q) for di in invariants):
+                return False
+        elif not any(di % q == 0 and di % (q * p) for di in invariants):
+            return False
+        elif (len(invariants) == 1 or invariants[-2] % p) and pow(2 * a * (dn // q) * (t // q), (p - 1) // 2, p) != 1:
+            return False
+    return True
+
+
 def all_screeners(lat: Lattice) -> ScreenerSet:
     """Every screener of the lattice.
 
@@ -90,6 +122,22 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     - t <= 2 d_n / h_min, with h_min the minimum of the integer form
       H = d_n G^-1: y = x/t is a nonzero vector of L*, so
       <y,y> = 2/t >= h_min / d_n.
+    - L*/L = (+) Z/d_i admits t (`_discriminant_admits`; Nikulin 1979,
+      Conway and Sloane, SPLAG ch. 15).  x is primitive (see
+      virasoro_shift), so y = x/t has order exactly t in L*/L, and
+      q(y) = <y,y> = 2/t modulo 1, or modulo 2 when L is even.  Let p^k
+      divide t exactly and y_p be the p-part of y; q(y) - q(y_p) lies in
+      Z_(p), and in 2 Z_(2) for even L.  For odd p, if no v_p(d_i) = k,
+      write y_p = u + w over the factors of exponent < k and > k: then
+      p^(k-1) u = 0 and w = p w' with p^(k+1) w' = 0, so p^(k-1) times
+      each of <u,u>, 2<u,w> and <w,w> = p^2 <w',w'> is an integer, while
+      2/t has p-adic valuation -k.  For p = 2 the same split over exponents
+      <= k-2 and >= k+2 (w = 4 w') puts q(y_2) in 2^(2-k) Z_(2) against
+      2/t of valuation 1-k, a contradiction for even L or k >= 2.  When p
+      divides d_n alone, y_p = c V_n / p^k with p not dividing c and
+      q(V_n / p^k) = a d_n / p^(2k), a = <V_n, V_n> / d_n, so
+      c^2 a (d_n/p^k)(t/p^k) = 2 mod p, and 2 a (d_n/p^k)(t/p^k) is a
+      square mod p.
 
     M_t is spanned by the columns s_i V_i of the Smith matrix V, with
     s_i = t / gcd(d_i, t), and the walk starts from the Hermite form of
@@ -104,7 +152,17 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     dn = invariants[-1]
     # H = d_n G^-1 = V diag(d_n / d_i) U, since G^-1 = V D^-1 U
     h = intlinalg.matmul([[v[r][i] * (dn // invariants[i]) for i in range(d)] for r in range(d)], u)
+    # q(V_n / d_n) = a / d_n; G V_n = d_n (U^-1)_n, so d_n divides <V_n, V_n>
+    a = lat.norm([row[-1] for row in v]) // dn
+    even = lat.is_even
+    primes: list[int] = []
     for t in intlinalg.divisors(dn, 2 * dn // form_minimum(Lattice(h))):
+        # the list is ascending and holds every prime of t, so t is prime
+        # when no earlier prime divides it
+        if t > 1 and all(t % p for p in primes):
+            primes.append(t)
+        if not _discriminant_admits(t, primes, invariants, a, even):
+            continue
         basis = _mod_kernel_basis(v, invariants, t)
         sub = Lattice(lat.row_gram(basis))
         found = enumerate_up_to_norm(sub, 2 * t)
@@ -139,6 +197,7 @@ def conformal_weight(
     lat: Lattice, momentum: Sequence[Fraction | int], gamma: Sequence[Fraction | int], level: int
 ) -> Fraction:
     """Weight of a level-r vector with the given momentum: r + <v,v>/2 - <gamma,v>."""
+    level = integer(level, "level")
     vv = lat.dual_inner(momentum, momentum)
     gv = lat.dual_inner(gamma, momentum)
     return level + vv / 2 - gv

@@ -10,6 +10,7 @@ repository root:
 
     PYTHONPATH=src:tests python -c "import certificates; print(certificates.rank2_certificate(1000))"
     PYTHONPATH=src:tests python -c "import certificates; print(certificates.classification_certificate(8, 3))"
+    PYTHONPATH=src:tests python -c "import certificates; print(certificates.shell_cut_certificate())"
 
 prints the counts, or raises CertificateFailure with the first mismatches.
 """
@@ -25,10 +26,15 @@ from latscreen import (
     NotGeneratedError,
     all_screeners,
     catalog,
+    enumerate_up_to_norm,
     identify_extended_type,
+    is_positive_definite,
+    is_screener,
     rank2_normal_form,
     rank2_predicted_in_lattice,
 )
+from latscreen.intlinalg import divisors, matmul, smith_normal_form
+from latscreen.screeners import _discriminant_admits, _mod_kernel_basis
 
 
 class CertificateFailure(Exception):
@@ -213,4 +219,57 @@ def classification_certificate(max_rank: int, max_scale: int, seed: int = 0) -> 
             bad.append((parts, gram, got))
     if bad:
         raise CertificateFailure(f"{len(bad)} of {counts['sums']} sums disagree: {bad[:5]}")
+    return counts
+
+
+def ternary_forms(max_entry: int):
+    """Every positive definite [[a, f, g], [f, b, h], [g, h, c]] with
+    1 <= a <= b <= c <= max_entry, |f|, |g| <= a // 2 and |h| <= b // 2."""
+    for a in range(1, max_entry + 1):
+        for b in range(a, max_entry + 1):
+            for c in range(b, max_entry + 1):
+                for f in range(-(a // 2), a // 2 + 1):
+                    for g in range(-(a // 2), a // 2 + 1):
+                        for h in range(-(b // 2), b // 2 + 1):
+                            gram = [[a, f, g], [f, b, h], [g, h, c]]
+                            if is_positive_definite(gram):
+                                yield gram
+
+
+def shell_cut_certificate(max_entry: int = 6, max_scale: int = 3) -> dict:
+    """Check the discriminant-form cut of `all_screeners` on every ternary
+    form of `ternary_forms(max_entry)` at scales 1..max_scale.
+
+    Every divisor t of the exponent d_n is walked, past the dual-minimum
+    bound too: the norm-2t shell of M_t is enumerated and its vectors are
+    tested with `is_screener`.  A shell the cut rejects that holds a
+    screener is unsound, and any unsound shell fails the certificate.
+    """
+    counts = {"lattices": 0, "shells": 0, "with_screener": 0, "rejected": 0, "unsound": 0}
+    bad = []
+    for form in ternary_forms(max_entry):
+        for scale in range(1, max_scale + 1):
+            lat = Lattice([[scale * x for x in row] for row in form])
+            counts["lattices"] += 1
+            _, diag, v = smith_normal_form(lat.gram)
+            invariants = [diag[i][i] for i in range(lat.rank)]
+            dn = invariants[-1]
+            a = lat.norm([row[-1] for row in v]) // dn
+            primes: list[int] = []
+            for t in divisors(dn, dn):
+                if t > 1 and all(t % p for p in primes):
+                    primes.append(t)
+                basis = _mod_kernel_basis(v, invariants, t)
+                found = enumerate_up_to_norm(Lattice(lat.row_gram(basis)), 2 * t)
+                shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
+                held = any(is_screener(lat, x) for x in matmul(shell, basis))
+                rejected = not _discriminant_admits(t, primes, invariants, a, lat.is_even)
+                counts["shells"] += 1
+                counts["with_screener"] += held
+                counts["rejected"] += rejected
+                if held and rejected:
+                    bad.append((lat.gram, t))
+    counts["unsound"] = len(bad)
+    if bad:
+        raise CertificateFailure(f"{len(bad)} rejected shells hold a screener: {bad[:5]}")
     return counts

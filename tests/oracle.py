@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 def det_fraction(mat) -> Fraction:
@@ -97,3 +98,57 @@ def brute_screeners(gram):
     """Canonical screener representatives by exhaustive search up to 2*det."""
     bound = 2 * int(det_fraction(gram))
     return [(x, nrm) for (x, nrm) in box_vectors(gram, bound) if is_screener_ref(gram, x)]
+
+
+def adjugate(gram) -> list[list[int]]:
+    """adj G = det G * G^-1, from cofactors."""
+    n = len(gram)
+    if n == 1:
+        return [[1]]
+    return [[int((-1) ** (i + j) * det_fraction([[gram[r][c] for c in range(n) if c != i]
+                                                 for r in range(n) if r != j]))
+             for j in range(n)] for i in range(n)]
+
+
+@lru_cache(maxsize=32)
+def discriminant_group(gram: tuple[tuple[int, ...], ...], max_order: int = 20000) -> tuple[tuple[int, Fraction], ...]:
+    """(order, <y,y>) for every y of L*/L, by closing the columns of G^-1
+    under addition mod Z^d.
+
+    y = z / det G with z read mod det G; no Smith form is used.  Refuses a
+    group of more than max_order elements.  gram is a tuple of row tuples,
+    so repeated calls on one lattice share the work.
+    """
+    det = int(det_fraction(gram))
+    if det > max_order:
+        raise ValueError(f"discriminant group of order {det} is too large to list")
+    n = len(gram)
+    gens = [tuple(v % det for v in col) for col in zip(*adjugate(gram))]
+    seen = {(0,) * n}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for z in frontier:
+            for g in gens:
+                w = tuple((a + b) % det for a, b in zip(z, g))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    out = []
+    for z in sorted(seen):
+        order = det // math.gcd(det, *z)
+        norm = Fraction(sum(z[i] * gram[i][j] * z[j] for i in range(n) for j in range(n)), det * det)
+        out.append((order, norm))
+    return tuple(out)
+
+
+def discriminant_admits(lat, t: int) -> bool:
+    """Whether L*/L holds an element y of order exactly t with
+    q(y) = <y,y> = 2/t, modulo 2 for an even lattice and 1 for an odd one:
+    the image of x/t for a screener x of norm 2t.  lat needs only .gram;
+    small groups only (see discriminant_group)."""
+    gram = tuple(map(tuple, lat.gram))
+    mod = 1 if any(gram[i][i] % 2 for i in range(len(gram))) else 2
+    return any(order == t and (norm - Fraction(2, t)) % mod == 0
+               for order, norm in discriminant_group(gram))

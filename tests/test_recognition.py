@@ -61,6 +61,12 @@ def test_reduce_requires_basis_of_screeners():
         reduce_screener_basis(lat2, [(1, 0), (1, 1)])
 
 
+def test_reduce_refuses_a_float_basis_vector():
+    """(1.7, 0) was truncated to (1, 0), not refused."""
+    with pytest.raises(LatticeError, match=r"basis vector \(1.7, 0\) has an entry that is not an integer"):
+        reduce_screener_basis(Lattice([[2, 0], [0, 2]]), [(1.7, 0), (0, 1)])
+
+
 def test_reduce_output_invariants():
     """Reduced vectors stay screeners, span the same lattice, and vectors of
     different norms end up orthogonal."""

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from latscreen import (
     Lattice,
     LatticeError,
@@ -25,7 +28,7 @@ from latscreen.intlinalg import (
     determinant, divisors, hnf_rows, invariant_factors, matmul, rank, smith_normal_form,
     solve_linear_system,
 )
-from latscreen.screeners import _mod_kernel_basis
+from latscreen.screeners import _discriminant_admits, _mod_kernel_basis
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -339,6 +342,14 @@ def test_virasoro_shift_is_the_type_i_gamma():
     assert checked > 50
 
 
+def test_conformal_weight_refuses_a_float_level():
+    """A float level gave the float 1.5, not an exact weight."""
+    lat = Lattice([[2]])
+    with pytest.raises(LatticeError, match="level is 0.5"):
+        conformal_weight(lat, (1,), (0,), 0.5)
+    assert conformal_weight(lat, (1,), (0,), 1) == 2
+
+
 def test_central_charge():
     assert central_charge((Fraction(0),), Lattice([[2]])) == 1
     assert central_charge((Fraction(1, 4),), Lattice([[4]])) == -2
@@ -442,10 +453,121 @@ def test_screener_shells_divide_exponent_and_respect_dual_minimum():
     assert checked > 300
 
 
+def _valuation(n, p):
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def _prime_factors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _smith_data(lat):
+    """(invariants d_1 | ... | d_n, a = <V_n, V_n> / d_n) of U G V = D."""
+    _, diag, v = smith_normal_form([list(r) for r in lat.gram])
+    invariants = [diag[i][i] for i in range(lat.rank)]
+    return invariants, lat.norm([row[-1] for row in v]) // invariants[-1]
+
+
+def _cut_rule(lat, t):
+    """The first rule of the shell cut that rejects t, or None: the p-adic
+    valuations of the Smith invariants, prime by prime, and the square
+    classes mod p by listing the squares."""
+    invariants, a = _smith_data(lat)
+    for p in _prime_factors(t):
+        k = _valuation(t, p)
+        vals = [_valuation(di, p) for di in invariants]
+        if p == 2:
+            if (lat.is_even or k >= 2) and not any(e >= 1 and k - 1 <= e <= k + 1 for e in vals):
+                return "2-adic window"
+        elif k not in vals:
+            return "odd valuation"
+        elif sum(e > 0 for e in vals) == 1:
+            r = 2 * a * (invariants[-1] // p ** k) * (t // p ** k) % p
+            if r not in {x * x % p for x in range(1, p)}:
+                return "legendre"
+    return None
+
+
+def _admits(lat, t):
+    invariants, a = _smith_data(lat)
+    return _discriminant_admits(t, _prime_factors(t), invariants, a, lat.is_even)
+
+
 def test_all_screeners_matches_unpruned_walk():
+    """The output equals the walk of every divisor shell of det G, and every
+    rule of the discriminant-form cut rejects some walked t of the pool."""
+    fired = dict.fromkeys(("odd valuation", "legendre", "2-adic window"), 0)
     for lat in CUT_POOL:
         s = all_screeners(lat)
         assert (s.vectors, s.norms) == _unpruned_screeners(lat), lat.gram
+        dn, hmin = _exponent_and_dual_minimum(lat)
+        for t in divisors(dn, 2 * dn // hmin):
+            rule = _cut_rule(lat, t)
+            assert (rule is None) == _admits(lat, t), (lat.gram, t, rule)
+            if rule:
+                fired[rule] += 1
+    assert all(fired.values()), fired
+
+
+@st.composite
+def _block(draw, even):
+    """A rank-1 or rank-2 Gram with entries at most 6 (12 for rank 1);
+    even diagonal when even is set."""
+    diag = st.integers(1, 6).map(lambda n: 2 * n) if even else st.integers(1, 12)
+    if draw(st.booleans()):
+        return [[draw(diag)]]
+    a, c = sorted((draw(diag), draw(diag)))
+    b = draw(st.integers(-(a // 2), a // 2))
+    return [[a, b], [b, c]]
+
+
+@st.composite
+def _discriminant_grams(draw):
+    """Orthogonal sums of 1-3 blocks, even or of any parity, scaled by 1-3
+    and put in a basis scrambled by row additions: rank 1-5, cyclic and
+    non-cyclic L*/L, det at most 4000 so the oracle can list L*/L."""
+    even = draw(st.booleans())
+    blocks = draw(st.lists(_block(even), min_size=1, max_size=3))
+    gram = blocks[0]
+    for b in blocks[1:]:
+        gram = _orthogonal_sum(gram, b)
+    d = len(gram)
+    assume(d <= 5)
+    s = draw(st.integers(1, 3))
+    gram = [[s * v for v in row] for row in gram]
+    for _ in range(draw(st.integers(0, 2 * d))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if i != j:
+            f = draw(st.sampled_from((-1, 1)))
+            gram[i] = [x + f * y for x, y in zip(gram[i], gram[j])]
+            for r in gram:
+                r[i] += f * r[j]
+    lat = Lattice(gram)
+    assume(lat.determinant <= 4000)
+    return lat
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_discriminant_grams())
+def test_shell_cut_is_sound_against_the_discriminant_group(lat):
+    """Over every divisor t of d_n: a t the cut rejects has no element of
+    order t and norm 2/t in the listed L*/L, and its norm-2t shell of M_t
+    holds no screener; so every shell that holds a screener passes the cut."""
+    invariants, _ = _smith_data(lat)
+    dn = invariants[-1]
+    for t in divisors(dn, dn):
+        held = any(is_screener(lat, x) for x in _shell(lat, t))
+        admitted = _admits(lat, t)
+        assert admitted == (_cut_rule(lat, t) is None), (lat.gram, t)
+        if held:
+            assert admitted and oracle.discriminant_admits(lat, t), (lat.gram, t)
+        if not admitted:
+            assert not oracle.discriminant_admits(lat, t), (lat.gram, t)
 
 
 def test_shell_screeners_are_the_vectors_outside_2l():
