@@ -236,9 +236,9 @@ def ternary_forms(max_entry: int):
                                 yield gram
 
 
-def shell_cut_certificate(max_entry: int = 6, max_scale: int = 3) -> dict:
+def shell_cut_certificate() -> dict:
     """Check the discriminant-form cut of `all_screeners` on every ternary
-    form of `ternary_forms(max_entry)` at scales 1..max_scale.
+    form of `ternary_forms(6)` at scales 1-3.
 
     Every divisor t of the exponent d_n is walked, past the dual-minimum
     bound too: the norm-2t shell of M_t is enumerated and its vectors are
@@ -247,8 +247,8 @@ def shell_cut_certificate(max_entry: int = 6, max_scale: int = 3) -> dict:
     """
     counts = {"lattices": 0, "shells": 0, "with_screener": 0, "rejected": 0, "unsound": 0}
     bad = []
-    for form in ternary_forms(max_entry):
-        for scale in range(1, max_scale + 1):
+    for form in ternary_forms(6):
+        for scale in range(1, 4):
             lat = Lattice([[scale * x for x in row] for row in form])
             counts["lattices"] += 1
             _, diag, v = smith_normal_form(lat.gram)

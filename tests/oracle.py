@@ -111,16 +111,16 @@ def adjugate(gram) -> list[list[int]]:
 
 
 @lru_cache(maxsize=32)
-def discriminant_group(gram: tuple[tuple[int, ...], ...], max_order: int = 20000) -> tuple[tuple[int, Fraction], ...]:
+def discriminant_group(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, Fraction], ...]:
     """(order, <y,y>) for every y of L*/L, by closing the columns of G^-1
     under addition mod Z^d.
 
     y = z / det G with z read mod det G; no Smith form is used.  Refuses a
-    group of more than max_order elements.  gram is a tuple of row tuples,
+    group of more than 20000 elements.  gram is a tuple of row tuples,
     so repeated calls on one lattice share the work.
     """
     det = int(det_fraction(gram))
-    if det > max_order:
+    if det > 20000:
         raise ValueError(f"discriminant group of order {det} is too large to list")
     n = len(gram)
     gens = [tuple(v % det for v in col) for col in zip(*adjugate(gram))]

@@ -24,7 +24,7 @@ from latscreen import (
     recognize_components,
     reduce_screener_basis,
 )
-from certificates import orthogonal_sum, scrambled
+from certificates import orthogonal_sum, scrambled, ternary_forms
 from latscreen import intlinalg
 from latscreen.intlinalg import determinant
 
@@ -560,16 +560,7 @@ def test_recognize_components_is_pinned():
     then catalog A1-A8, D4-D8 and E6-E8 at scales 1-3.  Most of them are
     not generated by their screeners.  Any move of a simple root, a group,
     a component or a count moves it."""
-    lats = []
-    for a in range(1, 7):
-        for b in range(a, 7):
-            for c in range(b, 7):
-                for f12 in range(-(a // 2), a // 2 + 1):
-                    for f13 in range(-(a // 2), a // 2 + 1):
-                        for f23 in range(-(b // 2), b // 2 + 1):
-                            g = [[a, f12, f13], [f12, b, f23], [f13, f23, c]]
-                            if is_positive_definite(g):
-                                lats.append(Lattice(g))
+    lats = [Lattice(g) for g in ternary_forms(6)]
     for kind, ns in (("A", range(1, 9)), ("D", range(4, 9)), ("E", (6, 7, 8))):
         lats += [catalog(kind, n, scale) for n in ns for scale in (1, 2, 3)]
     h = hashlib.sha256()
