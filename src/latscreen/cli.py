@@ -349,17 +349,18 @@ def _oracle_check(args, _) -> dict:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
     mismatches = []
-    done = 0
-    while done < args.cases:
+    for case in range(1, args.cases + 1):
+        # the rank is drawn once per case and only the entries are redrawn,
+        # so rejecting indefinite Grams does not thin out the high ranks
         d = rng.randint(1, args.rank)
-        g = [[0] * d for _ in range(d)]
-        for i in range(d):
-            g[i][i] = rng.randint(1, args.max_entry)
-            for j in range(i + 1, d):
-                g[i][j] = g[j][i] = rng.randint(-args.max_entry, args.max_entry)
-        if not is_positive_definite(g):
-            continue
-        done += 1
+        while True:
+            g = [[0] * d for _ in range(d)]
+            for i in range(d):
+                g[i][i] = rng.randint(1, args.max_entry)
+                for j in range(i + 1, d):
+                    g[i][j] = g[j][i] = rng.randint(-args.max_entry, args.max_entry)
+            if is_positive_definite(g):
+                break
         lat = Lattice(g)
         t0 = time.perf_counter()
         fast = all_screeners(lat)
@@ -367,7 +368,7 @@ def _oracle_check(args, _) -> dict:
         slow = tuple(v for v in boxed.vectors if is_screener(lat, v))
         dt = time.perf_counter() - t0
         ok = fast.vectors == slow
-        print(f"case {done}: rank {d} det {lat.determinant} "
+        print(f"case {case}: rank {d} det {lat.determinant} "
               f"screeners {len(fast)} {'ok' if ok else 'MISMATCH'} ({dt:.3f}s)",
               file=sys.stderr)
         if not ok:

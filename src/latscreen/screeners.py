@@ -4,9 +4,11 @@ A nonzero vector x is a screening vector ("screener") when its norm is even,
 x is not twice a lattice vector, and 2x/<x,x> pairs integrally with the whole
 lattice, that is, lies in the dual lattice L*.  A screener of norm 2t lies in
 the mod-t kernel sublattice M_t = {x : G x = 0 mod t}, and t is bounded
-twice: it divides the exponent d_n of L*/L, and x/t is a nonzero dual vector
-of norm 2/t, so t is at most 2/lambda_1(L*)^2.  The search walks the norm-2t
-shell of M_t only for the divisors t of d_n within that bound, and skips a t
+three times: it divides the exponent d_n of L*/L; x/t is a nonzero dual
+vector of norm 2/t, so t is at most 2/lambda_1(L*)^2; and x is a nonzero
+vector of M_t, inside L, so 2t is at least lambda_1(L)^2.  The search walks
+the norm-2t shell of M_t only for the divisors t of d_n within
+lambda_1(L)^2/2 <= t <= 2/lambda_1(L*)^2, and skips a t
 before building M_t when the discriminant form of L*/L (Nikulin 1979;
 Conway and Sloane, SPLAG ch. 15) has no element of order t and norm 2/t,
 as the image of x/t must be.  That test reads the p-adic valuations of the
@@ -122,6 +124,8 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     - t <= 2 d_n / h_min, with h_min the minimum of the integer form
       H = d_n G^-1: y = x/t is a nonzero vector of L*, so
       <y,y> = 2/t >= h_min / d_n.
+    - 2t >= lmin, the minimum of G: x in M_t, inside L, is nonzero, so
+      <x,x> = 2t >= lmin.
     - L*/L = (+) Z/d_i admits t (`_discriminant_admits`; Nikulin 1979,
       Conway and Sloane, SPLAG ch. 15).  x is primitive (see
       virasoro_shift), so y = x/t has order exactly t in L*/L, and
@@ -155,13 +159,14 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     # q(V_n / d_n) = a / d_n; G V_n = d_n (U^-1)_n, so d_n divides <V_n, V_n>
     a = lat.norm([row[-1] for row in v]) // dn
     even = lat.is_even
+    lmin = form_minimum(lat)
     primes: list[int] = []
     for t in intlinalg.divisors(dn, 2 * dn // form_minimum(Lattice(h))):
         # the list is ascending and holds every prime of t, so t is prime
         # when no earlier prime divides it
         if t > 1 and all(t % p for p in primes):
             primes.append(t)
-        if not _discriminant_admits(t, primes, invariants, a, even):
+        if 2 * t < lmin or not _discriminant_admits(t, primes, invariants, a, even):
             continue
         basis = _mod_kernel_basis(v, invariants, t)
         sub = Lattice(lat.row_gram(basis))

@@ -237,19 +237,23 @@ def ternary_forms(max_entry: int):
 
 
 def shell_cut_certificate() -> dict:
-    """Check the discriminant-form cut of `all_screeners` on every ternary
-    form of `ternary_forms(6)` at scales 1-3.
+    """Check the discriminant-form cut and the lattice-minimum cut of
+    `all_screeners` on every ternary form of `ternary_forms(6)` at scales 1-3.
 
-    Every divisor t of the exponent d_n is walked, past the dual-minimum
-    bound too: the norm-2t shell of M_t is enumerated and its vectors are
-    tested with `is_screener`.  A shell the cut rejects that holds a
-    screener is unsound, and any unsound shell fails the certificate.
+    Every divisor t of the exponent d_n is walked, past both minimum bounds
+    too: the norm-2t shell of M_t is enumerated and its vectors are tested
+    with `is_screener`.  A shell that the discriminant form rejects, or that
+    lies below the minimum of the lattice (2t < lambda_1(L), counted in
+    below_minimum whatever the discriminant form says), is unsound when it
+    holds a screener, and any unsound shell fails the certificate.
     """
-    counts = {"lattices": 0, "shells": 0, "with_screener": 0, "rejected": 0, "unsound": 0}
+    counts = {"lattices": 0, "shells": 0, "with_screener": 0, "rejected": 0,
+              "below_minimum": 0, "unsound": 0}
     bad = []
     for form in ternary_forms(6):
         for scale in range(1, 4):
             lat = Lattice([[scale * x for x in row] for row in form])
+            lmin = enumerate_up_to_norm(lat, min(lat.gram[i][i] for i in range(3))).norms[0]
             counts["lattices"] += 1
             _, diag, v = smith_normal_form(lat.gram)
             invariants = [diag[i][i] for i in range(lat.rank)]
@@ -264,12 +268,14 @@ def shell_cut_certificate() -> dict:
                 shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
                 held = any(is_screener(lat, x) for x in matmul(shell, basis))
                 rejected = not _discriminant_admits(t, primes, invariants, a, lat.is_even)
+                below = 2 * t < lmin
                 counts["shells"] += 1
                 counts["with_screener"] += held
                 counts["rejected"] += rejected
-                if held and rejected:
+                counts["below_minimum"] += below
+                if held and (rejected or below):
                     bad.append((lat.gram, t))
     counts["unsound"] = len(bad)
     if bad:
-        raise CertificateFailure(f"{len(bad)} rejected shells hold a screener: {bad[:5]}")
+        raise CertificateFailure(f"{len(bad)} cut shells hold a screener: {bad[:5]}")
     return counts

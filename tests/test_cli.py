@@ -250,6 +250,15 @@ def test_oracle_check_small_run(capsys):
     assert captured.err.count("case ") == 3
 
 
+def test_oracle_check_draws_every_rank(capsys):
+    """The rank is drawn once per case and only the entries are redrawn, so
+    the indefinite Grams rejected at small entries do not leave the high
+    ranks out of the run."""
+    assert main(["oracle-check", "--rank", "4", "--max-entry", "2", "--cases", "24", "--seed", "7"]) == EXIT_OK
+    ranks = [line.split()[3] for line in capsys.readouterr().err.splitlines()]
+    assert sorted(set(ranks)) == ["1", "2", "3", "4"], ranks
+
+
 def test_oracle_check_mismatch_exits_3(capsys, monkeypatch):
     """A box scan that finds no screener disagrees on every case: the report
     still prints, and the exit code is 3."""

@@ -439,16 +439,25 @@ def _unpruned_screeners(lat):
     return tuple(x for _, x in pairs), tuple(n for n, _ in pairs)
 
 
+def _minimum(lat):
+    """The least norm of a nonzero vector, by a walk up to the least
+    diagonal entry rather than by `form_minimum`."""
+    return enumerate_up_to_norm(lat, min(lat.gram[i][i] for i in range(lat.rank))).norms[0]
+
+
 def test_screener_shells_divide_exponent_and_respect_dual_minimum():
-    """A screener of norm 2t has t | d_n and t <= 2 d_n / h_min."""
+    """A screener of norm 2t has t | d_n, t <= 2 d_n / h_min and 2t at least
+    the minimum of the lattice."""
     checked = 0
     for lat in CUT_POOL:
         dn, hmin = _exponent_and_dual_minimum(lat)
+        lmin = _minimum(lat)
         assert invariant_factors([list(r) for r in lat.gram])[-1] == dn
         for nrm in all_screeners(lat).norms:
             t = nrm // 2
             assert dn % t == 0, (lat.gram, t, dn)
             assert t * hmin <= 2 * dn, (lat.gram, t, dn, hmin)
+            assert 2 * t >= lmin, (lat.gram, t, lmin)
             checked += 1
     assert checked > 300
 
@@ -498,14 +507,17 @@ def _admits(lat, t):
 
 
 def test_all_screeners_matches_unpruned_walk():
-    """The output equals the walk of every divisor shell of det G, and every
-    rule of the discriminant-form cut rejects some walked t of the pool."""
-    fired = dict.fromkeys(("odd valuation", "legendre", "2-adic window"), 0)
+    """The output equals the walk of every divisor shell of det G, the
+    lattice-minimum cut skips some t under the dual bound, and every rule of
+    the discriminant-form cut rejects some t of the pool."""
+    fired = dict.fromkeys(("below minimum", "odd valuation", "legendre", "2-adic window"), 0)
     for lat in CUT_POOL:
         s = all_screeners(lat)
         assert (s.vectors, s.norms) == _unpruned_screeners(lat), lat.gram
         dn, hmin = _exponent_and_dual_minimum(lat)
+        lmin = _minimum(lat)
         for t in divisors(dn, 2 * dn // hmin):
+            fired["below minimum"] += 2 * t < lmin
             rule = _cut_rule(lat, t)
             assert (rule is None) == _admits(lat, t), (lat.gram, t, rule)
             if rule:
