@@ -122,14 +122,14 @@ def _depth_first(minors: list[int], lam: list[list[int]], bound: int) -> list[tu
     return out
 
 
-def form_minimum(lat: Lattice) -> int:
-    """The least norm of a nonzero lattice vector.
+def form_minimum(lat: Lattice, u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matrix) -> int:
+    """The least norm of a nonzero lattice vector, from the state
+    u, minors, lam = lat.lll_reduce() that the caller has already computed.
 
-    One LLL reduction bounds it by b, the norm of the shortest reduced basis
-    vector; one walk up to b - 1 finds anything shorter, and when it finds
-    nothing the minimum is b.
+    The reduced rows u bound it by b, the norm of the shortest of them; one
+    walk up to b - 1 finds anything shorter, and when it finds nothing the
+    minimum is b.
     """
-    u, minors, lam = lat.lll_reduce()
     bound = min(map(lat.norm, u))
     return min((nrm for _, nrm in _depth_first(minors, lam, bound - 1)), default=bound)
 

@@ -192,17 +192,18 @@ def _nearest_quotient(x: int, p: int) -> int:
     return q
 
 
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
-    """(u, d, v) with u*mat*v = d diagonal, u and v unimodular.
+def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
+    """(d, v) with u*mat*v = d diagonal for some unimodular u, v unimodular.
 
-    Diagonal entries are nonnegative and each divides the next.  Every pass
-    re-selects the globally smallest pivot and reduces with balanced
-    quotients, which keeps intermediate entries from compounding.
+    Diagonal entries are nonnegative and each divides the next.  Only the
+    column operations are recorded, in v; the row operations act on mat
+    alone, so u is never built.  Every pass re-selects the globally smallest
+    pivot and reduces with balanced quotients, which keeps intermediate
+    entries from compounding.
     """
     a = copy_matrix(mat)
     m = len(a)
     n = len(a[0]) if a else 0
-    u = identity(m)
     v = identity(n)
     t = 0
     while t < min(m, n):
@@ -216,7 +217,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
             break
         i0, j0 = piv
         a[t], a[i0] = a[i0], a[t]
-        u[t], u[i0] = u[i0], u[t]
         if j0 != t:
             for row in a:
                 row[t], row[j0] = row[j0], row[t]
@@ -224,7 +224,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
                 row[t], row[j0] = row[j0], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         p = a[t][t]
         # one balanced reduction pass; any leftover means a smaller entry
         # appeared somewhere, so re-pick the pivot
@@ -234,7 +233,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
                 q = _nearest_quotient(a[i][t], p)
                 if q:
                     a[i] = [a[i][j] - q * a[t][j] for j in range(n)]
-                    u[i] = [u[i][j] - q * u[t][j] for j in range(m)]
                 if a[i][t] != 0:
                     leftover = True
         for j in range(t + 1, n):
@@ -261,15 +259,14 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Mat
                 break
         if bad is not None:
             a[t] = [a[t][j] + a[bad][j] for j in range(n)]
-            u[t] = [u[t][j] + u[bad][j] for j in range(m)]
             continue
         t += 1
-    return u, a, v
+    return a, v
 
 
 def invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero diagonal of the Smith form."""
-    _, d, _ = smith_normal_form(mat)
+    """Nonzero diagonal of the Smith form d of smith_normal_form."""
+    d, _ = smith_normal_form(mat)
     out = []
     for t in range(min(len(d), len(d[0]) if d else 0)):
         if d[t][t] != 0:
@@ -278,10 +275,13 @@ def invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
 
 
 def kernel_rows(mat: Sequence[Sequence[int]]) -> Matrix:
-    """Basis rows of {x : mat @ x = 0} over the integers (saturated)."""
+    """Basis rows of {x : mat @ x = 0} over the integers (saturated).
+
+    With u*mat*v = d, mat x = 0 exactly when d v^-1 x = 0, since u is
+    invertible, so the kernel is read off v alone."""
     m = len(mat)
     n = len(mat[0]) if mat else 0
-    _, d, v = smith_normal_form(mat)
+    d, v = smith_normal_form(mat)
     # the nonzero diagonal entries come first; columns r..n-1 of v span the kernel
     r = sum(1 for t in range(min(m, n)) if d[t][t] != 0)
     return [[v[i][j] for i in range(n)] for j in range(r, n)]

@@ -5,10 +5,15 @@ x is not twice a lattice vector, and 2x/<x,x> pairs integrally with the whole
 lattice, that is, lies in the dual lattice L*.  A screener of norm 2t lies in
 the mod-t kernel sublattice M_t = {x : G x = 0 mod t}, and t is bounded
 three times: it divides the exponent d_n of L*/L; x/t is a nonzero dual
-vector of norm 2/t, so t is at most 2/lambda_1(L*)^2; and x is a nonzero
-vector of M_t, inside L, so 2t is at least lambda_1(L)^2.  The search walks
-the norm-2t shell of M_t only for the divisors t of d_n within
-lambda_1(L)^2/2 <= t <= 2/lambda_1(L*)^2, and skips a t
+vector of norm 2/t, and every nonzero dual vector has norm at least
+1/max_i |b_i*|^2 for the Gram-Schmidt vectors b_i* of any basis of L
+(Lagarias, Lenstra and Schnorr 1990), so t is at most 2 max_i |b_i*|^2;
+and x is a nonzero vector of M_t, inside L, so 2t is at least
+lambda_1(L)^2.  One LLL reduction of L gives both bounds: its minors give
+|b_i*|^2 = D_{i+1}/D_i, and one short walk on its basis gives
+lambda_1(L)^2.  No dual lattice is built.  The search walks the norm-2t
+shell of M_t only for the divisors t of d_n within
+lambda_1(L)^2/2 <= t <= 2 max_i |b_i*|^2, and skips a t
 before building M_t when the discriminant form of L*/L (Nikulin 1979;
 Conway and Sloane, SPLAG ch. 15) has no element of order t and norm 2/t,
 as the image of x/t must be.  That test reads the p-adic valuations of the
@@ -121,9 +126,16 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       coordinate of x, so x = q x' with x' in L: q = 2 contradicts x not in
       2L, and for odd q, G x' = 0 mod t/q forces t/q | <x',x'> = 2t/q^2,
       so q | 2.
-    - t <= 2 d_n / h_min, with h_min the minimum of the integer form
-      H = d_n G^-1: y = x/t is a nonzero vector of L*, so
-      <y,y> = 2/t >= h_min / d_n.
+    - t <= 2 max_i |b_i*|^2, with b_i* the Gram-Schmidt vectors of the
+      LLL basis b of L, so |b_i*|^2 = D_{i+1} / D_i from its minors.
+      y = x/t is a nonzero vector of L* of norm 2/t.  For any basis c of
+      a lattice, a nonzero vector with last nonzero coordinate k in c has
+      the component a_k c_k* along c_k*, a_k a nonzero integer, so its norm
+      is at least min_i |c_i*|^2.  The dual basis of b in reverse order has
+      the Gram-Schmidt vectors b_i* / |b_i*|^2, of norm 1 / |b_i*|^2, so
+      2/t >= 1 / max_i |b_i*|^2 (Lagarias, Lenstra and Schnorr,
+      Combinatorica 10, 1990).  t is an integer, so
+      t <= max_i floor(2 D_{i+1} / D_i).
     - 2t >= lmin, the minimum of G: x in M_t, inside L, is nonzero, so
       <x,x> = 2t >= lmin.
     - L*/L = (+) Z/d_i admits t (`_discriminant_admits`; Nikulin 1979,
@@ -150,18 +162,19 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     lies in M_t, so reducing a generator mod t stays inside M_t.
     """
     pairs: list[tuple[int, Vec]] = []
-    u, diag, v = intlinalg.smith_normal_form(lat.gram)
+    diag, v = intlinalg.smith_normal_form(lat.gram)
     d = lat.rank
     invariants = [diag[i][i] for i in range(d)]
     dn = invariants[-1]
-    # H = d_n G^-1 = V diag(d_n / d_i) U, since G^-1 = V D^-1 U
-    h = intlinalg.matmul([[v[r][i] * (dn // invariants[i]) for i in range(d)] for r in range(d)], u)
     # q(V_n / d_n) = a / d_n; G V_n = d_n (U^-1)_n, so d_n divides <V_n, V_n>
     a = lat.norm([row[-1] for row in v]) // dn
     even = lat.is_even
-    lmin = form_minimum(lat)
+    w, minors, lam = lat.lll_reduce()
+    lmin = form_minimum(lat, w, minors, lam)
+    # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
+    cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
     primes: list[int] = []
-    for t in intlinalg.divisors(dn, 2 * dn // form_minimum(Lattice(h))):
+    for t in intlinalg.divisors(dn, cap):
         # the list is ascending and holds every prime of t, so t is prime
         # when no earlier prime divides it
         if t > 1 and all(t % p for p in primes):

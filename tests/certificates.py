@@ -237,25 +237,30 @@ def ternary_forms(max_entry: int):
 
 
 def shell_cut_certificate() -> dict:
-    """Check the discriminant-form cut and the lattice-minimum cut of
-    `all_screeners` on every ternary form of `ternary_forms(6)` at scales 1-3.
+    """Check the discriminant-form cut, the lattice-minimum cut and the
+    Gram-Schmidt cap of `all_screeners` on every ternary form of
+    `ternary_forms(6)` at scales 1-3.
 
-    Every divisor t of the exponent d_n is walked, past both minimum bounds
-    too: the norm-2t shell of M_t is enumerated and its vectors are tested
-    with `is_screener`.  A shell that the discriminant form rejects, or that
-    lies below the minimum of the lattice (2t < lambda_1(L), counted in
-    below_minimum whatever the discriminant form says), is unsound when it
-    holds a screener, and any unsound shell fails the certificate.
+    Every divisor t of the exponent d_n is walked, past the minimum and the
+    cap too: the norm-2t shell of M_t is enumerated and its vectors are
+    tested with `is_screener`.  A shell that the discriminant form rejects, that lies
+    below the minimum of the lattice (2t < lambda_1(L), counted in
+    below_minimum whatever the discriminant form says) or above the cap
+    (t > max_i floor(2 D_{i+1} / D_i) on the LLL basis, counted in
+    above_cap whatever the other cuts say) is unsound when it holds a
+    screener, and any unsound shell fails the certificate.
     """
     counts = {"lattices": 0, "shells": 0, "with_screener": 0, "rejected": 0,
-              "below_minimum": 0, "unsound": 0}
+              "below_minimum": 0, "above_cap": 0, "unsound": 0}
     bad = []
     for form in ternary_forms(6):
         for scale in range(1, 4):
             lat = Lattice([[scale * x for x in row] for row in form])
             lmin = enumerate_up_to_norm(lat, min(lat.gram[i][i] for i in range(3))).norms[0]
+            _, minors, _ = lat.lll_reduce()
+            cap = max(2 * minors[i + 1] // minors[i] for i in range(3))
             counts["lattices"] += 1
-            _, diag, v = smith_normal_form(lat.gram)
+            diag, v = smith_normal_form(lat.gram)
             invariants = [diag[i][i] for i in range(lat.rank)]
             dn = invariants[-1]
             a = lat.norm([row[-1] for row in v]) // dn
@@ -269,11 +274,13 @@ def shell_cut_certificate() -> dict:
                 held = any(is_screener(lat, x) for x in matmul(shell, basis))
                 rejected = not _discriminant_admits(t, primes, invariants, a, lat.is_even)
                 below = 2 * t < lmin
+                above = t > cap
                 counts["shells"] += 1
                 counts["with_screener"] += held
                 counts["rejected"] += rejected
                 counts["below_minimum"] += below
-                if held and (rejected or below):
+                counts["above_cap"] += above
+                if held and (rejected or below or above):
                     bad.append((lat.gram, t))
     counts["unsound"] = len(bad)
     if bad:

@@ -176,14 +176,15 @@ def test_form_minimum_matches_the_box_minimum():
         red = matmul(matmul(u, gram), list(zip(*u)))
         b = min(red[i][i] for i in range(len(red)))
         minimum = box_vectors(gram, b)[0][1]
-        assert form_minimum(Lattice(gram)) == minimum, gram
+        assert form_minimum(Lattice(gram), u, minors, lam) == minimum, gram
         one_below += minimum == b - 1
         if gram in at_diagonal:
             assert minimum == b and _depth_first(minors, lam, b - 1) == [], gram
     assert one_below >= len(BELOW_LLL_DIAGONAL)
     for kind, n in [("A", 1), ("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]:
         for scale in (1, 3):
-            assert form_minimum(catalog(kind, n, scale)) == 2 * scale
+            lat = catalog(kind, n, scale)
+            assert form_minimum(lat, *lat.lll_reduce()) == 2 * scale
 
 
 def test_canonical_and_sorted():
@@ -366,6 +367,6 @@ def test_walking_a_lattice_leaves_its_state_unchanged():
         minors[-1] += 1
         lam[-1][0] += 1
         bound = 2 * first[1][1]  # twice the norm of the first reduced vector
-        walks = [(enumerate_up_to_norm(lat, bound), form_minimum(lat)) for _ in range(2)]
+        walks = [(enumerate_up_to_norm(lat, bound), form_minimum(lat, *lat.lll_reduce())) for _ in range(2)]
         assert walks[0] == walks[1], lat
         assert vars(lat) == state and lat.lll_reduce() == first, lat

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from latscreen import intlinalg, screeners
 from latscreen import (
     Lattice,
     LatticeError,
@@ -413,7 +414,7 @@ def _mod_kernel_columns(lat, t):
     d = lat.rank
     if t == 1:
         return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    _, diag, v = smith_normal_form([list(r) for r in lat.gram])
+    diag, v = smith_normal_form([list(r) for r in lat.gram])
     return [[t // math.gcd(diag[i][i], t) * v[r][i] for r in range(d)] for i in range(d)]
 
 
@@ -445,21 +446,108 @@ def _minimum(lat):
     return enumerate_up_to_norm(lat, min(lat.gram[i][i] for i in range(lat.rank))).norms[0]
 
 
+def _gram_schmidt_cap(lat):
+    """max_i floor(2 D_{i+1} / D_i) over the minors D_k of the LLL basis:
+    2 max_i |b_i*|^2, floored, the dual-side cut of all_screeners."""
+    _, minors, _ = lat.lll_reduce()
+    return max(2 * minors[i + 1] // minors[i] for i in range(lat.rank))
+
+
 def test_screener_shells_divide_exponent_and_respect_dual_minimum():
-    """A screener of norm 2t has t | d_n, t <= 2 d_n / h_min and 2t at least
-    the minimum of the lattice."""
+    """A screener of norm 2t has t | d_n, t <= 2 d_n / h_min, t at most the
+    Gram-Schmidt cap 2 max_i |b_i*|^2 and 2t at least the minimum of the
+    lattice."""
     checked = 0
     for lat in CUT_POOL:
         dn, hmin = _exponent_and_dual_minimum(lat)
         lmin = _minimum(lat)
+        cap = _gram_schmidt_cap(lat)
         assert invariant_factors([list(r) for r in lat.gram])[-1] == dn
         for nrm in all_screeners(lat).norms:
             t = nrm // 2
             assert dn % t == 0, (lat.gram, t, dn)
             assert t * hmin <= 2 * dn, (lat.gram, t, dn, hmin)
+            assert t <= cap, (lat.gram, t, cap)
             assert 2 * t >= lmin, (lat.gram, t, lmin)
             checked += 1
     assert checked > 300
+
+
+def test_gram_schmidt_cap_is_never_below_the_exact_dual_cap(monkeypatch):
+    """The limit all_screeners hands to divisors is max_i floor(2 D_{i+1} / D_i)
+    from one LLL of L, and it is at least 2 d_n / h_min, with h_min the
+    minimum of H = d_n G^-1 from exact column solves: every nonzero dual
+    vector has norm at least 1 / max_i |b_i*|^2 (transference).  The cap is
+    strictly above the exact one on some lattice of the pool, and on none
+    below it."""
+    limits = []
+
+    def recording_divisors(n, limit):
+        limits.append(limit)
+        return divisors(n, limit)
+
+    monkeypatch.setattr(intlinalg, "divisors", recording_divisors)
+    looser = 0
+    for lat in CUT_POOL + _skewed_dense_grams(4):
+        dn, hmin = _exponent_and_dual_minimum(lat)
+        all_screeners(lat)
+        cap = limits.pop()
+        assert cap == _gram_schmidt_cap(lat) >= 2 * dn // hmin, (lat.gram, cap, dn, hmin)
+        looser += cap > 2 * dn // hmin
+    assert looser > 0
+
+
+@st.composite
+def _dense_grams(draw):
+    """A A^T + D of rank 1-6, entries of A in [-2, 2] and D in [1, 4], with
+    the diagonal made even or left of any parity, then scaled by 1-3."""
+    d = draw(st.integers(1, 6))
+    a = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
+    gram = matmul(a, list(zip(*a)))
+    even = draw(st.booleans())
+    for i in range(d):
+        gram[i][i] += draw(st.integers(1, 4))
+        if even and gram[i][i] % 2:
+            gram[i][i] += 1
+    s = draw(st.integers(1, 3))
+    return Lattice([[s * v for v in row] for row in gram])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_dense_grams())
+def test_gram_schmidt_cap_bounds_the_dual_minimum(lat):
+    """For even, odd and scaled Grams of rank 1-6, 2 max_i |b_i*|^2 on the
+    LLL basis is at least 2 / lambda_1(L*), both floored."""
+    dn, hmin = _exponent_and_dual_minimum(lat)
+    assert _gram_schmidt_cap(lat) >= 2 * dn // hmin, (lat.gram, dn, hmin)
+
+
+def test_all_screeners_reduces_the_lattice_once(monkeypatch):
+    """all_screeners runs intlinalg.lll_reduce once on L, for both of its
+    bounds, and once per walked shell, with no dual lattice in between."""
+    lll_calls = []
+    walks = []
+    reduce, walk = intlinalg.lll_reduce, screeners.enumerate_up_to_norm
+
+    def counting_reduce(minors, lam):
+        lll_calls.append(len(lam))
+        return reduce(minors, lam)
+
+    def counting_walk(lat, bound):
+        walks.append(bound)
+        return walk(lat, bound)
+
+    monkeypatch.setattr(intlinalg, "lll_reduce", counting_reduce)
+    monkeypatch.setattr(screeners, "enumerate_up_to_norm", counting_walk)
+    walked = 0
+    for lat in [Lattice(A2), catalog("D", 4), catalog("E", 8), catalog("A", 3, 2)] + CUT_POOL[:40]:
+        lll_calls.clear()
+        walks.clear()
+        all_screeners(lat)
+        assert len(lll_calls) == 1 + len(walks), (lat.gram, len(lll_calls), len(walks))
+        walked += len(walks)
+    assert walked > 44
 
 
 def _valuation(n, p):
@@ -476,7 +564,7 @@ def _prime_factors(n):
 
 def _smith_data(lat):
     """(invariants d_1 | ... | d_n, a = <V_n, V_n> / d_n) of U G V = D."""
-    _, diag, v = smith_normal_form([list(r) for r in lat.gram])
+    diag, v = smith_normal_form([list(r) for r in lat.gram])
     invariants = [diag[i][i] for i in range(lat.rank)]
     return invariants, lat.norm([row[-1] for row in v]) // invariants[-1]
 
@@ -610,14 +698,16 @@ def test_form_minimum_matches_enumeration():
     for lat in CUT_POOL[:100]:
         gram = [list(r) for r in lat.gram]
         bound = min(gram[i][i] for i in range(lat.rank))
-        assert form_minimum(lat) == enumerate_up_to_norm(lat, bound).norms[0]
+        assert form_minimum(lat, *lat.lll_reduce()) == enumerate_up_to_norm(lat, bound).norms[0]
 
 
 def test_e8_keeps_its_roots_at_the_cut():
-    """E8 is unimodular with minimum 2, so t = 2 d_n / h_min = 1 is the one
-    shell, reached with equality."""
+    """E8 is unimodular with minimum 2, so t = 1 is the one divisor of
+    d_n = 1; it meets the exact dual cut 2 d_n / h_min = 1 with equality,
+    the Gram-Schmidt cap is never below that, and 2t is the minimum."""
     e8 = catalog("E", 8)
     assert _exponent_and_dual_minimum(e8) == (1, 2)
+    assert _gram_schmidt_cap(e8) >= 1 and _minimum(e8) == 2
     s = all_screeners(e8)
     assert s.total_count == 240
     assert set(s.norms) == {2}
@@ -647,10 +737,37 @@ def _skewed_dense_grams(count):
         g = matmul(a, list(zip(*a)))
         for i in range(d):
             g[i][i] += rng.randint(1, 4)
-        _, _, v = smith_normal_form(g)
+        _, v = smith_normal_form(g)
         if max(abs(x) for row in v for x in row).bit_length() >= 60:
             out.append(Lattice(g))
     return out
+
+
+def test_smith_form_without_u():
+    """For square nonsingular inputs, (d, v) = smith_normal_form(mat) has v
+    unimodular, a diagonal d whose entries are positive and each divides
+    the next, and column i of mat v divisible by d_i; the quotient columns
+    form a matrix Q with mat v = Q d, and det Q = +-1 is exactly
+    "u mat v = d for the unimodular u = Q^-1"."""
+    rng = random.Random(2511)
+    square = [[list(r) for r in lat.gram] for lat in CUT_POOL + _skewed_dense_grams(4)]
+    while len(square) < 360:
+        n = rng.randint(1, 5)
+        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if determinant(mat):
+            square.append(mat)
+    for mat in square:
+        n = len(mat)
+        d, v = smith_normal_form(mat)
+        assert abs(determinant(v)) == 1, mat
+        diag = [d[i][i] for i in range(n)]
+        assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j), mat
+        assert all(x > 0 for x in diag) and all(b % a == 0 for a, b in zip(diag, diag[1:])), mat
+        mv = matmul(mat, v)
+        assert all(mv[r][i] % diag[i] == 0 for r in range(n) for i in range(n)), mat
+        q = [[mv[r][i] // diag[i] for i in range(n)] for r in range(n)]
+        assert abs(determinant(q)) == 1, mat
+        assert math.prod(diag) == abs(determinant(mat)), mat
 
 
 def test_shell_basis_spans_mod_kernel():
@@ -660,7 +777,7 @@ def test_shell_basis_spans_mod_kernel():
     all_screeners passes it."""
     for lat in CUT_POOL + _skewed_dense_grams(4):
         gram = [list(r) for r in lat.gram]
-        _, diag, v = smith_normal_form(gram)
+        diag, v = smith_normal_form(gram)
         d = lat.rank
         invariants = [diag[i][i] for i in range(d)]
         dn = invariants[-1]
