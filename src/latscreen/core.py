@@ -76,6 +76,12 @@ class Lattice:
         return len(self.gram)
 
     @property
+    def minors(self) -> tuple[int, ...]:
+        """The leading principal minors D_0 = 1, D_1, ..., D_d of the Gram;
+        D_{k+1} / D_k is the squared length of the k-th Gram-Schmidt vector."""
+        return self._minors
+
+    @property
     def determinant(self) -> int:
         return self._minors[-1]
 

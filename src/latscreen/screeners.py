@@ -9,11 +9,12 @@ vector of norm 2/t, and every nonzero dual vector has norm at least
 1/max_i |b_i*|^2 for the Gram-Schmidt vectors b_i* of any basis of L
 (Lagarias, Lenstra and Schnorr 1990), so t is at most 2 max_i |b_i*|^2;
 and x is a nonzero vector of M_t, inside L, so 2t is at least
-lambda_1(L)^2.  One LLL reduction of L gives both bounds: its minors give
+lambda_1(L), the least norm of a nonzero vector of L (a norm, not a
+length).  One LLL reduction of L gives both bounds: its minors give
 |b_i*|^2 = D_{i+1}/D_i, and one short walk on its basis gives
-lambda_1(L)^2.  No dual lattice is built.  The search walks the norm-2t
+lambda_1(L).  No dual lattice is built.  The search walks the norm-2t
 shell of M_t only for the divisors t of d_n within
-lambda_1(L)^2/2 <= t <= 2 max_i |b_i*|^2, and skips a t
+lambda_1(L)/2 <= t <= 2 max_i |b_i*|^2, and skips a t
 before building M_t when the discriminant form of L*/L (Nikulin 1979;
 Conway and Sloane, SPLAG ch. 15) has no element of order t and norm 2/t,
 as the image of x/t must be.  That test reads the p-adic valuations of the
@@ -24,6 +25,10 @@ Each M_t starts from a Hermite basis modulo t, with entries in [0, t]: the
 Hermite form of the Smith-form generators of M_t reduced mod t, plus t Z^d.
 This is M_t itself because t Z^d lies in M_t.  LLL of each shell then starts
 from a basis whose size is set by t, not by the entries of the Smith matrix.
+The same lemma certifies a shell empty before that LLL: when every
+Gram-Schmidt norm D_{k+1}/D_k of the Hermite basis, read off the minors
+its `Lattice` keeps, exceeds 2t, no nonzero vector of M_t has norm 2t, and
+the shell is neither reduced nor walked.
 """
 
 from __future__ import annotations
@@ -136,8 +141,8 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       2/t >= 1 / max_i |b_i*|^2 (Lagarias, Lenstra and Schnorr,
       Combinatorica 10, 1990).  t is an integer, so
       t <= max_i floor(2 D_{i+1} / D_i).
-    - 2t >= lmin, the minimum of G: x in M_t, inside L, is nonzero, so
-      <x,x> = 2t >= lmin.
+    - 2t >= lmin = lambda_1(L), the least norm of a nonzero vector of L:
+      x in M_t, inside L, is nonzero, so <x,x> = 2t >= lmin.
     - L*/L = (+) Z/d_i admits t (`_discriminant_admits`; Nikulin 1979,
       Conway and Sloane, SPLAG ch. 15).  x is primitive (see
       virasoro_shift), so y = x/t has order exactly t in L*/L, and
@@ -159,7 +164,16 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     s_i = t / gcd(d_i, t), and the walk starts from the Hermite form of
     those columns reduced mod t together with t Z^d, whose entries lie in
     [0, t] whatever the size of V.  It is the same lattice, because t Z^d
-    lies in M_t, so reducing a generator mod t stays inside M_t.
+    lies in M_t, so reducing a generator mod t stays inside M_t.  Of the
+    shells built, only those are reduced and walked that the Hermite basis
+    c does not certify empty:
+
+    - some k has D_{k+1} <= 2t D_k, with D the leading minors of the Gram
+      of c, kept by its `Lattice`.  Let z = sum_i a_i c_i be nonzero with
+      a_k its last nonzero coefficient.  Its component along c_k* is
+      a_k c_k*, so <z,z> >= a_k^2 |c_k*|^2 >= D_{k+1} / D_k.  If every
+      D_{k+1} / D_k exceeds 2t, no nonzero vector of M_t has norm 2t, and
+      the walk would return nothing.
     """
     pairs: list[tuple[int, Vec]] = []
     diag, v = intlinalg.smith_normal_form(lat.gram)
@@ -183,6 +197,11 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
             continue
         basis = _mod_kernel_basis(v, invariants, t)
         sub = Lattice(lat.row_gram(basis))
+        # every |c_k*|^2 = D_{k+1} / D_k of the Hermite basis exceeds 2t: no
+        # nonzero vector of M_t has norm 2t, so skip its LLL and walk
+        m = sub.minors
+        if all(m[k + 1] > 2 * t * m[k] for k in range(d)):
+            continue
         found = enumerate_up_to_norm(sub, 2 * t)
         shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
         for x in map(canonical, intlinalg.matmul(shell, basis)):

@@ -5,12 +5,15 @@ Gauss-reduced form [[a, b], [b, c]] with 0 <= 2b <= a <= c, so checking all
 of them up to a determinant bound checks the normal-form theorem on every
 rank-2 lattice of that determinant.  The classification of lattices
 generated by screeners is checked on every orthogonal sum of scaled A/D/E
-components up to a rank and a scale, each in a scrambled basis.  From the
-repository root:
+components up to a rank and a scale, each in a scrambled basis.  The cuts
+of the divisor-shell walk are checked on every shell of every small ternary
+form, and `all_screeners` against a plain walk of L on seeded dense Grams of
+rank 5-8.  From the repository root:
 
     PYTHONPATH=src:tests python -c "import certificates; print(certificates.rank2_certificate(1000))"
     PYTHONPATH=src:tests python -c "import certificates; print(certificates.classification_certificate(8, 3))"
     PYTHONPATH=src:tests python -c "import certificates; print(certificates.shell_cut_certificate())"
+    PYTHONPATH=src:tests python -c "import certificates; print(certificates.dense_certificate(120))"
 
 prints the counts, or raises CertificateFailure with the first mismatches.
 """
@@ -35,6 +38,7 @@ from latscreen import (
 )
 from latscreen.intlinalg import divisors, matmul, smith_normal_form
 from latscreen.screeners import _discriminant_admits, _mod_kernel_basis
+from oracle import walked_screeners
 
 
 class CertificateFailure(Exception):
@@ -236,10 +240,17 @@ def ternary_forms(max_entry: int):
                                 yield gram
 
 
+def hermite_certified(sub: Lattice, t: int) -> bool:
+    """Whether every Gram-Schmidt norm D_{k+1} / D_k of the basis of sub
+    exceeds 2t, so that no nonzero vector of sub has norm 2t or less."""
+    m = sub.minors
+    return all(m[k + 1] > 2 * t * m[k] for k in range(sub.rank))
+
+
 def shell_cut_certificate() -> dict:
-    """Check the discriminant-form cut, the lattice-minimum cut and the
-    Gram-Schmidt cap of `all_screeners` on every ternary form of
-    `ternary_forms(6)` at scales 1-3.
+    """Check the discriminant-form cut, the lattice-minimum cut, the
+    Gram-Schmidt cap and the Hermite-basis certificate of `all_screeners` on
+    every ternary form of `ternary_forms(6)` at scales 1-3.
 
     Every divisor t of the exponent d_n is walked, past the minimum and the
     cap too: the norm-2t shell of M_t is enumerated and its vectors are
@@ -247,11 +258,14 @@ def shell_cut_certificate() -> dict:
     below the minimum of the lattice (2t < lambda_1(L), counted in
     below_minimum whatever the discriminant form says) or above the cap
     (t > max_i floor(2 D_{i+1} / D_i) on the LLL basis, counted in
-    above_cap whatever the other cuts say) is unsound when it holds a
-    screener, and any unsound shell fails the certificate.
+    above_cap whatever the other cuts say) or that the Hermite basis of M_t
+    certifies empty (D_{k+1} > 2t D_k for every Gram-Schmidt minor D_k of
+    that basis, counted in hermite_empty whatever the other cuts say) is
+    unsound when it holds a screener, and any unsound shell fails the
+    certificate.
     """
     counts = {"lattices": 0, "shells": 0, "with_screener": 0, "rejected": 0,
-              "below_minimum": 0, "above_cap": 0, "unsound": 0}
+              "below_minimum": 0, "above_cap": 0, "hermite_empty": 0, "unsound": 0}
     bad = []
     for form in ternary_forms(6):
         for scale in range(1, 4):
@@ -269,20 +283,78 @@ def shell_cut_certificate() -> dict:
                 if t > 1 and all(t % p for p in primes):
                     primes.append(t)
                 basis = _mod_kernel_basis(v, invariants, t)
-                found = enumerate_up_to_norm(Lattice(lat.row_gram(basis)), 2 * t)
+                sub = Lattice(lat.row_gram(basis))
+                found = enumerate_up_to_norm(sub, 2 * t)
                 shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
                 held = any(is_screener(lat, x) for x in matmul(shell, basis))
                 rejected = not _discriminant_admits(t, primes, invariants, a, lat.is_even)
                 below = 2 * t < lmin
                 above = t > cap
+                hermite = hermite_certified(sub, t)
                 counts["shells"] += 1
                 counts["with_screener"] += held
                 counts["rejected"] += rejected
                 counts["below_minimum"] += below
                 counts["above_cap"] += above
-                if held and (rejected or below or above):
+                counts["hermite_empty"] += hermite
+                if held and (rejected or below or above or hermite):
                     bad.append((lat.gram, t))
     counts["unsound"] = len(bad)
     if bad:
         raise CertificateFailure(f"{len(bad)} cut shells hold a screener: {bad[:5]}")
+    return counts
+
+
+def _dense_gram(rng: random.Random, d: int) -> list[list[int]]:
+    """A A^T + D of rank d, the entries of A in [-2, 2] and of D in [1, 4]."""
+    a = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+    gram = matmul(a, [list(col) for col in zip(*a)])
+    for i in range(d):
+        gram[i][i] += rng.randint(1, 4)
+    return gram
+
+
+def dense_grams(count: int, seed: int = 0) -> list[list[list[int]]]:
+    """count seeded Grams of rank 5-8.  Two of every three are dense,
+    A A^T + D; the third is a dense Gram of rank d - 2 plus the rank-2 block
+    [[2s, ks], [ks, c]], put in a basis scrambled by a unimodular matrix.
+    The block's (1, 0) has norm 2s and pairs to (2s, ks), divisible by s,
+    with the block and to 0 with the rest, so it is a screener of the sum."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(5, 8)
+        if len(out) % 3 < 2:
+            out.append(_dense_gram(rng, d))
+            continue
+        s, k = rng.randint(1, 3), rng.randint(-1, 1)
+        c = rng.randint(max(1, s * k * k // 2 + 1), 4 * s)
+        dense = _dense_gram(rng, d - 2)
+        gram = [row + [0, 0] for row in dense] + [[0] * (d - 2) + [2 * s, k * s], [0] * (d - 2) + [k * s, c]]
+        out.append(scrambled(gram, rng))
+    return out
+
+
+def dense_certificate(count: int, seed: int = 0) -> dict:
+    """Check `all_screeners` against `oracle.walked_screeners` on the Grams
+    of `dense_grams(count, seed)`: every vector of L up to norm
+    4 d_n / h_min, walked with no Smith form, mod-t kernel or shell cut and
+    kept when `oracle.is_screener_ref` accepts it.  Both lists must agree
+    exactly, coordinates and norms, and any lattice where they differ is a
+    mismatch."""
+    counts = {"lattices": 0, "with_screener": 0, "screeners": 0, "walked": 0, "mismatches": 0}
+    bad = []
+    for gram in dense_grams(count, seed):
+        lat = Lattice(gram)
+        expected, walked = walked_screeners(lat)
+        s = all_screeners(lat)
+        counts["lattices"] += 1
+        counts["with_screener"] += bool(expected)
+        counts["screeners"] += len(expected)
+        counts["walked"] += walked
+        if list(zip(s.vectors, s.norms)) != expected:
+            bad.append((gram, expected[:5], s.vectors[:5]))
+    counts["mismatches"] = len(bad)
+    if bad:
+        raise CertificateFailure(f"{len(bad)} of {counts['lattices']} lattices disagree: {bad[:5]}")
     return counts

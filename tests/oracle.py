@@ -1,8 +1,11 @@
 """Independent brute-force reference for the enumeration and screener tests.
 
 Everything here is pure Python over exact ints/Fractions and deliberately
-avoids importing the package under test.  The enumeration walks a plain
-coordinate box, so it is slow but hard to get wrong.
+avoids the package under test, except that `exponent_and_dual_minimum` and
+`walked_screeners` borrow its walker, `enumerate_up_to_norm`, which
+`test_depth_first_walks_one_vector_of_each_pair` checks against the box
+scan.  The box enumeration walks a plain coordinate box, so it is slow but
+hard to get wrong.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from latscreen import Lattice, enumerate_up_to_norm
 
 
 def det_fraction(mat) -> Fraction:
@@ -33,15 +38,47 @@ def det_fraction(mat) -> Fraction:
     return det
 
 
-def inverse_diagonal(gram) -> list[Fraction]:
-    """Diagonal of G^-1, exact."""
-    n = len(gram)
-    d = det_fraction(gram)
-    out = []
-    for j in range(n):
-        minor = [[gram[r][c] for c in range(n) if c != j] for r in range(n) if r != j]
-        out.append(det_fraction(minor) / d if n > 1 else Fraction(1) / d)
-    return out
+def inverse_fraction(mat) -> list[list[Fraction]]:
+    """The inverse of a nonsingular matrix, by Gauss-Jordan elimination over
+    Fractions."""
+    n = len(mat)
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def exponent_and_dual_minimum(lat) -> tuple[int, int]:
+    """(d_n, h_min): the exponent d_n of L*/L, the least common denominator
+    of G^-1, and the minimum h_min of the integral Gram H = d_n G^-1, so
+    that every nonzero vector of L* has norm at least h_min / d_n.  G^-1 is
+    the Fraction inverse, not the Smith form; lat needs only .gram."""
+    inv = inverse_fraction(lat.gram)
+    dn = math.lcm(*(v.denominator for row in inv for v in row))
+    h = [[int(dn * v) for v in row] for row in inv]
+    return dn, enumerate_up_to_norm(Lattice(h), min(h[i][i] for i in range(len(h)))).norms[0]
+
+
+def walked_screeners(lat) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """(screeners, walked): every screener of lat as (coords, norm), one per
+    +-pair with first nonzero coordinate positive, sorted by (norm, coords),
+    and the number of vectors walked to find them.
+
+    A screener x of norm 2t gives x/t, a nonzero vector of L* of norm 2/t,
+    so 2/t >= h_min / d_n and <x,x> = 2t <= 4 d_n / h_min.  The walk covers
+    that ball of L itself and keeps what `is_screener_ref` accepts: no Smith
+    form, mod-t kernel or shell cut."""
+    dn, hmin = exponent_and_dual_minimum(lat)
+    found = enumerate_up_to_norm(lat, 4 * dn // hmin)
+    pairs = [(x, nrm) for x, nrm in zip(found.vectors, found.norms) if is_screener_ref(lat.gram, x)]
+    return pairs, len(found.vectors)
 
 
 def _floor_sqrt(x: Fraction) -> int:
@@ -58,7 +95,7 @@ def _floor_sqrt(x: Fraction) -> int:
 def box_limits(gram, bound) -> list[int]:
     """The coordinate box of a norm bound: floor(sqrt(bound * (G^-1)_jj))
     for each j, from the exact inverse diagonal."""
-    return [_floor_sqrt(Fraction(bound) * t) for t in inverse_diagonal(gram)]
+    return [_floor_sqrt(Fraction(bound) * row[j]) for j, row in enumerate(inverse_fraction(gram))]
 
 
 def box_vectors(gram, bound):

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from certificates import dense_grams, hermite_certified
 from latscreen import intlinalg, screeners
 from latscreen import (
     Lattice,
@@ -27,7 +28,6 @@ from latscreen import (
 from latscreen.enumeration import enumerate_up_to_norm, form_minimum
 from latscreen.intlinalg import (
     determinant, divisors, hnf_rows, invariant_factors, matmul, rank, smith_normal_form,
-    solve_linear_system,
 )
 from latscreen.screeners import _discriminant_admits, _mod_kernel_basis
 
@@ -394,20 +394,6 @@ def _cut_pool():
 CUT_POOL = _cut_pool()
 
 
-def _exponent_and_dual_minimum(lat):
-    """(d_n, h_min): the exponent of L*/L and the minimum of H = d_n G^-1,
-    with G^-1 from exact column solves rather than the Smith form."""
-    d = lat.rank
-    gram = [list(r) for r in lat.gram]
-    inv_cols = [solve_linear_system(gram, [int(i == j) for i in range(d)]) for j in range(d)]
-    dn = math.lcm(*(v.denominator for col in inv_cols for v in col))
-    h = [[dn * inv_cols[j][i] for j in range(d)] for i in range(d)]
-    assert all(v.denominator == 1 for row in h for v in row)
-    h = [[v.numerator for v in row] for row in h]
-    res = enumerate_up_to_norm(Lattice(h), min(h[i][i] for i in range(d)))
-    return dn, res.norms[0]
-
-
 def _mod_kernel_columns(lat, t):
     """Basis columns of M_t = {x : G x = 0 mod t} straight from the Smith
     form U G V = D: column i of V scaled by t / gcd(d_i, t)."""
@@ -459,7 +445,7 @@ def test_screener_shells_divide_exponent_and_respect_dual_minimum():
     lattice."""
     checked = 0
     for lat in CUT_POOL:
-        dn, hmin = _exponent_and_dual_minimum(lat)
+        dn, hmin = oracle.exponent_and_dual_minimum(lat)
         lmin = _minimum(lat)
         cap = _gram_schmidt_cap(lat)
         assert invariant_factors([list(r) for r in lat.gram])[-1] == dn
@@ -476,7 +462,7 @@ def test_screener_shells_divide_exponent_and_respect_dual_minimum():
 def test_gram_schmidt_cap_is_never_below_the_exact_dual_cap(monkeypatch):
     """The limit all_screeners hands to divisors is max_i floor(2 D_{i+1} / D_i)
     from one LLL of L, and it is at least 2 d_n / h_min, with h_min the
-    minimum of H = d_n G^-1 from exact column solves: every nonzero dual
+    minimum of H = d_n G^-1 from the exact Fraction inverse: every nonzero dual
     vector has norm at least 1 / max_i |b_i*|^2 (transference).  The cap is
     strictly above the exact one on some lattice of the pool, and on none
     below it."""
@@ -489,7 +475,7 @@ def test_gram_schmidt_cap_is_never_below_the_exact_dual_cap(monkeypatch):
     monkeypatch.setattr(intlinalg, "divisors", recording_divisors)
     looser = 0
     for lat in CUT_POOL + _skewed_dense_grams(4):
-        dn, hmin = _exponent_and_dual_minimum(lat)
+        dn, hmin = oracle.exponent_and_dual_minimum(lat)
         all_screeners(lat)
         cap = limits.pop()
         assert cap == _gram_schmidt_cap(lat) >= 2 * dn // hmin, (lat.gram, cap, dn, hmin)
@@ -498,10 +484,11 @@ def test_gram_schmidt_cap_is_never_below_the_exact_dual_cap(monkeypatch):
 
 
 @st.composite
-def _dense_grams(draw):
-    """A A^T + D of rank 1-6, entries of A in [-2, 2] and D in [1, 4], with
-    the diagonal made even or left of any parity, then scaled by 1-3."""
-    d = draw(st.integers(1, 6))
+def _dense_grams(draw, min_rank=1, max_rank=6):
+    """A A^T + D of rank min_rank to max_rank, entries of A in [-2, 2] and D
+    in [1, 4], with the diagonal made even or left of any parity, then
+    scaled by 1-3."""
+    d = draw(st.integers(min_rank, max_rank))
     a = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
     gram = matmul(a, list(zip(*a)))
     even = draw(st.booleans())
@@ -519,13 +506,26 @@ def _dense_grams(draw):
 def test_gram_schmidt_cap_bounds_the_dual_minimum(lat):
     """For even, odd and scaled Grams of rank 1-6, 2 max_i |b_i*|^2 on the
     LLL basis is at least 2 / lambda_1(L*), both floored."""
-    dn, hmin = _exponent_and_dual_minimum(lat)
+    dn, hmin = oracle.exponent_and_dual_minimum(lat)
     assert _gram_schmidt_cap(lat) >= 2 * dn // hmin, (lat.gram, dn, hmin)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_dense_grams(5, 6))
+def test_all_screeners_matches_the_walked_oracle_at_rank_5_6(lat):
+    """For even, odd and scaled Grams of rank 5-6, all_screeners equals the
+    oracle's plain walk of L up to norm 4 d_n / h_min, filtered by the
+    direct screener test, with no Smith form, mod-t kernel or shell cut."""
+    expected, _ = oracle.walked_screeners(lat)
+    s = all_screeners(lat)
+    assert list(zip(s.vectors, s.norms)) == expected, lat.gram
 
 
 def test_all_screeners_reduces_the_lattice_once(monkeypatch):
     """all_screeners runs intlinalg.lll_reduce once on L, for both of its
-    bounds, and once per walked shell, with no dual lattice in between."""
+    bounds, and once per walked shell, with no dual lattice in between; a
+    shell certified empty by its Hermite basis is not reduced."""
     lll_calls = []
     walks = []
     reduce, walk = intlinalg.lll_reduce, screeners.enumerate_up_to_norm
@@ -541,13 +541,80 @@ def test_all_screeners_reduces_the_lattice_once(monkeypatch):
     monkeypatch.setattr(intlinalg, "lll_reduce", counting_reduce)
     monkeypatch.setattr(screeners, "enumerate_up_to_norm", counting_walk)
     walked = 0
-    for lat in [Lattice(A2), catalog("D", 4), catalog("E", 8), catalog("A", 3, 2)] + CUT_POOL[:40]:
+    lattices = [Lattice(A2), catalog("D", 4), catalog("E", 8), catalog("A", 3, 2)] + CUT_POOL[:40]
+    for lat in lattices + [Lattice(g) for g in dense_grams(12)]:
         lll_calls.clear()
         walks.clear()
         all_screeners(lat)
         assert len(lll_calls) == 1 + len(walks), (lat.gram, len(lll_calls), len(walks))
         walked += len(walks)
     assert walked > 44
+
+
+def test_certified_shells_pay_no_lll(monkeypatch):
+    """A shell whose Hermite basis certifies it empty is built but neither
+    reduced nor walked: on dense Grams of rank 5-8 all_screeners builds
+    more shells (`_mod_kernel_basis` calls) than it walks, and never walks
+    more than it builds."""
+    built, walks = [], []
+    basis_of, walk = screeners._mod_kernel_basis, screeners.enumerate_up_to_norm
+
+    def counting_basis(v, invariants, t):
+        built.append(t)
+        return basis_of(v, invariants, t)
+
+    def counting_walk(lat, bound):
+        walks.append(bound)
+        return walk(lat, bound)
+
+    monkeypatch.setattr(screeners, "_mod_kernel_basis", counting_basis)
+    monkeypatch.setattr(screeners, "enumerate_up_to_norm", counting_walk)
+    for gram in dense_grams(12):
+        before = len(built), len(walks)
+        all_screeners(Lattice(gram))
+        assert len(walks) - before[1] <= len(built) - before[0], gram
+    assert len(walks) < len(built), (len(walks), len(built))
+
+
+def _certified_shells(lat):
+    """(certified, shells): over every divisor t of d_n, the number of
+    mod-t kernels whose Hermite basis certifies them empty and the number
+    of all of them.  Each certified one is walked up to norm 2t here, and
+    the walk must find nothing."""
+    diag, v = smith_normal_form([list(r) for r in lat.gram])
+    invariants = [diag[i][i] for i in range(lat.rank)]
+    certified = shells = 0
+    for t in divisors(invariants[-1], invariants[-1]):
+        sub = Lattice(lat.row_gram(_mod_kernel_basis(v, invariants, t)))
+        shells += 1
+        if hermite_certified(sub, t):
+            certified += 1
+            assert enumerate_up_to_norm(sub, 2 * t).vectors == (), (lat.gram, t)
+    return certified, shells
+
+
+def test_hermite_certificate_is_sound_on_every_divisor_shell():
+    """On every divisor shell of d_n, not only the walked ones: when the
+    Hermite basis of M_t has every D_{k+1} > 2t D_k, M_t holds no nonzero
+    vector of norm at most 2t, so skipping its walk loses nothing."""
+    certified = shells = 0
+    for lat in CUT_POOL + _skewed_dense_grams(4):
+        c, n = _certified_shells(lat)
+        certified += c
+        shells += n
+    assert certified >= 550, (certified, shells)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_dense_grams())
+def test_hermite_certificate_never_clears_a_nonempty_shell(lat):
+    """For even, odd and scaled Grams of rank 1-6, a divisor shell that the
+    Hermite basis certifies empty has no vector of norm at most 2t, and the
+    minors that the certificate reads are the leading principal minors."""
+    leading = [oracle.det_fraction([r[:k] for r in lat.gram[:k]]) for k in range(1, lat.rank + 1)]
+    assert list(lat.minors) == [1] + leading, lat.gram
+    _certified_shells(lat)
 
 
 def _valuation(n, p):
@@ -602,7 +669,7 @@ def test_all_screeners_matches_unpruned_walk():
     for lat in CUT_POOL:
         s = all_screeners(lat)
         assert (s.vectors, s.norms) == _unpruned_screeners(lat), lat.gram
-        dn, hmin = _exponent_and_dual_minimum(lat)
+        dn, hmin = oracle.exponent_and_dual_minimum(lat)
         lmin = _minimum(lat)
         for t in divisors(dn, 2 * dn // hmin):
             fired["below minimum"] += 2 * t < lmin
@@ -679,7 +746,7 @@ def test_shell_screeners_are_the_vectors_outside_2l():
     lattices = CUT_POOL + [catalog(kind, n, scale) for kind, n in kinds for scale in (1, 2, 3)]
     in_2l = 0
     for lat in lattices:
-        dn, hmin = _exponent_and_dual_minimum(lat)
+        dn, hmin = oracle.exponent_and_dual_minimum(lat)
         pairs = []
         for t in divisors(dn, 2 * dn // hmin):
             for x in _shell(lat, t):
@@ -706,7 +773,7 @@ def test_e8_keeps_its_roots_at_the_cut():
     d_n = 1; it meets the exact dual cut 2 d_n / h_min = 1 with equality,
     the Gram-Schmidt cap is never below that, and 2t is the minimum."""
     e8 = catalog("E", 8)
-    assert _exponent_and_dual_minimum(e8) == (1, 2)
+    assert oracle.exponent_and_dual_minimum(e8) == (1, 2)
     assert _gram_schmidt_cap(e8) >= 1 and _minimum(e8) == 2
     s = all_screeners(e8)
     assert s.total_count == 240
