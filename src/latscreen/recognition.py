@@ -288,8 +288,10 @@ def recognize_components(lat: Lattice, screeners: ScreenerSet | None = None) -> 
     shortest norm and whose components are the Dynkin components of its
     shortest roots, found the same way: B_k gives k A_1, C_n gives D_n
     (C_3 gives A_3), F_4 gives D_4, G_2 gives A_2, and a simply laced group
-    gives itself.  Works for every lattice; `decompose` adds the generation
-    check.
+    gives itself: its shortest roots are all of its roots, so it is its own
+    one short-root component and the first pass's entry types it; only B,
+    C, F and G groups take the second pass.  Works for every lattice;
+    `decompose` adds the generation check.
     """
     if screeners is None:
         screeners = all_screeners(lat)
@@ -297,11 +299,14 @@ def recognize_components(lat: Lattice, screeners: ScreenerSet | None = None) -> 
         raise LatticeError("the screener set belongs to another lattice")
     simple, found = _dynkin_components(lat, screeners.vectors, screeners.norms)
     groups = []
-    for name, n, scale, _, members in found:
+    for entry in found:
+        name, n, scale, _, members = entry
         short = [(v, nrm) for v, nrm in members if nrm == 2 * scale]
+        # a simply laced group is its own one short-root component
+        parts = [entry] if len(short) == len(members) else _dynkin_components(lat, *zip(*short))[1]
         comps = tuple(
             Component(kind=kind, n=m, scale=scale, basis=basis, root_count=2 * len(mem))
-            for kind, m, _, basis, mem in _dynkin_components(lat, *zip(*short))[1]
+            for kind, m, _, basis, mem in parts
         )
         groups.append(ExtendedGroup(
             name=name, n=n, scale=scale, expected_count=_root_count(name, n),

@@ -25,6 +25,9 @@ Each M_t starts from a Hermite basis modulo t, with entries in [0, t]: the
 Hermite form of the Smith-form generators of M_t reduced mod t, plus t Z^d.
 This is M_t itself because t Z^d lies in M_t.  LLL of each shell then starts
 from a basis whose size is set by t, not by the entries of the Smith matrix.
+M_t = L exactly when t | d_1, because d_1 is the gcd of G's entries: every
+G x is 0 mod t exactly when every entry of G is.  Such a shell is walked on
+L's own basis, and its vectors need no remap.
 The same lemma certifies a shell empty before that LLL: when every
 Gram-Schmidt norm D_{k+1}/D_k of the Hermite basis, read off the minors
 its `Lattice` keeps, exceeds 2t, no nonzero vector of M_t has norm 2t, and
@@ -79,10 +82,12 @@ def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: 
     With U G V = D the Smith form, M_t is spanned by the columns s_i V_i,
     s_i = t / gcd(d_i, t); the basis is the Hermite form of those columns
     reduced mod t together with t e_1, ..., t e_d.  invariants are the d_i;
-    V need not be reduced, since s_i V_i is reduced mod t here.
+    V need not be reduced, since s_i V_i is reduced mod t here.  When
+    t | d_1, the gcd of G's entries, G x = 0 mod t for every x, so
+    M_t = L and the basis is the identity, with no Hermite form.
     """
     d = len(invariants)
-    if t == 1:
+    if invariants[0] % t == 0:
         return intlinalg.identity(d)
     gens = [[s * v[r][i] % t for r in range(d)]
             for i, s in enumerate(t // gcd(di, t) for di in invariants)]
@@ -164,9 +169,12 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     s_i = t / gcd(d_i, t), and the walk starts from the Hermite form of
     those columns reduced mod t together with t Z^d, whose entries lie in
     [0, t] whatever the size of V.  It is the same lattice, because t Z^d
-    lies in M_t, so reducing a generator mod t stays inside M_t.  Of the
-    shells built, only those are reduced and walked that the Hermite basis
-    c does not certify empty:
+    lies in M_t, so reducing a generator mod t stays inside M_t.  d_1 is
+    the gcd of G's entries, so M_t = L exactly when t | d_1; for such a t
+    the basis is the identity, L itself is walked, and its vectors, already
+    canonical in L's coordinates, need no remap.  Of the shells built, only
+    those are reduced and walked that the Hermite basis c does not certify
+    empty:
 
     - some k has D_{k+1} <= 2t D_k, with D the leading minors of the Gram
       of c, kept by its `Lattice`.  Let z = sum_i a_i c_i be nonzero with
@@ -196,7 +204,10 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
         if 2 * t < lmin or not _discriminant_admits(t, primes, invariants, a, even):
             continue
         basis = _mod_kernel_basis(v, invariants, t)
-        sub = Lattice(lat.row_gram(basis))
+        # t | d_1: M_t = L, so L is walked on its own basis and its canonical
+        # vectors need no remap
+        whole = invariants[0] % t == 0
+        sub = lat if whole else Lattice(lat.row_gram(basis))
         # every |c_k*|^2 = D_{k+1} / D_k of the Hermite basis exceeds 2t: no
         # nonzero vector of M_t has norm 2t, so skip its LLL and walk
         m = sub.minors
@@ -204,7 +215,9 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
             continue
         found = enumerate_up_to_norm(sub, 2 * t)
         shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
-        for x in map(canonical, intlinalg.matmul(shell, basis)):
+        if not whole:
+            shell = map(canonical, intlinalg.matmul(shell, basis))
+        for x in shell:
             if any(v % 2 for v in x):
                 pairs.append((2 * t, x))
     pairs.sort()

@@ -25,7 +25,7 @@ from latscreen import (
     reduce_screener_basis,
 )
 from certificates import orthogonal_sum, scrambled, ternary_forms
-from latscreen import intlinalg
+from latscreen import intlinalg, recognition
 from latscreen.intlinalg import determinant
 
 A2 = [[2, -1], [-1, 2]]
@@ -575,6 +575,32 @@ def test_recognize_components_is_pinned():
         "C3": 51, **{f"C{n}": 3 for n in range(5, 9)}, "E6": 3, "E7": 3, "E8": 3, "F4": 3, "G2": 75,
     }
     assert h.hexdigest() == RECOGNITION_SHA256
+
+
+def test_one_dynkin_pass_per_simply_laced_group(monkeypatch):
+    """A simply laced group is its own one short-root component, so it is
+    typed from the first `_dynkin_components` pass alone; a B, C, F or G
+    group takes a second pass on its short roots."""
+    calls = []
+    dynkin = recognition._dynkin_components
+
+    def counting(lat, roots, norms):
+        calls.append(len(roots))
+        return dynkin(lat, roots, norms)
+
+    monkeypatch.setattr(recognition, "_dynkin_components", counting)
+    cases = [
+        (catalog("E", 8), "E8", "E8", 1),
+        (catalog("A", 4, 3), "A4", "A4", 1),
+        (catalog("D", 4), "F4", "D4", 2),
+        (catalog("A", 3, 2), "C3", "A3", 2),
+    ]
+    for lat, group, component, passes in cases:
+        calls.clear()
+        dec = recognize_components(lat)
+        assert [g.label for g in dec.groups] == [group], lat.gram
+        assert [c.label for c in dec.components] == [component], lat.gram
+        assert len(calls) == passes, (lat.gram, calls)
 
 
 def test_recognition_refuses_a_forged_screener_set():

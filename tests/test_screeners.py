@@ -576,6 +576,60 @@ def test_certified_shells_pay_no_lll(monkeypatch):
     assert len(walks) < len(built), (len(walks), len(built))
 
 
+def _in_place_pool():
+    """CUT_POOL and the catalog lattices A1-A10, D4-D10 and E6-E8 at
+    scales 1-4."""
+    kinds = [("A", n) for n in range(1, 11)] + [("D", n) for n in range(4, 11)] + [("E", n) for n in (6, 7, 8)]
+    return CUT_POOL + [catalog(kind, n, scale) for kind, n in kinds for scale in (1, 2, 3, 4)]
+
+
+def test_mod_kernel_is_the_lattice_exactly_when_t_divides_d1():
+    """d_1 is the gcd of G's entries, so G x = 0 mod t for every x exactly
+    when t | d_1: then `_mod_kernel_basis` is the identity, and for every
+    other divisor t of d_n some G e_j is nonzero mod t and the basis spans
+    a proper sublattice."""
+    checked = 0
+    for lat in _in_place_pool():
+        gram = [list(r) for r in lat.gram]
+        diag, v = smith_normal_form(gram)
+        invariants = [diag[i][i] for i in range(lat.rank)]
+        d1 = invariants[0]
+        assert d1 == math.gcd(*(x for row in gram for x in row)), gram
+        for t in divisors(invariants[-1], invariants[-1]):
+            basis = _mod_kernel_basis(v, invariants, t)
+            if d1 % t == 0:
+                assert basis == intlinalg.identity(lat.rank), (gram, t)
+            else:
+                assert any(x % t for row in gram for x in row), (gram, t)
+                assert abs(determinant(basis)) > 1, (gram, t)
+                checked += 1
+    assert checked > 900
+
+
+def test_shells_whose_mod_kernel_is_l_are_walked_on_l(monkeypatch):
+    """all_screeners hands the walk the input Lattice object itself exactly
+    for the walked t with t | d_1, where M_t = L; every other shell is
+    walked on the Lattice of its Hermite basis."""
+    walked = []
+    walk = screeners.enumerate_up_to_norm
+
+    def recording_walk(sub, bound):
+        walked.append((sub, bound // 2))
+        return walk(sub, bound)
+
+    monkeypatch.setattr(screeners, "enumerate_up_to_norm", recording_walk)
+    in_place = []
+    for lat in _in_place_pool():
+        walked.clear()
+        all_screeners(lat)
+        d1 = invariant_factors([list(r) for r in lat.gram])[0]
+        for sub, t in walked:
+            assert (sub is lat) == (d1 % t == 0), (lat.gram, t)
+        in_place += [t for sub, t in walked if sub is lat]
+    assert len(in_place) > 300
+    assert sum(t > 1 for t in in_place) > 150
+
+
 def _certified_shells(lat):
     """(certified, shells): over every divisor t of d_n, the number of
     mod-t kernels whose Hermite basis certifies them empty and the number
