@@ -29,6 +29,17 @@ while every coordinate above level i is zero, b_i = 0 and x_i starts at 0,
 so of each +-pair only the vector whose last nonzero coordinate is positive
 is walked, and the zero vector is never emitted.
 
+short_vectors is the one walk-and-map path: it walks the state
+u, minors, lam that Lattice.lll_reduce returns and maps each leaf z to
+x = z u in the lattice's basis, with canonical sign (first nonzero
+coordinate positive).  enumerate_up_to_norm reduces the lattice and sorts
+what short_vectors gives; all_screeners hands it the state it already
+holds, so L is reduced once and walked once per call.  That walk, up to
+B = max(b - 1, 2t for the admitted t | d_1), b the least norm of the
+reduced rows, gives lambda_1(L) and every shell whose mod-t kernel is L,
+and goes no further than 2b: d_1 divides every norm, so
+2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
+
 box_enumerate is the independent reference: a plain scan of the half of the
 coordinate box with first nonzero coordinate positive, with every norm
 computed exactly on Python integers.  It shares only the exact box bounds
@@ -122,23 +133,21 @@ def _depth_first(minors: list[int], lam: list[list[int]], bound: int) -> list[tu
     return out
 
 
-def form_minimum(lat: Lattice, u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matrix) -> int:
-    """The least norm of a nonzero lattice vector, from the state
-    u, minors, lam = lat.lll_reduce() that the caller has already computed.
-
-    The reduced rows u bound it by b, the norm of the shortest of them; one
-    walk up to b - 1 finds anything shorter, and when it finds nothing the
-    minimum is b.
-    """
-    bound = min(map(lat.norm, u))
-    return min((nrm for _, nrm in _depth_first(minors, lam, bound - 1)), default=bound)
+def short_vectors(u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matrix, bound: int) -> list[tuple[Vec, int]]:
+    """Every x = z u with 0 < <x,x> <= bound, one of each +-pair with
+    canonical sign, with its norm, unsorted, from the state
+    u, minors, lam = lat.lll_reduce() of a lattice: one walk of its levels,
+    mapped back to the lattice's basis by the rows u."""
+    pairs = _depth_first(minors, lam, bound)
+    xs = _intlinalg.matmul([z for z, _ in pairs], u)
+    return [(canonical(x), nrm) for x, (_, nrm) in zip(xs, pairs)]
 
 
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
-    """Sort (coords, norm) pairs that hold one vector of each +-pair, as the
-    walker, the half-box scan and the exact-norm filter give them, with
-    canonical signs."""
-    canon = sorted((nrm, canonical(coords)) for coords, nrm in pairs)
+    """Sort (coords, norm) pairs that hold the canonical vector of each
+    +-pair, as short_vectors, the half-box scan and the exact-norm filter
+    give them."""
+    canon = sorted((nrm, coords) for coords, nrm in pairs)
     return EnumerationResult(
         lattice=lat,
         bound=bound,
@@ -151,15 +160,13 @@ def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
     """All nonzero vectors with norm <= bound, up to sign.
 
     The depth-first walker runs in LLL coordinates, where its level ranges
-    stay tight, and the solutions are mapped back to the lattice's basis.
+    stay tight, and short_vectors maps the solutions back to the lattice's
+    basis.
     """
     bound = integer(bound, "norm bound")
     if bound < 0:
         raise LatticeError("norm bound must be nonnegative")
-    w, minors, lam = lat.lll_reduce()
-    pairs = _depth_first(minors, lam, bound)
-    xs = _intlinalg.matmul([z for z, _ in pairs], w)
-    return _finish(lat, bound, [(x, nrm) for x, (_, nrm) in zip(xs, pairs)])
+    return _finish(lat, bound, short_vectors(*lat.lll_reduce(), bound))
 
 
 def enumerate_exact_norm(lat: Lattice, norm: int) -> EnumerationResult:

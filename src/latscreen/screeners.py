@@ -11,13 +11,12 @@ vector of norm 2/t, and every nonzero dual vector has norm at least
 and x is a nonzero vector of M_t, inside L, so 2t is at least
 lambda_1(L), the least norm of a nonzero vector of L (a norm, not a
 length).  One LLL reduction of L gives both bounds: its minors give
-|b_i*|^2 = D_{i+1}/D_i, and one short walk on its basis gives
-lambda_1(L).  No dual lattice is built.  The search walks the norm-2t
-shell of M_t only for the divisors t of d_n within
-lambda_1(L)/2 <= t <= 2 max_i |b_i*|^2, and skips a t
-before building M_t when the discriminant form of L*/L (Nikulin 1979;
-Conway and Sloane, SPLAG ch. 15) has no element of order t and norm 2/t,
-as the image of x/t must be.  That test reads the p-adic valuations of the
+|b_i*|^2 = D_{i+1}/D_i, and one walk of its state gives lambda_1(L).  No
+dual lattice is built.  The search walks the norm-2t shell of M_t only for
+the divisors t of d_n within lambda_1(L)/2 <= t <= 2 max_i |b_i*|^2, and
+skips a t before building M_t when the discriminant form of L*/L
+(Nikulin 1979; Conway and Sloane, SPLAG ch. 15) has no element of order t
+and norm 2/t, as the image of x/t must be.  That test reads the p-adic valuations of the
 Smith invariants prime by prime; it needs no Jordan decomposition and is
 necessary, not sufficient.
 
@@ -26,12 +25,15 @@ Hermite form of the Smith-form generators of M_t reduced mod t, plus t Z^d.
 This is M_t itself because t Z^d lies in M_t.  LLL of each shell then starts
 from a basis whose size is set by t, not by the entries of the Smith matrix.
 M_t = L exactly when t | d_1, because d_1 is the gcd of G's entries: every
-G x is 0 mod t exactly when every entry of G is.  Such a shell is walked on
-L's own basis, and its vectors need no remap.
-The same lemma certifies a shell empty before that LLL: when every
-Gram-Schmidt norm D_{k+1}/D_k of the Hermite basis, read off the minors
-its `Lattice` keeps, exceeds 2t, no nonzero vector of M_t has norm 2t, and
-the shell is neither reduced nor walked.
+G x is 0 mod t exactly when every entry of G is.  Such a shell is read off
+the same walk of L that gives lambda_1(L): that walk goes up to
+B = max(b - 1, 2t for every admitted t | d_1), b the least norm of the
+reduced rows, so L is reduced once and walked once.  B <= 2b, because d_1
+divides every norm: 2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
+The Gram-Schmidt lemma above certifies any other shell empty before its
+LLL: when every Gram-Schmidt norm D_{k+1}/D_k of the Hermite basis, read
+off the minors its `Lattice` keeps, exceeds 2t, no nonzero vector of M_t
+has norm 2t, and the shell is neither reduced nor walked.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Sequence
 
 from . import intlinalg
 from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual, in_scaled_lattice, integer
-from .enumeration import enumerate_up_to_norm, form_minimum
+from .enumeration import enumerate_up_to_norm, short_vectors
 
 
 def is_screener(lat: Lattice, x: Sequence[int]) -> bool:
@@ -82,13 +84,11 @@ def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: 
     With U G V = D the Smith form, M_t is spanned by the columns s_i V_i,
     s_i = t / gcd(d_i, t); the basis is the Hermite form of those columns
     reduced mod t together with t e_1, ..., t e_d.  invariants are the d_i;
-    V need not be reduced, since s_i V_i is reduced mod t here.  When
-    t | d_1, the gcd of G's entries, G x = 0 mod t for every x, so
-    M_t = L and the basis is the identity, with no Hermite form.
+    V need not be reduced, since s_i V_i is reduced mod t here.
+    all_screeners builds it only for t not dividing d_1: for t | d_1 it is
+    the identity, since M_t = L.
     """
     d = len(invariants)
-    if invariants[0] % t == 0:
-        return intlinalg.identity(d)
     gens = [[s * v[r][i] % t for r in range(d)]
             for i, s in enumerate(t // gcd(di, t) for di in invariants)]
     gens.extend([t if i == j else 0 for j in range(d)] for i in range(d))
@@ -170,11 +170,23 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     those columns reduced mod t together with t Z^d, whose entries lie in
     [0, t] whatever the size of V.  It is the same lattice, because t Z^d
     lies in M_t, so reducing a generator mod t stays inside M_t.  d_1 is
-    the gcd of G's entries, so M_t = L exactly when t | d_1; for such a t
-    the basis is the identity, L itself is walked, and its vectors, already
-    canonical in L's coordinates, need no remap.  Of the shells built, only
-    those are reduced and walked that the Hermite basis c does not certify
-    empty:
+    the gcd of G's entries, so M_t = L exactly when t | d_1.  One walk of
+    the LLL state of L serves lambda_1(L) and every such shell:
+
+    - the walk goes up to B = max(b - 1, 2t for every admitted t | d_1),
+      with b the least norm of the reduced rows, so b >= lambda_1(L).  If
+      it finds a vector, the least norm it finds is lambda_1(L), since
+      B >= b - 1 covers every norm below b; if it finds none, lambda_1(L)
+      is b.
+    - a shell with t | d_1 is the vectors of norm exactly 2t of that walk,
+      already in L's coordinates with canonical sign; it needs no Hermite
+      form, no shell `Lattice`, no second LLL and no remap.  Its vectors
+      all have norm at least lambda_1(L), so the minimum cut holds.
+    - B <= 2b: d_1 divides every norm x^T G x, so d_1 <= lambda_1(L) and
+      2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
+
+    Every other shell is built on its Hermite basis c, and only those are
+    reduced and walked that c does not certify empty:
 
     - some k has D_{k+1} <= 2t D_k, with D the leading minors of the Gram
       of c, kept by its `Lattice`.  Let z = sum_i a_i c_i be nonzero with
@@ -183,7 +195,6 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       D_{k+1} / D_k exceeds 2t, no nonzero vector of M_t has norm 2t, and
       the walk would return nothing.
     """
-    pairs: list[tuple[int, Vec]] = []
     diag, v = intlinalg.smith_normal_form(lat.gram)
     d = lat.rank
     invariants = [diag[i][i] for i in range(d)]
@@ -192,22 +203,29 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     a = lat.norm([row[-1] for row in v]) // dn
     even = lat.is_even
     w, minors, lam = lat.lll_reduce()
-    lmin = form_minimum(lat, w, minors, lam)
     # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
     cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
+    divs = intlinalg.divisors(dn, cap)
     primes: list[int] = []
-    for t in intlinalg.divisors(dn, cap):
+    for t in divs:
         # the list is ascending and holds every prime of t, so t is prime
         # when no earlier prime divides it
         if t > 1 and all(t % p for p in primes):
             primes.append(t)
-        if 2 * t < lmin or not _discriminant_admits(t, primes, invariants, a, even):
+    # one walk of L, past the least reduced row norm b less one and every
+    # admitted norm 2t with t | d_1, where M_t = L, gives lambda_1(L) and
+    # those shells; any other t is tested only when 2t >= lambda_1(L)
+    b = min(map(lat.norm, w))
+    whole = {2 * t for t in divs if invariants[0] % t == 0
+             and _discriminant_admits(t, primes, invariants, a, even)}
+    walk = short_vectors(w, minors, lam, max([b - 1, *whole]))
+    lmin = min((nrm for _, nrm in walk), default=b)
+    pairs = [(nrm, x) for x, nrm in walk if nrm in whole and any(v % 2 for v in x)]
+    for t in divs:
+        if 2 * t < lmin or invariants[0] % t == 0 or not _discriminant_admits(t, primes, invariants, a, even):
             continue
         basis = _mod_kernel_basis(v, invariants, t)
-        # t | d_1: M_t = L, so L is walked on its own basis and its canonical
-        # vectors need no remap
-        whole = invariants[0] % t == 0
-        sub = lat if whole else Lattice(lat.row_gram(basis))
+        sub = Lattice(lat.row_gram(basis))
         # every |c_k*|^2 = D_{k+1} / D_k of the Hermite basis exceeds 2t: no
         # nonzero vector of M_t has norm 2t, so skip its LLL and walk
         m = sub.minors
@@ -215,9 +233,7 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
             continue
         found = enumerate_up_to_norm(sub, 2 * t)
         shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
-        if not whole:
-            shell = map(canonical, intlinalg.matmul(shell, basis))
-        for x in shell:
+        for x in map(canonical, intlinalg.matmul(shell, basis)):
             if any(v % 2 for v in x):
                 pairs.append((2 * t, x))
     pairs.sort()

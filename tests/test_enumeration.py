@@ -16,7 +16,7 @@ from latscreen import (
     is_positive_definite,
 )
 from latscreen.core import canonical
-from latscreen.enumeration import _coordinate_limits, _depth_first, form_minimum
+from latscreen.enumeration import _coordinate_limits, _depth_first, short_vectors
 from latscreen.intlinalg import (
     bareiss_steps,
     gram_schmidt,
@@ -162,11 +162,20 @@ BELOW_LLL_DIAGONAL = [
 ]
 
 
-def test_form_minimum_matches_the_box_minimum():
-    """form_minimum walks up to b - 1, b the shortest LLL diagonal, and
-    falls back to b.  Rank 1, Z^n, A2 and the catalog have minimum b and
-    their walk to b - 1 is empty; the fixed forms have minimum b - 1; seeded
-    forms of rank 1-4 are checked against the box scan too."""
+def lambda_1(lat, u, minors, lam):
+    """lambda_1(L) by the rule of all_screeners: the least norm short_vectors
+    finds on the state u, minors, lam = lat.lll_reduce() up to b - 1, b the
+    shortest LLL diagonal, or b when it finds nothing."""
+    b = min(map(lat.norm, u))
+    return min((nrm for _, nrm in short_vectors(u, minors, lam, b - 1)), default=b)
+
+
+def test_lambda_1_rule_matches_the_box_minimum():
+    """The walk of short_vectors up to b - 1, b the shortest LLL diagonal,
+    falling back to b, gives the minimum.  Rank 1, Z^n, A2 and the catalog
+    have minimum b and their walk to b - 1 is empty; the fixed forms have
+    minimum b - 1; seeded forms of rank 1-4 are checked against the box scan
+    too."""
     rng = random.Random(419)
     at_diagonal = [[[k]] for k in (1, 2, 7)] + [identity(n) for n in range(1, 6)] + [A2]
     seeded = [[list(r) for r in random_lattice(rng, 4, 6).gram] for _ in range(40)]
@@ -176,7 +185,7 @@ def test_form_minimum_matches_the_box_minimum():
         red = matmul(matmul(u, gram), list(zip(*u)))
         b = min(red[i][i] for i in range(len(red)))
         minimum = box_vectors(gram, b)[0][1]
-        assert form_minimum(Lattice(gram), u, minors, lam) == minimum, gram
+        assert lambda_1(Lattice(gram), u, minors, lam) == minimum, gram
         one_below += minimum == b - 1
         if gram in at_diagonal:
             assert minimum == b and _depth_first(minors, lam, b - 1) == [], gram
@@ -184,7 +193,7 @@ def test_form_minimum_matches_the_box_minimum():
     for kind, n in [("A", 1), ("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]:
         for scale in (1, 3):
             lat = catalog(kind, n, scale)
-            assert form_minimum(lat, *lat.lll_reduce()) == 2 * scale
+            assert lambda_1(lat, *lat.lll_reduce()) == 2 * scale
 
 
 def test_canonical_and_sorted():
@@ -353,7 +362,7 @@ def test_lll_state_is_the_bareiss_levels_of_the_reduced_gram():
 
 def test_walking_a_lattice_leaves_its_state_unchanged():
     """Every walk starts LLL from the state the Lattice keeps, so a second
-    walk of the same Lattice gives the same vectors and minimum, and the
+    walk of the same Lattice gives the same vectors, and the
     lattice's attributes are unchanged after both, also when a caller
     edits the lists one lll_reduce call returned."""
     rng = random.Random(887)
@@ -367,6 +376,6 @@ def test_walking_a_lattice_leaves_its_state_unchanged():
         minors[-1] += 1
         lam[-1][0] += 1
         bound = 2 * first[1][1]  # twice the norm of the first reduced vector
-        walks = [(enumerate_up_to_norm(lat, bound), form_minimum(lat, *lat.lll_reduce())) for _ in range(2)]
+        walks = [(enumerate_up_to_norm(lat, bound), short_vectors(*lat.lll_reduce(), bound)) for _ in range(2)]
         assert walks[0] == walks[1], lat
         assert vars(lat) == state and lat.lll_reduce() == first, lat

@@ -25,7 +25,7 @@ from latscreen import (
     recognize_components,
     virasoro_shift,
 )
-from latscreen.enumeration import enumerate_up_to_norm, form_minimum
+from latscreen.enumeration import enumerate_up_to_norm, short_vectors
 from latscreen.intlinalg import (
     determinant, divisors, hnf_rows, invariant_factors, matmul, rank, smith_normal_form,
 )
@@ -428,7 +428,7 @@ def _unpruned_screeners(lat):
 
 def _minimum(lat):
     """The least norm of a nonzero vector, by a walk up to the least
-    diagonal entry rather than by `form_minimum`."""
+    diagonal entry rather than by the walk of all_screeners."""
     return enumerate_up_to_norm(lat, min(lat.gram[i][i] for i in range(lat.rank))).norms[0]
 
 
@@ -510,6 +510,19 @@ def test_gram_schmidt_cap_bounds_the_dual_minimum(lat):
     assert _gram_schmidt_cap(lat) >= 2 * dn // hmin, (lat.gram, dn, hmin)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_dense_grams(1, 5), st.data())
+def test_short_vectors_match_the_box_scan(lat, data):
+    """For even, odd and scaled Grams of rank 1-5 and a bound up to twice
+    the least diagonal entry, short_vectors on the state of lll_reduce
+    gives, sorted, the canonical vectors and norms of the box scan."""
+    bound = data.draw(st.integers(0, 2 * min(lat.gram[i][i] for i in range(lat.rank))))
+    box = box_enumerate(lat, bound)
+    walked = sorted((nrm, x) for x, nrm in short_vectors(*lat.lll_reduce(), bound))
+    assert walked == list(zip(box.norms, box.vectors)), (lat.gram, bound)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_dense_grams(5, 6))
@@ -524,11 +537,13 @@ def test_all_screeners_matches_the_walked_oracle_at_rank_5_6(lat):
 
 def test_all_screeners_reduces_the_lattice_once(monkeypatch):
     """all_screeners runs intlinalg.lll_reduce once on L, for both of its
-    bounds, and once per walked shell, with no dual lattice in between; a
-    shell certified empty by its Hermite basis is not reduced."""
+    bounds, and once per shell walked through its mod-t kernel, with no dual
+    lattice in between; it walks the state of L once, with short_vectors;
+    a shell certified empty by its Hermite basis is not reduced."""
     lll_calls = []
     walks = []
-    reduce, walk = intlinalg.lll_reduce, screeners.enumerate_up_to_norm
+    state_walks = []
+    reduce, walk, short = intlinalg.lll_reduce, screeners.enumerate_up_to_norm, screeners.short_vectors
 
     def counting_reduce(minors, lam):
         lll_calls.append(len(lam))
@@ -538,15 +553,22 @@ def test_all_screeners_reduces_the_lattice_once(monkeypatch):
         walks.append(bound)
         return walk(lat, bound)
 
+    def counting_short(u, minors, lam, bound):
+        state_walks.append(bound)
+        return short(u, minors, lam, bound)
+
     monkeypatch.setattr(intlinalg, "lll_reduce", counting_reduce)
     monkeypatch.setattr(screeners, "enumerate_up_to_norm", counting_walk)
+    monkeypatch.setattr(screeners, "short_vectors", counting_short)
     walked = 0
     lattices = [Lattice(A2), catalog("D", 4), catalog("E", 8), catalog("A", 3, 2)] + CUT_POOL[:40]
     for lat in lattices + [Lattice(g) for g in dense_grams(12)]:
         lll_calls.clear()
         walks.clear()
+        state_walks.clear()
         all_screeners(lat)
         assert len(lll_calls) == 1 + len(walks), (lat.gram, len(lll_calls), len(walks))
+        assert len(state_walks) == 1, (lat.gram, state_walks)
         walked += len(walks)
     assert walked > 44
 
@@ -607,27 +629,46 @@ def test_mod_kernel_is_the_lattice_exactly_when_t_divides_d1():
 
 
 def test_shells_whose_mod_kernel_is_l_are_walked_on_l(monkeypatch):
-    """all_screeners hands the walk the input Lattice object itself exactly
-    for the walked t with t | d_1, where M_t = L; every other shell is
-    walked on the Lattice of its Hermite basis."""
-    walked = []
-    walk = screeners.enumerate_up_to_norm
+    """all_screeners reduces L once and walks that state once, with
+    short_vectors on the very rows the reduction returned; the shells with
+    t | d_1, where M_t = L, are read off that walk.  enumerate_up_to_norm
+    only walks a Lattice rebuilt from the Hermite basis of M_t, never L
+    itself, and only for a t that does not divide d_1."""
+    reductions, state_walks, shell_walks = [], [], []
+    reduce, short, walk = Lattice.lll_reduce, screeners.short_vectors, screeners.enumerate_up_to_norm
+
+    def recording_reduce(sub):
+        out = reduce(sub)
+        reductions.append((sub, out[0]))
+        return out
+
+    def recording_short(u, minors, lam, bound):
+        state_walks.append(u)
+        return short(u, minors, lam, bound)
 
     def recording_walk(sub, bound):
-        walked.append((sub, bound // 2))
+        shell_walks.append((sub, bound // 2))
         return walk(sub, bound)
 
+    monkeypatch.setattr(Lattice, "lll_reduce", recording_reduce)
+    monkeypatch.setattr(screeners, "short_vectors", recording_short)
     monkeypatch.setattr(screeners, "enumerate_up_to_norm", recording_walk)
     in_place = []
     for lat in _in_place_pool():
-        walked.clear()
-        all_screeners(lat)
+        reductions.clear()
+        state_walks.clear()
+        shell_walks.clear()
+        s = all_screeners(lat)
         d1 = invariant_factors([list(r) for r in lat.gram])[0]
-        for sub, t in walked:
-            assert (sub is lat) == (d1 % t == 0), (lat.gram, t)
-        in_place += [t for sub, t in walked if sub is lat]
-    assert len(in_place) > 300
-    assert sum(t > 1 for t in in_place) > 150
+        for sub, t in shell_walks:
+            assert sub is not lat and d1 % t, (lat.gram, t)
+        of_lat = [u for sub, u in reductions if sub is lat]
+        assert len(of_lat) == 1 and len(state_walks) == 1, (lat.gram, len(of_lat), len(state_walks))
+        assert state_walks[0] is of_lat[0], lat.gram
+        in_place += [t for t in {n // 2 for n in s.norms} if d1 % t == 0]
+    # shells with t | d_1 that hold a screener, 256 of them, 150 with t > 1
+    assert len(in_place) > 250
+    assert sum(t > 1 for t in in_place) >= 150
 
 
 def _certified_shells(lat):
@@ -815,11 +856,17 @@ def test_shell_screeners_are_the_vectors_outside_2l():
     assert in_2l > 0
 
 
-def test_form_minimum_matches_enumeration():
+def test_lambda_1_rule_matches_enumeration():
+    """The least norm short_vectors finds on the LLL state of L up to b - 1,
+    b the least norm of the reduced rows, or b when it finds nothing, is the
+    minimum that a walk up to the least diagonal entry finds."""
     for lat in CUT_POOL[:100]:
         gram = [list(r) for r in lat.gram]
         bound = min(gram[i][i] for i in range(lat.rank))
-        assert form_minimum(lat, *lat.lll_reduce()) == enumerate_up_to_norm(lat, bound).norms[0]
+        u, minors, lam = lat.lll_reduce()
+        b = min(map(lat.norm, u))
+        lmin = min((nrm for _, nrm in short_vectors(u, minors, lam, b - 1)), default=b)
+        assert lmin == enumerate_up_to_norm(lat, bound).norms[0], gram
 
 
 def test_e8_keeps_its_roots_at_the_cut():
