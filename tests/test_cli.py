@@ -26,7 +26,7 @@ A2_TEXT = "2 -1\n-1 2\n"
 
 def write(tmp_path, text, name="lat.txt"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -450,6 +450,8 @@ def test_pairs_takes_a_negative_alpha_in_either_spelling(tmp_path, capsys):
 REPORT_CASES = [
     ("screeners-a2", ["screeners"], A2_TEXT),
     ("screeners-json-named-scaled", ["screeners"], '{"gram": [[2, -1], [-1, 2]], "name": "a2", "scale": 3}'),
+    ("screeners-json-escaped-name", ["screeners"],
+     '{"gram": [[2, -1], [-1, 2]], "name": "Λ₂ ü \\"q\\" \\\\ \\t \\u0001"}'),
     ("screeners-stdin", ["screeners", "--input", "-"], A2_TEXT),
     ("screeners-rank1", ["screeners"], "12\n"),
     ("screeners-rank3", ["screeners"], "2 -1 0\n-1 2 -1\n0 -1 4\n"),
@@ -497,6 +499,7 @@ REPORT_CASES = [
     ("pairs-alpha-wrong-length", ["pairs", "--alpha", "1"], A2_TEXT),
     ("pairs-alpha-without-value", ["pairs", "--alpha"], A2_TEXT),
     ("pairs-not-definite", ["pairs"], "0 1\n1 0\n"),
+    ("pairs-no-screener", ["pairs"], "1 0\n0 3\n"),
     ("catalog-a2", ["catalog", "A", "2"], None),
     ("catalog-d4-scaled", ["catalog", "D", "4", "--scale", "2"], None),
     ("catalog-e8", ["catalog", "E", "8"], None),
