@@ -13,8 +13,13 @@ input), builds the `input` block (digest, name, rank, determinant), takes
 list among the results moves to the report's top level, and results with
 `pass` false exit 3.
 
-Exit codes: 0 success, 1 usage, 2 input parse or validation failure,
-3 classification or oracle mismatch.
+One writer, `_dumps`, writes that JSON text.  Its bytes equal
+json.dumps(report, indent=2, sort_keys=True) with `_json_default` for
+Fractions, Lattices and dataclasses; the stdlib call is the tests'
+reference for them, not a second path here.
+
+Exit codes: 0 success, 1 usage, 2 input that is not UTF-8 text, or a parse
+or validation failure, 3 classification or oracle mismatch.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .core import Lattice, LatticeError, is_positive_definite
 from .enumeration import box_enumerate
@@ -99,8 +105,13 @@ def parse_lattice(text: str) -> tuple[Lattice, str | None]:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ParseFailure(f"gram[{i}][{j}] = {v!r} is not an integer")
         name = doc.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ParseFailure("'name' must be a string")
+        if name is not None:
+            if not isinstance(name, str):
+                raise ParseFailure("'name' must be a string")
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, such as "\ud800"
+                raise ParseFailure("'name' must be valid Unicode text")
         scale = doc.get("scale", 1)
         if isinstance(scale, bool) or not isinstance(scale, int) or scale < 1:
             raise ParseFailure("'scale' must be a positive integer")
@@ -127,13 +138,23 @@ def parse_lattice(text: str) -> tuple[Lattice, str | None]:
 
 
 def _read_input(path: str) -> str:
+    """The text of --input: a UTF-8 file, or stdin for '-'.  Stdin is read
+    as the interpreter decodes it; under a C or POSIX locale an undecodable
+    byte arrives as a lone surrogate, which is refused here too."""
     if path == "-":
-        return sys.stdin.read()
+        text = sys.stdin.read()
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseFailure("cannot read standard input: not UTF-8 text")
+        return text
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise ParseFailure(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise ParseFailure(f"cannot read {path}: not UTF-8 text")
 
 
 def _json_default(obj):
@@ -145,6 +166,73 @@ def _json_default(obj):
     if dataclasses.is_dataclass(obj):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+# json writes the non-finite floats by these names, every other one by repr
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(report) -> str:
+    """The text of json.dumps(report, indent=2, sort_keys=True,
+    default=_json_default), byte for byte, for a report whose dict keys
+    are strings.  With an indent the stdlib leaves its C encoder for a
+    pure-Python generator, which took a third of the rank2-cli workload;
+    this is one recursive pass that appends to a list and joins once."""
+    out: list[str] = []
+    put = out.append
+    int_text = int.__repr__
+
+    def write(v, nl: str) -> None:
+        # nl: a newline and the indent of v's closing bracket.  Plain str and
+        # int, the commonest values, are tested first; their subclasses (and
+        # bool, before int) fall through to the isinstance tests below.
+        t = type(v)
+        if t is str:
+            put(_encode_str(v))
+        elif t is int:
+            put(int_text(v))
+        elif isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep = "," + inner
+            lead = "{" + inner
+            for k in sorted(v):
+                put(lead + _encode_str(k) + ": ")
+                lead = sep
+                write(v[k], inner)
+            put(nl + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep = "," + inner
+            lead = "[" + inner
+            for item in v:
+                put(lead)
+                lead = sep
+                write(item, inner)
+            put(nl + "]")
+        elif v is None:
+            put("null")
+        elif v is True:
+            put("true")
+        elif v is False:
+            put("false")
+        elif isinstance(v, int):
+            put(int_text(v))
+        elif isinstance(v, float):
+            text = float.__repr__(v)
+            put(_FLOAT_NAMES.get(text, text))
+        elif isinstance(v, str):
+            put(_encode_str(v))
+        else:
+            write(_json_default(v), nl)
+
+    write(report, "\n")
+    return "".join(out)
 
 
 def _vec(v) -> str:
@@ -480,7 +568,7 @@ def main(argv=None) -> int:
         report["warnings"] = results.pop("warnings", [])
         report["options"] = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
         report["results"] = results
-        text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+        text = _dumps(report)
         sys.stdout.write(text + "\n" if args.format == "json" else args.render(json.loads(text)))
         return EXIT_MISMATCH if results.get("pass") is False else EXIT_OK
     except UsageError as e:

@@ -2,12 +2,15 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latscreen.cli import (
     EXIT_INPUT,
@@ -15,10 +18,14 @@ from latscreen.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ParseFailure,
+    _dumps,
+    _json_default,
     build_parser,
     main,
     parse_lattice,
 )
+from latscreen.core import Lattice
+from latscreen.pairs import FeasibilityReport, PairSpec
 from latscreen.recognition import WARN_2B_ODD
 
 A2_TEXT = "2 -1\n-1 2\n"
@@ -550,3 +557,89 @@ def test_reports_are_unchanged(tmp_path):
     """Exit code, stdout and stderr of every subcommand match the digests
     recorded before the report code was shared between the subcommands."""
     assert report_digests(tmp_path) == json.loads(REPORT_DIGESTS.read_text())
+
+
+# Every value a report can hold, nested: full-Unicode text with lone
+# surrogates, ints past 64 bits, non-finite floats, and the values that go
+# through _json_default (Fractions, a Lattice, pair-layer dataclasses).
+_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=())
+    | st.sampled_from('"\\/\t\n\x01\x7f\u2028')
+)
+_INTS = st.integers(-2 ** 200, 2 ** 200)
+_PAIR = st.builds(
+    PairSpec,
+    alpha=st.tuples(_INTS, _INTS),
+    p=_INTS,
+    p_prime=_INTS,
+    pair_type=st.sampled_from(["I", "II", "III"]),
+    gamma=st.tuples(st.fractions(), st.fractions()),
+    c=st.fractions(),
+    extra=st.dictionaries(_TEXT, _INTS, max_size=3),
+    beta=st.none() | st.tuples(_INTS, _INTS),
+)
+_LEAVES = (
+    _TEXT | _INTS | st.booleans() | st.none() | st.fractions()
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.just(Lattice([[2, -1], [-1, 2]])) | _PAIR
+    | st.builds(FeasibilityReport, st.booleans(), st.tuples(_TEXT), st.none() | _PAIR)
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_VALUES)
+def test_report_writer_matches_the_stdlib(value):
+    """The report writer gives the bytes of the stdlib's indent-2 sorted
+    json.dumps, the tests' reference for the report layout."""
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True, default=_json_default)
+
+
+def test_reports_are_written_without_json_dumps(tmp_path, capsys, monkeypatch):
+    """pairs and rank2 write their reports, in both formats, by the one
+    report writer and never through json.dumps."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    path = write(tmp_path, "4 -2\n-2 6\n")
+    for command in ("pairs", "rank2"):
+        for fmt in ("json", "text"):
+            assert main([command, "--input", path, "--format", fmt]) == EXIT_OK
+            assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe 2", "cannot read {path}: not UTF-8 text"),
+    (b'{"gram": [[2]], "name": "\\ud800"}', "'name' must be valid Unicode text"),
+], ids=["not-utf8", "lone-surrogate-name"])
+def test_undecodable_file_input_exits_2(tmp_path, capsys, data, message, fmt):
+    """A file that is not UTF-8, and a JSON name escaping a lone surrogate
+    (which no output can encode), are input errors in either format."""
+    path = tmp_path / "lat.txt"
+    path.write_bytes(data)
+    assert main(["screeners", "--input", str(path), "--format", fmt]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_stdin_that_is_not_utf8_exits_2(fmt):
+    """Under a C locale stdin decodes a stray byte to a lone surrogate; the
+    input is refused before its digest is taken."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "latscreen", "screeners", "--input", "-", "--format", fmt],
+        input=b'{"gram": [[2]], "name": "\xff"}', capture_output=True, timeout=120,
+        env={**env, "LC_ALL": "C", "PYTHONPATH": str(root / "src")},
+    )
+    assert (out.returncode, out.stdout) == (EXIT_INPUT, b"")
+    assert out.stderr == b"input error: cannot read standard input: not UTF-8 text\n"
