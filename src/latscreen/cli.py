@@ -157,15 +157,24 @@ def _read_input(path: str) -> str:
         raise ParseFailure(f"cannot read {path}: not UTF-8 text")
 
 
+# field names per dataclass type, looked up once: keyed by the package's
+# few result types, never by input
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def _json_default(obj):
     """The JSON form of a report value json cannot write itself."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, Lattice):
         return obj.gram
-    if dataclasses.is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    kind = type(obj)
+    names = _FIELD_NAMES.get(kind)
+    if names is None:
+        if not dataclasses.is_dataclass(kind):
+            raise TypeError(f"{kind.__name__} is not JSON serializable")
+        names = _FIELD_NAMES[kind] = tuple(f.name for f in dataclasses.fields(kind))
+    return {name: getattr(obj, name) for name in names}
 
 
 # json writes the non-finite floats by these names, every other one by repr

@@ -185,6 +185,7 @@ def in_scaled_lattice(x: Sequence[int], n: int) -> bool:
 
 def canonical(x: Sequence[int]) -> Vec:
     """The one of x and -x whose first nonzero coordinate is positive."""
-    if next((v for v in x if v != 0), 0) < 0:
-        return tuple(-v for v in x)
+    for v in x:
+        if v:
+            return tuple(x) if v > 0 else tuple([-t for t in x])
     return tuple(x)

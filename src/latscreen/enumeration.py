@@ -30,11 +30,16 @@ so of each +-pair only the vector whose last nonzero coordinate is positive
 is walked, and the zero vector is never emitted.
 
 short_vectors is the one walk-and-map path: it walks the state
-u, minors, lam that Lattice.lll_reduce returns and maps each leaf z to
-x = z u in the lattice's basis, with canonical sign (first nonzero
-coordinate positive).  enumerate_up_to_norm reduces the lattice and sorts
-what short_vectors gives; all_screeners hands it the state it already
-holds, so L is reduced once and walked once per call.  That walk, up to
+u, minors, lam that Lattice.lll_reduce returns, with z the coordinates on
+the reduced rows u, and each level carries the image z[i:] u[i:] in the
+lattice's basis of the coordinates fixed so far.  A nonzero z_i adds
+z_i u_i to its parent's image; a zero one adds nothing, so the child takes
+that tuple as it is, and most coordinates of a short vector on a reduced
+basis are zero.  A leaf emits its image x = z u with canonical sign (first
+nonzero coordinate positive), so no product and no sign pass follow the
+walk.  enumerate_up_to_norm reduces the lattice and sorts what
+short_vectors gives; all_screeners hands it the state it already holds,
+so L is reduced once and walked once per call.  That walk, up to
 B = max(b - 1, 2t for the admitted t | d_1), b the least norm of the
 reduced rows, gives lambda_1(L) and every shell whose mod-t kernel is L,
 and goes no further than 2b: d_1 divides every norm, so
@@ -88,59 +93,55 @@ def _coordinate_limits(lat: Lattice, bound: int) -> list[int]:
     return limits
 
 
-def _depth_first(minors: list[int], lam: list[list[int]], bound: int) -> list[tuple[Vec, int]]:
-    """Every x with last nonzero coordinate positive and 0 < x^T G x <= bound,
-    with its norm, unsorted, for a positive definite G given by its minors
-    D_k and lam[j][i] = D_i (S_i)_ij, j > i (module docstring).  Linear memory.
+def short_vectors(u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matrix, bound: int) -> list[tuple[Vec, int]]:
+    """Every x = z u with 0 < <x,x> <= bound, one of each +-pair with
+    canonical sign, with its norm, unsorted, from the state
+    u, minors, lam = lat.lll_reduce() of a lattice: minors D_k and
+    lam[j][i] = D_i (S_i)_ij, j > i, of the rows u (module docstring).
+    Linear memory.
 
-    Level i walks the integer v = x_i with (a v + b)^2 <= rho, a = D_{i+1},
+    Level i walks the integer v = z_i with (a v + b)^2 <= rho, a = D_{i+1},
     b = b_i, rho = rho_i; the child's residual is
     rho_{i-1} = D_{i-1} (rho - e^2) / D_{i+1} with e = a v + b, exact
     because D_i P_i is an integer (module docstring).  While the outer
     coordinates are all zero, b = 0 and v runs from 0, the v = 0 branch
-    staying in that state, so one vector of each +-pair is walked and the
-    zero vector never reaches a leaf."""
+    staying in that state, so one z of each +-pair is walked and the zero
+    vector never reaches a leaf.  Each level also carries the image
+    z[i+1:] u[i+1:] of the coordinates fixed so far: a child adds v u_i to
+    it, and one with v = 0 takes its parent's tuple as it is."""
     d = len(lam)
     out: list[tuple[Vec, int]] = []
-    x = [0] * d
-    # per level: a = D_{i+1} and the b coefficients on x[i+1:], row i of D_i S_i
-    levels = [(minors[i + 1], [lam[j][i] for j in range(i + 1, d)]) for i in range(d)]
+    z = [0] * d
+    # per level: a = D_{i+1}, the b coefficients on z[i+1:] (row i of
+    # D_i S_i) and the row u_i that z_i multiplies
+    levels = [(minors[i + 1], [lam[j][i] for j in range(i + 1, d)], u[i]) for i in range(d)]
 
-    def level(i: int, rho: int, top: bool) -> None:
-        a, brow = levels[i]
+    def level(i: int, rho: int, top: bool, image: Vec) -> None:
+        a, brow, row = levels[i]
         s = math.isqrt(rho)
-        if top:  # x[i+1:] is zero, so b = 0; v = 0 keeps the sign open
+        if top:  # z[i+1:] is zero, so b = 0; v = 0 keeps the sign open
             b = 0
             lo = 1
             if i:
-                level(i - 1, minors[i - 1] * rho // a, True)
+                level(i - 1, minors[i - 1] * rho // a, True, image)
         else:
-            b = sum(map(mul, brow, x[i + 1:]))
+            b = sum(map(mul, brow, z[i + 1:]))
             lo = -((b + s) // a)
         if i:
             below = minors[i - 1]
             for v in range(lo, (s - b) // a + 1):
-                x[i] = v
+                z[i] = v
                 e = a * v + b
-                level(i - 1, below * (rho - e * e) // a, False)
+                level(i - 1, below * (rho - e * e) // a, False,
+                      tuple([p + v * c for p, c in zip(image, row)]) if v else image)
         else:
             for v in range(lo, (s - b) // a + 1):
-                x[0] = v
                 e = a * v + b
-                out.append((tuple(x), bound - (rho - e * e) // a))
+                x = tuple([p + v * c for p, c in zip(image, row)]) if v else image
+                out.append((canonical(x), bound - (rho - e * e) // a))
 
-    level(d - 1, minors[d - 1] * minors[d] * bound, True)
+    level(d - 1, minors[d - 1] * minors[d] * bound, True, (0,) * d)
     return out
-
-
-def short_vectors(u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matrix, bound: int) -> list[tuple[Vec, int]]:
-    """Every x = z u with 0 < <x,x> <= bound, one of each +-pair with
-    canonical sign, with its norm, unsorted, from the state
-    u, minors, lam = lat.lll_reduce() of a lattice: one walk of its levels,
-    mapped back to the lattice's basis by the rows u."""
-    pairs = _depth_first(minors, lam, bound)
-    xs = _intlinalg.matmul([z for z, _ in pairs], u)
-    return [(canonical(x), nrm) for x, (_, nrm) in zip(xs, pairs)]
 
 
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:

@@ -18,7 +18,18 @@ positive root v that is not simple has a simple root s with v - s a
 positive root (Humphreys §10.2, Lemma A), and s is lexicographically smaller
 than v.  So walking the positive roots in lexicographic order and keeping v
 unless v - s is a positive root for a simple root s kept before it finds the
-simple roots.  They are a Z-basis of the lattice the screeners generate,
+simple roots.
+
+That order and the test "v - s is a positive root" are read off integer
+keys k(v) = sum_i v_i m^(d-1-i), with m = 4 M + 1 and M the largest
+|v_i| over the roots.  The roots and their pairwise differences have
+coordinates in [-2M, 2M] = [-(m-1)/2, (m-1)/2], the balanced digits of
+base m, and a number has one balanced base-m expansion, so k is injective
+on them; k is additive, so k(v - s) = k(v) - k(s), and its sign and order
+are those of the first differing digit, so k is positive exactly when the
+first nonzero coordinate is and sorts the roots in lexicographic order.
+A set whose keys are not distinct and positive is no positive system and
+is refused.  They are a Z-basis of the lattice the screeners generate,
 which is L exactly when there are rank-many of them with determinant +-1.
 
 The nonzero entries of the simple roots' Gram matrix give the Dynkin diagram,
@@ -41,8 +52,8 @@ has a complete normal-form classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import index, sub
+from itertools import chain, combinations
+from operator import index, mul
 from typing import Sequence
 
 from . import intlinalg
@@ -213,18 +224,29 @@ def _dynkin_components(
     """Simple roots of the lexicographically positive roots (with their
     norms), and for each connected component of their Dynkin diagram its
     type, rank, scale, simple roots and (root, norm) members.  The walk of
-    the module docstring places each root, and a component must hold half
-    the roots of its type."""
-    positive = set(roots)
-    simple: list[Vec] = []
-    step: dict[Vec, Vec] = {}
-    for v in sorted(roots):
-        s = next((t for t in simple if tuple(map(sub, v, t)) in positive), None)
-        if s is None:
-            simple.append(v)
+    the module docstring places each root, on the integer keys it
+    describes, and a component must hold half the roots of its type."""
+    m = 4 * max(map(abs, chain.from_iterable(roots)), default=0) + 1
+    powers = [m ** k for k in range(lat.rank - 1, -1, -1)]
+    keys = [sum(map(mul, v, powers)) for v in roots]
+    position = dict(zip(keys, range(len(keys))))
+    if len(position) < len(keys) or min(keys, default=1) <= 0:
+        raise LatticeError(
+            "screener set must hold distinct nonzero vectors with first nonzero "
+            f"coordinate positive; got {tuple(roots)}"
+        )
+    simple: list[int] = []
+    # (v, the simple root s found for v, the root v - s), as root indices
+    steps: list[tuple[int, int, int]] = []
+    for k in sorted(keys):
+        for s in simple:
+            rest = position.get(k - keys[s])
+            if rest is not None:
+                steps.append((position[k], s, rest))
+                break
         else:
-            step[v] = s
-    g = lat.row_gram(simple)
+            simple.append(position[k])
+    g = lat.row_gram([roots[r] for r in simple])
     owner = [-1] * len(simple)
     components: list[list[int]] = []
     for i in range(len(simple)):
@@ -237,14 +259,16 @@ def _dynkin_components(
                         owner[b] = owner[i]
                         nodes.append(b)
             components.append(sorted(nodes))
-    where = dict(zip(simple, owner))
-    for v, s in step.items():
-        if where[tuple(map(sub, v, s))] != where[s]:
-            raise ClassificationError(f"screener {v} spreads over 2 component groups")
-        where[v] = where[s]
+    where = [-1] * len(roots)
+    for r, c in zip(simple, owner):
+        where[r] = c
+    for r, s, rest in steps:
+        if where[rest] != where[s]:
+            raise ClassificationError(f"screener {roots[r]} spreads over 2 component groups")
+        where[r] = where[s]
     members: list[list[tuple[Vec, int]]] = [[] for _ in components]
-    for v, nrm in zip(roots, norms):
-        members[where[v]].append((v, nrm))
+    for v, nrm, c in zip(roots, norms, where):
+        members[c].append((v, nrm))
     out = []
     for nodes, mem in zip(components, members):
         name, n = _dynkin_type(g, nodes)
@@ -254,8 +278,8 @@ def _dynkin_components(
             raise ClassificationError(
                 f"group {name}{n} at scale {scale} expects {expected} screeners, found {2 * len(mem)}"
             )
-        out.append((name, n, scale, tuple(simple[i] for i in nodes), mem))
-    return simple, out
+        out.append((name, n, scale, tuple(roots[simple[i]] for i in nodes), mem))
+    return [roots[r] for r in simple], out
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,10 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       all have norm at least lambda_1(L), so the minimum cut holds.
     - B <= 2b: d_1 divides every norm x^T G x, so d_1 <= lambda_1(L) and
       2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
+    - such a shell needs no x not in 2L test, because it never fails:
+      t | d_1 and d_1 divides every norm, so t <= d_1 <= lambda_1(L), and
+      a nonzero x = 2y has norm 4<y,y> >= 4 lambda_1(L) > 2t.  The test
+      stays on the M_t shells, where it can fail.
 
     Every other shell is built on its Hermite basis c, and only those are
     reduced and walked that c does not certify empty:
@@ -220,7 +224,8 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
              and _discriminant_admits(t, primes, invariants, a, even)}
     walk = short_vectors(w, minors, lam, max([b - 1, *whole]))
     lmin = min((nrm for _, nrm in walk), default=b)
-    pairs = [(nrm, x) for x, nrm in walk if nrm in whole and any(v % 2 for v in x)]
+    # a walked x of norm 2t <= 2 lambda_1(L) is never in 2L (docstring)
+    pairs = [(nrm, x) for x, nrm in walk if nrm in whole]
     for t in divs:
         if 2 * t < lmin or invariants[0] % t == 0 or not _discriminant_admits(t, primes, invariants, a, even):
             continue

@@ -16,7 +16,7 @@ from latscreen import (
     is_positive_definite,
 )
 from latscreen.core import canonical
-from latscreen.enumeration import _coordinate_limits, _depth_first, short_vectors
+from latscreen.enumeration import _coordinate_limits, short_vectors
 from latscreen.intlinalg import (
     bareiss_steps,
     gram_schmidt,
@@ -126,7 +126,8 @@ def _dense_gram(rng, d):
 
 def bareiss_levels(gram):
     """The minors D_k and lam[j][i] = row i of D_i S_i, read off a
-    fraction-free Bareiss pass: the levels _depth_first walks on."""
+    fraction-free Bareiss pass: the levels short_vectors walks on, with
+    the identity for u."""
     d = len(gram)
     lam = [[0] * d for _ in range(d)]
     minors = [1]
@@ -138,21 +139,21 @@ def bareiss_levels(gram):
 
 
 def test_depth_first_walks_one_vector_of_each_pair():
-    """The walker on its own, on the Bareiss levels of Grams of rank 1-6 as
-    drawn (not LLL reduced), a third of them scaled by 10^18: exactly one
-    vector of each +-pair of the box scan, the one whose last nonzero
-    coordinate is positive, with its norm, and never the zero vector."""
+    """The walker on the Bareiss levels of Grams of rank 1-6 as drawn (not
+    LLL reduced), with the identity for u, a third of them scaled by 10^18:
+    exactly one vector of each +-pair of the box scan, with canonical sign
+    and its norm, and never the zero vector."""
     rng = random.Random(907)
     for case in range(120):
         d = 1 + case % 6
         gram = _dense_gram(rng, d)
         bound = rng.randint(0, 2 * d + 2)
         s = 10**18 if case // 6 % 3 == 0 else 1
-        walked = _depth_first(*bareiss_levels([[s * v for v in row] for row in gram]), s * bound)
+        walked = short_vectors(identity(d), *bareiss_levels([[s * v for v in row] for row in gram]), s * bound)
         for x, _ in walked:
-            assert any(x) and [t for t in x if t][-1] > 0, (gram, bound, x)
+            assert any(x) and canonical(x) == x, (gram, bound, x)
         expected = [(n * s, x) for x, n in box_vectors(gram, bound)]
-        assert sorted((n, canonical(x)) for x, n in walked) == sorted(expected), (gram, bound)
+        assert sorted((n, x) for x, n in walked) == sorted(expected), (gram, bound)
 
 
 # forms whose minimum lies one below the shortest LLL diagonal b
@@ -188,7 +189,7 @@ def test_lambda_1_rule_matches_the_box_minimum():
         assert lambda_1(Lattice(gram), u, minors, lam) == minimum, gram
         one_below += minimum == b - 1
         if gram in at_diagonal:
-            assert minimum == b and _depth_first(minors, lam, b - 1) == [], gram
+            assert minimum == b and short_vectors(identity(len(gram)), *bareiss_levels(red), b - 1) == [], gram
     assert one_below >= len(BELOW_LLL_DIAGONAL)
     for kind, n in [("A", 1), ("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]:
         for scale in (1, 3):

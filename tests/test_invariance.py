@@ -24,6 +24,7 @@ from latscreen import (
     is_screener,
 )
 from latscreen.core import canonical
+from latscreen.enumeration import short_vectors
 from latscreen.intlinalg import identity, matmul
 
 SETTINGS = settings(
@@ -46,14 +47,15 @@ KNOWN = [
 
 
 @st.composite
-def unimodular(draw, d):
-    """A product of row additions, swaps and sign flips."""
+def unimodular(draw, d, reach=3):
+    """A product of row additions (at most reach times a row), swaps and
+    sign flips."""
     u = identity(d)
     for _ in range(draw(st.integers(0, 3 * d))):
         i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
         op = draw(st.sampled_from(("add", "swap", "neg")))
         if op == "add" and i != j:
-            f = draw(st.integers(-3, 3))
+            f = draw(st.integers(-reach, reach))
             u[i] = [x + f * y for x, y in zip(u[i], u[j])]
         elif op == "swap":
             u[i], u[j] = u[j], u[i]
@@ -87,6 +89,25 @@ def test_screeners_move_with_a_unimodular_basis_change(case):
     after = all_screeners(Lattice(_transform(gram, u)))
     moved = sorted(zip(after.norms, map(canonical, matmul(after.vectors, u))))
     assert list(zip(before.norms, before.vectors)) == moved
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from(KNOWN), random_gram()).flatmap(
+    lambda g: st.tuples(st.just(g), unimodular(len(g), reach=2000),
+                        st.integers(0, 3 * max(g[i][i] for i in range(len(g)))))))
+def test_short_vectors_move_with_a_unimodular_basis_change(case):
+    """The walk of U G U^T on its LLL state is the walk of G carried through
+    U^-T: mapped back by y -> y U, its vectors and norms are those of G.
+    Row additions of up to 2000 times a row give the images entries in the
+    thousands, and bounds up to three times G's largest diagonal entry let
+    LLL coordinates reach +-2 and beyond.  Every vector walked has
+    canonical sign."""
+    gram, u, bound = case
+    walk = short_vectors(*Lattice(gram).lll_reduce(), bound)
+    moved = short_vectors(*Lattice(_transform(gram, u)).lll_reduce(), bound)
+    assert all(canonical(y) == y for y, _ in moved)
+    back = map(canonical, matmul([y for y, _ in moved], u))
+    assert sorted(zip((n for _, n in moved), back)) == sorted((n, x) for x, n in walk)
 
 
 @SETTINGS

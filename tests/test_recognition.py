@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -606,7 +607,9 @@ def test_one_dynkin_pass_per_simply_laced_group(monkeypatch):
 def test_recognition_refuses_a_forged_screener_set():
     """No lattice's screeners reach the two consistency checks, so hand-built
     sets do: (1, 1) = (1, 0) + (0, 1) joins two orthogonal components, and
-    two simple roots of A2 without their sum are too few for A2."""
+    two simple roots of A2 without their sum are too few for A2.  A set
+    holding the zero vector, a vector twice or one with negative first
+    nonzero coordinate is no positive system and is refused."""
     lat = Lattice([[2, 0], [0, 2]])
     forged = ScreenerSet(lattice=lat, vectors=((0, 1), (1, 0), (1, 1)), norms=(2, 2, 4))
     with pytest.raises(ClassificationError, match=r"^screener \(1, 1\) spreads over 2 component groups$"):
@@ -615,6 +618,15 @@ def test_recognition_refuses_a_forged_screener_set():
     forged = ScreenerSet(lattice=lat, vectors=((1, 0), (0, 1)), norms=(2, 2))
     with pytest.raises(ClassificationError, match="^group A2 at scale 1 expects 6 screeners, found 4$"):
         recognize_components(lat, forged)
+    s = all_screeners(lat)
+    refused = r"^screener set must hold distinct nonzero vectors with first nonzero coordinate positive; got "
+    for vectors, norms in [
+        (((0, 0),) + s.vectors, (0,) + s.norms),
+        (s.vectors[:1] + s.vectors, s.norms[:1] + s.norms),
+        (((-1, 0),) + s.vectors[1:], s.norms),
+    ]:
+        with pytest.raises(LatticeError, match=refused + re.escape(str(vectors)) + "$"):
+            recognize_components(lat, ScreenerSet(lattice=lat, vectors=vectors, norms=norms))
 
 
 def test_classification_certificate_up_to_rank_6_scale_2():

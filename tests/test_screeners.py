@@ -671,6 +671,25 @@ def test_shells_whose_mod_kernel_is_l_are_walked_on_l(monkeypatch):
     assert sum(t > 1 for t in in_place) >= 150
 
 
+def test_walk_of_l_never_meets_2l_at_a_shell_it_serves():
+    """A vector of norm 2t with t | d_1 is never in 2L: t <= d_1 <=
+    lambda_1(L), and a nonzero 2y has norm 4<y,y> >= 4 lambda_1(L) > 2t.
+    So all_screeners keeps every vector of the walk of L at such a norm
+    with no x not in 2L test.  Checked on the walk of L up to
+    max(b - 1, 2 d_1), which covers every admitted t | d_1, over the
+    catalog at scales 1-4, CUT_POOL and dense_grams(12)."""
+    checked = 0
+    for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(12)]:
+        d1 = invariant_factors([list(r) for r in lat.gram])[0]
+        u, minors, lam = lat.lll_reduce()
+        b = min(map(lat.norm, u))
+        for x, nrm in short_vectors(u, minors, lam, max(b - 1, 2 * d1)):
+            if nrm % 2 == 0 and d1 % (nrm // 2) == 0:
+                assert any(v % 2 for v in x), (lat.gram, x)
+                checked += 1
+    assert checked > 3000, checked  # 3317
+
+
 def _certified_shells(lat):
     """(certified, shells): over every divisor t of d_n, the number of
     mod-t kernels whose Hermite basis certifies them empty and the number
