@@ -40,10 +40,11 @@ nonzero coordinate positive), so no product and no sign pass follow the
 walk.  enumerate_up_to_norm reduces the lattice and sorts what
 short_vectors gives; all_screeners hands it the state it already holds,
 so L is reduced once and walked once per call.  That walk, up to
-B = max(b - 1, 2t for the admitted t | d_1), b the least norm of the
-reduced rows, gives lambda_1(L) and every shell whose mod-t kernel is L,
-and goes no further than 2b: d_1 divides every norm, so
-2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
+B = max(b - 1, 2t for the admitted t | d_1 and the near t), b the least
+norm of the reduced rows, gives lambda_1(L), every shell whose mod-t
+kernel is L and every near shell, an admitted t not dividing d_1 with
+t <= b whose walk is short, and goes no further than 2b: a near t is at
+most b, and d_1 divides every norm, so 2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
 
 box_enumerate is the independent reference: a plain scan of the half of the
 coordinate box with first nonzero coordinate positive, with every norm

@@ -26,10 +26,14 @@ This is M_t itself because t Z^d lies in M_t.  LLL of each shell then starts
 from a basis whose size is set by t, not by the entries of the Smith matrix.
 M_t = L exactly when t | d_1, because d_1 is the gcd of G's entries: every
 G x is 0 mod t exactly when every entry of G is.  Such a shell is read off
-the same walk of L that gives lambda_1(L): that walk goes up to
-B = max(b - 1, 2t for every admitted t | d_1), b the least norm of the
-reduced rows, so L is reduced once and walked once.  B <= 2b, because d_1
-divides every norm: 2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
+the same walk of L that gives lambda_1(L), and so is each near shell: an
+admitted t not dividing d_1 with t <= b, b the least norm of the reduced
+rows, whose walk the Gaussian heuristic expects to be short.  Its
+screeners are the walked x of norm 2t with G x = 0 mod t and some odd
+coordinate.  That walk goes up to B = max(b - 1, 2t for every admitted
+t | d_1 and every near t), so L is reduced once and walked once.  B <= 2b,
+because a near t is at most b and d_1 divides every norm:
+2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
 The Gram-Schmidt lemma above certifies any other shell empty before its
 LLL: when every Gram-Schmidt norm D_{k+1}/D_k of the Hermite basis, read
 off the minors its `Lattice` keeps, exceeds 2t, no nonzero vector of M_t
@@ -40,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lgamma, log, pi
+from operator import mul
 from typing import Sequence
 
 from . import intlinalg
@@ -85,8 +90,9 @@ def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: 
     s_i = t / gcd(d_i, t); the basis is the Hermite form of those columns
     reduced mod t together with t e_1, ..., t e_d.  invariants are the d_i;
     V need not be reduced, since s_i V_i is reduced mod t here.
-    all_screeners builds it only for t not dividing d_1: for t | d_1 it is
-    the identity, since M_t = L.
+    all_screeners builds it only for t not dividing d_1 and not near: for
+    t | d_1 it is the identity, since M_t = L, and a near shell is read off
+    the walk of L.
     """
     d = len(invariants)
     gens = [[s * v[r][i] % t for r in range(d)]
@@ -120,6 +126,25 @@ def _discriminant_admits(t: int, primes: Sequence[int], invariants: Sequence[int
         elif (len(invariants) == 1 or invariants[-2] % p) and pow(2 * a * (dn // q) * (t // q), (p - 1) // 2, p) != 1:
             return False
     return True
+
+
+# the most vectors the Gaussian heuristic may expect of the walk of L up to
+# a near shell's norm before that shell goes through M_t instead; no output
+# depends on it.  128 was timed against 512 on the three benchmark
+# workloads: 512 made the catalog one about 15 % slower, as its dense root
+# lattices hold thousands of vectors below 2b
+_NEAR_WALK = 128
+
+
+def _walk_is_small(d: int, det: int, bound: int) -> bool:
+    """Whether the Gaussian heuristic expects at most _NEAR_WALK vectors of
+    norm at most bound in a lattice of rank d and determinant det: the
+    volume pi^(d/2) bound^(d/2) / Gamma(d/2 + 1) of that ball over
+    sqrt(det), compared in logs, so that no size of det overflows a float."""
+    if _NEAR_WALK <= 0:
+        return False
+    h = d / 2
+    return h * log(pi * bound) - lgamma(h + 1) - log(det) / 2 <= log(_NEAR_WALK)
 
 
 def all_screeners(lat: Lattice) -> ScreenerSet:
@@ -171,23 +196,35 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     [0, t] whatever the size of V.  It is the same lattice, because t Z^d
     lies in M_t, so reducing a generator mod t stays inside M_t.  d_1 is
     the gcd of G's entries, so M_t = L exactly when t | d_1.  One walk of
-    the LLL state of L serves lambda_1(L) and every such shell:
+    the LLL state of L serves lambda_1(L), every such shell and every near
+    shell: an admitted t not dividing d_1 with t <= b, b the least norm of
+    the reduced rows, whose ball of norm 2t the Gaussian heuristic
+    pi^(d/2) (2t)^(d/2) / (Gamma(d/2 + 1) sqrt(det G)) expects to hold at
+    most _NEAR_WALK vectors of L.  Any other t goes through M_t, as below.
 
-    - the walk goes up to B = max(b - 1, 2t for every admitted t | d_1),
-      with b the least norm of the reduced rows, so b >= lambda_1(L).  If
-      it finds a vector, the least norm it finds is lambda_1(L), since
-      B >= b - 1 covers every norm below b; if it finds none, lambda_1(L)
-      is b.
+    - the walk goes up to B = max(b - 1, 2t for every admitted t | d_1 and
+      every near t), and b >= lambda_1(L).  If it finds a vector, the
+      least norm it finds is lambda_1(L), since B >= b - 1 covers every
+      norm below b; if it finds none, lambda_1(L) is b.
     - a shell with t | d_1 is the vectors of norm exactly 2t of that walk,
       already in L's coordinates with canonical sign; it needs no Hermite
       form, no shell `Lattice`, no second LLL and no remap.  Its vectors
       all have norm at least lambda_1(L), so the minimum cut holds.
+    - a near shell is the walked x of norm 2t with G x = 0 mod t and some
+      odd coordinate: the walk holds every vector of L of norm 2t, as
+      2t <= B, and G x = 0 mod t keeps those of M_t, so these are the M_t
+      shell's screeners, with no Hermite form, `Lattice`, LLL or remap.
     - B <= 2b: d_1 divides every norm x^T G x, so d_1 <= lambda_1(L) and
-      2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
-    - such a shell needs no x not in 2L test, because it never fails:
-      t | d_1 and d_1 divides every norm, so t <= d_1 <= lambda_1(L), and
-      a nonzero x = 2y has norm 4<y,y> >= 4 lambda_1(L) > 2t.  The test
-      stays on the M_t shells, where it can fail.
+      2t <= 2 d_1 <= 2 lambda_1(L) <= 2b for t | d_1; a near t is at most
+      b.
+    - a shell with t | d_1 needs no x not in 2L test, because it never
+      fails: t | d_1 and d_1 divides every norm, so t <= d_1 <=
+      lambda_1(L), and a nonzero x = 2y has norm 4<y,y> >= 4 lambda_1(L)
+      > 2t.  A near t is bounded by b alone: an x = 2y of norm 2t has
+      t = 2<y,y> >= 2 lambda_1(L), which t <= b allows once
+      b >= 2 lambda_1(L), and LLL bounds b only by 2^(d-1) lambda_1(L).
+      So the test stays on the near shells and on the M_t shells, where it
+      can fail.
 
     Every other shell is built on its Hermite basis c, and only those are
     reduced and walked that c does not certify empty:
@@ -216,18 +253,25 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
         # when no earlier prime divides it
         if t > 1 and all(t % p for p in primes):
             primes.append(t)
-    # one walk of L, past the least reduced row norm b less one and every
-    # admitted norm 2t with t | d_1, where M_t = L, gives lambda_1(L) and
-    # those shells; any other t is tested only when 2t >= lambda_1(L)
+    admitted = [t for t in divs if _discriminant_admits(t, primes, invariants, a, even)]
+    # one walk of L, past the least reduced row norm b less one, every norm
+    # 2t with t | d_1, where M_t = L, and every near norm 2t <= 2b whose
+    # walk the Gaussian heuristic sizes small, gives lambda_1(L) and those
+    # shells; any other t is tested only when 2t >= lambda_1(L)
     b = min(map(lat.norm, w))
-    whole = {2 * t for t in divs if invariants[0] % t == 0
-             and _discriminant_admits(t, primes, invariants, a, even)}
-    walk = short_vectors(w, minors, lam, max([b - 1, *whole]))
+    whole = {2 * t for t in admitted if invariants[0] % t == 0}
+    near = {2 * t for t in admitted
+            if invariants[0] % t and t <= b and _walk_is_small(d, lat.determinant, 2 * t)}
+    walk = short_vectors(w, minors, lam, max([b - 1, *whole, *near]))
     lmin = min((nrm for _, nrm in walk), default=b)
-    # a walked x of norm 2t <= 2 lambda_1(L) is never in 2L (docstring)
-    pairs = [(nrm, x) for x, nrm in walk if nrm in whole]
-    for t in divs:
-        if 2 * t < lmin or invariants[0] % t == 0 or not _discriminant_admits(t, primes, invariants, a, even):
+    # a walked x of norm 2t with t | d_1 is never in 2L (docstring); one of
+    # a near norm 2t is in M_t when G x = 0 mod t, and can lie in 2L
+    gram = lat.gram
+    pairs = [(nrm, x) for x, nrm in walk
+             if nrm in whole or (nrm in near and any(v % 2 for v in x)
+                                 and all(sum(map(mul, row, x)) % (nrm // 2) == 0 for row in gram))]
+    for t in admitted:
+        if 2 * t < lmin or 2 * t in whole or 2 * t in near:
             continue
         basis = _mod_kernel_basis(v, invariants, t)
         sub = Lattice(lat.row_gram(basis))

@@ -25,6 +25,7 @@ from latscreen import (
     recognize_components,
     virasoro_shift,
 )
+from latscreen.core import canonical
 from latscreen.enumeration import enumerate_up_to_norm, short_vectors
 from latscreen.intlinalg import (
     determinant, divisors, hnf_rows, invariant_factors, matmul, rank, smith_normal_form,
@@ -560,17 +561,20 @@ def test_all_screeners_reduces_the_lattice_once(monkeypatch):
     monkeypatch.setattr(intlinalg, "lll_reduce", counting_reduce)
     monkeypatch.setattr(screeners, "enumerate_up_to_norm", counting_walk)
     monkeypatch.setattr(screeners, "short_vectors", counting_short)
-    walked = 0
-    lattices = [Lattice(A2), catalog("D", 4), catalog("E", 8), catalog("A", 3, 2)] + CUT_POOL[:40]
+    walked = off_walk = 0
+    lattices = [Lattice(A2), catalog("D", 4), catalog("E", 8), catalog("A", 3, 2)] + CUT_POOL[:100]
     for lat in lattices + [Lattice(g) for g in dense_grams(12)]:
         lll_calls.clear()
         walks.clear()
         state_walks.clear()
-        all_screeners(lat)
+        s = all_screeners(lat)
         assert len(lll_calls) == 1 + len(walks), (lat.gram, len(lll_calls), len(walks))
         assert len(state_walks) == 1, (lat.gram, state_walks)
         walked += len(walks)
+        # shells that hold a screener and were served by the walk of L alone
+        off_walk += len(set(s.norms) - set(walks))
     assert walked > 44
+    assert off_walk > 70, off_walk  # 77; the shells with t | d_1 alone give 62
 
 
 def test_certified_shells_pay_no_lll(monkeypatch):
@@ -654,6 +658,7 @@ def test_shells_whose_mod_kernel_is_l_are_walked_on_l(monkeypatch):
     monkeypatch.setattr(screeners, "short_vectors", recording_short)
     monkeypatch.setattr(screeners, "enumerate_up_to_norm", recording_walk)
     in_place = []
+    near_checked = 0
     for lat in _in_place_pool():
         reductions.clear()
         state_walks.clear()
@@ -666,9 +671,14 @@ def test_shells_whose_mod_kernel_is_l_are_walked_on_l(monkeypatch):
         assert len(of_lat) == 1 and len(state_walks) == 1, (lat.gram, len(of_lat), len(state_walks))
         assert state_walks[0] is of_lat[0], lat.gram
         in_place += [t for t in {n // 2 for n in s.norms} if d1 % t == 0]
+        # a near shell is read off the walk of L, never walked through M_t
+        near = _near_shells(lat)
+        assert not near & {t for _, t in shell_walks}, (lat.gram, near)
+        near_checked += len(near)
     # shells with t | d_1 that hold a screener, 256 of them, 150 with t > 1
     assert len(in_place) > 250
     assert sum(t > 1 for t in in_place) >= 150
+    assert near_checked >= 140, near_checked  # 149
 
 
 def test_walk_of_l_never_meets_2l_at_a_shell_it_serves():
@@ -688,6 +698,74 @@ def test_walk_of_l_never_meets_2l_at_a_shell_it_serves():
                 assert any(v % 2 for v in x), (lat.gram, x)
                 checked += 1
     assert checked > 3000, checked  # 3317
+
+
+def _near_shells(lat, every=False):
+    """The near shells of all_screeners: the admitted t up to its
+    Gram-Schmidt cap that do not divide d_1, with t <= b, the least norm of
+    the LLL rows of L, and a walk of L up to 2t that `_walk_is_small`
+    sizes small; with every set, the last condition is dropped."""
+    invariants, _ = _smith_data(lat)
+    u, _, _ = lat.lll_reduce()
+    b = min(map(lat.norm, u))
+    return {t for t in divisors(invariants[-1], min(b, _gram_schmidt_cap(lat)))
+            if invariants[0] % t and _admits(lat, t)
+            and (every or screeners._walk_is_small(lat.rank, lat.determinant, 2 * t))}
+
+
+def test_near_shells_match_their_mod_kernel_walk():
+    """For every admitted t not dividing d_1 with t <= b, the vectors of
+    norm 2t that the walk of L up to 2t finds with G x = 0 mod t and some
+    odd coordinate are the screeners the M_t path gives for that t: a walk
+    of the Lattice of the Hermite basis of M_t, mapped by that basis, with
+    canonical sign and some odd coordinate.  They are also all_screeners'
+    output of norm 2t, over CUT_POOL and the catalog at scales 1-4, so a
+    near shell may go either way whatever _NEAR_WALK is."""
+    near_hits = hits = 0
+    for lat in _in_place_pool():
+        diag, v = smith_normal_form([list(r) for r in lat.gram])
+        invariants = [diag[i][i] for i in range(lat.rank)]
+        u, minors, lam = lat.lll_reduce()
+        s = all_screeners(lat)
+        near = _near_shells(lat)
+        for t in sorted(_near_shells(lat, every=True)):
+            walked = sorted(x for x, nrm in short_vectors(u, minors, lam, 2 * t)
+                            if nrm == 2 * t and any(c % 2 for c in x)
+                            and all(c % t == 0 for c in lat.gram_times(x)))
+            basis = _mod_kernel_basis(v, invariants, t)
+            found = enumerate_up_to_norm(Lattice(lat.row_gram(basis)), 2 * t)
+            shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
+            through = sorted(x for x in map(canonical, matmul(shell, basis)) if any(c % 2 for c in x))
+            assert walked == through, (lat.gram, t)
+            assert walked == [x for x, nrm in zip(s.vectors, s.norms) if nrm == 2 * t], (lat.gram, t)
+            hits += bool(walked)
+            near_hits += bool(walked) and t in near
+    # 75 shells with t <= b hold a screener, 55 of them near at _NEAR_WALK = 128
+    assert hits >= 70 and near_hits >= 50, (hits, near_hits)
+
+
+def test_output_does_not_depend_on_the_near_walk_cap(monkeypatch):
+    """_NEAR_WALK only picks which near shells the walk of L serves: at 0
+    every one goes through M_t, at infinity every admitted t <= b is read
+    off the walk, and the ScreenerSets are those at the default over the
+    catalog at scales 1-4, CUT_POOL and dense_grams(12)."""
+    walks = []
+    walk = screeners.enumerate_up_to_norm
+
+    def counting_walk(sub, bound):
+        walks.append(bound)
+        return walk(sub, bound)
+
+    monkeypatch.setattr(screeners, "enumerate_up_to_norm", counting_walk)
+    lattices = _in_place_pool() + [Lattice(g) for g in dense_grams(12)]
+    default = [all_screeners(lat) for lat in lattices]
+    through_m_t = {"default": len(walks)}
+    for cap in (0, math.inf):
+        monkeypatch.setattr(screeners, "_NEAR_WALK", cap)
+        walks.clear()
+        assert [all_screeners(lat) for lat in lattices] == default, cap
+        through_m_t[cap] = len(walks)
+    assert through_m_t[0] > through_m_t["default"] > through_m_t[math.inf], through_m_t
 
 
 def _certified_shells(lat):
