@@ -507,6 +507,10 @@ REPORT_CASES = [
     ("pairs-alpha-without-value", ["pairs", "--alpha"], A2_TEXT),
     ("pairs-not-definite", ["pairs"], "0 1\n1 0\n"),
     ("pairs-no-screener", ["pairs"], "1 0\n0 3\n"),
+    ("pairs-type-ii-beta", ["pairs"], "12 0\n0 2\n"),
+    ("pairs-type-ii-and-iii", ["pairs"], "12 0\n0 5\n"),
+    ("pairs-type-ii-fraction-c", ["pairs", "--alpha", "1,0"], "16 0\n0 14\n"),
+    ("pairs-type-ii-no-direction", ["pairs", "--alpha=-1,-1"], "30 -46\n-46 78\n"),
     ("catalog-a2", ["catalog", "A", "2"], None),
     ("catalog-d4-scaled", ["catalog", "D", "4", "--scale", "2"], None),
     ("catalog-e8", ["catalog", "E", "8"], None),
