@@ -173,7 +173,12 @@ def in_dual(lat: Lattice, x: Sequence[int], k: int) -> bool:
     x, k = lat.vector(x, "vector"), integer(k, "denominator")
     if k <= 0:
         raise LatticeError("denominator must be positive")
-    return all(v % k == 0 for v in lat.gram_times(x))
+    return in_dual_from(lat.gram_times(x), k)
+
+
+def in_dual_from(gx: Sequence[int], k: int) -> bool:
+    """The dual-membership rule behind in_dual: x/k is in the dual when k divides every entry of gx = G x."""
+    return all(v % k == 0 for v in gx)
 
 
 def in_scaled_lattice(x: Sequence[int], n: int) -> bool:

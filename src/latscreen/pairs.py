@@ -17,23 +17,27 @@ The four types are its levels:
     IV     one >= 2   sporadic     (two branches, A and B)
 
 The level-1 operator of types II and III is dressed by a direction beta.
-A change of basis keeps the splits, type I success, <gamma, a> and
-type IV, but gbar is folded from a's coordinates in index order, so gamma,
-c and the type II and III verdicts can move: type II at a = (1, 0), (8, 1)
-on [[16, 0], [0, 14]] is feasible, and not in the basis [[1, 1], [-2, -1]].
+One context per a holds G a, <a,a>, gcd(a) and gbar = n/q, each made once
+per call; every weight, c and beta is computed from it in integers.  A
+change of basis keeps the splits, type I success, <gamma, a> and type IV,
+but gbar is folded from a's coordinates in index order, so gamma, c and the
+type II and III verdicts can move: type II at a = (1, 0), (8, 1) on
+[[16, 0], [0, 14]] is feasible, and not in the basis [[1, 1], [-2, -1]].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 from numbers import Integral
+from operator import mul
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, in_dual, over_common_denominator
-from .screeners import central_charge, conformal_weight, dual_pairing_unit, is_screener
+from .core import DualVec, Lattice, LatticeError, Vec, in_dual_from, over_common_denominator
+from .screeners import dual_pairing_unit, is_screener
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,35 @@ class PairSpec:
     beta: Vec | None = None
 
 
+class _Alpha:
+    """The context of one vector a for one call: G a, <a,a>, gcd(a) and gbar."""
+
+    def __init__(self, lat: Lattice, a: Sequence[int]):
+        self.lat, self.a = lat, lat.vector(a, "alpha")
+        self.ga = lat.gram_times(self.a)
+        self.norm, self.gcd = sum(map(mul, self.ga, self.a)), gcd(*self.a)
+
+    def half_norm(self) -> int:
+        """<a,a>/2, refusing the zero vector and an odd norm."""
+        if self.norm == 0:
+            raise LatticeError("alpha is the zero vector; it has no factorization 2*p*p'")
+        if self.norm % 2 != 0:
+            raise LatticeError(f"norm {self.norm} is odd; no even factorization 2*p*p'")
+        return self.norm // 2
+
+    def in_dual(self, k: int, mult: int = 1) -> bool:
+        return in_dual_from(self.ga, k // gcd(k, mult))  # mult*a/k: k | mult*v iff k/gcd(k, mult) | v
+
+    @cached_property
+    def gbar(self) -> tuple[list[int], int, Vec, int, int]:
+        """n, q, G n, <n,a> and <n,n> for gbar = n/q over its least denominator."""
+        if self.gcd != 1:
+            raise LatticeError(f"alpha {self.a} is imprimitive (gcd {self.gcd}); the shift vector is not defined")
+        n, q = over_common_denominator(dual_pairing_unit(self.lat, self.a))
+        gn = self.lat.gram_times(n)
+        return n, q, gn, sum(map(mul, gn, self.a)), sum(map(mul, gn, n))
+
+
 def _positive(**values: int) -> None:
     """Refuse a split or level that is not a positive integer."""
     if not all(isinstance(v, Integral) and v >= 1 for v in values.values()):
@@ -63,22 +96,14 @@ def _level_bound(max_r: int) -> None:
         raise LatticeError(f"max_r must be a nonnegative integer, got {max_r!r}")
 
 
-def _half_norm(lat: Lattice, a: Vec) -> int:
-    """<a,a>/2, refusing the zero vector and an odd norm."""
-    nrm = lat.norm(a)
-    if nrm == 0:
-        raise LatticeError("alpha is the zero vector; it has no factorization 2*p*p'")
-    if nrm % 2 != 0:
-        raise LatticeError(f"norm {nrm} is odd; no even factorization 2*p*p'")
-    return nrm // 2
-
-
 def pair_decompositions(lat: Lattice, a: Sequence[int]) -> list[tuple[int, int]]:
     """All factorizations <a,a> = 2*p*p' with both a/p and a/p' in the dual."""
-    a = lat.vector(a, "alpha")
-    half = _half_norm(lat, a)
-    return [(p, half // p) for p in intlinalg.divisors(half, half)
-            if in_dual(lat, a, p) and in_dual(lat, a, half // p)]
+    return _decompositions(_Alpha(lat, a))
+
+
+def _decompositions(s: _Alpha) -> list[tuple[int, int]]:
+    half = s.half_norm()
+    return [(p, half // p) for p in intlinalg.divisors(half, half) if s.in_dual(p) and s.in_dual(half // p)]
 
 
 def make_type_i(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> PairSpec:
@@ -88,12 +113,15 @@ def make_type_i(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> PairSpe
     gamma = 0.  Raises unless p p' = <a,a>/2 with a/p and a/p' in the dual,
     and when a is imprimitive with p != p'.
     """
-    a = lat.vector(a, "alpha")
+    return _type_i(_Alpha(lat, a), p, p_prime)
+
+
+def _type_i(s: _Alpha, p: int, p_prime: int) -> PairSpec:
     _positive(p=p, p_prime=p_prime)
-    half = _half_norm(lat, a)
-    if p * p_prime != half or not in_dual(lat, a, p) or not in_dual(lat, a, p_prime):
+    half = s.half_norm()
+    if p * p_prime != half or not s.in_dual(p) or not s.in_dual(p_prime):
         raise LatticeError(f"({p}, {p_prime}) does not decompose <a,a> = {2 * half}")
-    return _pair(lat, a, p, p_prime, 0, 0, "I")
+    return _pair(s, p, p_prime, 0, 0, "I")
 
 
 def virasoro_shift(lat: Lattice, a: Sequence[int], p: int, q: int) -> DualVec:
@@ -106,13 +134,13 @@ def virasoro_shift(lat: Lattice, a: Sequence[int], p: int, q: int) -> DualVec:
     integral, and a is not in 2L).  For p = q the shift is zero.  Raises when
     a is not a screener or the norm does not match.
     """
-    a = lat.vector(a, "alpha")
+    s = _Alpha(lat, a)
     _positive(p=p, q=q)
-    if not is_screener(lat, a):
-        raise LatticeError(f"{tuple(a)} is not a screening vector")
-    if lat.norm(a) != 2 * p * q:
-        raise LatticeError(f"norm {lat.norm(a)} != 2*{p}*{q}")
-    return make_type_i(lat, a, p, q).gamma
+    if not is_screener(lat, s.a):
+        raise LatticeError(f"{s.a} is not a screening vector")
+    if s.norm != 2 * p * q:
+        raise LatticeError(f"norm {s.norm} != 2*{p}*{q}")
+    return _type_i(s, p, q).gamma
 
 
 @dataclass(frozen=True)
@@ -124,24 +152,6 @@ class FeasibilityReport:
     pair: PairSpec | None = None
 
 
-def _orthogonal_witness(lat: Lattice, a: Sequence[int], w: Sequence[Fraction]) -> Vec | None:
-    """Integer vector orthogonal (under G) to the dual vector w and not
-    proportional to a; None when no such direction exists."""
-    nums, q = over_common_denominator(w)
-    # G w = u / q; dividing u by gcd(q, u) gives G w over its least denominator
-    u = lat.gram_times(nums)
-    g = gcd(q, *u)
-    return next((tuple(row) for row in intlinalg.kernel_rows([[t // g for t in u]])
-                 if not _proportional(row, a)), None)
-
-
-def _proportional(x: Sequence[int], y: Sequence[int]) -> bool:
-    return all(
-        x[i] * y[j] == x[j] * y[i]
-        for i in range(len(x)) for j in range(i + 1, len(x))
-    )
-
-
 def type_ii_feasible(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> FeasibilityReport:
     """Level-0 operator at -a/p against a dressed level-1 operator at
     (p - p') a / (p p').
@@ -150,28 +160,25 @@ def type_ii_feasible(lat: Lattice, a: Sequence[int], p: int, p_prime: int) -> Fe
     primitive so the shift vector exists.  The dressing direction beta must
     be orthogonal to (p - p') a/(p p') - 2 gamma and independent of a.
     """
-    a = lat.vector(a, "alpha")
+    return _type_ii(_Alpha(lat, a), p, p_prime)
+
+
+def _type_ii(s: _Alpha, p: int, p_prime: int) -> FeasibilityReport:
     _positive(p=p, p_prime=p_prime)
-    nrm = lat.norm(a)
-    if nrm != 2 * p * p_prime:
-        raise LatticeError(f"<a,a> = {nrm} != 2*{p}*{p_prime}")
+    if s.norm != 2 * p * p_prime:
+        raise LatticeError(f"<a,a> = {s.norm} != 2*{p}*{p_prime}")
     reasons = []
     if p <= p_prime:
         reasons.append("requires p > p_prime")
     if p == 2 * p_prime:
         reasons.append("p = 2*p_prime is excluded")
-    if lat.rank < 2:
+    if s.lat.rank < 2:
         reasons.append("rank must be at least 2")
-    if not in_dual(lat, a, p):
+    if not s.in_dual(p):
         reasons.append("alpha/p is not in the dual")
-    if not in_dual(lat, [(p - p_prime) * v for v in a], p * p_prime):
+    if not s.in_dual(p * p_prime, p - p_prime):
         reasons.append("(p - p_prime) alpha / (p p_prime) is not in the dual")
-    g = gcd(*a)
-    if g != 1:
-        reasons.append(f"alpha is imprimitive (gcd {g}); the shift vector is not defined")
-    if reasons:
-        return FeasibilityReport(feasible=False, reasons=tuple(reasons))
-    return _dressed(_pair(lat, a, p, p_prime, 0, 1, "II"))
+    return _dressed(reasons, s, p, p_prime, 0, 1, "II")
 
 
 def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> FeasibilityReport:
@@ -183,7 +190,10 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
     dressing direction must be orthogonal to a/p + 2 gamma and independent
     of a.
     """
-    a = lat.vector(a, "alpha")
+    return _type_iii(_Alpha(lat, a), p_prime, r)
+
+
+def _type_iii(s: _Alpha, p_prime: int, r: int) -> FeasibilityReport:
     _positive(p_prime=p_prime, r=r)
     reasons = []
     if r <= p_prime:
@@ -198,25 +208,18 @@ def type_iii_feasible(lat: Lattice, a: Sequence[int], p_prime: int, r: int) -> F
     if reasons:
         return FeasibilityReport(feasible=False, reasons=tuple(reasons))
     p = num // (4 * p_prime)
-    nrm = lat.norm(a)
-    if nrm != 2 * p * p_prime:
-        reasons.append(f"<a,a> = {nrm} != 2*p*p_prime = {2 * p * p_prime}")
-    if lat.rank < 2:
+    if s.norm != 2 * p * p_prime:
+        reasons.append(f"<a,a> = {s.norm} != 2*p*p_prime = {2 * p * p_prime}")
+    if s.lat.rank < 2:
         reasons.append("rank must be at least 2")
-    if not reasons and not in_dual(lat, a, p):
+    if not reasons and not s.in_dual(p):
         reasons.append("alpha/p is not in the dual")
-    if not reasons and not in_dual(lat, [(r - p_prime) * v for v in a], 2 * p * p_prime):
+    if not reasons and not s.in_dual(2 * p * p_prime, r - p_prime):
         reasons.append("m alpha / (2 p p_prime) is not in the dual")
-    g = gcd(*a)
-    if g != 1:
-        reasons.append(f"alpha is imprimitive (gcd {g}); the shift vector is not defined")
-    if reasons:
-        return FeasibilityReport(feasible=False, reasons=tuple(reasons))
-    return _dressed(_pair(lat, a, p, p_prime, 1, 0, "III", r=r))
+    return _dressed(reasons, s, p, p_prime, 1, 0, "III", r=r)
 
 
-def _pair(lat: Lattice, a: Vec, p: int, p_prime: int, r1: int, r2: int, pair_type: str,
-          **extra) -> PairSpec:
+def _pair(s: _Alpha, p: int, p_prime: int, r1: int, r2: int, pair_type: str, **extra) -> PairSpec:
     """The pair -a/p at level r1 and m a/(2pp') at level r2, for r2 <= 1.
 
     gamma = (p - p' - r1 p) gbar, zero without gbar when that scale is 0.
@@ -225,33 +228,39 @@ def _pair(lat: Lattice, a: Vec, p: int, p_prime: int, r1: int, r2: int, pair_typ
     2(p - p') > 0 and 0 at (0, 1), r - p' > 0 and -r - p' at (1, 0)).
     beta dresses a level-1 momentum v: orthogonal to v - 2 gamma and
     independent of a; None when there is none or no level is 1.
+
+    In integers, with gbar = n/q and v = k a/den at level lvl: 2 den^2 q
+    (weight - lvl) = k^2 <a,a> q - 2 scale k den <n,a>, c = rank - 12 scale^2
+    <n,n>/q^2, and G (v - 2 gamma) = (q k G a - 2 scale den G n)/(den q).
     """
     (m,) = _weight_roots(p, p_prime, r1, r2)[1]
     scale = p - p_prime - r1 * p
-    gamma = (Fraction(0),) * lat.rank
-    if scale != 0:
-        g = gcd(*a)
-        if g != 1:
-            raise LatticeError(f"alpha {a} is imprimitive (gcd {g}); the shift vector is not defined")
-        gamma = tuple(scale * t for t in dual_pairing_unit(lat, a))
+    n, q, gn, na, nn = s.gbar if scale else ((0,) * s.lat.rank, 1, (0,) * s.lat.rank, 0, 0)
+    gamma = tuple(Fraction(scale * v, q) for v in n)
     beta = None
-    for mom, lvl in ((tuple(Fraction(-v, p) for v in a), r1),
-                     (tuple(Fraction(m * v, 2 * p * p_prime) for v in a), r2)):
-        wt = conformal_weight(lat, mom, gamma, lvl)
-        if wt != 1:
-            raise LatticeError(f"internal: weight {wt} != 1 at level {lvl}")
+    for k, den, lvl in ((-1, p, r1), (m, 2 * p * p_prime, r2)):
+        twice = k * k * s.norm * q - 2 * scale * k * den * na
+        if twice != 2 * den * den * q * (1 - lvl):
+            raise LatticeError(f"internal: weight {lvl + Fraction(twice, 2 * den * den * q)} != 1 at level {lvl}")
         if lvl == 1:
-            beta = _orthogonal_witness(lat, a, tuple(v - 2 * t for v, t in zip(mom, gamma)))
-    return PairSpec(alpha=a, p=p, p_prime=p_prime, pair_type=pair_type, gamma=gamma,
-                    c=central_charge(gamma, lat), extra={"m": m, **extra}, beta=beta)
+            u = [q * k * x - 2 * scale * den * y for x, y in zip(s.ga, gn)]
+            g = gcd(den * q, *u)
+            beta = next((tuple(row) for row in intlinalg.kernel_rows([[t // g for t in u]])
+                         if any(row[i] * s.a[j] != row[j] * s.a[i]  # not proportional to a
+                                for i in range(len(row)) for j in range(i))), None)
+    return PairSpec(alpha=s.a, p=p, p_prime=p_prime, pair_type=pair_type, gamma=gamma, beta=beta,
+                    c=Fraction(s.lat.rank * q * q - 12 * scale * scale * nn, q * q), extra={"m": m, **extra})
 
 
-def _dressed(pair: PairSpec) -> FeasibilityReport:
-    """The report of a type II or III pair: feasible when beta exists."""
-    if pair.beta is None:
-        return FeasibilityReport(feasible=False, reasons=(
-            "the orthogonal hyperplane holds no direction independent of alpha",))
-    return FeasibilityReport(feasible=True, reasons=(), pair=pair)
+def _dressed(reasons: list[str], s: _Alpha, *args, **extra) -> FeasibilityReport:
+    """The report of a type II or III pair: infeasible for the reasons given
+    or an imprimitive a, else _pair(s, *args, **extra), feasible when it has a beta."""
+    if s.gcd != 1:
+        reasons.append(f"alpha is imprimitive (gcd {s.gcd}); the shift vector is not defined")
+    pair = None if reasons else _pair(s, *args, **extra)
+    if pair is not None and pair.beta is None:
+        pair, reasons = None, ["the orthogonal hyperplane holds no direction independent of alpha"]
+    return FeasibilityReport(feasible=pair is not None, reasons=tuple(reasons), pair=pair)
 
 
 def _weight_roots(p: int, p_prime: int, r1: int, r2: int) -> tuple[int | None, tuple[int, ...]]:
@@ -324,22 +333,22 @@ def analyze_screener(lat: Lattice, a: Sequence[int], max_r: int = 50) -> dict:
     its even multiple); the report notes the substitution.
     """
     _level_bound(max_r)
-    alpha = lat.vector(a, "alpha")
-    substituted = lat.parity(alpha) == 1
-    a_t = tuple(2 * v for v in alpha) if substituted else alpha
-    decs = pair_decompositions(lat, a_t)
+    s = _Alpha(lat, a)
+    alpha, substituted = s.a, s.norm % 2 == 1
+    s = _Alpha(lat, tuple(2 * v for v in alpha)) if substituted else s
+    decs = _decompositions(s)
     entries = []
     for p, q in decs:
         entry: dict = {"p": p, "p_prime": q}
         try:
-            entry["type_i"] = make_type_i(lat, a_t, p, q)
+            entry["type_i"] = _type_i(s, p, q)
         except LatticeError as e:
             entry["type_i_error"] = str(e)
-        entry["type_ii"] = type_ii_feasible(lat, a_t, p, q)
+        entry["type_ii"] = _type_ii(s, p, q)
         # type III needs r^2 = p'^2 + 4pp', the discriminant at levels (1, 0)
         r, _ = _weight_roots(p, q, 1, 0)
         if r is not None:
-            entry["type_iii"] = type_iii_feasible(lat, a_t, q, r)
+            entry["type_iii"] = _type_iii(s, q, r)
         else:
             entry["type_iii"] = FeasibilityReport(
                 feasible=False,
@@ -347,11 +356,5 @@ def analyze_screener(lat: Lattice, a: Sequence[int], max_r: int = 50) -> dict:
             )
         entry["type_iv"] = type_iv_search(p, q, max_r)
         entries.append(entry)
-    return {
-        "alpha": alpha,
-        "alpha_used": a_t,
-        "substituted": substituted,
-        "norm": lat.norm(a_t),
-        "decompositions": decs,
-        "entries": entries,
-    }
+    return {"alpha": alpha, "alpha_used": s.a, "substituted": substituted, "norm": s.norm,
+            "decompositions": decs, "entries": entries}

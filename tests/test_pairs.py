@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 import latscreen.pairs
+from certificates import scrambled
 from latscreen import (
     Lattice,
     LatticeError,
     all_screeners,
     analyze_screener,
     catalog,
+    central_charge,
     conformal_weight,
     dual_pairing_unit,
     in_dual,
@@ -191,22 +193,33 @@ def test_pair_types_sit_at_their_levels():
     """Every pair that types I, II and III return solves the weight
     quadratic at its type's levels (r1, r2) = (0, 0), (0, 1), (1, 0): -a/p
     at level r1 and m a/(2pp') at level r2 both have weight 1, m is the
-    positive root, and <gamma, a> = p - p' - r1 p.  The pool keeps the
-    inputs of the old per-type weight tests and adds feasible type II and
-    III pairs."""
+    positive root, and <gamma, a> = p - p' - r1 p.  The pair layer computes
+    these in integers, so each pair is also checked on the Fraction route:
+    c is central_charge(gamma), and beta is G-orthogonal to the level-1
+    momentum minus 2 gamma by dual_inner and not proportional to a.  The
+    public functions and analyze_screener's entries give equal objects.  The
+    pool keeps the inputs of the old per-type weight tests, adds feasible
+    type II and III pairs and rank-4 lattices in a seeded unimodular basis."""
     levels = {"I": (0, 0), "II": (0, 1), "III": (1, 0)}
     pool = [Lattice([[12]]), A2, catalog("A", 3), Lattice([[4, 0], [0, 3]])]
-    pool += [Lattice(g) for g in _pin_pool()]
+    pool += [Lattice(g) for g in _pin_pool() + _rank4_pool()]
     built = Counter()
     for lat in pool:
         for a in all_screeners(lat).vectors:
-            for p, q in pair_decompositions(lat, a):
+            rep = analyze_screener(lat, a, max_r=0)
+            assert rep["decompositions"] == pair_decompositions(lat, a)
+            for (p, q), entry in zip(rep["decompositions"], rep["entries"], strict=True):
                 try:
                     specs = [make_type_i(lat, a, p, q)]
-                except LatticeError:
+                    assert entry["type_i"] == specs[0]
+                    assert virasoro_shift(lat, a, p, q) == specs[0].gamma
+                except LatticeError as e:
                     specs = []  # imprimitive with p != q
+                    assert entry["type_i_error"] == str(e)
                 r = math.isqrt(q * q + 4 * p * q)
                 reports = (type_ii_feasible(lat, a, p, q), type_iii_feasible(lat, a, q, r))
+                assert entry["type_ii"] == reports[0]
+                assert entry["type_iii"] == reports[1] or r * r != q * q + 4 * p * q
                 specs += [rep.pair for rep in reports if rep.feasible]
                 for spec in specs:
                     r1, r2 = levels[spec.pair_type]
@@ -218,10 +231,21 @@ def test_pair_types_sit_at_their_levels():
                     assert conformal_weight(lat, lo, spec.gamma, r1) == 1, (lat, a, spec)
                     assert conformal_weight(lat, hi, spec.gamma, r2) == 1, (lat, a, spec)
                     assert lat.dual_inner(spec.gamma, a) == p - q - r1 * p
+                    assert spec.c == central_charge(spec.gamma, lat), (lat, a, spec)
+                    if spec.pair_type == "I":
+                        assert spec.beta is None
+                    else:
+                        level_one = hi if spec.pair_type == "II" else lo
+                        w = tuple(v - 2 * t for v, t in zip(level_one, spec.gamma))
+                        assert lat.dual_inner(spec.beta, w) == 0, (lat, a, spec)
+                        assert any(spec.beta[i] * a[j] != spec.beta[j] * a[i]
+                                   for i in range(len(a)) for j in range(i + 1, len(a))), (lat, a, spec)
                     built[spec.pair_type] += 1
                     built[lat.gram, spec.pair_type] += 1
+                    built[lat.rank, spec.pair_type] += 1
     assert built[((12,),), "I"] and built[((12, 0), (0, 2)), "II"] and built[((12, 0), (0, 5)), "III"]
     assert built["I"] > 100 and built["II"] > 20 and built["III"] > 5, built
+    assert built[4, "I"] > 40 and built[4, "II"] > 15 and built[4, "III"] >= 3, built
 
 
 def test_solve_weight_quadratic_frozen():
@@ -441,18 +465,37 @@ def test_make_type_i_accepts_exactly_the_listed_splits():
 
 def test_analyze_screener_lists_the_splits_once(monkeypatch):
     """make_type_i checks its split by the definition, so the 240 splits of
-    norm 1441440 cost one pair_decompositions call, not 241."""
-    calls = []
-    real = latscreen.pairs.pair_decompositions
+    norm 1441440 are listed once (one divisors call), not 241 times.  Each
+    analyze_screener call reads G a once and solves for gbar at most once,
+    however many splits and pair types read them."""
+    calls = Counter()
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(latscreen.pairs, "pair_decompositions", counted)
-    rep = analyze_screener(Lattice([[1441440]]), (1,), max_r=0)
+    monkeypatch.setattr(latscreen.pairs.intlinalg, "divisors",
+                        counted("divisors", latscreen.pairs.intlinalg.divisors))
+    monkeypatch.setattr(latscreen.pairs, "dual_pairing_unit",
+                        counted("solve", latscreen.pairs.dual_pairing_unit))
+    monkeypatch.setattr(Lattice, "gram_times", counted("gram_times", Lattice.gram_times))
+    monkeypatch.setattr(Lattice, "inner", counted("inner", Lattice.inner))
+    lat = Lattice([[1441440]])
+    rep = analyze_screener(lat, (1,), max_r=0)
     assert len(rep["entries"]) == 240
-    assert len(calls) == 1
+    # G a, then G n for gbar = n/q
+    assert calls == {"divisors": 1, "solve": 1, "gram_times": 2}
+    most = 0
+    for g in ([[12, 0], [0, 2]], [[12, 0], [0, 5]], [[16, 0], [0, 14]]):
+        lat = Lattice(g)
+        for a in all_screeners(lat).vectors:
+            calls.clear()
+            most = max(most, len(analyze_screener(lat, a)["entries"]))
+            assert calls["solve"] <= 1 and calls["gram_times"] == 1 + calls["solve"], (g, a, calls)
+            assert calls["inner"] == 0, (g, a, calls)
+    assert most >= 4
 
 
 def test_analyze_screener_dual_membership_everywhere():
@@ -466,6 +509,25 @@ def test_analyze_screener_dual_membership_everywhere():
                 assert 2 * p * q == rep["norm"]
                 assert in_dual(lat, used, p)
                 assert in_dual(lat, used, q)
+
+
+def _rank4_pool():
+    """Rank-4 orthogonal sums with feasible type II and III pairs, each in a
+    seeded unimodular basis."""
+    rng = random.Random(2311)
+    blocks = [([[12, 0], [0, 2]], [[2, -1], [-1, 2]]), ([[12, 0], [0, 5]], [[4, 1], [1, 4]]),
+              ([[16, 0], [0, 14]], [[6, 3], [3, 6]]), ([[12]], [[2]], [[20]], [[6]]),
+              ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[30]])]
+    grams = []
+    for parts in blocks:
+        gram = [[0] * 4 for _ in range(4)]
+        ofs = 0
+        for part in parts:
+            for i, row in enumerate(part):
+                gram[ofs + i][ofs:ofs + len(row)] = row
+            ofs += len(part)
+        grams.append(scrambled(gram, rng))
+    return grams
 
 
 def _pin_pool():
