@@ -45,23 +45,17 @@ norm of the reduced rows, gives lambda_1(L), every shell whose mod-t
 kernel is L and every near shell, an admitted t not dividing d_1 with
 t <= b whose walk is short, and goes no further than 2b: a near t is at
 most b, and d_1 divides every norm, so 2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
-
-box_enumerate is the independent reference: a plain scan of the half of the
-coordinate box with first nonzero coordinate positive, with every norm
-computed exactly on Python integers.  It shares only the exact box bounds
-with the walker.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
 
 from . import intlinalg as _intlinalg
 from .core import Lattice, LatticeError, Vec, canonical, integer
-from .intlinalg import determinant as _int_determinant
+from .intlinalg import determinant as _int_determinant  # unused here; perfbench's tracer tests read it
 
 
 @dataclass(frozen=True)
@@ -76,22 +70,6 @@ class EnumerationResult:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-
-def _coordinate_limits(lat: Lattice, bound: int) -> list[int]:
-    """Exact per-coordinate box bounds |x_j| <= sqrt(bound * C_jj / det), with
-    C_jj the (j, j) cofactor, so C_jj / det = (G^-1)_jj.  isqrt of the floor is
-    exact: for an integer k >= 0, k^2 <= n/d exactly when k^2 <= n // d."""
-    d = lat.rank
-    det = lat.determinant
-    limits = []
-    for j in range(d):
-        minor = [
-            [lat.gram[r][c] for c in range(d) if c != j]
-            for r in range(d) if r != j
-        ]
-        limits.append(math.isqrt(bound * _int_determinant(minor) // det))
-    return limits
 
 
 def short_vectors(u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matrix, bound: int) -> list[tuple[Vec, int]]:
@@ -147,8 +125,7 @@ def short_vectors(u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matri
 
 def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
     """Sort (coords, norm) pairs that hold the canonical vector of each
-    +-pair, as short_vectors, the half-box scan and the exact-norm filter
-    give them."""
+    +-pair, as short_vectors and the exact-norm filter give them."""
     canon = sorted((nrm, coords) for coords, nrm in pairs)
     return EnumerationResult(
         lattice=lat,
@@ -178,28 +155,3 @@ def enumerate_exact_norm(lat: Lattice, norm: int) -> EnumerationResult:
         raise LatticeError("norm must be nonnegative")
     below = enumerate_up_to_norm(lat, norm)
     return _finish(lat, norm, [(v, n) for v, n in zip(below.vectors, below.norms) if n == norm])
-
-
-def box_enumerate(lat: Lattice, bound: int) -> EnumerationResult:
-    """Reference enumeration by scanning the coordinate box.
-
-    Use for cross-checks: same contract as enumerate_up_to_norm but with a
-    deliberately naive algorithm.  Every x with |x_j| <= sqrt(bound *
-    (G^-1)_jj) whose first nonzero coordinate is positive is tried: for each
-    position k, x_k runs over 1..m_k after k zeros and the later coordinates
-    run free.  x^T G x is computed exactly on Python integers, so no entry
-    size can overflow.
-    """
-    bound = integer(bound, "norm bound")
-    if bound < 0:
-        raise LatticeError("norm bound must be nonnegative")
-    gram = lat.gram
-    limits = _coordinate_limits(lat, bound)
-    pairs = []
-    for k, m in enumerate(limits):
-        ranges = [range(0, 1)] * k + [range(1, m + 1)] + [range(-t, t + 1) for t in limits[k + 1:]]
-        for x in itertools.product(*ranges):
-            nrm = sum(xi * sum(map(mul, row, x)) for row, xi in zip(gram, x))
-            if nrm <= bound:
-                pairs.append((x, nrm))
-    return _finish(lat, bound, pairs)

@@ -7,13 +7,15 @@ rank-2 lattice of that determinant.  The classification of lattices
 generated by screeners is checked on every orthogonal sum of scaled A/D/E
 components up to a rank and a scale, each in a scrambled basis.  The cuts
 of the divisor-shell walk are checked on every shell of every small ternary
-form, and `all_screeners` against a plain walk of L on seeded dense Grams of
-rank 5-8.  From the repository root:
+form, `all_screeners` against a plain walk of L on seeded dense Grams of
+rank 5-8, and against the box scan of `oracle.brute_screeners` on seeded
+small Grams of rank 1-4.  From the repository root:
 
     PYTHONPATH=src:tests python -c "import certificates; print(certificates.rank2_certificate(1000))"
     PYTHONPATH=src:tests python -c "import certificates; print(certificates.classification_certificate(8, 3))"
     PYTHONPATH=src:tests python -c "import certificates; print(certificates.shell_cut_certificate())"
     PYTHONPATH=src:tests python -c "import certificates; print(certificates.dense_certificate(120))"
+    PYTHONPATH=src:tests python -c "import certificates; print(certificates.oracle_check(4, 200, 7))"
 
 prints the counts, or raises CertificateFailure with the first mismatches.
 """
@@ -38,7 +40,7 @@ from latscreen import (
 )
 from latscreen.intlinalg import divisors, matmul, smith_normal_form
 from latscreen.screeners import _discriminant_admits, _mod_kernel_basis
-from oracle import walked_screeners
+from oracle import brute_screeners, walked_screeners
 
 
 class CertificateFailure(Exception):
@@ -357,4 +359,51 @@ def dense_certificate(count: int, seed: int = 0) -> dict:
     counts["mismatches"] = len(bad)
     if bad:
         raise CertificateFailure(f"{len(bad)} of {counts['lattices']} lattices disagree: {bad[:5]}")
+    return counts
+
+
+def random_gram(rng: random.Random, max_rank: int, max_entry: int, min_rank: int = 1) -> list[list[int]]:
+    """A positive definite Gram whose rank is drawn evenly from
+    min_rank..max_rank, with diagonal entries in 1..max_entry and the others
+    in -max_entry..max_entry.  The rank is drawn once and only the entries
+    are redrawn until the Gram is definite, so the rejection does not thin
+    out the high ranks."""
+    d = rng.randint(min_rank, max_rank)
+    while True:
+        gram = [[0] * d for _ in range(d)]
+        for i in range(d):
+            gram[i][i] = rng.randint(1, max_entry)
+            for j in range(i + 1, d):
+                gram[i][j] = gram[j][i] = rng.randint(-max_entry, max_entry)
+        if is_positive_definite(gram):
+            return gram
+
+
+def oracle_check(rank: int, cases: int, seed: int, max_entry: int = 8) -> dict:
+    """Check `all_screeners` against `oracle.brute_screeners`, the plain
+    scan of the coordinate box up to norm 2 det filtered by the direct
+    screener test, on cases Grams of `random_gram(rng, rank, max_entry)`
+    drawn from one generator seeded with seed.  Both lists must agree
+    exactly, coordinates and norms, and any lattice where they differ is a
+    mismatch.  A rank or max_entry below 1, or a negative number of cases,
+    raises ValueError rather than certify an empty run."""
+    for name, value, least in (("rank", rank, 1), ("cases", cases, 0), ("max_entry", max_entry, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    rng = random.Random(seed)
+    counts = {"cases": cases, "ranks": dict.fromkeys(range(1, rank + 1), 0),
+              "with_screener": 0, "screeners": 0, "mismatches": 0}
+    bad = []
+    for _ in range(cases):
+        gram = random_gram(rng, rank, max_entry)
+        expected = brute_screeners(gram)
+        s = all_screeners(Lattice(gram))
+        counts["ranks"][len(gram)] += 1
+        counts["with_screener"] += bool(expected)
+        counts["screeners"] += len(expected)
+        if list(zip(s.vectors, s.norms)) != expected:
+            bad.append((gram, expected[:5], s.vectors[:5]))
+    counts["mismatches"] = len(bad)
+    if bad:
+        raise CertificateFailure(f"{len(bad)} of {cases} lattices disagree: {bad[:5]}")
     return counts

@@ -4,8 +4,8 @@ Everything here is pure Python over exact ints/Fractions and deliberately
 avoids the package under test, except that `exponent_and_dual_minimum` and
 `walked_screeners` borrow its walker, `enumerate_up_to_norm`, which
 `test_depth_first_walks_one_vector_of_each_pair` checks against the box
-scan.  The box enumeration walks a plain coordinate box, so it is slow but
-hard to get wrong.
+scan.  The box enumeration scans a plain coordinate box, half of it by the
+sign of the first nonzero coordinate, so it is slow but hard to get wrong.
 """
 
 from __future__ import annotations
@@ -101,20 +101,21 @@ def box_limits(gram, bound) -> list[int]:
 def box_vectors(gram, bound):
     """All nonzero x with x^T G x <= bound, one representative per +-x.
 
-    Walks the full coordinate box |x_j| <= sqrt(bound * (G^-1)_jj) and keeps
-    canonical representatives (first nonzero coordinate positive), sorted by
-    (norm, coordinates).  Returns a list of (coords, norm) pairs.
+    Walks the half of the coordinate box |x_j| <= sqrt(bound * (G^-1)_jj)
+    whose first nonzero coordinate is positive: for each position k, x_k
+    runs over 1..m_k after k zeros and the later coordinates run free.  The
+    canonical representatives found are sorted by (norm, coordinates).
+    Returns a list of (coords, norm) pairs.
     """
     n = len(gram)
     limits = box_limits(gram, bound)
     found = []
-    for x in itertools.product(*(range(-l, l + 1) for l in limits)):
-        first = next((v for v in x if v != 0), 0)
-        if first <= 0:
-            continue
-        norm = sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
-        if norm <= bound:
-            found.append((x, norm))
+    for k, m in enumerate(limits):
+        ranges = [range(1)] * k + [range(1, m + 1)] + [range(-l, l + 1) for l in limits[k + 1:]]
+        for x in itertools.product(*ranges):
+            norm = sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
+            if norm <= bound:
+                found.append((x, norm))
     found.sort(key=lambda t: (t[1], t[0]))
     return found
 

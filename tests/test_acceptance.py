@@ -6,18 +6,17 @@ independent box oracle and from hand-derived normal forms, never from the
 code under test.
 """
 
-import json
 import math
 import random
 import time
 from fractions import Fraction
 
+from certificates import oracle_check
 from oracle import brute_screeners
 
 from latscreen import (
     Lattice,
     all_screeners,
-    box_enumerate,
     catalog,
     decompose,
     enumerate_exact_norm,
@@ -34,7 +33,6 @@ from latscreen import (
     solve_weight_quadratic,
     type_iv_search,
 )
-from latscreen.cli import main
 from latscreen.intlinalg import invariant_factors
 from latscreen.recognition import NoScreener
 
@@ -52,11 +50,6 @@ def _rank2_pool(count=200, max_entry=20, seed=60601):
         if is_positive_definite(g):
             pool.append(Lattice(g))
     return pool
-
-
-def _box_screeners(lat):
-    boxed = box_enumerate(lat, 2 * lat.determinant)
-    return tuple(v for v in boxed.vectors if is_screener(lat, v))
 
 
 def test_01_a_series_screeners_are_exactly_the_roots():
@@ -177,7 +170,7 @@ def test_06_rank2_normal_form_regression():
             continue
         if form.warnings:
             flagged += 1
-            if actual != set(_box_screeners(lat)):
+            if actual != {x for x, _ in brute_screeners(lat.gram)}:
                 silent.append((lat.gram, "flagged case fails the predicate oracle"))
             continue
         predicted = set(rank2_predicted_in_lattice(form))
@@ -318,14 +311,9 @@ def test_09_pair_numerics():
     _ok("pair numerics", "c grid to 12, quadratic families, sporadic (6,1) branch", t0)
 
 
-def test_10_oracle_harness(capsys):
+def test_10_oracle_harness():
     t0 = time.perf_counter()
-    rc = main(["oracle-check", "--rank", "4", "--cases", "200",
-               "--seed", "20250822", "--max-entry", "8"])
-    captured = capsys.readouterr()
-    assert rc == 0
-    rep = json.loads(captured.out)
-    assert rep["results"]["pass"] is True
-    assert rep["results"]["mismatches"] == []
-    assert rep["results"]["cases"] == 200
+    counts = oracle_check(4, 200, 20250822)
+    assert counts["mismatches"] == 0
+    assert sum(counts["ranks"].values()) == 200
     _ok("oracle harness", "200 seeded lattices, zero discrepancies", t0)

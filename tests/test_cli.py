@@ -155,6 +155,19 @@ def test_decompose_two_blocks(tmp_path, capsys):
     assert [(c["type"], c["n"], c["scale"]) for c in comps] == [("A", 1, 1), ("A", 1, 1)]
 
 
+def test_rank2_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    """A normal form whose predicted screeners disagree with the actual set,
+    with no warning to explain it, is a classification mismatch: exit 3 and
+    no report."""
+    import latscreen.cli
+
+    monkeypatch.setattr(latscreen.cli, "rank2_predicted_in_lattice", lambda form: ())
+    assert main(["rank2", "--input", write(tmp_path, A2_TEXT)]) == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("classification mismatch: normal-form screener list [] disagrees")
+
+
 def test_classify_not_generated_exits_2(tmp_path, capsys):
     path = write(tmp_path, "4 1\n1 4\n")
     assert main(["classify", "--input", path]) == EXIT_INPUT
@@ -248,52 +261,13 @@ def test_bad_matrix_exits_2(tmp_path, capsys):
     assert main(["screeners", "--input", path]) == EXIT_INPUT
 
 
-def test_oracle_check_small_run(capsys):
-    assert main(["oracle-check", "--rank", "2", "--cases", "3", "--seed", "1"]) == EXIT_OK
-    captured = capsys.readouterr()
-    rep = json.loads(captured.out)
-    assert rep["results"]["pass"] is True
-    assert rep["results"]["mismatches"] == []
-    assert captured.err.count("case ") == 3
-
-
-def test_oracle_check_draws_every_rank(capsys):
-    """The rank is drawn once per case and only the entries are redrawn, so
-    the indefinite Grams rejected at small entries do not leave the high
-    ranks out of the run."""
-    assert main(["oracle-check", "--rank", "4", "--max-entry", "2", "--cases", "24", "--seed", "7"]) == EXIT_OK
-    ranks = [line.split()[3] for line in capsys.readouterr().err.splitlines()]
-    assert sorted(set(ranks)) == ["1", "2", "3", "4"], ranks
-
-
-def test_oracle_check_mismatch_exits_3(capsys, monkeypatch):
-    """A box scan that finds no screener disagrees on every case: the report
-    still prints, and the exit code is 3."""
-    import latscreen.cli
-
-    monkeypatch.setattr(latscreen.cli, "is_screener", lambda lat, v: False)
-    argv = ["oracle-check", "--rank", "2", "--cases", "3", "--seed", "1"]
-    assert main(argv) == EXIT_MISMATCH
-    res = json.loads(capsys.readouterr().out)["results"]
-    assert res["pass"] is False and len(res["mismatches"]) == 3
-    assert main(argv + ["--format", "text"]) == EXIT_MISMATCH
-    assert capsys.readouterr().out.startswith("oracle-check: FAIL (3 mismatches)")
-
-
-def test_oracle_check_seed_is_required(capsys):
-    assert main(["oracle-check", "--cases", "1"]) == EXIT_USAGE
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--rank", "0"], "--rank must be at least 1, got 0"),
-    (["--max-entry", "0"], "--max-entry must be at least 1, got 0"),
-    (["--cases", "-3"], "--cases must be at least 0, got -3"),
-])
-def test_oracle_check_rejects_out_of_range_flags(capsys, flags, message):
-    assert main(["oracle-check", "--seed", "1"] + flags) == EXIT_USAGE
+def test_oracle_check_is_no_longer_a_subcommand(capsys):
+    """The box-scan cross-check runs from the test suite's certificates,
+    not from the package: the old subcommand is a usage error."""
+    assert main(["oracle-check", "--seed", "1"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"usage error: {message}\n"
+    assert "invalid choice: 'oracle-check'" in captured.err
 
 
 def test_pairs_rejects_a_negative_max_r(tmp_path, capsys):
@@ -315,7 +289,7 @@ def test_pairs_rejects_a_negative_max_r(tmp_path, capsys):
 
 def _run_python(args):
     root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
@@ -344,8 +318,8 @@ sys.modules["numpy"] = None
 import latscreen
 for mod in pkgutil.iter_modules(latscreen.__path__):
     importlib.import_module("latscreen." + mod.name)
-from latscreen import cli
-raise SystemExit(cli.main(["oracle-check", "--rank", "3", "--cases", "20", "--seed", "1"]))
+import certificates
+print(certificates.oracle_check(3, 20, 1)["cases"])
 """
 
 
@@ -354,7 +328,7 @@ def test_package_runs_without_numpy():
     imports and the box-scan cross-check passes."""
     out = _run_python(["-c", NO_NUMPY])
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["results"]["cases"] == 20
+    assert out.stdout == "20\n"
 
 
 def test_pairs_zero_alpha_has_its_own_message(tmp_path, capsys):
@@ -518,10 +492,6 @@ REPORT_CASES = [
     ("catalog-a0", ["catalog", "A", "0"], None),
     ("catalog-e5", ["catalog", "E", "5"], None),
     ("catalog-scale-0", ["catalog", "A", "2", "--scale", "0"], None),
-    ("oracle-check-rank2", ["oracle-check", "--rank", "2", "--cases", "3", "--seed", "1"], None),
-    ("oracle-check-rank3", ["oracle-check", "--rank", "3", "--cases", "12", "--seed", "5",
-                            "--max-entry", "4"], None),
-    ("oracle-check-no-seed", ["oracle-check", "--cases", "1"], None),
 ]
 
 REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
@@ -529,7 +499,7 @@ REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 
 def report_digests(workdir) -> dict[str, str]:
     """sha256 of [exit code, stdout, stderr] for every case in REPORT_CASES
-    and format; oracle-check's stderr carries timings and stands as null.
+    and format.
 
     Regenerate the fixture with
     PYTHONPATH=src:tests python -c "import json, tempfile, test_cli;
@@ -551,8 +521,7 @@ def report_digests(workdir) -> dict[str, str]:
                     code = main(argv + ["--format", fmt])
             finally:
                 sys.stdin = saved
-            stderr = None if argv[0] == "oracle-check" else err.getvalue()
-            blob = json.dumps([code, out.getvalue(), stderr])
+            blob = json.dumps([code, out.getvalue(), err.getvalue()])
             digests[f"{name}/{fmt}"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return digests
 

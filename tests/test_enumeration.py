@@ -9,14 +9,12 @@ from latscreen import (
     EnumerationResult,
     Lattice,
     LatticeError,
-    box_enumerate,
     catalog,
     enumerate_exact_norm,
     enumerate_up_to_norm,
-    is_positive_definite,
 )
 from latscreen.core import canonical
-from latscreen.enumeration import _coordinate_limits, short_vectors
+from latscreen.enumeration import short_vectors
 from latscreen.intlinalg import (
     bareiss_steps,
     gram_schmidt,
@@ -27,25 +25,14 @@ from latscreen.intlinalg import (
     solve_linear_system,
 )
 
-from oracle import box_limits, box_vectors, det_fraction
+from certificates import random_gram
+from oracle import adjugate, box_limits, box_vectors, det_fraction
 
 A2 = [[2, -1], [-1, 2]]
 
 
 def random_lattice(rng, max_rank, max_entry, min_rank=1):
-    """A positive definite Gram whose rank is drawn evenly from
-    min_rank..max_rank.  The rank is drawn once and only the entries are
-    redrawn until the Gram is definite, so the rejection does not thin out
-    the high ranks."""
-    d = rng.randint(min_rank, max_rank)
-    while True:
-        g = [[0] * d for _ in range(d)]
-        for i in range(d):
-            g[i][i] = rng.randint(1, max_entry)
-            for j in range(i + 1, d):
-                g[i][j] = g[j][i] = rng.randint(-max_entry, max_entry)
-        if is_positive_definite(g):
-            return Lattice(g)
+    return Lattice(random_gram(rng, max_rank, max_entry, min_rank))
 
 
 def test_a2_small_bounds():
@@ -81,37 +68,36 @@ def test_matches_box_oracle():
         assert [(v, n) for v, n in zip(res.vectors, res.norms)] == expected
 
 
-def test_box_enumerate_matches_oracle():
+def test_matches_box_oracle_where_coordinate_limits_are_zero():
+    """Bounds small enough that the box limit of some coordinate is 0, at
+    every position: the box scan's half box starts past those zeros."""
     rng = random.Random(31)
     cases = [(random_lattice(rng, 3, 8), rng.randint(1, 15)) for _ in range(60)]
-    # ranks 3 and 4, and bounds small enough that some coordinate limits are 0
     cases += [(random_lattice(rng, 4, 8, min_rank=3), rng.randint(1, 4)) for _ in range(40)]
     zero_limits = set()
     for lat, bound in cases:
-        res = box_enumerate(lat, bound)
-        expected = box_vectors([list(r) for r in lat.gram], bound)
-        assert [(v, n) for v, n in zip(res.vectors, res.norms)] == expected
-        zero_limits.update(j for j, m in enumerate(_coordinate_limits(lat, bound)) if m == 0)
+        res = enumerate_up_to_norm(lat, bound)
+        gram = [list(r) for r in lat.gram]
+        assert list(zip(res.vectors, res.norms)) == box_vectors(gram, bound)
+        zero_limits.update(j for j, m in enumerate(box_limits(gram, bound)) if m == 0)
     assert zero_limits == {0, 1, 2, 3}
 
 
 def test_coordinate_limits_are_the_exact_box():
-    """_coordinate_limits is floor(sqrt(bound * (G^-1)_jj)) exactly, as the
-    oracle computes it in Fractions, not merely a box that holds every
-    vector: on Grams of rank 1-6, a third of them scaled by 10^18, at bounds
-    0, 1, 2 and random bounds up to 10^6 and 10^40."""
+    """The box scan's limit m_j is the largest m with m^2 det G <=
+    bound * (adj G)_jj, so the box holds every vector of norm <= bound and
+    no wider coordinate: on Grams of rank 1-6, a third of them scaled by
+    10^18, at bounds 0, 1, 2 and random bounds up to 10^6 and 10^40."""
     rng = random.Random(2204)
-    for case in range(600):
+    for case in range(300):
         d = rng.randint(1, 6)
-        a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
-        gram = matmul(a, list(zip(*a)))
-        for i in range(d):
-            gram[i][i] += rng.randint(1, 5)
+        gram = _dense_gram(rng, d)
         if case % 3 == 0:
             gram = [[10**18 * v for v in row] for row in gram]
-        lat = Lattice(gram)
+        det, adj = int(det_fraction(gram)), adjugate(gram)
         for bound in (0, 1, 2, rng.randint(0, 10**6), rng.randint(0, 10**40)):
-            assert _coordinate_limits(lat, bound) == box_limits(gram, bound), (gram, bound)
+            for j, m in enumerate(box_limits(gram, bound)):
+                assert m * m * det <= bound * adj[j][j] < (m + 1) ** 2 * det, (gram, bound, j)
 
 
 def _dense_gram(rng, d):
@@ -251,8 +237,8 @@ def test_scaling_by_huge_factor_matches_oracle():
         bound = rng.randint(1, 20)
         expected = [(v, s * n) for v, n in box_vectors([list(r) for r in lat.gram], bound)]
         scaled = Lattice([[s * v for v in row] for row in lat.gram])
-        for res in (enumerate_up_to_norm(scaled, s * bound), box_enumerate(scaled, s * bound)):
-            assert list(zip(res.vectors, res.norms)) == expected
+        res = enumerate_up_to_norm(scaled, s * bound)
+        assert list(zip(res.vectors, res.norms)) == expected
 
 
 def test_empty_and_degenerate_bounds():
@@ -260,7 +246,7 @@ def test_empty_and_degenerate_bounds():
     for bounded in (lat, Lattice([[2]])):
         empty = EnumerationResult(lattice=bounded, bound=0, vectors=(), norms=())
         assert enumerate_up_to_norm(bounded, 0) == empty
-        assert box_enumerate(bounded, 0) == empty
+        assert box_vectors([list(r) for r in bounded.gram], 0) == []
     assert len(enumerate_up_to_norm(lat, 1)) == 0
     with pytest.raises(ValueError):
         enumerate_up_to_norm(lat, -1)
@@ -282,14 +268,6 @@ def test_enumerate_exact_norm_rejects_a_non_integer_norm():
     with pytest.raises(LatticeError, match="norm is 2.5, not an integer"):
         enumerate_exact_norm(lat, 2.5)
     assert enumerate_exact_norm(lat, 2).vectors == ((1,),)
-
-
-def test_box_enumerate_rejects_a_non_integer_bound():
-    lat = Lattice(A2)
-    with pytest.raises(LatticeError, match="norm bound is '8', not an integer"):
-        box_enumerate(lat, "8")
-    with pytest.raises(LatticeError, match="norm bound is 8.0, not an integer"):
-        box_enumerate(lat, 8.0)
 
 
 def test_root_counts_of_standard_lattices():

@@ -7,13 +7,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
+import certificates
 from certificates import dense_grams, hermite_certified
 from latscreen import intlinalg, screeners
 from latscreen import (
     Lattice,
     LatticeError,
+    ScreenerSet,
     all_screeners,
-    box_enumerate,
     catalog,
     central_charge,
     conformal_weight,
@@ -128,11 +129,42 @@ def test_matches_box_oracle():
         if not is_positive_definite(g):
             continue
         done += 1
-        lat = Lattice(g)
-        fast = all_screeners(lat).vectors
-        boxed = box_enumerate(lat, 2 * lat.determinant)
-        slow = tuple(v for v in boxed.vectors if is_screener(lat, v))
-        assert fast == slow
+        s = all_screeners(Lattice(g))
+        assert list(zip(s.vectors, s.norms)) == oracle.brute_screeners(g)
+
+
+def test_oracle_check_draws_every_rank():
+    """The rank is drawn once per case and only the entries are redrawn, so
+    the indefinite Grams rejected at small entries do not leave the high
+    ranks out of the run."""
+    counts = certificates.oracle_check(4, 24, 7, max_entry=2)
+    assert counts["mismatches"] == 0
+    assert all(counts["ranks"][d] > 0 for d in (1, 2, 3, 4)), counts
+
+
+def test_oracle_check_small_run():
+    assert certificates.oracle_check(2, 3, 1) == {
+        "cases": 3, "ranks": {1: 2, 2: 1}, "with_screener": 3, "screeners": 6, "mismatches": 0,
+    }
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 3, 1), "rank must be at least 1, got 0"),
+    ((2, 3, 1, 0), "max_entry must be at least 1, got 0"),
+    ((2, -3, 1), "cases must be at least 0, got -3"),
+])
+def test_oracle_check_rejects_out_of_range_arguments(args, message):
+    """A negative case count would otherwise certify an empty run."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        certificates.oracle_check(*args)
+
+
+def test_oracle_check_fails_on_a_mismatch(monkeypatch):
+    """A search that finds no screener disagrees with the box scan wherever
+    a screener exists, and the certificate raises."""
+    monkeypatch.setattr(certificates, "all_screeners", lambda lat: ScreenerSet(lat, (), ()))
+    with pytest.raises(certificates.CertificateFailure, match="lattices disagree"):
+        certificates.oracle_check(2, 3, 1)
 
 
 def test_norm2_vectors_are_always_screeners():
@@ -519,9 +551,8 @@ def test_short_vectors_match_the_box_scan(lat, data):
     the least diagonal entry, short_vectors on the state of lll_reduce
     gives, sorted, the canonical vectors and norms of the box scan."""
     bound = data.draw(st.integers(0, 2 * min(lat.gram[i][i] for i in range(lat.rank))))
-    box = box_enumerate(lat, bound)
-    walked = sorted((nrm, x) for x, nrm in short_vectors(*lat.lll_reduce(), bound))
-    assert walked == list(zip(box.norms, box.vectors)), (lat.gram, bound)
+    walked = short_vectors(*lat.lll_reduce(), bound)
+    assert sorted(walked) == sorted(oracle.box_vectors(lat.gram, bound)), (lat.gram, bound)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150,
