@@ -120,10 +120,6 @@ class Lattice:
         """Inner products <rows[i], rows[j]> of lattice vectors: R G R^T."""
         return intlinalg.matmul(intlinalg.matmul(rows, self.gram), list(zip(*rows)))
 
-    def parity(self, x: Sequence[int]) -> int:
-        """Norm mod 2; splits the lattice into its even and odd parts."""
-        return self.norm(x) % 2
-
     def dual_inner(self, v: Sequence[Fraction | int], w: Sequence[Fraction | int]) -> Fraction:
         """Inner product extended to rational coordinate vectors.
 

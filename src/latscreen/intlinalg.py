@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import index, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Matrix = list[list[int]]
 
@@ -30,31 +30,34 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def bareiss_steps(mat: Sequence[Sequence[int]]) -> Iterator[Matrix]:
+def bareiss(mat: Sequence[Sequence[int]]) -> tuple[Matrix, int]:
     """Fraction-free Bareiss elimination (Bareiss 1968) with row pivoting.
 
-    Yields the working matrix a before each step k = 0, 1, ...  Up to the
-    first zero pivot its trailing block a[k:][k:] is D_k * S_k (Sylvester's
-    identity), with D_k the k-th leading minor and S_k the Schur complement
-    of the leading k x k block, so a[k][k] = D_{k+1}.  A zero pivot is
-    replaced by the first lower row with a nonzero entry in its column,
-    negated so that the determinant keeps its sign; the steps stop at a
-    column with no such row.  Rows may carry extra columns, which are
-    eliminated along.  The list is updated in place after each yield; a
-    consumer copies what it keeps.
+    Returns the final working matrix a and its last pivot, which is the
+    determinant of the square part: 1 for the empty matrix, 0 when a column
+    has no pivot row.  Up to the first vanishing leading minor, the trailing
+    block a[k:][k:] before step k is D_k * S_k (Sylvester's identity), with
+    D_k the k-th leading minor and S_k the Schur complement of the leading
+    k x k block, so a[k][k] = D_{k+1}.  A zero pivot is replaced by the
+    first lower row with a nonzero entry in its column, negated so that the
+    determinant keeps its sign; the pass stops at a column with no such
+    row.  Step k leaves the rows above k alone, so row k is fixed once
+    step k has picked its pivot row; below the first vanishing leading
+    minor no row is swapped, and row k of a is row k of D_k * S_k from
+    column k on.  Entries left of the diagonal are not cleared.  Rows may
+    carry extra columns, which are eliminated along.
     """
     a = copy_matrix(mat)
     n = len(a)
     width = len(a[0]) if a else 0
     prev = 1
     for k in range(n):
-        yield a
         rk = a[k]
         piv = rk[k]
         if piv == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
-                return
+                return a, 0
             a[k], a[swap] = [-v for v in a[swap]], rk
             rk = a[k]
             piv = rk[k]
@@ -64,17 +67,7 @@ def bareiss_steps(mat: Sequence[Sequence[int]]) -> Iterator[Matrix]:
             for j in range(k + 1, width):
                 ri[j] = (ri[j] * piv - f * rk[j]) // prev
         prev = piv
-
-
-def _eliminate(mat: Sequence[Sequence[int]]) -> tuple[Matrix, int]:
-    """The last working matrix of bareiss_steps and its last pivot, which is
-    the determinant of the square part: 1 for the empty matrix, 0 when the
-    steps stop early."""
-    a: Matrix = []
-    piv = 1
-    for k, a in enumerate(bareiss_steps(mat)):
-        piv = a[k][k]
-    return a, piv
+    return a, prev
 
 
 def leading_minors(mat: Sequence[Sequence[int]]) -> list[int]:
@@ -84,8 +77,8 @@ def leading_minors(mat: Sequence[Sequence[int]]) -> list[int]:
 
 
 def determinant(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant: the last pivot of bareiss_steps."""
-    return _eliminate(mat)[1]
+    """Exact determinant: the last pivot of bareiss."""
+    return bareiss(mat)[1]
 
 
 def divisors(n: int, limit: int) -> list[int]:
@@ -298,7 +291,7 @@ def solve_linear_system(mat: Sequence[Sequence[int]], rhs: Sequence[int | Fracti
     """
     n = len(mat)
     q = lcm(*(v.denominator for v in rhs))
-    a, det = _eliminate([list(row) + [v.numerator * (q // v.denominator)] for row, v in zip(mat, rhs)])
+    a, det = bareiss([list(row) + [v.numerator * (q // v.denominator)] for row, v in zip(mat, rhs)])
     if det == 0:
         raise ValueError("matrix is singular")
     y = [0] * n

@@ -86,13 +86,13 @@ class _Alpha:
 
 def _positive(**values: int) -> None:
     """Refuse a split or level that is not a positive integer."""
-    if not all(isinstance(v, Integral) and v >= 1 for v in values.values()):
+    if not all((type(v) is int or isinstance(v, Integral)) and v >= 1 for v in values.values()):
         raise LatticeError(f"{' and '.join(values)} must be positive integers")
 
 
 def _level_bound(max_r: int) -> None:
     """Refuse a type IV level bound that is not a nonnegative integer."""
-    if not isinstance(max_r, Integral) or max_r < 0:
+    if not (type(max_r) is int or isinstance(max_r, Integral)) or max_r < 0:
         raise LatticeError(f"max_r must be a nonnegative integer, got {max_r!r}")
 
 

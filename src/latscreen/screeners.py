@@ -45,11 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lgamma, log, pi
-from operator import mul
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual, in_scaled_lattice, integer
+from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual, in_dual_from, in_scaled_lattice, integer
 from .enumeration import enumerate_up_to_norm, short_vectors
 
 
@@ -141,8 +140,6 @@ def _walk_is_small(d: int, det: int, bound: int) -> bool:
     norm at most bound in a lattice of rank d and determinant det: the
     volume pi^(d/2) bound^(d/2) / Gamma(d/2 + 1) of that ball over
     sqrt(det), compared in logs, so that no size of det overflows a float."""
-    if _NEAR_WALK <= 0:
-        return False
     h = d / 2
     return h * log(pi * bound) - lgamma(h + 1) - log(det) / 2 <= log(_NEAR_WALK)
 
@@ -266,10 +263,9 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     lmin = min((nrm for _, nrm in walk), default=b)
     # a walked x of norm 2t with t | d_1 is never in 2L (docstring); one of
     # a near norm 2t is in M_t when G x = 0 mod t, and can lie in 2L
-    gram = lat.gram
     pairs = [(nrm, x) for x, nrm in walk
-             if nrm in whole or (nrm in near and any(v % 2 for v in x)
-                                 and all(sum(map(mul, row, x)) % (nrm // 2) == 0 for row in gram))]
+             if nrm in whole or (nrm in near and not in_scaled_lattice(x, 2)
+                                 and in_dual_from(lat.gram_times(x), nrm // 2))]
     for t in admitted:
         if 2 * t < lmin or 2 * t in whole or 2 * t in near:
             continue
@@ -283,7 +279,7 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
         found = enumerate_up_to_norm(sub, 2 * t)
         shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
         for x in map(canonical, intlinalg.matmul(shell, basis)):
-            if any(v % 2 for v in x):
+            if not in_scaled_lattice(x, 2):
                 pairs.append((2 * t, x))
     pairs.sort()
     return ScreenerSet(

@@ -88,8 +88,6 @@ def test_basic_accessors():
     assert lat.inner((1, 0), (0, 1)) == -1
     assert lat.norm((1, 1)) == 2
     assert lat.norm((1, -1)) == 6
-    assert lat.parity((1, 0)) == 0
-    assert Lattice([[1, 0], [0, 2]]).parity((1, 0)) == 1
     assert tuple(lat.gram_times((1, 2))) == (0, 3)
 
 
@@ -181,17 +179,19 @@ def _scaled_schur_by_fractions(m, k):
     return dk, [[dk * v for v in row[k:]] for row in a[k:]]
 
 
-def test_bareiss_steps_yield_scaled_schur_complements():
-    """Up to the first zero pivot the trailing block before step k is
-    D_k * S_k, on symmetric and non-symmetric matrices; past it the steps go
-    on exactly while a lower row has a nonzero entry in the pivot column,
-    and the last pivot is the determinant.  On a symmetric matrix
-    gram_schmidt gives the leading minors up to the first that is not
-    positive, the one a Lattice names when it refuses the matrix."""
-    from latscreen.intlinalg import bareiss_steps, gram_schmidt, leading_minors
+def test_bareiss_rows_are_scaled_schur_complements():
+    """Below the first vanishing leading minor, row k of the matrix the
+    Bareiss pass returns is the first row of D_k * S_k from column k on, on
+    symmetric and non-symmetric matrices; at that minor the pass pivots
+    exactly when a lower row of D_k * S_k is nonzero in its first column,
+    and stops otherwise with the block left as it was; the pivot it returns
+    is the determinant.  On a symmetric matrix gram_schmidt gives the
+    leading minors up to the first that is not positive, the one a Lattice
+    names when it refuses the matrix."""
+    from latscreen.intlinalg import bareiss, gram_schmidt, leading_minors
 
     rng = random.Random(47)
-    pivoted = stopped_early = symmetric = 0
+    pivoted = singular = symmetric = 0
     for case in range(300):
         d = rng.randint(0, 6)
         m = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
@@ -214,21 +214,20 @@ def test_bareiss_steps_yield_scaled_schur_complements():
             last_kept = next((t for t, mn in enumerate(lead) if mn <= 0), d - 1)
             assert gram_schmidt(m)[0] == [1] + lead[:last_kept + 1], m
         first_zero = next((t for t, mn in enumerate(minors) if mn == 0), d)
-        steps, last, can_go_on = 0, 1, True
-        for k, a in enumerate(bareiss_steps(m)):
-            assert can_go_on, (m, k)
-            if k <= first_zero:
-                dk, block = _scaled_schur_by_fractions(m, k)
-                assert dk == (minors[k - 1] if k else 1)
-                assert [r[k:] for r in a[k:]] == block, (m, k)
-            last = a[k][k]
-            can_go_on = last != 0 or any(r[k] for r in a[k + 1:])
-            steps += 1
-        assert steps == d or not can_go_on, m
-        assert last == det_fraction(m), m
-        pivoted += first_zero < steps - 1
-        stopped_early += steps < d
-    assert pivoted > 20 and stopped_early > 10 and symmetric > 80
+        a, det = bareiss(m)
+        for k in range(first_zero):
+            dk, block = _scaled_schur_by_fractions(m, k)
+            assert dk == (minors[k - 1] if k else 1)
+            assert a[k][k:] == block[0], (m, k)
+        if first_zero < d:
+            block = _scaled_schur_by_fractions(m, first_zero)[1]
+            if any(r[0] for r in block[1:]):
+                pivoted += 1
+            else:
+                assert [r[first_zero:] for r in a[first_zero:]] == block, m
+        assert det == det_fraction(m), m
+        singular += det_fraction(m) == 0
+    assert pivoted > 20 and singular > 10 and symmetric > 80, (pivoted, singular, symmetric)
 
 
 def test_in_dual():

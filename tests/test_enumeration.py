@@ -16,7 +16,7 @@ from latscreen import (
 from latscreen.core import canonical
 from latscreen.enumeration import short_vectors
 from latscreen.intlinalg import (
-    bareiss_steps,
+    bareiss,
     gram_schmidt,
     identity,
     lll_reduce,
@@ -111,16 +111,13 @@ def _dense_gram(rng, d):
 
 
 def bareiss_levels(gram):
-    """The minors D_k and lam[j][i] = row i of D_i S_i, read off a
-    fraction-free Bareiss pass: the levels short_vectors walks on, with
-    the identity for u."""
+    """The minors D_k and lam[j][i] = row i of D_i S_i, read off the matrix
+    a fraction-free Bareiss pass returns: the levels short_vectors walks on,
+    with the identity for u."""
     d = len(gram)
-    lam = [[0] * d for _ in range(d)]
-    minors = [1]
-    for i, h in enumerate(bareiss_steps(gram)):
-        minors.append(h[i][i])
-        for j in range(i + 1, d):
-            lam[j][i] = h[i][j]
+    a, _ = bareiss(gram)
+    minors = [1] + [a[i][i] for i in range(d)]
+    lam = [[a[i][j] if i < j else 0 for i in range(d)] for j in range(d)]
     return minors, lam
 
 

@@ -776,8 +776,9 @@ def test_near_shells_match_their_mod_kernel_walk():
 
 
 def test_output_does_not_depend_on_the_near_walk_cap(monkeypatch):
-    """_NEAR_WALK only picks which near shells the walk of L serves: at 0
-    every one goes through M_t, at infinity every admitted t <= b is read
+    """_walk_is_small only picks which near shells the walk of L serves:
+    always False, as for _NEAR_WALK = 0, sends every one through M_t,
+    always True, as for _NEAR_WALK = infinity, reads every admitted t <= b
     off the walk, and the ScreenerSets are those at the default over the
     catalog at scales 1-4, CUT_POOL and dense_grams(12)."""
     walks = []
@@ -791,12 +792,12 @@ def test_output_does_not_depend_on_the_near_walk_cap(monkeypatch):
     lattices = _in_place_pool() + [Lattice(g) for g in dense_grams(12)]
     default = [all_screeners(lat) for lat in lattices]
     through_m_t = {"default": len(walks)}
-    for cap in (0, math.inf):
-        monkeypatch.setattr(screeners, "_NEAR_WALK", cap)
+    for small in (False, True):
+        monkeypatch.setattr(screeners, "_walk_is_small", lambda d, det, bound: small)
         walks.clear()
-        assert [all_screeners(lat) for lat in lattices] == default, cap
-        through_m_t[cap] = len(walks)
-    assert through_m_t[0] > through_m_t["default"] > through_m_t[math.inf], through_m_t
+        assert [all_screeners(lat) for lat in lattices] == default, small
+        through_m_t[small] = len(walks)
+    assert through_m_t[False] > through_m_t["default"] > through_m_t[True], through_m_t
 
 
 def _certified_shells(lat):
