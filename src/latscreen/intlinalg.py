@@ -1,5 +1,6 @@
 """Exact integer matrix utilities: one Bareiss elimination behind determinants
-and linear solves, one Gram-Schmidt pass behind LLL, Hermite/Smith forms.
+and linear solves, one Gram-Schmidt pass behind LLL, Hermite/Smith forms,
+and the divisors of an integer up to a limit, from its primes.
 
 All routines work over Python ints, so results are exact at any size; a
 Fraction appears only in the solution solve_linear_system returns.  Matrices
@@ -9,7 +10,7 @@ are lists of row lists; ranks here are small, so clarity beats asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import index, mul
 from typing import Sequence
 
@@ -81,19 +82,120 @@ def determinant(mat: Sequence[Sequence[int]]) -> int:
     return bareiss(mat)[1]
 
 
+# trial division runs up to this k before the rest of n is factored; then
+# Miller-Rabin to the first 13 prime bases, exact below _MR_BOUND (Sorenson
+# and Webster 2017), and Brent's rho
+_TRIAL = 1024
+_MR_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _trial_divide(r: int, k: int, last: int, primes: list[int], floor: int = 0) -> tuple[int, int]:
+    """Divides r by k, then by each odd number past it (3 after 2), while
+    that is at most last, its square at most r and r at least floor, and
+    appends each prime divided out to primes, as often as it divides r.
+    Returns what is left of r and the first k not tried: r has no prime
+    below it."""
+    while k <= last and k * k <= r >= floor:
+        while r % k == 0:
+            primes.append(k)
+            r //= k
+        k = 3 if k == 2 else k + 2
+    return r, k
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 41 < n < _MR_BOUND."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int, budget: int) -> int:
+    """A factor 1 < f < n of the odd composite n that is not a square, by
+    Pollard's rho with Brent's cycle search, one gcd per 128 steps (Pollard
+    1975; Brent 1980), or 0 once budget steps x -> x^2 + c mod n found none."""
+    c = 1
+    while budget > 0:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and budget > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            budget -= r + k
+            r *= 2
+        if g == n:
+            # the last block overshot: replay it one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+        c += 1
+    return 0
+
+
 def divisors(n: int, limit: int) -> list[int]:
-    """Positive divisors of n > 0 that are at most limit, ascending, by trial
-    division up to min(limit, isqrt(n))."""
+    """Positive divisors of n > 0 that are at most limit, ascending, built
+    from the primes of n up to limit.
+
+    Trial division runs while k <= limit and k^2 <= r, r the part of n not
+    yet divided out, up to k = _TRIAL, and on past it while r >= _MR_BOUND,
+    above which no Miller-Rabin base set is proven exact.  When it stops at
+    k > limit, every prime of r exceeds limit and no divisor up to limit
+    holds it; at k^2 > r, r is 1 or prime.  Otherwise each part m of r, all
+    of whose primes are at least k, is 1 or prime when m < k^2 or
+    Miller-Rabin says so, is split as s * s when it is the square of s, and
+    else is split by Brent's rho.  Rho may take as many steps as trial
+    division from k to min(limit, isqrt(m)) would; if it splits nothing in
+    those, m is trial-divided up to there.  So the primes up to limit are
+    found exactly, and no listing trial-divides past min(limit, isqrt(n)).
+    """
     if n < 1:
         raise ValueError(f"divisors of {n} undefined, need a positive integer")
-    small = []
-    large = []
-    for k in range(1, min(limit, isqrt(n)) + 1):
-        if n % k == 0:
-            small.append(k)
-            if n // k != k and n // k <= limit:
-                large.append(n // k)
-    return small + large[::-1]
+    primes: list[int] = []
+    r, k = _trial_divide(n, 2, min(limit, _TRIAL), primes)
+    r, k = _trial_divide(r, k, limit, primes, _MR_BOUND)
+    parts = [r] if k <= limit else []
+    while parts:
+        m = parts.pop()
+        if m < k * k or _is_prime(m):
+            if 1 < m <= limit:
+                primes.append(m)
+            continue
+        s = isqrt(m)
+        f = s if s * s == m else _rho(m, (min(limit, s) - k) // 2)
+        if f:
+            parts += [f, m // f]
+            continue
+        m, _ = _trial_divide(m, k, limit, primes)
+        if 1 < m <= limit:
+            primes.append(m)
+    out = [1] if limit >= 1 else []
+    for p in set(primes):
+        powers = [p ** i for i in range(1, primes.count(p) + 1)]
+        out += [dv * q for dv in out for q in powers if dv * q <= limit]
+    out.sort()
+    return out
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -12,28 +12,29 @@ and x is a nonzero vector of M_t, inside L, so 2t is at least
 lambda_1(L), the least norm of a nonzero vector of L (a norm, not a
 length).  One LLL reduction of L gives both bounds: its minors give
 |b_i*|^2 = D_{i+1}/D_i, and one walk of its state gives lambda_1(L).  No
-dual lattice is built.  The search walks the norm-2t shell of M_t only for
-the divisors t of d_n within lambda_1(L)/2 <= t <= 2 max_i |b_i*|^2, and
-skips a t before building M_t when the discriminant form of L*/L
-(Nikulin 1979; Conway and Sloane, SPLAG ch. 15) has no element of order t
-and norm 2/t, as the image of x/t must be.  That test reads the p-adic valuations of the
-Smith invariants prime by prime; it needs no Jordan decomposition and is
-necessary, not sufficient.
+dual lattice is built.  The candidates t are the divisors up to
+2 max_i |b_i*|^2 of e = det G / d_1^(d-1), which d_n divides, listed from
+the primes of e, so no Smith form is needed to find them.  M_t = L exactly
+when t | d_1, because d_1 is the gcd of G's entries: every G x is 0 mod t
+exactly when every entry of G is.  Such a shell is read off the walk of L
+that gives lambda_1(L), and so is each near shell: a t not dividing d_1
+with t <= b, b the least norm of the reduced rows, whose walk the Gaussian
+heuristic expects to be short.  Its screeners are the walked x of norm 2t
+with G x = 0 mod t and some odd coordinate.  That walk goes up to
+B = max(b - 1, 2t for every candidate t | d_1 and every near t), so L is
+reduced once and walked once.  B <= 2b, because a near t is at most b and
+d_1 divides every norm: 2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
 
-Each M_t starts from a Hermite basis modulo t, with entries in [0, t]: the
-Hermite form of the Smith-form generators of M_t reduced mod t, plus t Z^d.
-This is M_t itself because t Z^d lies in M_t.  LLL of each shell then starts
-from a basis whose size is set by t, not by the entries of the Smith matrix.
-M_t = L exactly when t | d_1, because d_1 is the gcd of G's entries: every
-G x is 0 mod t exactly when every entry of G is.  Such a shell is read off
-the same walk of L that gives lambda_1(L), and so is each near shell: an
-admitted t not dividing d_1 with t <= b, b the least norm of the reduced
-rows, whose walk the Gaussian heuristic expects to be short.  Its
-screeners are the walked x of norm 2t with G x = 0 mod t and some odd
-coordinate.  That walk goes up to B = max(b - 1, 2t for every admitted
-t | d_1 and every near t), so L is reduced once and walked once.  B <= 2b,
-because a near t is at most b and d_1 divides every norm:
-2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
+G is put in Smith form only when some other t with 2t >= lambda_1(L) is
+left.  The search walks the norm-2t shell of M_t only for those t that
+divide d_n, and skips a t before building M_t when the discriminant form
+of L*/L (Nikulin 1979; Conway and Sloane, SPLAG ch. 15) has no element of
+order t and norm 2/t, as the image of x/t must be.  That test reads the
+p-adic valuations of the Smith invariants prime by prime; it needs no
+Jordan decomposition and is necessary, not sufficient.  Each M_t starts
+from its Hermite basis, built modulo t in one pass over the Smith-form
+generators, with entries in [0, t].  LLL of each shell then starts from a
+basis whose size is set by t, not by the entries of the Smith matrix.
 The Gram-Schmidt lemma above certifies any other shell empty before its
 LLL: when every Gram-Schmidt norm D_{k+1}/D_k of the Hermite basis, read
 off the minors its `Lattice` keeps, exceeds 2t, no nonzero vector of M_t
@@ -45,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lgamma, log, pi
+from operator import mul
 from typing import Sequence
 
 from . import intlinalg
@@ -86,18 +88,47 @@ def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: 
     """Basis rows of M_t = {x : G x = 0 mod t} in row Hermite form.
 
     With U G V = D the Smith form, M_t is spanned by the columns s_i V_i,
-    s_i = t / gcd(d_i, t); the basis is the Hermite form of those columns
-    reduced mod t together with t e_1, ..., t e_d.  invariants are the d_i;
-    V need not be reduced, since s_i V_i is reduced mod t here.
+    s_i = t / gcd(d_i, t), together with t e_1, ..., t e_d.  invariants are
+    the d_i; V need not be reduced, since s_i V_i is reduced mod t here.
+    The rows h start as t I, and each generator g = s_i V_i mod t with
+    s_i < t (else g = 0) goes in column by column: at a column c where g is
+    nonzero, xgcd(h_cc, g_c) turns row c and g into a row of pivot
+    gcd(h_cc, g_c) and a g that is 0 at c, and both are reduced mod t.
+    This is the modular order of Domich, Kannan and Trotter (1987).  It
+    keeps h upper triangular, with every t e_c in the span of rows c, ...,
+    d - 1: a pivot only ever divides the one before it, and a step at c
+    touches no later row.  So adding t e_j, j > c, to row c or to g is a
+    unimodular step, the rows keep spanning M_t, and reducing above the
+    pivots gives the unique Hermite form, the one hnf_rows gives.
     all_screeners builds it only for t not dividing d_1 and not near: for
     t | d_1 it is the identity, since M_t = L, and a near shell is read off
     the walk of L.
     """
     d = len(invariants)
-    gens = [[s * v[r][i] % t for r in range(d)]
-            for i, s in enumerate(t // gcd(di, t) for di in invariants)]
-    gens.extend([t if i == j else 0 for j in range(d)] for i in range(d))
-    return intlinalg.hnf_rows(gens)
+    h = [[t if i == j else 0 for j in range(d)] for i in range(d)]
+    for i, di in enumerate(invariants):
+        s = t // gcd(di, t)
+        if s == t:
+            continue
+        g = [s * row[i] % t for row in v]
+        for c in range(d):
+            x = g[c]
+            if x == 0:
+                continue
+            hc = h[c]
+            p = hc[c]
+            e, a, b = intlinalg.xgcd(p, x)
+            u, w = p // e, x // e
+            h[c] = [(a * y + b * z) % t for y, z in zip(hc, g)]
+            g = [(u * z - w * y) % t for y, z in zip(hc, g)]
+    for j in range(1, d):
+        hj = h[j]
+        p = hj[j]
+        for i in range(j):
+            q = h[i][j] // p
+            if q:
+                h[i] = [y - q * z for y, z in zip(h[i], hj)]
+    return h
 
 
 def _discriminant_admits(t: int, primes: Sequence[int], invariants: Sequence[int], a: int, even: bool) -> bool:
@@ -152,7 +183,8 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     norm is even and 2 G x / <x,x> = G x / t is integral by the definition
     of M_t, so of the screener conditions only x not in 2L is left: a shell
     vector is a screener exactly when some coordinate is odd.  With
-    d_1 | ... | d_n the Smith invariants of G, only these t are walked:
+    d_1 | ... | d_n the Smith invariants of G, these cuts are sound, since
+    every t of a screener passes them:
 
     - t | d_n.  If q^k divides t exactly but not d_n, q divides every Smith
       coordinate of x, so x = q x' with x' in L: q = 2 contradicts x not in
@@ -187,41 +219,52 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       c^2 a (d_n/p^k)(t/p^k) = 2 mod p, and 2 a (d_n/p^k)(t/p^k) is a
       square mod p.
 
-    M_t is spanned by the columns s_i V_i of the Smith matrix V, with
-    s_i = t / gcd(d_i, t), and the walk starts from the Hermite form of
-    those columns reduced mod t together with t Z^d, whose entries lie in
-    [0, t] whatever the size of V.  It is the same lattice, because t Z^d
-    lies in M_t, so reducing a generator mod t stays inside M_t.  d_1 is
-    the gcd of G's entries, so M_t = L exactly when t | d_1.  One walk of
-    the LLL state of L serves lambda_1(L), every such shell and every near
-    shell: an admitted t not dividing d_1 with t <= b, b the least norm of
-    the reduced rows, whose ball of norm 2t the Gaussian heuristic
+    None of them needs the Smith form before the walk of L.  d_1 is the
+    gcd of G's entries and divides every d_i, and det G = d_1 ... d_n, so
+    e = det G / d_1^(d-1) = d_n prod_{i<n} (d_i / d_1) is a multiple of
+    d_n, and e = d_n when d <= 2.  The candidates t are the divisors of e
+    up to the cap, listed from the primes of e (`intlinalg.divisors`).
+    M_t = L exactly when t | d_1.  One walk of the LLL state of L serves
+    lambda_1(L), every candidate t | d_1 and every near t: a candidate not
+    dividing d_1 with t <= b, b the least norm of the reduced rows, whose
+    ball of norm 2t the Gaussian heuristic
     pi^(d/2) (2t)^(d/2) / (Gamma(d/2 + 1) sqrt(det G)) expects to hold at
-    most _NEAR_WALK vectors of L.  Any other t goes through M_t, as below.
+    most _NEAR_WALK vectors of L.  Neither is cut by d_n or by the
+    discriminant form first, and neither needs to be:
 
-    - the walk goes up to B = max(b - 1, 2t for every admitted t | d_1 and
+    - the walk goes up to B = max(b - 1, 2t for every candidate t | d_1 and
       every near t), and b >= lambda_1(L).  If it finds a vector, the
       least norm it finds is lambda_1(L), since B >= b - 1 covers every
       norm below b; if it finds none, lambda_1(L) is b.
-    - a shell with t | d_1 is the vectors of norm exactly 2t of that walk,
-      already in L's coordinates with canonical sign; it needs no Hermite
-      form, no shell `Lattice`, no second LLL and no remap.  Its vectors
-      all have norm at least lambda_1(L), so the minimum cut holds.
-    - a near shell is the walked x of norm 2t with G x = 0 mod t and some
-      odd coordinate: the walk holds every vector of L of norm 2t, as
-      2t <= B, and G x = 0 mod t keeps those of M_t, so these are the M_t
-      shell's screeners, with no Hermite form, `Lattice`, LLL or remap.
     - B <= 2b: d_1 divides every norm x^T G x, so d_1 <= lambda_1(L) and
       2t <= 2 d_1 <= 2 lambda_1(L) <= 2b for t | d_1; a near t is at most
       b.
-    - a shell with t | d_1 needs no x not in 2L test, because it never
-      fails: t | d_1 and d_1 divides every norm, so t <= d_1 <=
-      lambda_1(L), and a nonzero x = 2y has norm 4<y,y> >= 4 lambda_1(L)
-      > 2t.  A near t is bounded by b alone: an x = 2y of norm 2t has
-      t = 2<y,y> >= 2 lambda_1(L), which t <= b allows once
-      b >= 2 lambda_1(L), and LLL bounds b only by 2^(d-1) lambda_1(L).
-      So the test stays on the near shells and on the M_t shells, where it
-      can fail.
+    - a shell with t | d_1 is the vectors of norm exactly 2t of that walk,
+      already in L's coordinates with canonical sign; it needs no Hermite
+      form, no shell `Lattice`, no second LLL and no remap.  Each such
+      vector is a screener: its norm is even, G x = 0 mod t because t
+      divides every entry of G, and it is not in 2L, as t <= d_1 <=
+      lambda_1(L) while a nonzero x = 2y has norm 4<y,y> >= 4 lambda_1(L)
+      > 2t.  So a t that a sound cut above rejects has no vector of norm
+      2t in L at all, and its shell, walked uncut, adds nothing.
+    - a near shell is the walked x of norm 2t with G x = 0 mod t and some
+      odd coordinate.  The walk holds every vector of L of norm 2t, as
+      2t <= B, and for such an x, G x = 0 mod t says 2x/<x,x> = x/t is in
+      L* and an odd coordinate says x is not in 2L: the filter keeps
+      exactly the screeners of norm 2t, whatever t is, and none for a t
+      that a sound cut rejects.  The x not in 2L test can fail here: an
+      x = 2y of norm 2t has t = 2<y,y> >= 2 lambda_1(L), which t <= b
+      allows once b >= 2 lambda_1(L), and LLL bounds b only by
+      2^(d-1) lambda_1(L).
+
+    Only when some other candidate with 2t >= lambda_1(L) is left is G put
+    in Smith form; of those t, the ones that divide d_n and that
+    `_discriminant_admits` admits go through M_t.  M_t is spanned by the
+    columns s_i V_i of the Smith matrix V, with s_i = t / gcd(d_i, t),
+    and t Z^d, and the walk starts from its Hermite basis, built modulo t
+    by `_mod_kernel_basis`, whose entries lie in [0, t] whatever the size
+    of V.  Reducing a generator mod t stays inside M_t, because t Z^d lies
+    in M_t.  The x not in 2L test stays on these shells, where it can fail.
 
     Every other shell is built on its Hermite basis c, and only those are
     reduced and walked that c does not certify empty:
@@ -233,54 +276,57 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       D_{k+1} / D_k exceeds 2t, no nonzero vector of M_t has norm 2t, and
       the walk would return nothing.
     """
-    diag, v = intlinalg.smith_normal_form(lat.gram)
-    d = lat.rank
-    invariants = [diag[i][i] for i in range(d)]
-    dn = invariants[-1]
-    # q(V_n / d_n) = a / d_n; G V_n = d_n (U^-1)_n, so d_n divides <V_n, V_n>
-    a = lat.norm([row[-1] for row in v]) // dn
-    even = lat.is_even
+    d, gram, det = lat.rank, lat.gram, lat.determinant
+    # d_1, the gcd of G's entries, divides every d_i, so d_n divides
+    # e = det / d_1^(d-1)
+    d1 = gcd(*(x for row in gram for x in row))
     w, minors, lam = lat.lll_reduce()
     # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
     cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
-    divs = intlinalg.divisors(dn, cap)
-    primes: list[int] = []
-    for t in divs:
-        # the list is ascending and holds every prime of t, so t is prime
-        # when no earlier prime divides it
-        if t > 1 and all(t % p for p in primes):
-            primes.append(t)
-    admitted = [t for t in divs if _discriminant_admits(t, primes, invariants, a, even)]
+    divs = intlinalg.divisors(det // d1 ** (d - 1), cap)
     # one walk of L, past the least reduced row norm b less one, every norm
     # 2t with t | d_1, where M_t = L, and every near norm 2t <= 2b whose
     # walk the Gaussian heuristic sizes small, gives lambda_1(L) and those
     # shells; any other t is tested only when 2t >= lambda_1(L)
     b = min(map(lat.norm, w))
-    whole = {2 * t for t in admitted if invariants[0] % t == 0}
-    near = {2 * t for t in admitted
-            if invariants[0] % t and t <= b and _walk_is_small(d, lat.determinant, 2 * t)}
+    whole = {2 * t for t in divs if d1 % t == 0}
+    near = {2 * t for t in divs if d1 % t and t <= b and _walk_is_small(d, det, 2 * t)}
     walk = short_vectors(w, minors, lam, max([b - 1, *whole, *near]))
     lmin = min((nrm for _, nrm in walk), default=b)
-    # a walked x of norm 2t with t | d_1 is never in 2L (docstring); one of
-    # a near norm 2t is in M_t when G x = 0 mod t, and can lie in 2L
+    # a walked x of norm 2t with t | d_1 is a screener (docstring); one of a
+    # near norm 2t is when G x = 0 mod t, tested row by row, and x not in 2L
     pairs = [(nrm, x) for x, nrm in walk
              if nrm in whole or (nrm in near and not in_scaled_lattice(x, 2)
-                                 and in_dual_from(lat.gram_times(x), nrm // 2))]
-    for t in admitted:
-        if 2 * t < lmin or 2 * t in whole or 2 * t in near:
-            continue
-        basis = _mod_kernel_basis(v, invariants, t)
-        sub = Lattice(lat.row_gram(basis))
-        # every |c_k*|^2 = D_{k+1} / D_k of the Hermite basis exceeds 2t: no
-        # nonzero vector of M_t has norm 2t, so skip its LLL and walk
-        m = sub.minors
-        if all(m[k + 1] > 2 * t * m[k] for k in range(d)):
-            continue
-        found = enumerate_up_to_norm(sub, 2 * t)
-        shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
-        for x in map(canonical, intlinalg.matmul(shell, basis)):
-            if not in_scaled_lattice(x, 2):
-                pairs.append((2 * t, x))
+                                 and in_dual_from((sum(map(mul, row, x)) for row in gram), nrm // 2))]
+    rest = [t for t in divs if 2 * t >= lmin and 2 * t not in whole and 2 * t not in near]
+    if rest:
+        diag, v = intlinalg.smith_normal_form(gram)
+        invariants = [diag[i][i] for i in range(d)]
+        dn = invariants[-1]
+        # q(V_n / d_n) = a / d_n; G V_n = d_n (U^-1)_n, so d_n divides <V_n, V_n>
+        a = lat.norm([row[-1] for row in v]) // dn
+        even = lat.is_even
+        primes: list[int] = []
+        for t in divs:
+            # the list is ascending and holds every prime of t, so t is prime
+            # when no earlier prime divides it
+            if t > 1 and dn % t == 0 and all(t % p for p in primes):
+                primes.append(t)
+        for t in rest:
+            if dn % t or not _discriminant_admits(t, primes, invariants, a, even):
+                continue
+            basis = _mod_kernel_basis(v, invariants, t)
+            sub = Lattice(lat.row_gram(basis))
+            # every |c_k*|^2 = D_{k+1} / D_k of the Hermite basis exceeds 2t: no
+            # nonzero vector of M_t has norm 2t, so skip its LLL and walk
+            m = sub.minors
+            if all(m[k + 1] > 2 * t * m[k] for k in range(d)):
+                continue
+            found = enumerate_up_to_norm(sub, 2 * t)
+            shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
+            for x in map(canonical, intlinalg.matmul(shell, basis)):
+                if not in_scaled_lattice(x, 2):
+                    pairs.append((2 * t, x))
     pairs.sort()
     return ScreenerSet(
         lattice=lat,

@@ -1,5 +1,7 @@
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -1010,6 +1012,72 @@ def test_e8_keeps_its_roots_at_the_cut():
     assert set(s.norms) == {2}
 
 
+# known primes; divisors leaves those above 1024, past its trial division,
+# to Miller-Rabin, the square test and Brent's rho
+_KNOWN_PRIMES = (2, 3, 5, 7, 1009, 1031, 1033, 65537, 999983, 10 ** 6 + 3,
+                 10 ** 8 + 7, 10 ** 9 + 7, 10 ** 12 + 39, 10 ** 15 + 37)
+
+
+@st.composite
+def _factored(draw):
+    """(n, its prime powers): a square, a semiprime up to 10^24, a prime
+    power up to 10^24 or a product of powers of _KNOWN_PRIMES, with n below
+    the bound up to which Miller-Rabin is exact; the squares reach
+    (10^12 + 39)^2."""
+    shape = draw(st.sampled_from(("square", "semiprime", "power", "mixed")))
+    if shape == "square":
+        p = draw(st.sampled_from([p for p in _KNOWN_PRIMES if p <= 10 ** 12 + 39]))
+        powers = {p: 2}
+    elif shape == "semiprime":
+        p, q = draw(st.lists(st.sampled_from(_KNOWN_PRIMES[:-1]), min_size=2, max_size=2, unique=True))
+        big = draw(st.sampled_from((q, 10 ** 15 + 37)))
+        powers = {p: 1, big: 1} if p * big <= 10 ** 24 else {p: 1, q: 1}
+    elif shape == "power":
+        p = draw(st.sampled_from(_KNOWN_PRIMES))
+        powers = {p: draw(st.integers(1, max(1, int(24 / math.log10(p)))))}
+    else:
+        powers = {}
+        for p in draw(st.lists(st.sampled_from(_KNOWN_PRIMES[:10]), min_size=1, max_size=5, unique=True)):
+            powers[p] = draw(st.integers(1, 4))
+    n = math.prod(p ** e for p, e in powers.items())
+    assume(n < intlinalg._MR_BOUND)
+    return n, powers
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_factored(), st.data())
+def test_divisors_match_their_factorization(case, data):
+    """divisors(n, limit) is every product of the known prime powers of n
+    that is at most limit, ascending, for limit 0, 1, n, past n, near
+    isqrt(n) or anywhere below n; for n < 10^4 also every k <= limit that
+    divides n.  Trial division never tries a k above min(limit, isqrt(n))."""
+    n, powers = case
+    r = math.isqrt(n)
+    limit = data.draw(st.sampled_from((0, 1, n, 2 * n, r, r + 1, max(r - 1, 0), None)))
+    if limit is None:
+        limit = data.draw(st.integers(0, n))
+    expected = [1]
+    for p, e in powers.items():
+        expected = [x * p ** i for x in expected for i in range(e + 1)]
+    expected = sorted(x for x in expected if x <= limit)
+    tried = []
+    trial = intlinalg._trial_divide
+
+    def recording_trial(rest, k, last, primes, floor=0):
+        out = trial(rest, k, last, primes, floor)
+        # the last k tried before the first one not tried, out[1]
+        tried.append(out[1] - 1 if out[1] <= 3 else out[1] - 2)
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(intlinalg, "_trial_divide", recording_trial)
+        assert divisors(n, limit) == expected, (n, limit)
+    assert max(tried) <= max(2, min(limit, r)), (n, limit, tried)
+    if n < 10 ** 4:
+        assert expected == [k for k in range(1, min(n, limit) + 1) if n % k == 0]
+
+
 def test_divisors_with_limit_match_brute_force():
     for n in range(1, 200):
         every = [k for k in range(1, n + 1) if n % k == 0]
@@ -1087,3 +1155,99 @@ def test_shell_basis_spans_mod_kernel():
             for i, row in enumerate(basis):
                 assert t % row[i] == 0 and not any(row[:i]), (gram, t)
                 assert all(0 <= row[j] < basis[j][j] for j in range(i + 1, d)), (gram, t)
+
+
+def _hnf_mod_kernel_basis(v, invariants, t):
+    """The reference for `_mod_kernel_basis`: the general hnf_rows of the
+    generators s_i V_i mod t, s_i = t / gcd(d_i, t), and the rows of t I."""
+    d = len(invariants)
+    gens = [[s * v[r][i] % t for r in range(d)]
+            for i, s in enumerate(t // math.gcd(di, t) for di in invariants)]
+    gens.extend([t if i == j else 0 for j in range(d)] for i in range(d))
+    return hnf_rows(gens)
+
+
+def test_modular_hermite_basis_is_the_hnf_rows_basis():
+    """Inserting each generator into the rows of t I with entries reduced
+    mod t gives exactly the Hermite basis that hnf_rows gives on all the
+    generators at once, on every divisor shell of d_n of 3000 seeded Grams
+    A A^T + D of rank 1-6 at scales 1-12."""
+    rng = random.Random(3535)
+    shells = 0
+    for _ in range(3000):
+        d = rng.randint(1, 6)
+        a = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        gram = matmul(a, list(zip(*a)))
+        for i in range(d):
+            gram[i][i] += rng.randint(1, 4)
+        scale = rng.randint(1, 12)
+        gram = [[scale * x for x in row] for row in gram]
+        diag, v = smith_normal_form(gram)
+        invariants = [diag[i][i] for i in range(d)]
+        for t in divisors(invariants[-1], invariants[-1]):
+            assert _mod_kernel_basis(v, invariants, t) == _hnf_mod_kernel_basis(v, invariants, t), (gram, t)
+            shells += 1
+    assert shells > 50000, shells  # 59402
+
+
+def _scrambled(lat):
+    """lat in the unimodular basis u with 1 on the diagonal and
+    1000 (i - j) + 7 below it."""
+    n = lat.rank
+    return Lattice(lat.row_gram([[(i == j) + (j < i) * (1000 * (i - j) + 7) for j in range(n)] for i in range(n)]))
+
+
+def test_smith_form_only_when_a_mod_kernel_shell_is_left(monkeypatch):
+    """all_screeners factors G only when the walk of L leaves some t with
+    2t >= lambda_1(L) for the M_t path: with smith_normal_form made to
+    raise, it still gives the same ScreenerSet on every lattice of the
+    pool that needs none, E8 among them, and D9 at scale 3 in a scrambled
+    basis still reaches the Smith form."""
+    def refuse(mat):
+        raise RuntimeError("smith_normal_form called")
+
+    pool = _in_place_pool() + [Lattice(g) for g in dense_grams(30)]
+    expected = [all_screeners(lat) for lat in pool]
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    answered = []
+    for lat, s in zip(pool, expected):
+        try:
+            out = all_screeners(lat)
+        except RuntimeError:
+            continue
+        assert out == s, lat.gram
+        answered.append(lat)
+    assert catalog("E", 8) in answered
+    assert 100 < len(answered) < len(pool), len(answered)  # 152 of 410
+    with pytest.raises(RuntimeError, match="smith_normal_form called"):
+        all_screeners(_scrambled(catalog("D", 9, 3)))
+
+
+@contextmanager
+def _within(seconds):
+    """Fails the block with TimeoutError once it has run that long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("gram", [
+    [[1, 0, 0], [0, 10 ** 12 + 39, 0], [0, 0, 10 ** 12 + 39]],
+    [[2, 1], [1, 10 ** 15 + 37]],
+], ids=["diag-1-P-P", "2-1-1-N"])
+def test_large_determinants_answer_quickly(gram):
+    """diag(1, P, P), P = 10^12 + 39, has e = det / d_1^2 = P^2 far above
+    d_n = P, and [[2, 1], [1, 10^15 + 37]] has d_n = det with cap det: the
+    divisor listing factors them instead of trial-dividing up to
+    isqrt(e) or the cap, and each gives its 2 screeners within 10 s."""
+    with _within(10):
+        s = all_screeners(Lattice(gram))
+    assert len(s) == 2
+    assert all(is_screener(s.lattice, x) for x in s.vectors)
