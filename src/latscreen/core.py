@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import index, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import intlinalg
 
@@ -30,17 +30,6 @@ def _integer_entry(v: object, i: int, j: int) -> int:
         return index(v)
     except TypeError:
         raise LatticeError(f"Gram entry ({i}, {j}) is {v!r}, not an integer") from None
-
-
-def _worded_rows(gram: object) -> tuple[tuple[int, ...], ...]:
-    """The rows of gram read entry by entry, for the error message: a
-    LatticeError naming the first entry that is not an integer, or no rows
-    when gram or one of its rows is not a sequence."""
-    try:
-        return tuple(tuple(_integer_entry(v, i, j) for j, v in enumerate(row))
-                     for i, row in enumerate(gram))
-    except TypeError:
-        return ()
 
 
 def integer(v: object, what: str) -> int:
@@ -63,15 +52,17 @@ class Lattice:
 
     def __init__(self, gram: Sequence[Sequence[int]]):
         try:
-            rows = tuple([tuple(map(index, row)) for row in gram])
-        except TypeError:
-            rows = _worded_rows(gram)
+            rows = tuple(tuple(_integer_entry(v, i, j) for j, v in enumerate(row))
+                         for i, row in enumerate(gram))
+        except TypeError:  # gram, or one of its rows, is not a sequence
+            rows = ()
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise LatticeError("Gram matrix must be square and nonempty")
-        if rows != tuple(zip(*rows)):
-            i, j = next((i, j) for i in range(d) for j in range(i + 1, d) if rows[i][j] != rows[j][i])
-            raise LatticeError(f"Gram matrix is not symmetric at ({i}, {j})")
+        for i in range(d):
+            for j in range(i + 1, d):
+                if rows[i][j] != rows[j][i]:
+                    raise LatticeError(f"Gram matrix is not symmetric at ({i}, {j})")
         minors, lam = intlinalg.gram_schmidt(rows)
         if minors[-1] <= 0:
             raise LatticeError("Gram matrix is not positive definite: "
@@ -181,10 +172,8 @@ def in_dual(lat: Lattice, x: Sequence[int], k: int) -> bool:
     return in_dual_from(lat.gram_times(x), k)
 
 
-def in_dual_from(gx: Iterable[int], k: int) -> bool:
-    """The dual-membership rule behind in_dual: x/k is in the dual when k
-    divides every entry of gx = G x; a generator of them is read only up to
-    the first that fails."""
+def in_dual_from(gx: Sequence[int], k: int) -> bool:
+    """The dual-membership rule behind in_dual: x/k is in the dual when k divides every entry of gx = G x."""
     return all(v % k == 0 for v in gx)
 
 

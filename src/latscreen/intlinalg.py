@@ -83,20 +83,19 @@ def determinant(mat: Sequence[Sequence[int]]) -> int:
 
 
 # trial division runs up to this k before the rest of n is factored; then
-# Miller-Rabin to the first 13 prime bases, exact below _MR_BOUND (Sorenson
+# Miller-Rabin to the first 13 prime bases, exact below MR_BOUND (Sorenson
 # and Webster 2017), and Brent's rho
 _TRIAL = 1024
-_MR_BOUND = 3317044064679887385961981
+MR_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _trial_divide(r: int, k: int, last: int, primes: list[int], floor: int = 0) -> tuple[int, int]:
+def _trial_divide(r: int, k: int, last: int, primes: list[int]) -> tuple[int, int]:
     """Divides r by k, then by each odd number past it (3 after 2), while
-    that is at most last, its square at most r and r at least floor, and
-    appends each prime divided out to primes, as often as it divides r.
-    Returns what is left of r and the first k not tried: r has no prime
-    below it."""
-    while k <= last and k * k <= r >= floor:
+    that is at most last and its square at most r, and appends each prime
+    divided out to primes, as often as it divides r.  Returns what is left
+    of r and the first k not tried: r has no prime below it."""
+    while k <= last and k * k <= r:
         while r % k == 0:
             primes.append(k)
             r //= k
@@ -105,7 +104,7 @@ def _trial_divide(r: int, k: int, last: int, primes: list[int], floor: int = 0) 
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd 41 < n < _MR_BOUND."""
+    """Deterministic Miller-Rabin for odd 41 < n < MR_BOUND."""
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in _MR_BASES:
@@ -159,22 +158,24 @@ def divisors(n: int, limit: int) -> list[int]:
     from the primes of n up to limit.
 
     Trial division runs while k <= limit and k^2 <= r, r the part of n not
-    yet divided out, up to k = _TRIAL, and on past it while r >= _MR_BOUND,
-    above which no Miller-Rabin base set is proven exact.  When it stops at
-    k > limit, every prime of r exceeds limit and no divisor up to limit
-    holds it; at k^2 > r, r is 1 or prime.  Otherwise each part m of r, all
-    of whose primes are at least k, is 1 or prime when m < k^2 or
-    Miller-Rabin says so, is split as s * s when it is the square of s, and
-    else is split by Brent's rho.  Rho may take as many steps as trial
-    division from k to min(limit, isqrt(m)) would; if it splits nothing in
-    those, m is trial-divided up to there.  So the primes up to limit are
-    found exactly, and no listing trial-divides past min(limit, isqrt(n)).
+    yet divided out, up to k = _TRIAL.  If r is then at least MR_BOUND,
+    above which no Miller-Rabin base set is proven exact, it runs on to the
+    end, as plain trial division would.  When it stops at k > limit, every
+    prime of r exceeds limit and no divisor up to limit holds it; at
+    k^2 > r, r is 1 or prime.  Otherwise each part m of r, all of whose
+    primes are at least k, is 1 or prime when m < k^2 or Miller-Rabin says
+    so, is split as s * s when it is the square of s, and else is split by
+    Brent's rho.  Rho may take as many steps as trial division from k to
+    min(limit, isqrt(m)) would; if it splits nothing in those, m is
+    trial-divided up to there.  So the primes up to limit are found
+    exactly, and no listing trial-divides past min(limit, isqrt(n)).
     """
     if n < 1:
         raise ValueError(f"divisors of {n} undefined, need a positive integer")
     primes: list[int] = []
     r, k = _trial_divide(n, 2, min(limit, _TRIAL), primes)
-    r, k = _trial_divide(r, k, limit, primes, _MR_BOUND)
+    if r >= MR_BOUND:
+        r, k = _trial_divide(r, k, limit, primes)
     parts = [r] if k <= limit else []
     while parts:
         m = parts.pop()

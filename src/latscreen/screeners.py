@@ -12,33 +12,35 @@ and x is a nonzero vector of M_t, inside L, so 2t is at least
 lambda_1(L), the least norm of a nonzero vector of L (a norm, not a
 length).  One LLL reduction of L gives both bounds: its minors give
 |b_i*|^2 = D_{i+1}/D_i, and one walk of its state gives lambda_1(L).  No
-dual lattice is built.  The candidates t are the divisors up to
-2 max_i |b_i*|^2 of e = det G / d_1^(d-1), which d_n divides, listed from
-the primes of e, so no Smith form is needed to find them.  M_t = L exactly
-when t | d_1, because d_1 is the gcd of G's entries: every G x is 0 mod t
-exactly when every entry of G is.  Such a shell is read off the walk of L
-that gives lambda_1(L), and so is each near shell: a t not dividing d_1
-with t <= b, b the least norm of the reduced rows, whose walk the Gaussian
-heuristic expects to be short.  Its screeners are the walked x of norm 2t
-with G x = 0 mod t and some odd coordinate.  That walk goes up to
-B = max(b - 1, 2t for every candidate t | d_1 and every near t), so L is
-reduced once and walked once.  B <= 2b, because a near t is at most b and
-d_1 divides every norm: 2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
+dual lattice is built.  The candidates t are the divisors up to 2 max_i
+|b_i*|^2 of e = det G / d_1^(d-1), which d_n divides, listed from the
+primes of e, so no Smith form is needed to find them.  Only from
+`intlinalg.MR_BOUND` on, where the primes of e would be found by trial
+division up to isqrt(e), are they the divisors of d_n, read off the Smith
+form.  M_t = L exactly when t | d_1, because d_1 is the gcd of G's entries:
+every G x is 0 mod t exactly when every entry of G is.  Such a shell is
+read off the walk of L that gives lambda_1(L), and so is each near shell: a
+t not dividing d_1 with t <= b, b the least norm of the reduced rows, whose
+walk the Gaussian heuristic expects to be short.  Its screeners are the
+walked x of norm 2t with G x = 0 mod t and some odd coordinate.  That walk
+goes up to B = max(b - 1, 2t for every candidate t | d_1 and every near t),
+so L is reduced once and walked once.  B <= 2b, because a near t is at most
+b and d_1 divides every norm: 2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
 
-G is put in Smith form only when some other t with 2t >= lambda_1(L) is
-left.  The search walks the norm-2t shell of M_t only for those t that
-divide d_n, and skips a t before building M_t when the discriminant form
-of L*/L (Nikulin 1979; Conway and Sloane, SPLAG ch. 15) has no element of
-order t and norm 2/t, as the image of x/t must be.  That test reads the
-p-adic valuations of the Smith invariants prime by prime; it needs no
-Jordan decomposition and is necessary, not sufficient.  Each M_t starts
-from its Hermite basis, built modulo t in one pass over the Smith-form
-generators, with entries in [0, t].  LLL of each shell then starts from a
-basis whose size is set by t, not by the entries of the Smith matrix.
-The Gram-Schmidt lemma above certifies any other shell empty before its
-LLL: when every Gram-Schmidt norm D_{k+1}/D_k of the Hermite basis, read
-off the minors its `Lattice` keeps, exceeds 2t, no nonzero vector of M_t
-has norm 2t, and the shell is neither reduced nor walked.
+Otherwise G is put in Smith form only when some other t with 2t >=
+lambda_1(L) is left.  The search walks the norm-2t shell of M_t only for
+those t that divide d_n, and skips a t before building M_t when the
+discriminant form of L*/L (Nikulin 1979; Conway and Sloane, SPLAG ch. 15)
+has no element of order t and norm 2/t, as the image of x/t must be.  That
+test reads the p-adic valuations of the Smith invariants prime by prime; it
+needs no Jordan decomposition and is necessary, not sufficient.  Each M_t
+starts from its Hermite basis, built modulo t in one pass over the
+Smith-form generators, with entries in [0, t].  LLL of each shell then
+starts from a basis whose size is set by t, not by the entries of the Smith
+matrix.  The Gram-Schmidt lemma above certifies any other shell empty
+before its LLL: when every Gram-Schmidt norm D_{k+1}/D_k of the Hermite
+basis, read off the minors its `Lattice` keeps, exceeds 2t, no nonzero
+vector of M_t has norm 2t, and the shell is neither reduced nor walked.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lgamma, log, pi
-from operator import mul
 from typing import Sequence
 
 from . import intlinalg
@@ -224,6 +225,13 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     e = det G / d_1^(d-1) = d_n prod_{i<n} (d_i / d_1) is a multiple of
     d_n, and e = d_n when d <= 2.  The candidates t are the divisors of e
     up to the cap, listed from the primes of e (`intlinalg.divisors`).
+    Below `intlinalg.MR_BOUND`, Miller-Rabin proves the primes of e past
+    1024 and rho splits the rest; trial division goes past 1024 only on a
+    part that rho has not split within as many steps.  From MR_BOUND on,
+    divisors trial-divides e up to min(cap, isqrt(e)), and isqrt(e) can
+    far exceed isqrt(d_n): diag(1, P, P, P) has e = P^3 and d_n = P.  So
+    there G is put in Smith form first, and the candidates are the
+    divisors of d_n up to the cap.
     M_t = L exactly when t | d_1.  One walk of the LLL state of L serves
     lambda_1(L), every candidate t | d_1 and every near t: a candidate not
     dividing d_1 with t <= b, b the least norm of the reduced rows, whose
@@ -258,8 +266,8 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       2^(d-1) lambda_1(L).
 
     Only when some other candidate with 2t >= lambda_1(L) is left is G put
-    in Smith form; of those t, the ones that divide d_n and that
-    `_discriminant_admits` admits go through M_t.  M_t is spanned by the
+    in Smith form, if it is not already; of those t, the ones that divide
+    d_n and that `_discriminant_admits` admits go through M_t.  M_t is spanned by the
     columns s_i V_i of the Smith matrix V, with s_i = t / gcd(d_i, t),
     and t Z^d, and the walk starts from its Hermite basis, built modulo t
     by `_mod_kernel_basis`, whose entries lie in [0, t] whatever the size
@@ -276,14 +284,16 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       D_{k+1} / D_k exceeds 2t, no nonzero vector of M_t has norm 2t, and
       the walk would return nothing.
     """
-    d, gram, det = lat.rank, lat.gram, lat.determinant
+    d, det = lat.rank, lat.determinant
     # d_1, the gcd of G's entries, divides every d_i, so d_n divides
-    # e = det / d_1^(d-1)
-    d1 = gcd(*(x for row in gram for x in row))
+    # e = det / d_1^(d-1); from MR_BOUND on, list the divisors of d_n
+    d1 = gcd(*(x for row in lat.gram for x in row))
+    e = det // d1 ** (d - 1)
+    snf = intlinalg.smith_normal_form(lat.gram) if e >= intlinalg.MR_BOUND else None
     w, minors, lam = lat.lll_reduce()
     # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
     cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
-    divs = intlinalg.divisors(det // d1 ** (d - 1), cap)
+    divs = intlinalg.divisors(snf[0][-1][-1] if snf else e, cap)
     # one walk of L, past the least reduced row norm b less one, every norm
     # 2t with t | d_1, where M_t = L, and every near norm 2t <= 2b whose
     # walk the Gaussian heuristic sizes small, gives lambda_1(L) and those
@@ -294,13 +304,13 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     walk = short_vectors(w, minors, lam, max([b - 1, *whole, *near]))
     lmin = min((nrm for _, nrm in walk), default=b)
     # a walked x of norm 2t with t | d_1 is a screener (docstring); one of a
-    # near norm 2t is when G x = 0 mod t, tested row by row, and x not in 2L
+    # near norm 2t is when G x = 0 mod t and x is not in 2L
     pairs = [(nrm, x) for x, nrm in walk
              if nrm in whole or (nrm in near and not in_scaled_lattice(x, 2)
-                                 and in_dual_from((sum(map(mul, row, x)) for row in gram), nrm // 2))]
+                                 and in_dual_from(lat.gram_times(x), nrm // 2))]
     rest = [t for t in divs if 2 * t >= lmin and 2 * t not in whole and 2 * t not in near]
     if rest:
-        diag, v = intlinalg.smith_normal_form(gram)
+        diag, v = snf or intlinalg.smith_normal_form(lat.gram)
         invariants = [diag[i][i] for i in range(d)]
         dn = invariants[-1]
         # q(V_n / d_n) = a / d_n; G V_n = d_n (U^-1)_n, so d_n divides <V_n, V_n>

@@ -1040,7 +1040,7 @@ def _factored(draw):
         for p in draw(st.lists(st.sampled_from(_KNOWN_PRIMES[:10]), min_size=1, max_size=5, unique=True)):
             powers[p] = draw(st.integers(1, 4))
     n = math.prod(p ** e for p, e in powers.items())
-    assume(n < intlinalg._MR_BOUND)
+    assume(n < intlinalg.MR_BOUND)
     return n, powers
 
 
@@ -1064,8 +1064,8 @@ def test_divisors_match_their_factorization(case, data):
     tried = []
     trial = intlinalg._trial_divide
 
-    def recording_trial(rest, k, last, primes, floor=0):
-        out = trial(rest, k, last, primes, floor)
+    def recording_trial(rest, k, last, primes):
+        out = trial(rest, k, last, primes)
         # the last k tried before the first one not tried, out[1]
         tried.append(out[1] - 1 if out[1] <= 3 else out[1] - 2)
         return out
@@ -1238,16 +1238,27 @@ def _within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("gram", [
-    [[1, 0, 0], [0, 10 ** 12 + 39, 0], [0, 0, 10 ** 12 + 39]],
-    [[2, 1], [1, 10 ** 15 + 37]],
-], ids=["diag-1-P-P", "2-1-1-N"])
-def test_large_determinants_answer_quickly(gram):
-    """diag(1, P, P), P = 10^12 + 39, has e = det / d_1^2 = P^2 far above
-    d_n = P, and [[2, 1], [1, 10^15 + 37]] has d_n = det with cap det: the
-    divisor listing factors them instead of trial-dividing up to
-    isqrt(e) or the cap, and each gives its 2 screeners within 10 s."""
+def _diag(*entries):
+    return [[v if i == j else 0 for j in range(len(entries))] for i, v in enumerate(entries)]
+
+
+@pytest.mark.parametrize("gram, count", [
+    (_diag(1, 10 ** 12 + 39, 10 ** 12 + 39), 2),
+    (_diag(1, 10 ** 12 + 39, 10 ** 12 + 39, 10 ** 12 + 39), 6),
+    (_diag(1, 2 * 10 ** 12 + 3, 2 * 10 ** 12 + 3), 2),
+    ([[2, 1], [1, 10 ** 15 + 37]], 2),
+], ids=["diag-1-P-P", "diag-1-P-P-P", "diag-1-Q-Q", "2-1-1-N"])
+def test_large_determinants_answer_quickly(gram, count):
+    """P = 10^12 + 39 and Q = 2 10^12 + 3 are prime, and d_n = P or Q.
+    diag(1, P, P) has e = det / d_1^2 = P^2, below intlinalg.MR_BOUND, and
+    its listing factors e.  diag(1, P, P, P) has e = P^3 and diag(1, Q, Q)
+    has e = Q^2, both from MR_BOUND on, where a listing of e would
+    trial-divide up to min(cap, isqrt(e)) = P or Q; there the divisors of
+    d_n are listed, up to isqrt(d_n).  [[2, 1], [1, 10^15 + 37]] has
+    d_n = det with cap det, and its listing factors det.  Each gives its
+    screeners within 10 s: e_i +- e_j for the pairs of P or Q entries, and
+    the two of [[2, 1], [1, 10^15 + 37]]."""
     with _within(10):
         s = all_screeners(Lattice(gram))
-    assert len(s) == 2
+    assert len(s) == count
     assert all(is_screener(s.lattice, x) for x in s.vectors)
