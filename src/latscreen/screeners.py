@@ -20,12 +20,14 @@ division up to isqrt(e), are they the divisors of d_n, read off the Smith
 form.  M_t = L exactly when t | d_1, because d_1 is the gcd of G's entries:
 every G x is 0 mod t exactly when every entry of G is.  Such a shell is
 read off the walk of L that gives lambda_1(L), and so is each near shell: a
-t not dividing d_1 with t <= b, b the least norm of the reduced rows, whose
-walk the Gaussian heuristic expects to be short.  Its screeners are the
-walked x of norm 2t with G x = 0 mod t and some odd coordinate.  That walk
-goes up to B = max(b - 1, 2t for every candidate t | d_1 and every near t),
-so L is reduced once and walked once.  B <= 2b, because a near t is at most
-b and d_1 divides every norm: 2t <= 2 d_1 <= 2 lambda_1(L) <= 2b.
+t not dividing d_1 whose walk of L up to 2t is proven short.  Level i of
+the Fincke-Pohst walk up to B admits at most isqrt(4 B D_i // D_{i+1}) + 1
+values of its coordinate, so the product of these counts over the d levels
+bounds the vectors the walk emits, and t is near when that product at
+B = 2t is at most _NEAR_WALK.  Its screeners are the walked x of norm 2t
+with G x = 0 mod t and some odd coordinate.  That walk goes up to
+B = max(b - 1, 2t for every candidate t | d_1 and every near t), b the
+least norm of the reduced rows, so L is reduced once and walked once.
 
 Otherwise G is put in Smith form only when some other t with 2t >=
 lambda_1(L) is left.  The search walks the norm-2t shell of M_t only for
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lgamma, log, pi
+from math import gcd, isqrt
 from typing import Sequence
 
 from . import intlinalg
@@ -159,21 +161,25 @@ def _discriminant_admits(t: int, primes: Sequence[int], invariants: Sequence[int
     return True
 
 
-# the most vectors the Gaussian heuristic may expect of the walk of L up to
-# a near shell's norm before that shell goes through M_t instead; no output
-# depends on it.  128 was timed against 512 on the three benchmark
-# workloads: 512 made the catalog one about 15 % slower, as its dense root
-# lattices hold thousands of vectors below 2b
+# the most vectors the walk of L up to a near shell's norm is proven to
+# emit before that shell goes through M_t instead, so that walk calls a
+# level at most d _NEAR_WALK times (all_screeners); no output depends on
+# it.  64, 128 and 256 timed within 2 % of each other on the three
+# benchmark workloads at seed 1
 _NEAR_WALK = 128
 
 
-def _walk_is_small(d: int, det: int, bound: int) -> bool:
-    """Whether the Gaussian heuristic expects at most _NEAR_WALK vectors of
-    norm at most bound in a lattice of rank d and determinant det: the
-    volume pi^(d/2) bound^(d/2) / Gamma(d/2 + 1) of that ball over
-    sqrt(det), compared in logs, so that no size of det overflows a float."""
-    h = d / 2
-    return h * log(pi * bound) - lgamma(h + 1) - log(det) / 2 <= log(_NEAR_WALK)
+def _walk_is_small(minors: Sequence[int], bound: int) -> bool:
+    """Whether short_vectors up to bound on an LLL state with minors D_k
+    is proven to emit at most _NEAR_WALK vectors: level i admits at most
+    isqrt(4 bound D_i // D_{i+1}) + 1 values, and the product of these
+    counts bounds the leaves (all_screeners)."""
+    leaves = 1
+    for i in range(len(minors) - 1):
+        leaves *= isqrt(4 * bound * minors[i] // minors[i + 1]) + 1
+        if leaves > _NEAR_WALK:
+            return False
+    return True
 
 
 def all_screeners(lat: Lattice) -> ScreenerSet:
@@ -234,19 +240,28 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     divisors of d_n up to the cap.
     M_t = L exactly when t | d_1.  One walk of the LLL state of L serves
     lambda_1(L), every candidate t | d_1 and every near t: a candidate not
-    dividing d_1 with t <= b, b the least norm of the reduced rows, whose
-    ball of norm 2t the Gaussian heuristic
-    pi^(d/2) (2t)^(d/2) / (Gamma(d/2 + 1) sqrt(det G)) expects to hold at
-    most _NEAR_WALK vectors of L.  Neither is cut by d_n or by the
+    dividing d_1 whose walk of L up to 2t `_walk_is_small` proves to emit
+    at most _NEAR_WALK vectors.  Neither is cut by d_n or by the
     discriminant form first, and neither needs to be:
 
     - the walk goes up to B = max(b - 1, 2t for every candidate t | d_1 and
       every near t), and b >= lambda_1(L).  If it finds a vector, the
       least norm it finds is lambda_1(L), since B >= b - 1 covers every
       norm below b; if it finds none, lambda_1(L) is b.
-    - B <= 2b: d_1 divides every norm x^T G x, so d_1 <= lambda_1(L) and
-      2t <= 2 d_1 <= 2 lambda_1(L) <= 2b for t | d_1; a near t is at most
-      b.
+    - the count.  Level i of short_vectors up to B admits the z_i with
+      (D_{i+1} z_i + b_i)^2 <= rho_i = D_i D_{i+1} (B - P_{i+1}) (module
+      docstring of `enumeration`), and P_{i+1} >= 0, so D_{i+1} z_i lies in
+      an interval of length 2 sqrt(B D_i D_{i+1}) and z_i in one of length
+      2 sqrt(B D_i / D_{i+1}).  Whatever the outer coordinates are, that
+      interval holds at most c_i = isqrt(4 B D_i // D_{i+1}) + 1 integers,
+      as the integer part of the square root of a real y >= 0 is
+      isqrt(floor(y)).  A call of level i is fixed by z_{i+1}, ...,
+      z_{d-1}, so level i runs at most c_{i+1} ... c_{d-1} times, the walk
+      emits at most c_0 ... c_{d-1} vectors and makes at most d times that
+      many level calls.  So when B is 2t for a near t, the walk emits at
+      most _NEAR_WALK vectors whatever the skew of the reduced basis;
+      otherwise B <= 2b, as d_1 divides every norm x^T G x, so
+      2t <= 2 d_1 <= 2 lambda_1(L) <= 2b for t | d_1.
     - a shell with t | d_1 is the vectors of norm exactly 2t of that walk,
       already in L's coordinates with canonical sign; it needs no Hermite
       form, no shell `Lattice`, no second LLL and no remap.  Each such
@@ -260,10 +275,9 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       2t <= B, and for such an x, G x = 0 mod t says 2x/<x,x> = x/t is in
       L* and an odd coordinate says x is not in 2L: the filter keeps
       exactly the screeners of norm 2t, whatever t is, and none for a t
-      that a sound cut rejects.  The x not in 2L test can fail here: an
-      x = 2y of norm 2t has t = 2<y,y> >= 2 lambda_1(L), which t <= b
-      allows once b >= 2 lambda_1(L), and LLL bounds b only by
-      2^(d-1) lambda_1(L).
+      that a sound cut rejects.  The x not in 2L test can fail here:
+      [[2, 0], [0, 8]] has the near t = 4 (c_0 c_1 = 5 * 3), and its walk
+      holds (2, 0) of norm 8 with G x = 0 mod 4.
 
     Only when some other candidate with 2t >= lambda_1(L) is left is G put
     in Smith form, if it is not already; of those t, the ones that divide
@@ -295,12 +309,12 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
     divs = intlinalg.divisors(snf[0][-1][-1] if snf else e, cap)
     # one walk of L, past the least reduced row norm b less one, every norm
-    # 2t with t | d_1, where M_t = L, and every near norm 2t <= 2b whose
-    # walk the Gaussian heuristic sizes small, gives lambda_1(L) and those
-    # shells; any other t is tested only when 2t >= lambda_1(L)
+    # 2t with t | d_1, where M_t = L, and every near norm 2t whose walk the
+    # level counts prove small, gives lambda_1(L) and those shells; any
+    # other t is tested only when 2t >= lambda_1(L)
     b = min(map(lat.norm, w))
     whole = {2 * t for t in divs if d1 % t == 0}
-    near = {2 * t for t in divs if d1 % t and t <= b and _walk_is_small(d, det, 2 * t)}
+    near = {2 * t for t in divs if d1 % t and _walk_is_small(minors, 2 * t)}
     walk = short_vectors(w, minors, lam, max([b - 1, *whole, *near]))
     lmin = min((nrm for _, nrm in walk), default=b)
     # a walked x of norm 2t with t | d_1 is a screener (docstring); one of a

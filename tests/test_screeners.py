@@ -1,6 +1,8 @@
 import math
 import random
 import signal
+import sys
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -595,7 +597,7 @@ def test_all_screeners_reduces_the_lattice_once(monkeypatch):
     monkeypatch.setattr(screeners, "enumerate_up_to_norm", counting_walk)
     monkeypatch.setattr(screeners, "short_vectors", counting_short)
     walked = off_walk = 0
-    lattices = [Lattice(A2), catalog("D", 4), catalog("E", 8), catalog("A", 3, 2)] + CUT_POOL[:100]
+    lattices = [Lattice(A2), catalog("D", 4), catalog("E", 8), catalog("A", 3, 2)] + CUT_POOL
     for lat in lattices + [Lattice(g) for g in dense_grams(12)]:
         lll_calls.clear()
         walks.clear()
@@ -606,8 +608,8 @@ def test_all_screeners_reduces_the_lattice_once(monkeypatch):
         walked += len(walks)
         # shells that hold a screener and were served by the walk of L alone
         off_walk += len(set(s.norms) - set(walks))
-    assert walked > 44
-    assert off_walk > 70, off_walk  # 77; the shells with t | d_1 alone give 62
+    assert walked > 44, walked  # 86
+    assert off_walk > 70, off_walk  # 284; the shells with t | d_1 alone give 182
 
 
 def test_certified_shells_pay_no_lll(monkeypatch):
@@ -711,7 +713,7 @@ def test_shells_whose_mod_kernel_is_l_are_walked_on_l(monkeypatch):
     # shells with t | d_1 that hold a screener, 256 of them, 150 with t > 1
     assert len(in_place) > 250
     assert sum(t > 1 for t in in_place) >= 150
-    assert near_checked >= 140, near_checked  # 149
+    assert near_checked >= 140, near_checked  # 262
 
 
 def test_walk_of_l_never_meets_2l_at_a_shell_it_serves():
@@ -735,23 +737,23 @@ def test_walk_of_l_never_meets_2l_at_a_shell_it_serves():
 
 def _near_shells(lat, every=False):
     """The near shells of all_screeners: the admitted t up to its
-    Gram-Schmidt cap that do not divide d_1, with t <= b, the least norm of
-    the LLL rows of L, and a walk of L up to 2t that `_walk_is_small`
-    sizes small; with every set, the last condition is dropped."""
+    Gram-Schmidt cap that do not divide d_1 and whose walk of L up to 2t
+    `_walk_is_small` proves small; with every set, also each such t <= b,
+    b the least norm of the LLL rows of L, near or not."""
     invariants, _ = _smith_data(lat)
-    u, _, _ = lat.lll_reduce()
+    u, minors, _ = lat.lll_reduce()
     b = min(map(lat.norm, u))
-    return {t for t in divisors(invariants[-1], min(b, _gram_schmidt_cap(lat)))
+    return {t for t in divisors(invariants[-1], _gram_schmidt_cap(lat))
             if invariants[0] % t and _admits(lat, t)
-            and (every or screeners._walk_is_small(lat.rank, lat.determinant, 2 * t))}
+            and ((every and t <= b) or screeners._walk_is_small(minors, 2 * t))}
 
 
 def test_near_shells_match_their_mod_kernel_walk():
-    """For every admitted t not dividing d_1 with t <= b, the vectors of
-    norm 2t that the walk of L up to 2t finds with G x = 0 mod t and some
-    odd coordinate are the screeners the M_t path gives for that t: a walk
-    of the Lattice of the Hermite basis of M_t, mapped by that basis, with
-    canonical sign and some odd coordinate.  They are also all_screeners'
+    """For every admitted t not dividing d_1 that is near or at most b, the
+    vectors of norm 2t that the walk of L up to 2t finds with G x = 0 mod t
+    and some odd coordinate are the screeners the M_t path gives for that
+    t: a walk of the Lattice of the Hermite basis of M_t, mapped by that
+    basis, with canonical sign and some odd coordinate.  They are also all_screeners'
     output of norm 2t, over CUT_POOL and the catalog at scales 1-4, so a
     near shell may go either way whatever _NEAR_WALK is."""
     near_hits = hits = 0
@@ -773,16 +775,19 @@ def test_near_shells_match_their_mod_kernel_walk():
             assert walked == [x for x, nrm in zip(s.vectors, s.norms) if nrm == 2 * t], (lat.gram, t)
             hits += bool(walked)
             near_hits += bool(walked) and t in near
-    # 75 shells with t <= b hold a screener, 55 of them near at _NEAR_WALK = 128
+    # 137 shells that are near or have t <= b hold a screener, 107 of them
+    # near at _NEAR_WALK = 128
     assert hits >= 70 and near_hits >= 50, (hits, near_hits)
 
 
 def test_output_does_not_depend_on_the_near_walk_cap(monkeypatch):
-    """_walk_is_small only picks which near shells the walk of L serves:
-    always False, as for _NEAR_WALK = 0, sends every one through M_t,
-    always True, as for _NEAR_WALK = infinity, reads every admitted t <= b
-    off the walk, and the ScreenerSets are those at the default over the
-    catalog at scales 1-4, CUT_POOL and dense_grams(12)."""
+    """_NEAR_WALK only picks which shells the walk of L serves: at 0 no
+    walk is proven that small and every t not dividing d_1 goes through
+    M_t, at 4096 the walk of L serves more of them than at the default,
+    and the ScreenerSets are those at the default over the catalog at
+    scales 1-4, CUT_POOL and dense_grams(12).  The upper extreme is
+    finite, as an always-True rule would walk L up to twice the
+    Gram-Schmidt cap."""
     walks = []
     walk = screeners.enumerate_up_to_norm
 
@@ -794,12 +799,141 @@ def test_output_does_not_depend_on_the_near_walk_cap(monkeypatch):
     lattices = _in_place_pool() + [Lattice(g) for g in dense_grams(12)]
     default = [all_screeners(lat) for lat in lattices]
     through_m_t = {"default": len(walks)}
-    for small in (False, True):
-        monkeypatch.setattr(screeners, "_walk_is_small", lambda d, det, bound: small)
+    for cap in (0, 4096):
+        monkeypatch.setattr(screeners, "_NEAR_WALK", cap)
         walks.clear()
-        assert [all_screeners(lat) for lat in lattices] == default, small
-        through_m_t[small] = len(walks)
-    assert through_m_t[False] > through_m_t["default"] > through_m_t[True], through_m_t
+        assert [all_screeners(lat) for lat in lattices] == default, cap
+        through_m_t[cap] = len(walks)
+    assert through_m_t[0] > through_m_t["default"] > through_m_t[4096], through_m_t
+
+
+def _level_count(minors, bound):
+    """The product over the levels i of isqrt(4 bound D_i // D_{i+1}) + 1,
+    the count `_walk_is_small` compares with _NEAR_WALK."""
+    return math.prod(math.isqrt(4 * bound * minors[i] // minors[i + 1]) + 1 for i in range(len(minors) - 1))
+
+
+# the code object of the level function nested in short_vectors
+_LEVEL = next(c for c in short_vectors.__code__.co_consts if getattr(c, "co_name", None) == "level")
+
+
+def _walk_sizes(state, bound):
+    """(leaves, level calls) of short_vectors up to bound on that state,
+    the calls counted by a profile hook on the nested level function."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is _LEVEL
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        leaves = len(short_vectors(*state, bound))
+    finally:
+        sys.setprofile(previous)
+    return leaves, calls
+
+
+def _check_level_count(lat, bounds):
+    """At each bound whose count is at most 4096, so that the walk stays
+    small, short_vectors emits at most the count and calls level at most d
+    times the count, and `_walk_is_small` is the count against _NEAR_WALK;
+    returns how many bounds were checked."""
+    state = lat.lll_reduce()
+    minors = state[1]
+    checked = 0
+    for bound in bounds:
+        count = _level_count(minors, bound)
+        assert screeners._walk_is_small(minors, bound) == (count <= screeners._NEAR_WALK), (lat.gram, bound)
+        if count > 4096:
+            continue
+        leaves, calls = _walk_sizes(state, bound)
+        assert leaves <= count and calls <= lat.rank * count, (lat.gram, bound, leaves, calls, count)
+        checked += 1
+    return checked
+
+
+def test_level_counts_bound_the_walk():
+    """The count of `_walk_is_small` bounds the walk it sizes: over the
+    catalog at scales 1-4, CUT_POOL and dense_grams(12), at bounds from 0
+    to 8 b, b the least norm of the LLL rows, and at 2t for each divisor t
+    of det up to the Gram-Schmidt cap."""
+    checked = 0
+    for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(12)]:
+        b = min(map(lat.norm, lat.lll_reduce()[0]))
+        shells = [2 * t for t in divisors(lat.determinant, _gram_schmidt_cap(lat))]
+        checked += _check_level_count(lat, sorted({1, b - 1, b, 2 * b, 4 * b, 8 * b, *shells}))
+    assert checked > 2500, checked  # 2641
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_dense_grams(1, 6), st.data())
+def test_level_counts_bound_the_walk_of_drawn_grams(lat, data):
+    """The same bound for even, odd and scaled Grams of rank 1-6 at three
+    drawn bounds up to four times the least diagonal entry."""
+    top = 4 * min(lat.gram[i][i] for i in range(lat.rank))
+    _check_level_count(lat, [data.draw(st.integers(0, top)) for _ in range(3)])
+
+
+def test_skewed_lattice_walks_only_what_the_count_allows():
+    """diag(1, 1, 1, 1, 10^12) has d_1 = 1 and the candidates t | 10^12 up
+    to the cap 2 10^12.  The level counts make a t near only while the
+    four unit levels stay small, so the walk of L stops far below the norm
+    2 10^12 a rule blind to the skew would reach, and the 13 screeners,
+    e_i +- e_j of norm 2 and e_5 of norm 10^12, come back well within a
+    second."""
+    gram = _diag(1, 1, 1, 1, 10 ** 12)
+    start = time.perf_counter()
+    s = all_screeners(Lattice(gram))
+    elapsed = time.perf_counter() - start
+    assert len(s) == 13 and s.norms == (2,) * 12 + (10 ** 12,), s.norms
+    assert elapsed < 1, elapsed
+
+
+def test_near_shell_drops_a_walked_vector_of_2l(monkeypatch):
+    """[[2, 0], [0, 8]] has d_1 = 2 and b = 2.  t = 4 does not divide d_1,
+    and its walk of L is near: the level counts at B = 8 are 5 and 3, 15 in
+    all.  That walk holds (2, 0) of norm 8 with G x = (4, 0) = 0 mod 4, a
+    vector of 2L that the near filter must drop; (0, 1) of norm 8 is the
+    one screener of that norm, and no shell goes through M_t."""
+    lat = Lattice([[2, 0], [0, 8]])
+    u, minors, lam = lat.lll_reduce()
+    assert _level_count(minors, 8) == 15 and screeners._walk_is_small(minors, 8)
+    assert ((2, 0), 8) in short_vectors(u, minors, lam, 8)
+    walks = []
+    walk = screeners.enumerate_up_to_norm
+    monkeypatch.setattr(screeners, "enumerate_up_to_norm", lambda sub, bound: walks.append(bound) or walk(sub, bound))
+    s = all_screeners(lat)
+    assert (s.vectors, s.norms) == (((1, 0), (0, 1)), (2, 8))
+    assert walks == []
+
+
+@pytest.mark.parametrize("lat, through_m_t", [
+    (catalog("A", 3, 2), []),
+    (Lattice([[4, 1], [1, 4]]), []),
+    (catalog("D", 4, 2), [(8, 12)]),
+], ids=["A3-scale-2", "4-1-1-4", "D4-scale-2"])
+def test_console_script_shell_paths(monkeypatch, lat, through_m_t):
+    """The paths the console-script checks of CI name: every screener of
+    A3 at scale 2 and of [[4, 1], [1, 4]] comes off the one walk of L, and
+    D4 at scale 2 walks one shell through M_4 (t = 4, norm 8), whose 12
+    vectors are its 12 screeners of norm 8.  Each entry is (bound, vectors
+    of that norm) of one enumerate_up_to_norm call."""
+    walks = []
+    walk = screeners.enumerate_up_to_norm
+
+    def counting_walk(sub, bound):
+        found = walk(sub, bound)
+        walks.append((bound, found.norms.count(bound)))
+        return found
+
+    monkeypatch.setattr(screeners, "enumerate_up_to_norm", counting_walk)
+    s = all_screeners(lat)
+    assert walks == through_m_t, walks
+    for bound, n in through_m_t:
+        assert s.norms.count(bound) == n
 
 
 def _certified_shells(lat):
@@ -1218,7 +1352,7 @@ def test_smith_form_only_when_a_mod_kernel_shell_is_left(monkeypatch):
         assert out == s, lat.gram
         answered.append(lat)
     assert catalog("E", 8) in answered
-    assert 100 < len(answered) < len(pool), len(answered)  # 152 of 410
+    assert 100 < len(answered) < len(pool), len(answered)  # 269 of 410
     with pytest.raises(RuntimeError, match="smith_normal_form called"):
         all_screeners(_scrambled(catalog("D", 9, 3)))
 
