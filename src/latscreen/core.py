@@ -46,6 +46,7 @@ class Lattice:
 
     Construction checks definiteness once, by intlinalg.gram_schmidt, and keeps
     its state for lll_reduce; afterwards every operation trusts the matrix.
+    `_from_state` keeps a state the caller already holds, with no check.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -67,6 +68,21 @@ class Lattice:
         if minors[-1] <= 0:
             raise LatticeError("Gram matrix is not positive definite: "
                                f"leading principal minor {len(minors) - 1} is {minors[-1]}")
+        self._keep(rows, minors, lam)
+
+    @classmethod
+    def _from_state(cls, gram: Sequence[Sequence[int]], minors: Sequence[int],
+                    lam: Sequence[Sequence[int]]) -> Lattice:
+        """The Lattice of a Gram the package built itself, R G R^T over a
+        basis R of a sublattice, so integer, symmetric and positive definite,
+        from the intlinalg.gram_schmidt state the caller already holds: no
+        entry check and no second elimination."""
+        self = object.__new__(cls)
+        self._keep(tuple(map(tuple, gram)), minors, lam)
+        return self
+
+    def _keep(self, rows: tuple[tuple[int, ...], ...], minors: Sequence[int],
+              lam: Sequence[Sequence[int]]) -> None:
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "_minors", tuple(minors))
         object.__setattr__(self, "_lam", tuple(map(tuple, lam)))

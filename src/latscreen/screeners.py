@@ -40,9 +40,10 @@ starts from its Hermite basis, built modulo t in one pass over the
 Smith-form generators, with entries in [0, t].  LLL of each shell then
 starts from a basis whose size is set by t, not by the entries of the Smith
 matrix.  The Gram-Schmidt lemma above certifies any other shell empty
-before its LLL: when every Gram-Schmidt norm D_{k+1}/D_k of the Hermite
-basis, read off the minors its `Lattice` keeps, exceeds 2t, no nonzero
-vector of M_t has norm 2t, and the shell is neither reduced nor walked.
+before its `Lattice`: when every Gram-Schmidt norm D_{k+1}/D_k of the
+Hermite basis, read off the minors of its Gram, exceeds 2t, no nonzero
+vector of M_t has norm 2t, and the shell is neither built nor walked.
+Any other shell's `Lattice` keeps the state of that one elimination.
 """
 
 from __future__ import annotations
@@ -164,9 +165,12 @@ def _discriminant_admits(t: int, primes: Sequence[int], invariants: Sequence[int
 # the most vectors the walk of L up to a near shell's norm is proven to
 # emit before that shell goes through M_t instead, so that walk calls a
 # level at most d _NEAR_WALK times (all_screeners); no output depends on
-# it.  64, 128 and 256 timed within 2 % of each other on the three
-# benchmark workloads at seed 1
-_NEAR_WALK = 128
+# it.  Against 128, seed-1 passes of all_screeners took 6.5, 10.4, 15.0
+# and 13.8 % less time on random-dense at 512, 1024, 2048 and 4096, and
+# 0.8 % more, 0.2 % less, then 0.9 and 2.2 % more on catalog-classify
+# (means of two in-process runs of 15 interleaved passes): 1024 is the
+# largest that costs catalog nothing
+_NEAR_WALK = 1024
 
 
 def _walk_is_small(minors: Sequence[int], bound: int) -> bool:
@@ -288,15 +292,16 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     of V.  Reducing a generator mod t stays inside M_t, because t Z^d lies
     in M_t.  The x not in 2L test stays on these shells, where it can fail.
 
-    Every other shell is built on its Hermite basis c, and only those are
-    reduced and walked that c does not certify empty:
+    Every other shell starts from the Gram of its Hermite basis c and its
+    `intlinalg.gram_schmidt` state, and only those that c does not certify
+    empty get a `Lattice`, which keeps that state, an LLL and a walk:
 
     - some k has D_{k+1} <= 2t D_k, with D the leading minors of the Gram
-      of c, kept by its `Lattice`.  Let z = sum_i a_i c_i be nonzero with
-      a_k its last nonzero coefficient.  Its component along c_k* is
-      a_k c_k*, so <z,z> >= a_k^2 |c_k*|^2 >= D_{k+1} / D_k.  If every
-      D_{k+1} / D_k exceeds 2t, no nonzero vector of M_t has norm 2t, and
-      the walk would return nothing.
+      of c.  Let z = sum_i a_i c_i be nonzero with a_k its last nonzero
+      coefficient.  Its component along c_k* is a_k c_k*, so <z,z> >=
+      a_k^2 |c_k*|^2 >= D_{k+1} / D_k.  If every D_{k+1} / D_k exceeds 2t,
+      no nonzero vector of M_t has norm 2t, and the walk would return
+      nothing.
     """
     d, det = lat.rank, lat.determinant
     # d_1, the gcd of G's entries, divides every d_i, so d_n divides
@@ -340,13 +345,14 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
             if dn % t or not _discriminant_admits(t, primes, invariants, a, even):
                 continue
             basis = _mod_kernel_basis(v, invariants, t)
-            sub = Lattice(lat.row_gram(basis))
+            g = lat.row_gram(basis)
             # every |c_k*|^2 = D_{k+1} / D_k of the Hermite basis exceeds 2t: no
-            # nonzero vector of M_t has norm 2t, so skip its LLL and walk
-            m = sub.minors
+            # nonzero vector of M_t has norm 2t, so build no Lattice, LLL or walk
+            state = intlinalg.gram_schmidt(g)
+            m = state[0]
             if all(m[k + 1] > 2 * t * m[k] for k in range(d)):
                 continue
-            found = enumerate_up_to_norm(sub, 2 * t)
+            found = enumerate_up_to_norm(Lattice._from_state(g, *state), 2 * t)
             shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
             for x in map(canonical, intlinalg.matmul(shell, basis)):
                 if not in_scaled_lattice(x, 2):

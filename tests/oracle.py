@@ -10,7 +10,6 @@ sign of the first nonzero coordinate, so it is slow but hard to get wrong.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -102,20 +101,31 @@ def box_vectors(gram, bound):
     """All nonzero x with x^T G x <= bound, one representative per +-x.
 
     Walks the half of the coordinate box |x_j| <= sqrt(bound * (G^-1)_jj)
-    whose first nonzero coordinate is positive: for each position k, x_k
-    runs over 1..m_k after k zeros and the later coordinates run free.  The
-    canonical representatives found are sorted by (norm, coordinates).
+    whose first nonzero coordinate is positive: x_0 is fixed first, and
+    x_j runs over 0..m_j while x_0 = ... = x_{j-1} = 0 and over -m_j..m_j
+    after.  Each step carries G x and the norm of the part fixed so far,
+    so fixing x_j costs O(n) and no point sums the n^2 terms of its norm.
+    The canonical representatives found are sorted by (norm, coordinates).
     Returns a list of (coords, norm) pairs.
     """
     n = len(gram)
     limits = box_limits(gram, bound)
+    cols = list(zip(*gram))
     found = []
-    for k, m in enumerate(limits):
-        ranges = [range(1)] * k + [range(1, m + 1)] + [range(-l, l + 1) for l in limits[k + 1:]]
-        for x in itertools.product(*ranges):
-            norm = sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
-            if norm <= bound:
-                found.append((x, norm))
+
+    def scan(j, x, gx, norm, zero):
+        # x fixes x_0, ..., x_{j-1}; gx = G x and norm = <x, x> of that part
+        m, col = limits[j], cols[j]
+        for v in range(0 if zero else -m, m + 1):
+            # <x + v e_j, x + v e_j> = <x, x> + v (2 (G x)_j + G_jj v)
+            nv = norm + v * (2 * gx[j] + col[j] * v)
+            if j + 1 < n:
+                gv = [a + v * c for a, c in zip(gx, col)] if v else gx
+                scan(j + 1, x + (v,), gv, nv, zero and not v)
+            elif nv <= bound and not (zero and not v):
+                found.append((x + (v,), nv))
+
+    scan(0, (), [0] * n, 0, True)
     found.sort(key=lambda t: (t[1], t[0]))
     return found
 

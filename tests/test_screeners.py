@@ -598,6 +598,9 @@ def test_all_screeners_reduces_the_lattice_once(monkeypatch):
     monkeypatch.setattr(screeners, "short_vectors", counting_short)
     walked = off_walk = 0
     lattices = [Lattice(A2), catalog("D", 4), catalog("E", 8), catalog("A", 3, 2)] + CUT_POOL
+    # D5-D8 and E6-E8 at scales 2-4 walk 25 shells through M_t
+    lattices += [catalog(kind, n, scale) for kind, n in [("D", 5), ("D", 6), ("D", 7), ("D", 8),
+                                                          ("E", 6), ("E", 7), ("E", 8)] for scale in (2, 3, 4)]
     for lat in lattices + [Lattice(g) for g in dense_grams(12)]:
         lll_calls.clear()
         walks.clear()
@@ -608,33 +611,64 @@ def test_all_screeners_reduces_the_lattice_once(monkeypatch):
         walked += len(walks)
         # shells that hold a screener and were served by the walk of L alone
         off_walk += len(set(s.norms) - set(walks))
-    assert walked > 44, walked  # 86
-    assert off_walk > 70, off_walk  # 284; the shells with t | d_1 alone give 182
+    assert walked > 44, walked  # 55
+    assert off_walk > 70, off_walk  # 336; the shells with t | d_1 alone give 203
 
 
 def test_certified_shells_pay_no_lll(monkeypatch):
-    """A shell whose Hermite basis certifies it empty is built but neither
-    reduced nor walked: on dense Grams of rank 5-8 all_screeners builds
-    more shells (`_mod_kernel_basis` calls) than it walks, and never walks
-    more than it builds."""
-    built, walks = [], []
-    basis_of, walk = screeners._mod_kernel_basis, screeners.enumerate_up_to_norm
+    """A shell whose Hermite basis certifies it empty is built but gets no
+    Lattice, LLL or walk: all_screeners reads the certificate off
+    intlinalg.gram_schmidt of the Gram of each M_t basis, and after each
+    `_mod_kernel_basis` call it builds one Lattice from that state and walks
+    it once when the certificate leaves the shell open, and builds nothing
+    when it clears the shell.  So the Lattices built are the M_t walks, over
+    the catalog at scales 1-4, CUT_POOL and dense_grams(12), each keeps the
+    state a checked Lattice of its Gram keeps, and some shell is cleared
+    with no Lattice built."""
+    events = []
+    basis_of, walk, from_state = screeners._mod_kernel_basis, screeners.enumerate_up_to_norm, Lattice._from_state
 
-    def counting_basis(v, invariants, t):
-        built.append(t)
-        return basis_of(v, invariants, t)
+    def recording_basis(v, invariants, t):
+        basis = basis_of(v, invariants, t)
+        events.append(("basis", t, basis))
+        return basis
 
-    def counting_walk(lat, bound):
-        walks.append(bound)
-        return walk(lat, bound)
+    def recording_state(gram, minors, lam):
+        sub = from_state(gram, minors, lam)
+        events.append(("lattice", sub))
+        return sub
 
-    monkeypatch.setattr(screeners, "_mod_kernel_basis", counting_basis)
-    monkeypatch.setattr(screeners, "enumerate_up_to_norm", counting_walk)
-    for gram in dense_grams(12):
-        before = len(built), len(walks)
-        all_screeners(Lattice(gram))
-        assert len(walks) - before[1] <= len(built) - before[0], gram
-    assert len(walks) < len(built), (len(walks), len(built))
+    def recording_walk(sub, bound):
+        events.append(("walk", sub))
+        return walk(sub, bound)
+
+    monkeypatch.setattr(screeners, "_mod_kernel_basis", recording_basis)
+    monkeypatch.setattr(Lattice, "_from_state", recording_state)
+    monkeypatch.setattr(screeners, "enumerate_up_to_norm", recording_walk)
+    built = walked = cleared = 0
+    for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(12)]:
+        events.clear()
+        all_screeners(lat)
+        steps = [[]]
+        for event in events:
+            if event[0] == "basis":
+                steps.append([event])
+            else:
+                steps[-1].append(event)
+        assert steps[0] == [], (lat.gram, steps[0])
+        for (_, t, basis), *after in steps[1:]:
+            checked = Lattice(lat.row_gram(basis))
+            certified = hermite_certified(checked, t)
+            assert [e[0] for e in after] == ([] if certified else ["lattice", "walk"]), (lat.gram, t, after)
+            cleared += certified
+            if after:
+                sub = after[0][1]
+                assert after[1][1] is sub, (lat.gram, t)
+                assert (sub.gram, sub.minors, sub.lll_reduce()) == (checked.gram, checked.minors, checked.lll_reduce())
+        built += sum(event[0] == "lattice" for event in events)
+        walked += sum(event[0] == "walk" for event in events)
+    assert built == walked, (built, walked)
+    assert cleared > 0 and walked > 0, (cleared, walked)
 
 
 def _in_place_pool():
@@ -713,7 +747,7 @@ def test_shells_whose_mod_kernel_is_l_are_walked_on_l(monkeypatch):
     # shells with t | d_1 that hold a screener, 256 of them, 150 with t > 1
     assert len(in_place) > 250
     assert sum(t > 1 for t in in_place) >= 150
-    assert near_checked >= 140, near_checked  # 262
+    assert near_checked >= 140, near_checked  # 333
 
 
 def test_walk_of_l_never_meets_2l_at_a_shell_it_serves():
@@ -775,8 +809,8 @@ def test_near_shells_match_their_mod_kernel_walk():
             assert walked == [x for x, nrm in zip(s.vectors, s.norms) if nrm == 2 * t], (lat.gram, t)
             hits += bool(walked)
             near_hits += bool(walked) and t in near
-    # 137 shells that are near or have t <= b hold a screener, 107 of them
-    # near at _NEAR_WALK = 128
+    # 161 shells that are near or have t <= b hold a screener, 137 of them
+    # near at _NEAR_WALK = 1024
     assert hits >= 70 and near_hits >= 50, (hits, near_hits)
 
 
@@ -805,6 +839,21 @@ def test_output_does_not_depend_on_the_near_walk_cap(monkeypatch):
         assert [all_screeners(lat) for lat in lattices] == default, cap
         through_m_t[cap] = len(walks)
     assert through_m_t[0] > through_m_t["default"] > through_m_t[4096], through_m_t
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_dense_grams(1, 6))
+def test_output_does_not_depend_on_the_near_walk_cap_on_drawn_grams(lat):
+    """For even, odd and scaled Grams of rank 1-6, all_screeners gives the
+    same ScreenerSet with _NEAR_WALK at 0, where every t not dividing d_1
+    goes through M_t, at 128, at the default 1024 and at 4096."""
+    out = {}
+    for cap in (0, 128, 1024, 4096):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(screeners, "_NEAR_WALK", cap)
+            out[cap] = all_screeners(lat)
+    assert out[0] == out[128] == out[1024] == out[4096], (lat.gram, out)
 
 
 def _level_count(minors, bound):
@@ -864,7 +913,7 @@ def test_level_counts_bound_the_walk():
         b = min(map(lat.norm, lat.lll_reduce()[0]))
         shells = [2 * t for t in divisors(lat.determinant, _gram_schmidt_cap(lat))]
         checked += _check_level_count(lat, sorted({1, b - 1, b, 2 * b, 4 * b, 8 * b, *shells}))
-    assert checked > 2500, checked  # 2641
+    assert checked > 2500, checked  # 2703
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150,
@@ -913,14 +962,15 @@ def test_near_shell_drops_a_walked_vector_of_2l(monkeypatch):
 @pytest.mark.parametrize("lat, through_m_t", [
     (catalog("A", 3, 2), []),
     (Lattice([[4, 1], [1, 4]]), []),
-    (catalog("D", 4, 2), [(8, 12)]),
-], ids=["A3-scale-2", "4-1-1-4", "D4-scale-2"])
+    (catalog("D", 4, 2), []),
+    (catalog("D", 6, 2), [(8, 6)]),
+], ids=["A3-scale-2", "4-1-1-4", "D4-scale-2", "D6-scale-2"])
 def test_console_script_shell_paths(monkeypatch, lat, through_m_t):
     """The paths the console-script checks of CI name: every screener of
-    A3 at scale 2 and of [[4, 1], [1, 4]] comes off the one walk of L, and
-    D4 at scale 2 walks one shell through M_4 (t = 4, norm 8), whose 12
-    vectors are its 12 screeners of norm 8.  Each entry is (bound, vectors
-    of that norm) of one enumerate_up_to_norm call."""
+    A3 at scale 2, of [[4, 1], [1, 4]] and of D4 at scale 2 comes off the
+    one walk of L, and D6 at scale 2 walks one shell through M_4 (t = 4,
+    norm 8), whose 6 vectors are its 6 screeners of norm 8.  Each entry is
+    (bound, vectors of that norm) of one enumerate_up_to_norm call."""
     walks = []
     walk = screeners.enumerate_up_to_norm
 
@@ -1352,7 +1402,7 @@ def test_smith_form_only_when_a_mod_kernel_shell_is_left(monkeypatch):
         assert out == s, lat.gram
         answered.append(lat)
     assert catalog("E", 8) in answered
-    assert 100 < len(answered) < len(pool), len(answered)  # 269 of 410
+    assert 100 < len(answered) < len(pool), len(answered)  # 313 of 410
     with pytest.raises(RuntimeError, match="smith_normal_form called"):
         all_screeners(_scrambled(catalog("D", 9, 3)))
 
