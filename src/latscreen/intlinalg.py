@@ -423,6 +423,28 @@ def gram_schmidt(gram: Sequence[Sequence[int]]) -> tuple[list[int], Matrix]:
     return dd, lam
 
 
+def gram_from_state(minors: Sequence[int], lam: Sequence[Sequence[int]]) -> Matrix:
+    """The Gram whose gram_schmidt state (minors, lam) is, so u G u^T from
+    the state lll_reduce returns, with no matrix product.
+
+    It runs the gram_schmidt recurrence backwards: entry (i, j), j <= i,
+    starts from lam[i][j], or D_{j+1} on the diagonal, and for k = j - 1,
+    ..., 0 becomes (D_k s + lam[i][k] lam[j][k]) / D_{k+1}, the value it
+    held before gram_schmidt's step k.  Every division is exact, as each
+    undoes a product.  Needs a full state: d + 1 positive minors."""
+    n = len(lam)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        li = lam[i]
+        for j in range(i + 1):
+            lj = lam[j]
+            s = li[j] if j < i else minors[j + 1]
+            for k in range(j - 1, -1, -1):
+                s = (minors[k] * s + li[k] * lj[k]) // minors[k + 1]
+            gram[i][j] = gram[j][i] = s
+    return gram
+
+
 def lll_reduce(minors: Sequence[int], lam: Sequence[Sequence[int]]) -> tuple[Matrix, list[int], Matrix]:
     """Unimodular rows u with u * gram * u^T LLL-reduced (delta = 3/4), in
     all-integer arithmetic (Cohen, Alg. 2.6.7) from a copy of the Gram's

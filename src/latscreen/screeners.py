@@ -29,17 +29,23 @@ with G x = 0 mod t and some odd coordinate.  That walk goes up to
 B = max(b - 1, 2t for every candidate t | d_1 and every near t), b the
 least norm of the reduced rows, so L is reduced once and walked once.
 
-Otherwise G is put in Smith form only when some other t with 2t >=
-lambda_1(L) is left.  The search walks the norm-2t shell of M_t only for
+From the LLL on, L is worked in its reduced basis w: the Gram
+G' = w G w^T is read back off the LLL state (`intlinalg.gram_from_state`),
+with no matrix product, and its diagonal gives b.  w is unimodular, so G'
+has the Smith invariants of G, and M_t is {y : G' y = 0 mod t} w.  G' is
+put in Smith form only when some t other than those the walk serves, with
+2t >= lambda_1(L), is left.  The search walks the norm-2t shell of M_t only for
 those t that divide d_n, and skips a t before building M_t when the
 discriminant form of L*/L (Nikulin 1979; Conway and Sloane, SPLAG ch. 15)
 has no element of order t and norm 2/t, as the image of x/t must be.  That
 test reads the p-adic valuations of the Smith invariants prime by prime; it
 needs no Jordan decomposition and is necessary, not sufficient.  Each M_t
-starts from its Hermite basis, built modulo t in one pass over the
-Smith-form generators, with entries in [0, t].  LLL of each shell then
-starts from a basis whose size is set by t, not by the entries of the Smith
-matrix.  The Gram-Schmidt lemma above certifies any other shell empty
+starts from its Hermite basis in w-coordinates, built modulo t in one pass
+over the Smith-form generators, with entries in [0, t], and its shell
+vectors map to L's coordinates through that basis and w.  LLL of each
+shell then starts from a basis whose size is set by t and the reduced
+Gram, not by the entries of the Smith matrix or of G.  The Gram-Schmidt
+lemma above certifies any other shell empty
 before its `Lattice`: when every Gram-Schmidt norm D_{k+1}/D_k of the
 Hermite basis, read off the minors of its Gram, exceeds 2t, no nonzero
 vector of M_t has norm 2t, and the shell is neither built nor walked.
@@ -89,7 +95,10 @@ class ScreenerSet:
 
 
 def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: int) -> list[list[int]]:
-    """Basis rows of M_t = {x : G x = 0 mod t} in row Hermite form.
+    """Basis rows of M_t = {x : G x = 0 mod t} in row Hermite form, in the
+    basis of the Gram G whose Smith matrix V is given.  all_screeners gives
+    the V of the reduced Gram w G w^T of L, so the rows are in
+    w-coordinates, and times w they span the M_t of L's own Gram.
 
     With U G V = D the Smith form, M_t is spanned by the columns s_i V_i,
     s_i = t / gcd(d_i, t), together with t e_1, ..., t e_d.  invariants are
@@ -228,7 +237,11 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       divides d_n alone, y_p = c V_n / p^k with p not dividing c and
       q(V_n / p^k) = a d_n / p^(2k), a = <V_n, V_n> / d_n, so
       c^2 a (d_n/p^k)(t/p^k) = 2 mod p, and 2 a (d_n/p^k)(t/p^k) is a
-      square mod p.
+      square mod p.  V may come from the Smith form of any Gram of L, here
+      the reduced Gram w G w^T, with V_n in w-coordinates: q does not
+      depend on the basis, and two generators of the cyclic p-part differ
+      by a unit c, so the a of either is c^2 times the other's mod p, in
+      the same square class.
 
     None of them needs the Smith form before the walk of L.  d_1 is the
     gcd of G's entries and divides every d_i, and det G = d_1 ... d_n, so
@@ -240,8 +253,8 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     part that rho has not split within as many steps.  From MR_BOUND on,
     divisors trial-divides e up to min(cap, isqrt(e)), and isqrt(e) can
     far exceed isqrt(d_n): diag(1, P, P, P) has e = P^3 and d_n = P.  So
-    there G is put in Smith form first, and the candidates are the
-    divisors of d_n up to the cap.
+    there the reduced Gram is put in Smith form first, right after the
+    LLL, and the candidates are the divisors of d_n up to the cap.
     M_t = L exactly when t | d_1.  One walk of the LLL state of L serves
     lambda_1(L), every candidate t | d_1 and every near t: a candidate not
     dividing d_1 whose walk of L up to 2t `_walk_is_small` proves to emit
@@ -283,17 +296,23 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       [[2, 0], [0, 8]] has the near t = 4 (c_0 c_1 = 5 * 3), and its walk
       holds (2, 0) of norm 8 with G x = 0 mod 4.
 
-    Only when some other candidate with 2t >= lambda_1(L) is left is G put
-    in Smith form, if it is not already; of those t, the ones that divide
-    d_n and that `_discriminant_admits` admits go through M_t.  M_t is spanned by the
-    columns s_i V_i of the Smith matrix V, with s_i = t / gcd(d_i, t),
-    and t Z^d, and the walk starts from its Hermite basis, built modulo t
-    by `_mod_kernel_basis`, whose entries lie in [0, t] whatever the size
-    of V.  Reducing a generator mod t stays inside M_t, because t Z^d lies
-    in M_t.  The x not in 2L test stays on these shells, where it can fail.
+    Only when some other candidate with 2t >= lambda_1(L) is left is the
+    reduced Gram G' = w G w^T put in Smith form, if it is not already; of
+    those t, the ones that divide d_n and that `_discriminant_admits`
+    admits go through M_t.  G' is read back off the LLL state by
+    `intlinalg.gram_from_state`, with no matrix product; w is unimodular,
+    so G' has the Smith invariants of G, its least diagonal entry is b,
+    and M_t = {y : G' y = 0 mod t} w.  That kernel is spanned by the
+    columns s_i V_i of the Smith matrix V of G', with s_i = t / gcd(d_i,
+    t), and t Z^d, and the walk starts from its Hermite basis, in
+    w-coordinates, built modulo t by `_mod_kernel_basis`, whose entries
+    lie in [0, t] whatever the size of V.  Reducing a generator mod t
+    stays inside M_t, because t Z^d lies in M_t.  A shell vector z maps to
+    L's coordinates as z c w, with c that Hermite basis.  The x not in 2L
+    test stays on these shells, where it can fail.
 
-    Every other shell starts from the Gram of its Hermite basis c and its
-    `intlinalg.gram_schmidt` state, and only those that c does not certify
+    Every other shell starts from the Gram c G' c^T of its Hermite basis c
+    and its `intlinalg.gram_schmidt` state, and only those that c does not certify
     empty get a `Lattice`, which keeps that state, an LLL and a walk:
 
     - some k has D_{k+1} <= 2t D_k, with D the leading minors of the Gram
@@ -304,12 +323,14 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       nothing.
     """
     d, det = lat.rank, lat.determinant
-    # d_1, the gcd of G's entries, divides every d_i, so d_n divides
-    # e = det / d_1^(d-1); from MR_BOUND on, list the divisors of d_n
-    d1 = gcd(*(x for row in lat.gram for x in row))
-    e = det // d1 ** (d - 1)
-    snf = intlinalg.smith_normal_form(lat.gram) if e >= intlinalg.MR_BOUND else None
     w, minors, lam = lat.lll_reduce()
+    # L in the reduced basis w, its Gram w G w^T read off the LLL state
+    red = Lattice._from_state(intlinalg.gram_from_state(minors, lam), minors, lam)
+    # d_1, the gcd of the entries of G and of w G w^T, divides every d_i, so
+    # d_n divides e = det / d_1^(d-1); from MR_BOUND on, list the divisors of d_n
+    d1 = gcd(*(x for row in red.gram for x in row))
+    e = det // d1 ** (d - 1)
+    snf = intlinalg.smith_normal_form(red.gram) if e >= intlinalg.MR_BOUND else None
     # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
     cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
     divs = intlinalg.divisors(snf[0][-1][-1] if snf else e, cap)
@@ -317,7 +338,7 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     # 2t with t | d_1, where M_t = L, and every near norm 2t whose walk the
     # level counts prove small, gives lambda_1(L) and those shells; any
     # other t is tested only when 2t >= lambda_1(L)
-    b = min(map(lat.norm, w))
+    b = min(red.gram[i][i] for i in range(d))
     whole = {2 * t for t in divs if d1 % t == 0}
     near = {2 * t for t in divs if d1 % t and _walk_is_small(minors, 2 * t)}
     walk = short_vectors(w, minors, lam, max([b - 1, *whole, *near]))
@@ -329,12 +350,13 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
                                  and in_dual_from(lat.gram_times(x), nrm // 2))]
     rest = [t for t in divs if 2 * t >= lmin and 2 * t not in whole and 2 * t not in near]
     if rest:
-        diag, v = snf or intlinalg.smith_normal_form(lat.gram)
+        diag, v = snf or intlinalg.smith_normal_form(red.gram)
         invariants = [diag[i][i] for i in range(d)]
         dn = invariants[-1]
-        # q(V_n / d_n) = a / d_n; G V_n = d_n (U^-1)_n, so d_n divides <V_n, V_n>
-        a = lat.norm([row[-1] for row in v]) // dn
-        even = lat.is_even
+        # q(V_n / d_n) = a / d_n in the basis w; G' V_n = d_n (U^-1)_n for
+        # G' = w G w^T, so d_n divides <V_n, V_n>
+        a = red.norm([row[-1] for row in v]) // dn
+        even = red.is_even
         primes: list[int] = []
         for t in divs:
             # the list is ascending and holds every prime of t, so t is prime
@@ -344,8 +366,9 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
         for t in rest:
             if dn % t or not _discriminant_admits(t, primes, invariants, a, even):
                 continue
+            # the Hermite basis of M_t in w-coordinates
             basis = _mod_kernel_basis(v, invariants, t)
-            g = lat.row_gram(basis)
+            g = red.row_gram(basis)
             # every |c_k*|^2 = D_{k+1} / D_k of the Hermite basis exceeds 2t: no
             # nonzero vector of M_t has norm 2t, so build no Lattice, LLL or walk
             state = intlinalg.gram_schmidt(g)
@@ -354,7 +377,7 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
                 continue
             found = enumerate_up_to_norm(Lattice._from_state(g, *state), 2 * t)
             shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
-            for x in map(canonical, intlinalg.matmul(shell, basis)):
+            for x in map(canonical, intlinalg.matmul(intlinalg.matmul(shell, basis), w)):
                 if not in_scaled_lattice(x, 2):
                     pairs.append((2 * t, x))
     pairs.sort()

@@ -38,7 +38,7 @@ from latscreen import (
     rank2_normal_form,
     rank2_predicted_in_lattice,
 )
-from latscreen.intlinalg import divisors, matmul, smith_normal_form
+from latscreen.intlinalg import divisors, gram_from_state, matmul, smith_normal_form
 from latscreen.screeners import _discriminant_admits, _mod_kernel_basis
 from oracle import brute_screeners, walked_screeners
 
@@ -264,7 +264,10 @@ def shell_cut_certificate() -> dict:
     certifies empty (D_{k+1} > 2t D_k for every Gram-Schmidt minor D_k of
     that basis, counted in hermite_empty whatever the other cuts say) is
     unsound when it holds a screener, and any unsound shell fails the
-    certificate.
+    certificate.  As in `all_screeners`, L is worked in its LLL basis w:
+    the Smith form, a and the Hermite bases of M_t are those of the
+    reduced Gram w G w^T, read off the LLL state, and the shell vectors are
+    mapped through the Hermite basis and w to L's coordinates.
     """
     counts = {"lattices": 0, "shells": 0, "with_screener": 0, "rejected": 0,
               "below_minimum": 0, "above_cap": 0, "hermite_empty": 0, "unsound": 0}
@@ -273,22 +276,23 @@ def shell_cut_certificate() -> dict:
         for scale in range(1, 4):
             lat = Lattice([[scale * x for x in row] for row in form])
             lmin = enumerate_up_to_norm(lat, min(lat.gram[i][i] for i in range(3))).norms[0]
-            _, minors, _ = lat.lll_reduce()
+            w, minors, lam = lat.lll_reduce()
+            red = Lattice(gram_from_state(minors, lam))
             cap = max(2 * minors[i + 1] // minors[i] for i in range(3))
             counts["lattices"] += 1
-            diag, v = smith_normal_form(lat.gram)
+            diag, v = smith_normal_form(red.gram)
             invariants = [diag[i][i] for i in range(lat.rank)]
             dn = invariants[-1]
-            a = lat.norm([row[-1] for row in v]) // dn
+            a = red.norm([row[-1] for row in v]) // dn
             primes: list[int] = []
             for t in divisors(dn, dn):
                 if t > 1 and all(t % p for p in primes):
                     primes.append(t)
                 basis = _mod_kernel_basis(v, invariants, t)
-                sub = Lattice(lat.row_gram(basis))
+                sub = Lattice(red.row_gram(basis))
                 found = enumerate_up_to_norm(sub, 2 * t)
                 shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
-                held = any(is_screener(lat, x) for x in matmul(shell, basis))
+                held = any(is_screener(lat, x) for x in matmul(matmul(shell, basis), w))
                 rejected = not _discriminant_admits(t, primes, invariants, a, lat.is_even)
                 below = 2 * t < lmin
                 above = t > cap

@@ -17,6 +17,7 @@ from latscreen.core import canonical
 from latscreen.enumeration import short_vectors
 from latscreen.intlinalg import (
     bareiss,
+    gram_from_state,
     gram_schmidt,
     identity,
     lll_reduce,
@@ -324,16 +325,20 @@ def test_lll_state_is_the_bareiss_levels_of_the_reduced_gram():
     pivots and the rows right of the diagonal of a Bareiss pass on
     u G u^T, on skewed Grams of rank 1-8, a third of them scaled by 10^18.
     The state LLL starts from, gram_schmidt of G, is the same Bareiss
-    reading of G itself, and it is the state a Lattice keeps."""
+    reading of G itself, and it is the state a Lattice keeps.
+    gram_from_state reads each Gram back off its state: G off that of G,
+    u G u^T off that of the LLL."""
     rng = random.Random(173)
     for case in range(240):
         d = 1 + case % 8
         gram = skewed_gram(rng, d, case // 8 % 3 == 0)
         assert gram_schmidt(gram) == bareiss_levels(gram), gram
+        assert gram_from_state(*gram_schmidt(gram)) == gram, gram
         u, minors, lam = lll_reduce(*gram_schmidt(gram))
         assert Lattice(gram).lll_reduce() == (u, minors, lam), gram
         red = matmul(matmul(u, gram), list(zip(*u)))
         assert (minors, lam) == bareiss_levels(red), gram
+        assert gram_from_state(minors, lam) == red, gram
 
 
 def test_walking_a_lattice_leaves_its_state_unchanged():
