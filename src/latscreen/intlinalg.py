@@ -83,10 +83,10 @@ def determinant(mat: Sequence[Sequence[int]]) -> int:
 
 
 # trial division runs up to this k before the rest of n is factored; then
-# Miller-Rabin to the first 13 prime bases, exact below MR_BOUND (Sorenson
-# and Webster 2017), and Brent's rho
+# Miller-Rabin to the first 13 prime bases, whose "prime" is proven below
+# _MR_BOUND (Sorenson and Webster 2017), a perfect-power split and Brent's rho
 _TRIAL = 1024
-MR_BOUND = 3317044064679887385961981
+_MR_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -104,7 +104,8 @@ def _trial_divide(r: int, k: int, last: int, primes: list[int]) -> tuple[int, in
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd 41 < n < MR_BOUND."""
+    """Miller-Rabin to _MR_BASES for odd n > 41: False is proven at every
+    size, by a witness base, and True only below _MR_BOUND."""
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in _MR_BASES:
@@ -120,8 +121,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _power_root(m: int, k: int) -> int:
+    """r with m = r^j for some j >= 2, else 0, for m with no prime below
+    k >= 2, so that j <= log_k m; each j-th root is Newton's integer
+    iteration down from a power of two above it, which ends at its floor."""
+    j = 2
+    while k ** j <= m:
+        x = 1 << -(-m.bit_length() // j)
+        while (y := ((j - 1) * x + m // x ** (j - 1)) // j) < x:
+            x = y
+        if x ** j == m:
+            return x
+        j += 1
+    return 0
+
+
 def _rho(n: int, budget: int) -> int:
-    """A factor 1 < f < n of the odd composite n that is not a square, by
+    """A factor 1 < f < n of the odd composite n that is no perfect power, by
     Pollard's rho with Brent's cycle search, one gcd per 128 steps (Pollard
     1975; Brent 1980), or 0 once budget steps x -> x^2 + c mod n found none."""
     c = 1
@@ -158,37 +174,33 @@ def divisors(n: int, limit: int) -> list[int]:
     from the primes of n up to limit.
 
     Trial division runs while k <= limit and k^2 <= r, r the part of n not
-    yet divided out, up to k = _TRIAL.  If r is then at least MR_BOUND,
-    above which no Miller-Rabin base set is proven exact, it runs on to the
-    end, as plain trial division would.  When it stops at k > limit, every
+    yet divided out, up to k = _TRIAL.  When it stops at k > limit, every
     prime of r exceeds limit and no divisor up to limit holds it; at
     k^2 > r, r is 1 or prime.  Otherwise each part m of r, all of whose
-    primes are at least k, is 1 or prime when m < k^2 or Miller-Rabin says
-    so, is split as s * s when it is the square of s, and else is split by
-    Brent's rho.  Rho may take as many steps as trial division from k to
-    min(limit, isqrt(m)) would; if it splits nothing in those, m is
-    trial-divided up to there.  So the primes up to limit are found
-    exactly, and no listing trial-divides past min(limit, isqrt(n)).
+    primes are at least k, goes through one rule.  It is 1 or prime when
+    m < k^2, or when Miller-Rabin says so and m < _MR_BOUND.  A "composite"
+    of Miller-Rabin is proven at any size: then m is split as r * (m / r)
+    when it is a perfect power r^j, else by Brent's rho within
+    8 isqrt(min(limit, isqrt(m))) steps, as rho finds a prime p in about
+    sqrt(p).  A part that rho leaves unsplit, or one from _MR_BOUND on that
+    Miller-Rabin calls prime, is trial-divided up to min(limit, isqrt(m)).
+    So the primes up to limit are found exactly, and no listing
+    trial-divides past min(limit, isqrt(n)).
     """
     if n < 1:
         raise ValueError(f"divisors of {n} undefined, need a positive integer")
     primes: list[int] = []
     r, k = _trial_divide(n, 2, min(limit, _TRIAL), primes)
-    if r >= MR_BOUND:
-        r, k = _trial_divide(r, k, limit, primes)
     parts = [r] if k <= limit else []
     while parts:
         m = parts.pop()
-        if m < k * k or _is_prime(m):
-            if 1 < m <= limit:
-                primes.append(m)
-            continue
-        s = isqrt(m)
-        f = s if s * s == m else _rho(m, (min(limit, s) - k) // 2)
+        composite = m >= k * k and not _is_prime(m)
+        f = (_power_root(m, k) or _rho(m, 8 * isqrt(min(limit, isqrt(m))))) if composite else 0
         if f:
             parts += [f, m // f]
             continue
-        m, _ = _trial_divide(m, k, limit, primes)
+        if composite or m >= _MR_BOUND:
+            m, _ = _trial_divide(m, k, limit, primes)
         if 1 < m <= limit:
             primes.append(m)
     out = [1] if limit >= 1 else []

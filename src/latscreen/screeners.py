@@ -14,11 +14,9 @@ length).  One LLL reduction of L gives both bounds: its minors give
 |b_i*|^2 = D_{i+1}/D_i, and one walk of its state gives lambda_1(L).  No
 dual lattice is built.  The candidates t are the divisors up to 2 max_i
 |b_i*|^2 of e = det G / d_1^(d-1), which d_n divides, listed from the
-primes of e, so no Smith form is needed to find them.  Only from
-`intlinalg.MR_BOUND` on, where the primes of e would be found by trial
-division up to isqrt(e), are they the divisors of d_n, read off the Smith
-form.  M_t = L exactly when t | d_1, because d_1 is the gcd of G's entries:
-every G x is 0 mod t exactly when every entry of G is.  Such a shell is
+primes of e, so no Smith form is needed to find them.  M_t = L exactly
+when t | d_1, because d_1 is the gcd of G's entries: every G x is 0 mod t
+exactly when every entry of G is.  Such a shell is
 read off the walk of L that gives lambda_1(L), and so is each near shell: a
 t not dividing d_1 whose walk of L up to 2t is proven short.  Level i of
 the Fincke-Pohst walk up to B admits at most isqrt(4 B D_i // D_{i+1}) + 1
@@ -248,13 +246,6 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     e = det G / d_1^(d-1) = d_n prod_{i<n} (d_i / d_1) is a multiple of
     d_n, and e = d_n when d <= 2.  The candidates t are the divisors of e
     up to the cap, listed from the primes of e (`intlinalg.divisors`).
-    Below `intlinalg.MR_BOUND`, Miller-Rabin proves the primes of e past
-    1024 and rho splits the rest; trial division goes past 1024 only on a
-    part that rho has not split within as many steps.  From MR_BOUND on,
-    divisors trial-divides e up to min(cap, isqrt(e)), and isqrt(e) can
-    far exceed isqrt(d_n): diag(1, P, P, P) has e = P^3 and d_n = P.  So
-    there the reduced Gram is put in Smith form first, right after the
-    LLL, and the candidates are the divisors of d_n up to the cap.
     M_t = L exactly when t | d_1.  One walk of the LLL state of L serves
     lambda_1(L), every candidate t | d_1 and every near t: a candidate not
     dividing d_1 whose walk of L up to 2t `_walk_is_small` proves to emit
@@ -297,7 +288,7 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       holds (2, 0) of norm 8 with G x = 0 mod 4.
 
     Only when some other candidate with 2t >= lambda_1(L) is left is the
-    reduced Gram G' = w G w^T put in Smith form, if it is not already; of
+    reduced Gram G' = w G w^T put in Smith form; of
     those t, the ones that divide d_n and that `_discriminant_admits`
     admits go through M_t.  G' is read back off the LLL state by
     `intlinalg.gram_from_state`, with no matrix product; w is unimodular,
@@ -326,14 +317,11 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     w, minors, lam = lat.lll_reduce()
     # L in the reduced basis w, its Gram w G w^T read off the LLL state
     red = Lattice._from_state(intlinalg.gram_from_state(minors, lam), minors, lam)
-    # d_1, the gcd of the entries of G and of w G w^T, divides every d_i, so
-    # d_n divides e = det / d_1^(d-1); from MR_BOUND on, list the divisors of d_n
+    # d_1, the gcd of w G w^T's entries, divides every d_i: d_n | det / d_1^(d-1)
     d1 = gcd(*(x for row in red.gram for x in row))
-    e = det // d1 ** (d - 1)
-    snf = intlinalg.smith_normal_form(red.gram) if e >= intlinalg.MR_BOUND else None
     # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
     cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
-    divs = intlinalg.divisors(snf[0][-1][-1] if snf else e, cap)
+    divs = intlinalg.divisors(det // d1 ** (d - 1), cap)
     # one walk of L, past the least reduced row norm b less one, every norm
     # 2t with t | d_1, where M_t = L, and every near norm 2t whose walk the
     # level counts prove small, gives lambda_1(L) and those shells; any
@@ -350,7 +338,7 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
                                  and in_dual_from(lat.gram_times(x), nrm // 2))]
     rest = [t for t in divs if 2 * t >= lmin and 2 * t not in whole and 2 * t not in near]
     if rest:
-        diag, v = snf or intlinalg.smith_normal_form(red.gram)
+        diag, v = intlinalg.smith_normal_form(red.gram)
         invariants = [diag[i][i] for i in range(d)]
         dn = invariants[-1]
         # q(V_n / d_n) = a / d_n in the basis w; G' V_n = d_n (U^-1)_n for

@@ -23,6 +23,8 @@ prints the counts, or raises CertificateFailure with the first mismatches.
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 
 from latscreen import (
     WARN_2B_ODD,
@@ -159,6 +161,21 @@ def scrambled(gram, rng: random.Random) -> list[list[int]]:
     u = random_unimodular(rng, d)
     return [[sum(u[a][i] * gram[a][b] * u[b][j] for a in range(d) for b in range(d))
              for j in range(d)] for i in range(d)]
+
+
+@contextmanager
+def within(seconds):
+    """Fails the block with TimeoutError once it has run that long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def component_multisets(max_rank: int, max_scale: int):

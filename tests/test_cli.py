@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certificates import within
 from latscreen.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -424,6 +425,19 @@ def test_pairs_takes_a_negative_alpha_in_either_spelling(tmp_path, capsys):
     assert main(["pairs", "--input", path, "--alpha"]) == EXIT_USAGE
     assert "expected one argument" in capsys.readouterr().err
 
+
+
+def test_pairs_of_a_half_norm_past_the_bound_answer_quickly(tmp_path, capsys):
+    """<alpha, alpha>/2 = N = (10^9 + 7)(10^9 + 9)(10^9 + 21) lies past
+    3.3 10^24, where Miller-Rabin's "prime" is not proven; its "composite"
+    is, so rho splits N, and the decompositions come within 10 s."""
+    n = (10 ** 9 + 7) * (10 ** 9 + 9) * (10 ** 9 + 21)
+    path = write(tmp_path, f"{2 * n} 0\n0 2\n")
+    with within(10):
+        code = main(["pairs", "--input", path, "--alpha", "1,0"])
+    assert code == EXIT_OK
+    splits = json.loads(capsys.readouterr().out)["results"]["screeners"][0]["decompositions"]
+    assert splits[0] == [1, n] and len(splits) == 8
 
 # Every subcommand in both formats, on success and error inputs.  A case is
 # (name, argv, text): text goes to stdin when argv names --input itself, and

@@ -1,9 +1,7 @@
 import math
 import random
-import signal
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -12,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 import certificates
-from certificates import dense_grams, hermite_certified
+from certificates import dense_grams, hermite_certified, within
 from latscreen import intlinalg, screeners
 from latscreen import (
     Lattice,
@@ -1211,17 +1209,26 @@ def test_e8_keeps_its_roots_at_the_cut():
 
 
 # known primes; divisors leaves those above 1024, past its trial division,
-# to Miller-Rabin, the square test and Brent's rho
+# to Miller-Rabin, the perfect-power test and Brent's rho
 _KNOWN_PRIMES = (2, 3, 5, 7, 1009, 1031, 1033, 65537, 999983, 10 ** 6 + 3,
                  10 ** 8 + 7, 10 ** 9 + 7, 10 ** 12 + 39, 10 ** 15 + 37)
+
+
+def _products(powers, limit):
+    """Every product of the prime powers p^e, e from powers[p], up to limit,
+    ascending."""
+    out = [1]
+    for p, e in powers.items():
+        out = [x * p ** i for x in out for i in range(e + 1)]
+    return sorted(x for x in out if x <= limit)
 
 
 @st.composite
 def _factored(draw):
     """(n, its prime powers): a square, a semiprime up to 10^24, a prime
-    power up to 10^24 or a product of powers of _KNOWN_PRIMES, with n below
-    the bound up to which Miller-Rabin is exact; the squares reach
-    (10^12 + 39)^2."""
+    power up to 10^24 or a product of powers of _KNOWN_PRIMES, which can
+    pass the bound up to which Miller-Rabin's "prime" is proven; the
+    squares reach (10^12 + 39)^2."""
     shape = draw(st.sampled_from(("square", "semiprime", "power", "mixed")))
     if shape == "square":
         p = draw(st.sampled_from([p for p in _KNOWN_PRIMES if p <= 10 ** 12 + 39]))
@@ -1238,7 +1245,6 @@ def _factored(draw):
         for p in draw(st.lists(st.sampled_from(_KNOWN_PRIMES[:10]), min_size=1, max_size=5, unique=True)):
             powers[p] = draw(st.integers(1, 4))
     n = math.prod(p ** e for p, e in powers.items())
-    assume(n < intlinalg.MR_BOUND)
     return n, powers
 
 
@@ -1255,10 +1261,7 @@ def test_divisors_match_their_factorization(case, data):
     limit = data.draw(st.sampled_from((0, 1, n, 2 * n, r, r + 1, max(r - 1, 0), None)))
     if limit is None:
         limit = data.draw(st.integers(0, n))
-    expected = [1]
-    for p, e in powers.items():
-        expected = [x * p ** i for x in expected for i in range(e + 1)]
-    expected = sorted(x for x in expected if x <= limit)
+    expected = _products(powers, limit)
     tried = []
     trial = intlinalg._trial_divide
 
@@ -1421,42 +1424,60 @@ def test_smith_form_only_when_a_mod_kernel_shell_is_left(monkeypatch):
         all_screeners(_scrambled(catalog("D", 9, 3)))
 
 
-@contextmanager
-def _within(seconds):
-    """Fails the block with TimeoutError once it has run that long."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _diag(*entries):
     return [[v if i == j else 0 for j in range(len(entries))] for i, v in enumerate(entries)]
 
 
+# P and Q prime, and N the product of three primes near 10^9, past the
+# bound 3.3 10^24 from which Miller-Rabin's "prime" is not proven; its
+# "composite" is proven at any size
+_P, _Q = 10 ** 12 + 39, 2 * 10 ** 12 + 3
+_N_PRIMES = (10 ** 9 + 7, 10 ** 9 + 9, 10 ** 9 + 21)
+_N = math.prod(_N_PRIMES)
+
+
 @pytest.mark.parametrize("gram, count", [
-    (_diag(1, 10 ** 12 + 39, 10 ** 12 + 39), 2),
-    (_diag(1, 10 ** 12 + 39, 10 ** 12 + 39, 10 ** 12 + 39), 6),
-    (_diag(1, 2 * 10 ** 12 + 3, 2 * 10 ** 12 + 3), 2),
+    (_diag(1, _P, _P), 2),
+    (_diag(1, _P, _P, _P), 6),
+    (_diag(1, _Q, _Q), 2),
     ([[2, 1], [1, 10 ** 15 + 37]], 2),
-], ids=["diag-1-P-P", "diag-1-P-P-P", "diag-1-Q-Q", "2-1-1-N"])
+    ([[1, 0], [0, _N]], 0),
+    ([[2, 0], [0, 2 * _N]], 2),
+    (_diag(1, _N, _N), 2),
+], ids=["diag-1-P-P", "diag-1-P-P-P", "diag-1-Q-Q", "2-1-1-N", "1-0-0-N", "2-0-0-2N", "diag-1-N-N"])
 def test_large_determinants_answer_quickly(gram, count):
-    """P = 10^12 + 39 and Q = 2 10^12 + 3 are prime, and d_n = P or Q.
-    diag(1, P, P) has e = det / d_1^2 = P^2, below intlinalg.MR_BOUND, and
-    its listing factors e.  diag(1, P, P, P) has e = P^3 and diag(1, Q, Q)
-    has e = Q^2, both from MR_BOUND on, where a listing of e would
-    trial-divide up to min(cap, isqrt(e)) = P or Q; there the divisors of
-    d_n are listed, up to isqrt(d_n).  [[2, 1], [1, 10^15 + 37]] has
-    d_n = det with cap det, and its listing factors det.  Each gives its
-    screeners within 10 s: e_i +- e_j for the pairs of P or Q entries, and
-    the two of [[2, 1], [1, 10^15 + 37]]."""
-    with _within(10):
+    """d_n is P, Q, 10^15 + 37, N or 2N.  diag(1, P, P) has
+    e = det / d_1^2 = P^2, diag(1, P, P, P) has e = P^3 and diag(1, Q, Q)
+    has e = Q^2: their listing splits e as a perfect power, and
+    Miller-Rabin proves P and Q prime.  [[2, 1], [1, 10^15 + 37]] has
+    d_n = det with cap det, and its listing factors det.  [[1, 0], [0, N]],
+    [[2, 0], [0, 2N]] and diag(1, N, N) have e = N, 2N and N^2, each past
+    the bound, where rho splits N, once Miller-Rabin proves it composite.
+    Each gives its screeners within 10 s: e_i +- e_j for the pairs of P, Q
+    or N entries, the two of [[2, 1], [1, 10^15 + 37]], e_1 and e_2 of
+    [[2, 0], [0, 2N]], and none of [[1, 0], [0, N]]."""
+    with within(10):
         s = all_screeners(Lattice(gram))
     assert len(s) == count
     assert all(is_screener(s.lattice, x) for x in s.vectors)
+
+
+@pytest.mark.parametrize("powers, root", [
+    (dict.fromkeys(_N_PRIMES, 1), 0),
+    (dict.fromkeys(_N_PRIMES, 2), _N),
+    ({_P: 3}, _P),
+    ({_P: 5}, _P),
+    ({_P: 2, _Q: 1}, 0),
+], ids=["N", "N^2", "P^3", "P^5", "P^2-Q"])
+def test_divisors_past_the_bound_answer_quickly(powers, root):
+    """Each n lies past the bound 3.3 10^24, and no prime of it is below
+    10^9.  Within 10 s, divisors(n, n) and
+    divisors(n, 8 10^6) are the products of its known prime powers up to
+    the limit, and the perfect-power test gives the r of n = r^j, or 0 on
+    N and P^2 Q, which rho splits."""
+    n = math.prod(p ** e for p, e in powers.items())
+    assert n >= intlinalg._MR_BOUND
+    with within(10):
+        assert intlinalg._power_root(n, intlinalg._TRIAL + 1) == root
+        for limit in (n, 8 * 10 ** 6):
+            assert divisors(n, limit) == _products(powers, limit), limit
