@@ -111,9 +111,8 @@ def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: 
     touches no later row.  So adding t e_j, j > c, to row c or to g is a
     unimodular step, the rows keep spanning M_t, and reducing above the
     pivots gives the unique Hermite form, the one hnf_rows gives.
-    all_screeners builds it only for t not dividing d_1 and not near: for
-    t | d_1 it is the identity, since M_t = L, and a near shell is read off
-    the walk of L.
+    `_plan` builds it only for a t it routes `empty` or `walk`; for t | d_1
+    it would be the identity, since M_t = L.
     """
     d = len(invariants)
     h = [[t if i == j else 0 for j in range(d)] for i in range(d)]
@@ -193,16 +192,72 @@ def _walk_is_small(minors: Sequence[int], bound: int) -> bool:
     return True
 
 
+def _plan(lat: Lattice) -> tuple[intlinalg.Matrix, list[tuple[Vec, int]], dict[int, tuple]]:
+    """(w, walk, route): the LLL basis w of L, the one walk of its state and
+    the route (name, ...) of every candidate t (all_screeners); a `walk`
+    route also carries the Hermite basis of M_t in w-coordinates, its Gram
+    and its gram_schmidt state."""
+    d, det = lat.rank, lat.determinant
+    w, minors, lam = lat.lll_reduce()
+    # L in the reduced basis w, its Gram w G w^T read off the LLL state
+    red = Lattice._from_state(intlinalg.gram_from_state(minors, lam), minors, lam)
+    # d_1, the gcd of w G w^T's entries, divides every d_i: d_n | det / d_1^(d-1)
+    d1 = gcd(*(x for row in red.gram for x in row))
+    # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
+    cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
+    divs = intlinalg.divisors(det // d1 ** (d - 1), cap)
+    # one walk of L, past the least reduced row norm b less one, every norm
+    # 2t with t | d_1, where M_t = L, and every near norm 2t whose walk the
+    # level counts prove small, gives lambda_1(L) and those shells; any
+    # other t is tested only when 2t >= lambda_1(L)
+    route = {t: ("whole",) if d1 % t == 0 else ("near",) for t in divs
+             if d1 % t == 0 or _walk_is_small(minors, 2 * t)}
+    b = min(red.gram[i][i] for i in range(d))
+    walk = short_vectors(w, minors, lam, max([b - 1, *(2 * t for t in route)]))
+    lmin = min((nrm for _, nrm in walk), default=b)
+    route.update((t, ("below",)) for t in divs if t not in route and 2 * t < lmin)
+    if len(route) < len(divs):
+        diag, v = intlinalg.smith_normal_form(red.gram)
+        invariants = [diag[i][i] for i in range(d)]
+        dn = invariants[-1]
+        # q(V_n / d_n) = a / d_n in the basis w; G' V_n = d_n (U^-1)_n for
+        # G' = w G w^T, so d_n divides <V_n, V_n>
+        a = red.norm([row[-1] for row in v]) // dn
+        even = red.is_even
+        primes: list[int] = []
+        for t in divs:
+            # the list is ascending and holds every prime of t, so t is prime
+            # when no earlier prime divides it
+            if t > 1 and dn % t == 0 and all(t % p for p in primes):
+                primes.append(t)
+        for t in [t for t in divs if t not in route]:
+            if dn % t:
+                route[t] = ("d_n",)
+            elif not _discriminant_admits(t, primes, invariants, a, even):
+                route[t] = ("form",)
+            else:
+                basis = _mod_kernel_basis(v, invariants, t)
+                g = red.row_gram(basis)
+                # empty when every |c_k*|^2 = D_{k+1} / D_k of the Hermite basis exceeds 2t
+                state = intlinalg.gram_schmidt(g)
+                m = state[0]
+                route[t] = ("empty",) if all(m[k + 1] > 2 * t * m[k] for k in range(d)) else ("walk", basis, g, state)
+    return w, walk, route
+
+
 def all_screeners(lat: Lattice) -> ScreenerSet:
     """Every screener of the lattice.
 
-    A screener x of norm 2t lies in M_t, so the search enumerates the
-    norm-2t shell of M_t for each t that can hold one.  On that shell the
-    norm is even and 2 G x / <x,x> = G x / t is integral by the definition
-    of M_t, so of the screener conditions only x not in 2L is left: a shell
-    vector is a screener exactly when some coordinate is odd.  With
-    d_1 | ... | d_n the Smith invariants of G, these cuts are sound, since
-    every t of a screener passes them:
+    A screener x of norm 2t lies in M_t.  `_plan` gives each candidate t
+    below one of seven routes: `whole` (t | d_1) or `near`, read off the
+    one walk of L; `below` (2t < lambda_1(L)), `d_n` (t does not divide
+    d_n) or `form` (the discriminant form), cut; `empty`, certified by the
+    Hermite basis of M_t; or `walk`, the norm-2t shell of M_t walked.  On
+    that shell the norm is even and 2 G x / <x,x> = G x / t is integral by
+    the definition of M_t, so of the screener conditions only x not in 2L
+    is left: a shell vector is a screener exactly when some coordinate is
+    odd.  With d_1 | ... | d_n the Smith invariants of G, these cuts are
+    sound, since every t of a screener passes them:
 
     - t | d_n.  If q^k divides t exactly but not d_n, q divides every Smith
       coordinate of x, so x = q x' with x' in L: q = 2 contradicts x not in
@@ -287,20 +342,18 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       [[2, 0], [0, 8]] has the near t = 4 (c_0 c_1 = 5 * 3), and its walk
       holds (2, 0) of norm 8 with G x = 0 mod 4.
 
-    Only when some other candidate with 2t >= lambda_1(L) is left is the
-    reduced Gram G' = w G w^T put in Smith form; of
-    those t, the ones that divide d_n and that `_discriminant_admits`
-    admits go through M_t.  G' is read back off the LLL state by
-    `intlinalg.gram_from_state`, with no matrix product; w is unimodular,
-    so G' has the Smith invariants of G, its least diagonal entry is b,
-    and M_t = {y : G' y = 0 mod t} w.  That kernel is spanned by the
-    columns s_i V_i of the Smith matrix V of G', with s_i = t / gcd(d_i,
-    t), and t Z^d, and the walk starts from its Hermite basis, in
-    w-coordinates, built modulo t by `_mod_kernel_basis`, whose entries
-    lie in [0, t] whatever the size of V.  Reducing a generator mod t
-    stays inside M_t, because t Z^d lies in M_t.  A shell vector z maps to
-    L's coordinates as z c w, with c that Hermite basis.  The x not in 2L
-    test stays on these shells, where it can fail.
+    Only when some t is left after the walk and the cut below lambda_1(L)
+    is the reduced Gram G' = w G w^T put in Smith form.  G' is read back
+    off the LLL state by `intlinalg.gram_from_state`, with no matrix
+    product; w is unimodular, so G' has the Smith invariants of G, its
+    least diagonal entry is b, and M_t = {y : G' y = 0 mod t} w.  That
+    kernel is spanned by the columns s_i V_i of the Smith matrix V of G',
+    with s_i = t / gcd(d_i, t), and t Z^d, and the walk starts from its
+    Hermite basis, in w-coordinates, built modulo t by `_mod_kernel_basis`,
+    whose entries lie in [0, t] whatever the size of V.  Reducing a
+    generator mod t stays inside M_t, because t Z^d lies in M_t.  A shell
+    vector z maps to L's coordinates as z c w, with c that Hermite basis.
+    The x not in 2L test stays on these shells, where it can fail.
 
     Every other shell starts from the Gram c G' c^T of its Hermite basis c
     and its `intlinalg.gram_schmidt` state, and only those that c does not certify
@@ -313,56 +366,16 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       no nonzero vector of M_t has norm 2t, and the walk would return
       nothing.
     """
-    d, det = lat.rank, lat.determinant
-    w, minors, lam = lat.lll_reduce()
-    # L in the reduced basis w, its Gram w G w^T read off the LLL state
-    red = Lattice._from_state(intlinalg.gram_from_state(minors, lam), minors, lam)
-    # d_1, the gcd of w G w^T's entries, divides every d_i: d_n | det / d_1^(d-1)
-    d1 = gcd(*(x for row in red.gram for x in row))
-    # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
-    cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
-    divs = intlinalg.divisors(det // d1 ** (d - 1), cap)
-    # one walk of L, past the least reduced row norm b less one, every norm
-    # 2t with t | d_1, where M_t = L, and every near norm 2t whose walk the
-    # level counts prove small, gives lambda_1(L) and those shells; any
-    # other t is tested only when 2t >= lambda_1(L)
-    b = min(red.gram[i][i] for i in range(d))
-    whole = {2 * t for t in divs if d1 % t == 0}
-    near = {2 * t for t in divs if d1 % t and _walk_is_small(minors, 2 * t)}
-    walk = short_vectors(w, minors, lam, max([b - 1, *whole, *near]))
-    lmin = min((nrm for _, nrm in walk), default=b)
-    # a walked x of norm 2t with t | d_1 is a screener (docstring); one of a
-    # near norm 2t is when G x = 0 mod t and x is not in 2L
+    w, walk, route = _plan(lat)
+    # a walked x of norm 2t routed whole is a screener (above); one routed
+    # near is when G x = 0 mod t and x is not in 2L
+    served = {2 * t: r[0] for t, r in route.items()}
     pairs = [(nrm, x) for x, nrm in walk
-             if nrm in whole or (nrm in near and not in_scaled_lattice(x, 2)
-                                 and in_dual_from(lat.gram_times(x), nrm // 2))]
-    rest = [t for t in divs if 2 * t >= lmin and 2 * t not in whole and 2 * t not in near]
-    if rest:
-        diag, v = intlinalg.smith_normal_form(red.gram)
-        invariants = [diag[i][i] for i in range(d)]
-        dn = invariants[-1]
-        # q(V_n / d_n) = a / d_n in the basis w; G' V_n = d_n (U^-1)_n for
-        # G' = w G w^T, so d_n divides <V_n, V_n>
-        a = red.norm([row[-1] for row in v]) // dn
-        even = red.is_even
-        primes: list[int] = []
-        for t in divs:
-            # the list is ascending and holds every prime of t, so t is prime
-            # when no earlier prime divides it
-            if t > 1 and dn % t == 0 and all(t % p for p in primes):
-                primes.append(t)
-        for t in rest:
-            if dn % t or not _discriminant_admits(t, primes, invariants, a, even):
-                continue
-            # the Hermite basis of M_t in w-coordinates
-            basis = _mod_kernel_basis(v, invariants, t)
-            g = red.row_gram(basis)
-            # every |c_k*|^2 = D_{k+1} / D_k of the Hermite basis exceeds 2t: no
-            # nonzero vector of M_t has norm 2t, so build no Lattice, LLL or walk
-            state = intlinalg.gram_schmidt(g)
-            m = state[0]
-            if all(m[k + 1] > 2 * t * m[k] for k in range(d)):
-                continue
+             if (kind := served.get(nrm)) == "whole" or (kind == "near" and not in_scaled_lattice(x, 2)
+                                                       and in_dual_from(lat.gram_times(x), nrm // 2))]
+    for t, r in route.items():
+        if r[0] == "walk":
+            _, basis, g, state = r
             found = enumerate_up_to_norm(Lattice._from_state(g, *state), 2 * t)
             shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
             for x in map(canonical, intlinalg.matmul(intlinalg.matmul(shell, basis), w)):

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import sys
@@ -615,64 +616,62 @@ def test_all_screeners_reduces_the_lattice_once(monkeypatch):
 
 def test_certified_shells_pay_no_lll(monkeypatch):
     """A shell whose Hermite basis certifies it empty is built but gets no
-    Lattice, LLL or walk: all_screeners reads the certificate off
-    intlinalg.gram_schmidt of the Gram of each M_t basis, and after each
-    `_mod_kernel_basis` call it builds one Lattice from that state and walks
-    it once when the certificate leaves the shell open, and builds nothing
-    when it clears the shell.  Before the first basis it builds one Lattice
-    alone, L in its LLL basis u, whose Gram is u G u^T and whose state is
-    the LLL state of L; the Hermite bases are in those coordinates.  So the
-    other Lattices built are the M_t walks, over the catalog at scales 1-4,
-    CUT_POOL and dense_grams(12), each keeps the state a checked Lattice of
-    its Gram over the reduced Gram keeps, and some shell is cleared with no
-    Lattice built."""
-    events = []
+    Lattice, LLL or walk: the plan reads the certificate off
+    intlinalg.gram_schmidt of the Gram of each M_t basis, and all_screeners
+    builds one Lattice from that state and walks it once up to 2t for each t
+    the certificate leaves open, and builds nothing for a t it clears.  The
+    first Lattice built is L in its LLL basis u, whose Gram is u G u^T and
+    whose state is the LLL state of L; the Hermite bases are in those
+    coordinates.  So the other Lattices built are the M_t walks, matched to
+    their t and its plan entry by the bound of their walk, over the catalog
+    at scales 1-4, CUT_POOL and dense_grams(12), each keeps the state a
+    checked Lattice of its Gram over the reduced Gram keeps, and some shell
+    is cleared with no Lattice built."""
+    bases, built, walks = [], [], []
     basis_of, walk, from_state = screeners._mod_kernel_basis, screeners.enumerate_up_to_norm, Lattice._from_state
 
     def recording_basis(v, invariants, t):
         basis = basis_of(v, invariants, t)
-        events.append(("basis", t, basis))
+        bases.append((t, basis))
         return basis
 
     def recording_state(gram, minors, lam):
         sub = from_state(gram, minors, lam)
-        events.append(("lattice", sub))
+        built.append(sub)
         return sub
 
     def recording_walk(sub, bound):
-        events.append(("walk", sub))
+        walks.append((bound // 2, sub))
         return walk(sub, bound)
 
     monkeypatch.setattr(screeners, "_mod_kernel_basis", recording_basis)
     monkeypatch.setattr(Lattice, "_from_state", recording_state)
     monkeypatch.setattr(screeners, "enumerate_up_to_norm", recording_walk)
-    built = walked = cleared = 0
+    walked = cleared = 0
     for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(12)]:
-        events.clear()
+        route = screeners._plan(lat)[2]
+        bases.clear()
+        built.clear()
+        walks.clear()
         all_screeners(lat)
-        steps = [[]]
-        for event in events:
-            if event[0] == "basis":
-                steps.append([event])
-            else:
-                steps[-1].append(event)
-        assert [e[0] for e in steps[0]] == ["lattice"], (lat.gram, steps[0])
-        red = steps[0][0][1]
+        red, *shells = built
         u, minors, lam = lat.lll_reduce()
         assert red.gram == tuple(map(tuple, lat.row_gram(u))), lat.gram
         assert (red.minors, red.lll_reduce()[1:]) == (tuple(minors), (minors, lam)), lat.gram
-        for (_, t, basis), *after in steps[1:]:
+        # one walk per t, each of its own Lattice, and every Lattice walked
+        of_t = dict(walks)
+        assert len(of_t) == len(walks) and sorted(map(id, of_t.values())) == sorted(map(id, shells)), lat.gram
+        assert set(of_t) == {t for t, r in route.items() if r[0] == "walk"}, lat.gram
+        assert {t for t, _ in bases} == {t for t, r in route.items() if r[0] in ("empty", "walk")}, lat.gram
+        for t, basis in bases:
             checked = Lattice(red.row_gram(basis))
             certified = hermite_certified(checked, t)
-            assert [e[0] for e in after] == ([] if certified else ["lattice", "walk"]), (lat.gram, t, after)
+            assert route[t][0] == ("empty" if certified else "walk") and certified != (t in of_t), (lat.gram, t)
             cleared += certified
-            if after:
-                sub = after[0][1]
-                assert after[1][1] is sub, (lat.gram, t)
+            if not certified:
+                sub = of_t[t]
                 assert (sub.gram, sub.minors, sub.lll_reduce()) == (checked.gram, checked.minors, checked.lll_reduce())
-        built += sum(event[0] == "lattice" for event in events) - 1
-        walked += sum(event[0] == "walk" for event in events)
-    assert built == walked, (built, walked)
+        walked += len(walks)
     assert cleared > 0 and walked > 0, (cleared, walked)  # 16 of 99 shells cleared, 83 walked
 
 
@@ -711,7 +710,10 @@ def test_shells_whose_mod_kernel_is_l_are_walked_on_l(monkeypatch):
     short_vectors on the very rows the reduction returned; the shells with
     t | d_1, where M_t = L, are read off that walk.  enumerate_up_to_norm
     only walks a Lattice rebuilt from the Hermite basis of M_t, never L
-    itself, and only for a t that does not divide d_1."""
+    itself, and only for a t that does not divide d_1.  The plan routes
+    `whole` exactly the divisors of d_1, and its `near` routes that divide
+    d_n and pass the discriminant form, cuts those routes need not run, are
+    the near shells `_near_shells` finds."""
     reductions, state_walks, shell_walks = [], [], []
     reduce, short, walk = Lattice.lll_reduce, screeners.short_vectors, screeners.enumerate_up_to_norm
 
@@ -749,10 +751,35 @@ def test_shells_whose_mod_kernel_is_l_are_walked_on_l(monkeypatch):
         near = _near_shells(lat)
         assert not near & {t for _, t in shell_walks}, (lat.gram, near)
         near_checked += len(near)
+        routed = {name: {t for t, r in screeners._plan(lat)[2].items() if r[0] == name} for name in ("near", "whole")}
+        dn = invariant_factors([list(r) for r in lat.gram])[-1]
+        assert {t for t in routed["near"] if dn % t == 0 and _admits(lat, t)} == near, (lat.gram, routed)
+        assert routed["whole"] == set(divisors(d1, d1)), (lat.gram, routed)
     # shells with t | d_1 that hold a screener, 256 of them, 150 with t > 1
     assert len(in_place) > 250
     assert sum(t > 1 for t in in_place) >= 150
     assert near_checked >= 140, near_checked  # 333
+
+
+def test_plan_routes_every_candidate_once():
+    """The plan gives one route to each candidate t, the divisors of
+    det / d_1^(d-1) up to the Gram-Schmidt cap, found here by trial over
+    every t up to the cap; every screener of norm 2t has t routed whole,
+    near or walk; each of the seven routes occurs over the catalog at
+    scales 1-4, CUT_POOL and dense_grams(60); and on CUT_POOL no t routed
+    below, d_n, form or empty holds a screener of the walked oracle."""
+    seen = collections.Counter()
+    for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(60)]:
+        route = screeners._plan(lat)[2]
+        e = lat.determinant // invariant_factors([list(r) for r in lat.gram])[0] ** (lat.rank - 1)
+        assert set(route) == {t for t in range(1, _gram_schmidt_cap(lat) + 1) if e % t == 0}, lat.gram
+        assert all(route[n // 2][0] in ("whole", "near", "walk") for n in all_screeners(lat).norms), lat.gram
+        seen.update(r[0] for r in route.values())
+    assert set(seen) == {"whole", "near", "below", "d_n", "form", "empty", "walk"}, seen
+    for lat in CUT_POOL:
+        norms = {nrm for _, nrm in oracle.walked_screeners(lat)[0]}
+        route = screeners._plan(lat)[2]
+        assert not [t for t, r in route.items() if r[0] in ("below", "d_n", "form", "empty") and 2 * t in norms], lat.gram
 
 
 def test_walk_of_l_never_meets_2l_at_a_shell_it_serves():
