@@ -13,7 +13,9 @@ state kept at construction, so the Gram is eliminated once, and ends
 holding these levels: D_k are its minors and row i of D_i S_i is lam[j][i],
 j > i, since S_i is the Gram of the b_j projected orthogonally to
 b_0..b_{i-1}, so (S_i)_ij = <b_i*, b_j> = mu_ji D_{i+1} / D_i.  A Bareiss
-pass (Bareiss 1968) on the reduced Gram, never formed, gives the same.
+pass (Bareiss 1968) on the reduced Gram gives the same; the walk does not
+form that Gram, and `intlinalg.gram_from_state` reads it back off the state
+where a caller needs it.
 
 As in Schnorr and Euchner (1994), what the outer levels leave is carried
 down rather than recomputed: the residual rho_i = D_i D_{i+1} (B - P_{i+1})

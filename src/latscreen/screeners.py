@@ -3,51 +3,14 @@
 A nonzero vector x is a screening vector ("screener") when its norm is even,
 x is not twice a lattice vector, and 2x/<x,x> pairs integrally with the whole
 lattice, that is, lies in the dual lattice L*.  A screener of norm 2t lies in
-the mod-t kernel sublattice M_t = {x : G x = 0 mod t}, and t is bounded
-three times: it divides the exponent d_n of L*/L; x/t is a nonzero dual
-vector of norm 2/t, and every nonzero dual vector has norm at least
-1/max_i |b_i*|^2 for the Gram-Schmidt vectors b_i* of any basis of L
-(Lagarias, Lenstra and Schnorr 1990), so t is at most 2 max_i |b_i*|^2;
-and x is a nonzero vector of M_t, inside L, so 2t is at least
-lambda_1(L), the least norm of a nonzero vector of L (a norm, not a
-length).  One LLL reduction of L gives both bounds: its minors give
-|b_i*|^2 = D_{i+1}/D_i, and one walk of its state gives lambda_1(L).  No
-dual lattice is built.  The candidates t are the divisors up to 2 max_i
-|b_i*|^2 of e = det G / d_1^(d-1), which d_n divides, listed from the
-primes of e, so no Smith form is needed to find them.  M_t = L exactly
-when t | d_1, because d_1 is the gcd of G's entries: every G x is 0 mod t
-exactly when every entry of G is.  Such a shell is
-read off the walk of L that gives lambda_1(L), and so is each near shell: a
-t not dividing d_1 whose walk of L up to 2t is proven short.  Level i of
-the Fincke-Pohst walk up to B admits at most isqrt(4 B D_i // D_{i+1}) + 1
-values of its coordinate, so the product of these counts over the d levels
-bounds the vectors the walk emits, and t is near when that product at
-B = 2t is at most _NEAR_WALK.  Its screeners are the walked x of norm 2t
-with G x = 0 mod t and some odd coordinate.  That walk goes up to
-B = max(b - 1, 2t for every candidate t | d_1 and every near t), b the
-least norm of the reduced rows, so L is reduced once and walked once.
-
-From the LLL on, L is worked in its reduced basis w: the Gram
-G' = w G w^T is read back off the LLL state (`intlinalg.gram_from_state`),
-with no matrix product, and its diagonal gives b.  w is unimodular, so G'
-has the Smith invariants of G, and M_t is {y : G' y = 0 mod t} w.  G' is
-put in Smith form only when some t other than those the walk serves, with
-2t >= lambda_1(L), is left.  The search walks the norm-2t shell of M_t only for
-those t that divide d_n, and skips a t before building M_t when the
-discriminant form of L*/L (Nikulin 1979; Conway and Sloane, SPLAG ch. 15)
-has no element of order t and norm 2/t, as the image of x/t must be.  That
-test reads the p-adic valuations of the Smith invariants prime by prime; it
-needs no Jordan decomposition and is necessary, not sufficient.  Each M_t
-starts from its Hermite basis in w-coordinates, built modulo t in one pass
-over the Smith-form generators, with entries in [0, t], and its shell
-vectors map to L's coordinates through that basis and w.  LLL of each
-shell then starts from a basis whose size is set by t and the reduced
-Gram, not by the entries of the Smith matrix or of G.  The Gram-Schmidt
-lemma above certifies any other shell empty
-before its `Lattice`: when every Gram-Schmidt norm D_{k+1}/D_k of the
-Hermite basis, read off the minors of its Gram, exceeds 2t, no nonzero
-vector of M_t has norm 2t, and the shell is neither built nor walked.
-Any other shell's `Lattice` keeps the state of that one elimination.
+the mod-t kernel M_t = {x : G x = 0 mod t}.  `all_screeners` reduces L once
+by LLL and works it in that basis: the candidates t are the divisors of
+det G / d_1^(d-1) up to a Gram-Schmidt cap, and `_plan` gives each one
+route.  A t with M_t = L, or whose walk of L is proven short, is read off
+one walk of L; any other t is cut by the discriminant form of L*/L,
+certified empty by the Hermite basis of M_t, or walked on that basis.  No
+dual lattice is built.  The bounds, cuts and certificates are proven in
+`all_screeners`.
 """
 
 from __future__ import annotations
@@ -144,7 +107,8 @@ def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: 
 def _discriminant_admits(t: int, primes: Sequence[int], invariants: Sequence[int], a: int, even: bool) -> bool:
     """False when L*/L = (+) Z/d_i holds no y of order t with q(y) = 2/t.
 
-    Tested prime by prime over the primes p of t, which primes holds among
+    An element of order t needs t | d_n, the exponent of L*/L.  The rest is
+    tested prime by prime over the primes p of t, which primes holds among
     others, with p^k the exact power of p in t: for odd p some d_i has
     v_p(d_i) = k, and when p divides d_n alone, 2 a (d_n/p^k)(t/p^k) is a
     square mod p (Euler's criterion), with a = <V_n, V_n> / d_n; for p = 2,
@@ -152,6 +116,8 @@ def _discriminant_admits(t: int, primes: Sequence[int], invariants: Sequence[int
     k - 1 <= v_2(d_i) <= k + 1.  The proof is in `all_screeners`.
     """
     dn = invariants[-1]
+    if dn % t:
+        return False
     for p in primes:
         if t % p:
             continue
@@ -206,16 +172,12 @@ def _plan(lat: Lattice) -> tuple[intlinalg.Matrix, list[tuple[Vec, int]], dict[i
     # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
     cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
     divs = intlinalg.divisors(det // d1 ** (d - 1), cap)
-    # one walk of L, past the least reduced row norm b less one, every norm
-    # 2t with t | d_1, where M_t = L, and every near norm 2t whose walk the
-    # level counts prove small, gives lambda_1(L) and those shells; any
-    # other t is tested only when 2t >= lambda_1(L)
+    # one walk of L, up to every norm 2t with t | d_1, where M_t = L, and
+    # every near norm 2t whose walk the level counts prove small, gives
+    # those shells; t = 1 is always whole
     route = {t: ("whole",) if d1 % t == 0 else ("near",) for t in divs
              if d1 % t == 0 or _walk_is_small(minors, 2 * t)}
-    b = min(red.gram[i][i] for i in range(d))
-    walk = short_vectors(w, minors, lam, max([b - 1, *(2 * t for t in route)]))
-    lmin = min((nrm for _, nrm in walk), default=b)
-    route.update((t, ("below",)) for t in divs if t not in route and 2 * t < lmin)
+    walk = short_vectors(w, minors, lam, 2 * max(route))
     if len(route) < len(divs):
         diag, v = intlinalg.smith_normal_form(red.gram)
         invariants = [diag[i][i] for i in range(d)]
@@ -231,9 +193,7 @@ def _plan(lat: Lattice) -> tuple[intlinalg.Matrix, list[tuple[Vec, int]], dict[i
             if t > 1 and dn % t == 0 and all(t % p for p in primes):
                 primes.append(t)
         for t in [t for t in divs if t not in route]:
-            if dn % t:
-                route[t] = ("d_n",)
-            elif not _discriminant_admits(t, primes, invariants, a, even):
+            if not _discriminant_admits(t, primes, invariants, a, even):
                 route[t] = ("form",)
             else:
                 basis = _mod_kernel_basis(v, invariants, t)
@@ -249,20 +209,15 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     """Every screener of the lattice.
 
     A screener x of norm 2t lies in M_t.  `_plan` gives each candidate t
-    below one of seven routes: `whole` (t | d_1) or `near`, read off the
-    one walk of L; `below` (2t < lambda_1(L)), `d_n` (t does not divide
-    d_n) or `form` (the discriminant form), cut; `empty`, certified by the
-    Hermite basis of M_t; or `walk`, the norm-2t shell of M_t walked.  On
-    that shell the norm is even and 2 G x / <x,x> = G x / t is integral by
-    the definition of M_t, so of the screener conditions only x not in 2L
-    is left: a shell vector is a screener exactly when some coordinate is
-    odd.  With d_1 | ... | d_n the Smith invariants of G, these cuts are
-    sound, since every t of a screener passes them:
+    below one of five routes: `whole` (t | d_1) or `near`, read off the
+    one walk of L; `form`, cut by the discriminant form; `empty`, certified
+    by the Hermite basis of M_t; or `walk`, the norm-2t shell of M_t
+    walked.  On that shell the norm is even and 2 G x / <x,x> = G x / t is
+    integral by the definition of M_t, so of the screener conditions only x
+    not in 2L is left: a shell vector is a screener exactly when some
+    coordinate is odd.  With d_1 | ... | d_n the Smith invariants of G,
+    these cuts are sound, since every t of a screener passes them:
 
-    - t | d_n.  If q^k divides t exactly but not d_n, q divides every Smith
-      coordinate of x, so x = q x' with x' in L: q = 2 contradicts x not in
-      2L, and for odd q, G x' = 0 mod t/q forces t/q | <x',x'> = 2t/q^2,
-      so q | 2.
     - t <= 2 max_i |b_i*|^2, with b_i* the Gram-Schmidt vectors of the
       LLL basis b of L, so |b_i*|^2 = D_{i+1} / D_i from its minors.
       y = x/t is a nonzero vector of L* of norm 2/t.  For any basis c of
@@ -273,11 +228,10 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       2/t >= 1 / max_i |b_i*|^2 (Lagarias, Lenstra and Schnorr,
       Combinatorica 10, 1990).  t is an integer, so
       t <= max_i floor(2 D_{i+1} / D_i).
-    - 2t >= lmin = lambda_1(L), the least norm of a nonzero vector of L:
-      x in M_t, inside L, is nonzero, so <x,x> = 2t >= lmin.
     - L*/L = (+) Z/d_i admits t (`_discriminant_admits`; Nikulin 1979,
       Conway and Sloane, SPLAG ch. 15).  x is primitive (see
-      virasoro_shift), so y = x/t has order exactly t in L*/L, and
+      virasoro_shift), so y = x/t has order exactly t in L*/L, t divides
+      its exponent d_n, and
       q(y) = <y,y> = 2/t modulo 1, or modulo 2 when L is even.  Let p^k
       divide t exactly and y_p be the p-part of y; q(y) - q(y_p) lies in
       Z_(p), and in 2 Z_(2) for even L.  For odd p, if no v_p(d_i) = k,
@@ -296,21 +250,20 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       by a unit c, so the a of either is c^2 times the other's mod p, in
       the same square class.
 
-    None of them needs the Smith form before the walk of L.  d_1 is the
+    The candidates need no Smith form before the walk of L.  d_1 is the
     gcd of G's entries and divides every d_i, and det G = d_1 ... d_n, so
     e = det G / d_1^(d-1) = d_n prod_{i<n} (d_i / d_1) is a multiple of
     d_n, and e = d_n when d <= 2.  The candidates t are the divisors of e
     up to the cap, listed from the primes of e (`intlinalg.divisors`).
     M_t = L exactly when t | d_1.  One walk of the LLL state of L serves
-    lambda_1(L), every candidate t | d_1 and every near t: a candidate not
-    dividing d_1 whose walk of L up to 2t `_walk_is_small` proves to emit
-    at most _NEAR_WALK vectors.  Neither is cut by d_n or by the
-    discriminant form first, and neither needs to be:
+    every candidate t | d_1 and every near t: a candidate not dividing d_1
+    whose walk of L up to 2t `_walk_is_small` proves to emit at most
+    _NEAR_WALK vectors.  Neither is cut by the discriminant form first,
+    and neither needs to be:
 
-    - the walk goes up to B = max(b - 1, 2t for every candidate t | d_1 and
-      every near t), and b >= lambda_1(L).  If it finds a vector, the
-      least norm it finds is lambda_1(L), since B >= b - 1 covers every
-      norm below b; if it finds none, lambda_1(L) is b.
+    - the walk goes up to B = 2t for the largest t routed `whole` or
+      `near`, the largest norm it serves (t = 1 divides d_1, so there is
+      one).
     - the count.  Level i of short_vectors up to B admits the z_i with
       (D_{i+1} z_i + b_i)^2 <= rho_i = D_i D_{i+1} (B - P_{i+1}) (module
       docstring of `enumeration`), and P_{i+1} >= 0, so D_{i+1} z_i lies in
@@ -323,8 +276,9 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       emits at most c_0 ... c_{d-1} vectors and makes at most d times that
       many level calls.  So when B is 2t for a near t, the walk emits at
       most _NEAR_WALK vectors whatever the skew of the reduced basis;
-      otherwise B <= 2b, as d_1 divides every norm x^T G x, so
-      2t <= 2 d_1 <= 2 lambda_1(L) <= 2b for t | d_1.
+      otherwise t | d_1 and B = 2t <= 2 d_1 <= 2 lambda_1(L), with
+      lambda_1(L) the least norm of a nonzero vector of L, as d_1 divides
+      every norm x^T G x.
     - a shell with t | d_1 is the vectors of norm exactly 2t of that walk,
       already in L's coordinates with canonical sign; it needs no Hermite
       form, no shell `Lattice`, no second LLL and no remap.  Each such
@@ -342,13 +296,12 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       [[2, 0], [0, 8]] has the near t = 4 (c_0 c_1 = 5 * 3), and its walk
       holds (2, 0) of norm 8 with G x = 0 mod 4.
 
-    Only when some t is left after the walk and the cut below lambda_1(L)
-    is the reduced Gram G' = w G w^T put in Smith form.  G' is read back
-    off the LLL state by `intlinalg.gram_from_state`, with no matrix
-    product; w is unimodular, so G' has the Smith invariants of G, its
-    least diagonal entry is b, and M_t = {y : G' y = 0 mod t} w.  That
-    kernel is spanned by the columns s_i V_i of the Smith matrix V of G',
-    with s_i = t / gcd(d_i, t), and t Z^d, and the walk starts from its
+    Only when some t is left after the walk is the reduced Gram
+    G' = w G w^T put in Smith form.  G' is read back off the LLL state by
+    `intlinalg.gram_from_state`, with no matrix product; w is unimodular,
+    so G' has the Smith invariants of G, and M_t = {y : G' y = 0 mod t} w.
+    That kernel is spanned by the columns s_i V_i of the Smith matrix V of
+    G', with s_i = t / gcd(d_i, t), and t Z^d, and the walk starts from its
     Hermite basis, in w-coordinates, built modulo t by `_mod_kernel_basis`,
     whose entries lie in [0, t] whatever the size of V.  Reducing a
     generator mod t stays inside M_t, because t Z^d lies in M_t.  A shell

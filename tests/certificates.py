@@ -267,32 +267,29 @@ def hermite_certified(sub: Lattice, t: int) -> bool:
 
 
 def shell_cut_certificate() -> dict:
-    """Check the discriminant-form cut, the lattice-minimum cut, the
-    Gram-Schmidt cap and the Hermite-basis certificate of `all_screeners` on
-    every ternary form of `ternary_forms(6)` at scales 1-3.
+    """Check the discriminant-form cut, the Gram-Schmidt cap and the
+    Hermite-basis certificate of `all_screeners` on every ternary form of
+    `ternary_forms(6)` at scales 1-3.
 
-    Every divisor t of the exponent d_n is walked, past the minimum and the
-    cap too: the norm-2t shell of M_t is enumerated and its vectors are
-    tested with `is_screener`.  A shell that the discriminant form rejects, that lies
-    below the minimum of the lattice (2t < lambda_1(L), counted in
-    below_minimum whatever the discriminant form says) or above the cap
-    (t > max_i floor(2 D_{i+1} / D_i) on the LLL basis, counted in
-    above_cap whatever the other cuts say) or that the Hermite basis of M_t
-    certifies empty (D_{k+1} > 2t D_k for every Gram-Schmidt minor D_k of
-    that basis, counted in hermite_empty whatever the other cuts say) is
-    unsound when it holds a screener, and any unsound shell fails the
-    certificate.  As in `all_screeners`, L is worked in its LLL basis w:
-    the Smith form, a and the Hermite bases of M_t are those of the
-    reduced Gram w G w^T, read off the LLL state, and the shell vectors are
-    mapped through the Hermite basis and w to L's coordinates.
+    Every divisor t of the exponent d_n is walked, past the cap too: the
+    norm-2t shell of M_t is enumerated and its vectors are tested with
+    `is_screener`.  A shell that the discriminant form rejects, that lies
+    above the cap (t > max_i floor(2 D_{i+1} / D_i) on the LLL basis,
+    counted in above_cap whatever the other cuts say) or that the Hermite
+    basis of M_t certifies empty (D_{k+1} > 2t D_k for every Gram-Schmidt
+    minor D_k of that basis, counted in hermite_empty whatever the other
+    cuts say) is unsound when it holds a screener, and any unsound shell
+    fails the certificate.  As in `all_screeners`, L is worked in its LLL
+    basis w: the Smith form, a and the Hermite bases of M_t are those of
+    the reduced Gram w G w^T, read off the LLL state, and the shell vectors
+    are mapped through the Hermite basis and w to L's coordinates.
     """
     counts = {"lattices": 0, "shells": 0, "with_screener": 0, "rejected": 0,
-              "below_minimum": 0, "above_cap": 0, "hermite_empty": 0, "unsound": 0}
+              "above_cap": 0, "hermite_empty": 0, "unsound": 0}
     bad = []
     for form in ternary_forms(6):
         for scale in range(1, 4):
             lat = Lattice([[scale * x for x in row] for row in form])
-            lmin = enumerate_up_to_norm(lat, min(lat.gram[i][i] for i in range(3))).norms[0]
             w, minors, lam = lat.lll_reduce()
             red = Lattice(gram_from_state(minors, lam))
             cap = max(2 * minors[i + 1] // minors[i] for i in range(3))
@@ -311,16 +308,14 @@ def shell_cut_certificate() -> dict:
                 shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
                 held = any(is_screener(lat, x) for x in matmul(matmul(shell, basis), w))
                 rejected = not _discriminant_admits(t, primes, invariants, a, lat.is_even)
-                below = 2 * t < lmin
                 above = t > cap
                 hermite = hermite_certified(sub, t)
                 counts["shells"] += 1
                 counts["with_screener"] += held
                 counts["rejected"] += rejected
-                counts["below_minimum"] += below
                 counts["above_cap"] += above
                 counts["hermite_empty"] += hermite
-                if held and (rejected or below or above or hermite):
+                if held and (rejected or above or hermite):
                     bad.append((lat.gram, t))
     counts["unsound"] = len(bad)
     if bad:

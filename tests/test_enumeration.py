@@ -148,9 +148,9 @@ BELOW_LLL_DIAGONAL = [
 
 
 def lambda_1(lat, u, minors, lam):
-    """lambda_1(L) by the rule of all_screeners: the least norm short_vectors
-    finds on the state u, minors, lam = lat.lll_reduce() up to b - 1, b the
-    shortest LLL diagonal, or b when it finds nothing."""
+    """lambda_1(L) off one LLL state: the least norm short_vectors finds on
+    the state u, minors, lam = lat.lll_reduce() up to b - 1, b the shortest
+    LLL diagonal, or b when it finds nothing."""
     b = min(map(lat.norm, u))
     return min((nrm for _, nrm in short_vectors(u, minors, lam, b - 1)), default=b)
 

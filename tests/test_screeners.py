@@ -571,10 +571,12 @@ def test_all_screeners_matches_the_walked_oracle_at_rank_5_6(lat):
 
 
 def test_all_screeners_reduces_the_lattice_once(monkeypatch):
-    """all_screeners runs intlinalg.lll_reduce once on L, for both of its
-    bounds, and once per shell walked through its mod-t kernel, with no dual
-    lattice in between; it walks the state of L once, with short_vectors;
-    a shell certified empty by its Hermite basis is not reduced."""
+    """all_screeners runs intlinalg.lll_reduce once on L, for its cap and
+    its walk, and once per shell walked through its mod-t kernel, with no
+    dual lattice in between; it walks the state of L once, with
+    short_vectors, up to the largest norm 2t that the plan routes `whole`
+    or `near`; a shell certified empty by its Hermite basis is not
+    reduced."""
     lll_calls = []
     walks = []
     state_walks = []
@@ -601,12 +603,13 @@ def test_all_screeners_reduces_the_lattice_once(monkeypatch):
     lattices += [catalog(kind, n, scale) for kind, n in [("D", 5), ("D", 6), ("D", 7), ("D", 8),
                                                           ("E", 6), ("E", 7), ("E", 8)] for scale in (2, 3, 4)]
     for lat in lattices + [Lattice(g) for g in dense_grams(12)]:
+        served = [2 * t for t, r in screeners._plan(lat)[2].items() if r[0] in ("whole", "near")]
         lll_calls.clear()
         walks.clear()
         state_walks.clear()
         s = all_screeners(lat)
         assert len(lll_calls) == 1 + len(walks), (lat.gram, len(lll_calls), len(walks))
-        assert len(state_walks) == 1, (lat.gram, state_walks)
+        assert state_walks == [max(served)], (lat.gram, state_walks, served)
         walked += len(walks)
         # shells that hold a screener and were served by the walk of L alone
         off_walk += len(set(s.norms) - set(walks))
@@ -765,9 +768,9 @@ def test_plan_routes_every_candidate_once():
     """The plan gives one route to each candidate t, the divisors of
     det / d_1^(d-1) up to the Gram-Schmidt cap, found here by trial over
     every t up to the cap; every screener of norm 2t has t routed whole,
-    near or walk; each of the seven routes occurs over the catalog at
+    near or walk; each of the five routes occurs over the catalog at
     scales 1-4, CUT_POOL and dense_grams(60); and on CUT_POOL no t routed
-    below, d_n, form or empty holds a screener of the walked oracle."""
+    form or empty holds a screener of the walked oracle."""
     seen = collections.Counter()
     for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(60)]:
         route = screeners._plan(lat)[2]
@@ -775,26 +778,24 @@ def test_plan_routes_every_candidate_once():
         assert set(route) == {t for t in range(1, _gram_schmidt_cap(lat) + 1) if e % t == 0}, lat.gram
         assert all(route[n // 2][0] in ("whole", "near", "walk") for n in all_screeners(lat).norms), lat.gram
         seen.update(r[0] for r in route.values())
-    assert set(seen) == {"whole", "near", "below", "d_n", "form", "empty", "walk"}, seen
+    assert set(seen) == {"whole", "near", "form", "empty", "walk"}, seen
     for lat in CUT_POOL:
         norms = {nrm for _, nrm in oracle.walked_screeners(lat)[0]}
         route = screeners._plan(lat)[2]
-        assert not [t for t, r in route.items() if r[0] in ("below", "d_n", "form", "empty") and 2 * t in norms], lat.gram
+        assert not [t for t, r in route.items() if r[0] in ("form", "empty") and 2 * t in norms], lat.gram
 
 
 def test_walk_of_l_never_meets_2l_at_a_shell_it_serves():
     """A vector of norm 2t with t | d_1 is never in 2L: t <= d_1 <=
     lambda_1(L), and a nonzero 2y has norm 4<y,y> >= 4 lambda_1(L) > 2t.
     So all_screeners keeps every vector of the walk of L at such a norm
-    with no x not in 2L test.  Checked on the walk of L up to
-    max(b - 1, 2 d_1), which covers every admitted t | d_1, over the
-    catalog at scales 1-4, CUT_POOL and dense_grams(12)."""
+    with no x not in 2L test.  Checked on the walk of L up to 2 d_1, which
+    covers every t | d_1, over the catalog at scales 1-4, CUT_POOL and
+    dense_grams(12)."""
     checked = 0
     for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(12)]:
         d1 = invariant_factors([list(r) for r in lat.gram])[0]
-        u, minors, lam = lat.lll_reduce()
-        b = min(map(lat.norm, u))
-        for x, nrm in short_vectors(u, minors, lam, max(b - 1, 2 * d1)):
+        for x, nrm in short_vectors(*lat.lll_reduce(), 2 * d1):
             if nrm % 2 == 0 and d1 % (nrm // 2) == 0:
                 assert any(v % 2 for v in x), (lat.gram, x)
                 checked += 1
@@ -1111,17 +1112,14 @@ def _admits(lat, t):
 
 
 def test_all_screeners_matches_unpruned_walk():
-    """The output equals the walk of every divisor shell of det G, the
-    lattice-minimum cut skips some t under the dual bound, and every rule of
-    the discriminant-form cut rejects some t of the pool."""
-    fired = dict.fromkeys(("below minimum", "odd valuation", "legendre", "2-adic window"), 0)
+    """The output equals the walk of every divisor shell of det G, and every
+    rule of the discriminant-form cut rejects some t of the pool."""
+    fired = dict.fromkeys(("odd valuation", "legendre", "2-adic window"), 0)
     for lat in CUT_POOL:
         s = all_screeners(lat)
         assert (s.vectors, s.norms) == _unpruned_screeners(lat), lat.gram
         dn, hmin = oracle.exponent_and_dual_minimum(lat)
-        lmin = _minimum(lat)
         for t in divisors(dn, 2 * dn // hmin):
-            fired["below minimum"] += 2 * t < lmin
             rule = _cut_rule(lat, t)
             assert (rule is None) == _admits(lat, t), (lat.gram, t, rule)
             if rule:
@@ -1186,6 +1184,27 @@ def test_shell_cut_is_sound_against_the_discriminant_group(lat):
             assert not oracle.discriminant_admits(lat, t), (lat.gram, t)
 
 
+def test_discriminant_form_rejects_every_t_not_dividing_d_n():
+    """An element of order t in L*/L needs t | d_n, the exponent of L*/L,
+    so _discriminant_admits rejects every t that does not divide d_n, with
+    the primes of t given.  The prime-by-prime tests alone admit t = 2 on
+    the invariants [1, 3] of an odd lattice and t = 4 on [2, 2]; the plan's
+    candidates t that do not divide d_n are checked over the catalog at
+    scales 1-4, CUT_POOL and dense_grams(60)."""
+    for gram, t in (([[1, 0], [0, 3]], 2), ([[2, 0], [0, 2]], 4)):
+        lat = Lattice(gram)
+        invariants, a = _smith_data(lat)
+        assert not _discriminant_admits(t, [2], invariants, a, lat.is_even), (gram, invariants, t)
+    checked = 0
+    for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(60)]:
+        invariants, a = _smith_data(lat)
+        for t in screeners._plan(lat)[2]:
+            if invariants[-1] % t:
+                assert not _discriminant_admits(t, _prime_factors(t), invariants, a, lat.is_even), (lat.gram, t)
+                checked += 1
+    assert checked >= 80, checked  # 88
+
+
 def test_shell_screeners_are_the_vectors_outside_2l():
     """On the norm-2t shell of M_t the norm is even and G x / t is integral,
     so a shell vector is a screener exactly when one of its coordinates is
@@ -1208,19 +1227,6 @@ def test_shell_screeners_are_the_vectors_outside_2l():
         s = all_screeners(lat)
         assert (s.vectors, s.norms) == (tuple(x for _, x in pairs), tuple(n for n, _ in pairs)), lat.gram
     assert in_2l > 0
-
-
-def test_lambda_1_rule_matches_enumeration():
-    """The least norm short_vectors finds on the LLL state of L up to b - 1,
-    b the least norm of the reduced rows, or b when it finds nothing, is the
-    minimum that a walk up to the least diagonal entry finds."""
-    for lat in CUT_POOL[:100]:
-        gram = [list(r) for r in lat.gram]
-        bound = min(gram[i][i] for i in range(lat.rank))
-        u, minors, lam = lat.lll_reduce()
-        b = min(map(lat.norm, u))
-        lmin = min((nrm for _, nrm in short_vectors(u, minors, lam, b - 1)), default=b)
-        assert lmin == enumerate_up_to_norm(lat, bound).norms[0], gram
 
 
 def test_e8_keeps_its_roots_at_the_cut():
@@ -1426,11 +1432,11 @@ def _scrambled(lat):
 
 
 def test_smith_form_only_when_a_mod_kernel_shell_is_left(monkeypatch):
-    """all_screeners factors G only when the walk of L leaves some t with
-    2t >= lambda_1(L) for the M_t path: with smith_normal_form made to
-    raise, it still gives the same ScreenerSet on every lattice of the
-    pool that needs none, E8 among them, and D9 at scale 3 in a scrambled
-    basis still reaches the Smith form."""
+    """all_screeners factors G only when the walk of L leaves some t for
+    the M_t path: with smith_normal_form made to raise, it still gives the
+    same ScreenerSet on every lattice of the pool that needs none, E8
+    among them, and D9 at scale 3 in a scrambled basis still reaches the
+    Smith form."""
     def refuse(mat):
         raise RuntimeError("smith_normal_form called")
 
