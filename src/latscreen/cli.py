@@ -57,7 +57,9 @@ class UsageError(Exception):
     pass
 
 
-class ParseFailure(Exception):
+class ParseFailure(LatticeError):
+    """Input that does not parse as a Gram; main reports it as any LatticeError."""
+
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         loc = f" (line {line}, column {column})" if line is not None else ""
         super().__init__(message + loc)
@@ -524,16 +526,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseFailure as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except ClassificationError as e:
         print(f"classification mismatch: {e}", file=sys.stderr)
         return EXIT_MISMATCH
     except LatticeError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -121,10 +121,17 @@ def short_vectors(u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matri
     return out
 
 
-def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
-    """Sort (coords, norm) pairs that hold the canonical vector of each
-    +-pair, as short_vectors and the exact-norm filter give them."""
-    canon = sorted((nrm, coords) for coords, nrm in pairs)
+def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
+    """All nonzero vectors with norm <= bound, up to sign.
+
+    The depth-first walker runs in LLL coordinates, where its level ranges
+    stay tight, and short_vectors maps the solutions back to the lattice's
+    basis.  Its output is sorted once, by (norm, coordinates).
+    """
+    bound = integer(bound, "norm bound")
+    if bound < 0:
+        raise LatticeError("norm bound must be nonnegative")
+    canon = sorted((nrm, coords) for coords, nrm in short_vectors(*lat.lll_reduce(), bound))
     return EnumerationResult(
         lattice=lat,
         bound=bound,
@@ -133,23 +140,12 @@ def _finish(lat: Lattice, bound: int, pairs) -> EnumerationResult:
     )
 
 
-def enumerate_up_to_norm(lat: Lattice, bound: int) -> EnumerationResult:
-    """All nonzero vectors with norm <= bound, up to sign.
-
-    The depth-first walker runs in LLL coordinates, where its level ranges
-    stay tight, and short_vectors maps the solutions back to the lattice's
-    basis.
-    """
-    bound = integer(bound, "norm bound")
-    if bound < 0:
-        raise LatticeError("norm bound must be nonnegative")
-    return _finish(lat, bound, short_vectors(*lat.lll_reduce(), bound))
-
-
 def enumerate_exact_norm(lat: Lattice, norm: int) -> EnumerationResult:
-    """All vectors of one exact norm, up to sign."""
+    """All vectors of one exact norm, up to sign: the norm-n entries of
+    enumerate_up_to_norm, already in its order."""
     norm = integer(norm, "norm")
     if norm < 0:
         raise LatticeError("norm must be nonnegative")
     below = enumerate_up_to_norm(lat, norm)
-    return _finish(lat, norm, [(v, n) for v, n in zip(below.vectors, below.norms) if n == norm])
+    vectors = tuple(v for v, n in zip(below.vectors, below.norms) if n == norm)
+    return EnumerationResult(lattice=lat, bound=norm, vectors=vectors, norms=(norm,) * len(vectors))

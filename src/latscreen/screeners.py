@@ -72,8 +72,10 @@ def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: 
     keeps h upper triangular, with every t e_c in the span of rows c, ...,
     d - 1: a pivot only ever divides the one before it, and a step at c
     touches no later row.  So adding t e_j, j > c, to row c or to g is a
-    unimodular step, the rows keep spanning M_t, and reducing above the
-    pivots gives the unique Hermite form, the one hnf_rows gives.
+    unimodular step, and the rows keep spanning M_t.  Every pivot lies in
+    (0, t]: a new one is gcd(h_cc, g_c) with 0 < g_c < t.  So
+    `intlinalg.hnf_rows` finds h already triangular with positive pivots,
+    only reduces above them, and returns the unique Hermite form of M_t.
     `_plan` builds it only for a t it routes `empty` or `walk`; for t | d_1
     it would be the identity, since M_t = L.
     """
@@ -94,14 +96,7 @@ def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: 
             u, w = p // e, x // e
             h[c] = [(a * y + b * z) % t for y, z in zip(hc, g)]
             g = [(u * z - w * y) % t for y, z in zip(hc, g)]
-    for j in range(1, d):
-        hj = h[j]
-        p = hj[j]
-        for i in range(j):
-            q = h[i][j] // p
-            if q:
-                h[i] = [y - q * z for y, z in zip(h[i], hj)]
-    return h
+    return intlinalg.hnf_rows(h)
 
 
 def _discriminant_admits(t: int, primes: Sequence[int], invariants: Sequence[int], a: int, even: bool) -> bool:
@@ -165,10 +160,9 @@ def _plan(lat: Lattice) -> tuple[intlinalg.Matrix, list[tuple[Vec, int]], dict[i
     and its gram_schmidt state."""
     d, det = lat.rank, lat.determinant
     w, minors, lam = lat.lll_reduce()
-    # L in the reduced basis w, its Gram w G w^T read off the LLL state
-    red = Lattice._from_state(intlinalg.gram_from_state(minors, lam), minors, lam)
-    # d_1, the gcd of w G w^T's entries, divides every d_i: d_n | det / d_1^(d-1)
-    d1 = gcd(*(x for row in red.gram for x in row))
+    # d_1, the gcd of G's entries (and of w G w^T's, w unimodular), divides
+    # every d_i: d_n | det / d_1^(d-1)
+    d1 = gcd(*(x for row in lat.gram for x in row))
     # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
     cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
     divs = intlinalg.divisors(det // d1 ** (d - 1), cap)
@@ -179,13 +173,14 @@ def _plan(lat: Lattice) -> tuple[intlinalg.Matrix, list[tuple[Vec, int]], dict[i
              if d1 % t == 0 or _walk_is_small(minors, 2 * t)}
     walk = short_vectors(w, minors, lam, 2 * max(route))
     if len(route) < len(divs):
+        # L in the reduced basis w, its Gram w G w^T read off the LLL state
+        red = Lattice._from_state(intlinalg.gram_from_state(minors, lam), minors, lam)
         diag, v = intlinalg.smith_normal_form(red.gram)
         invariants = [diag[i][i] for i in range(d)]
         dn = invariants[-1]
         # q(V_n / d_n) = a / d_n in the basis w; G' V_n = d_n (U^-1)_n for
         # G' = w G w^T, so d_n divides <V_n, V_n>
         a = red.norm([row[-1] for row in v]) // dn
-        even = red.is_even
         primes: list[int] = []
         for t in divs:
             # the list is ascending and holds every prime of t, so t is prime
@@ -193,7 +188,7 @@ def _plan(lat: Lattice) -> tuple[intlinalg.Matrix, list[tuple[Vec, int]], dict[i
             if t > 1 and dn % t == 0 and all(t % p for p in primes):
                 primes.append(t)
         for t in [t for t in divs if t not in route]:
-            if not _discriminant_admits(t, primes, invariants, a, even):
+            if not _discriminant_admits(t, primes, invariants, a, lat.is_even):
                 route[t] = ("form",)
             else:
                 basis = _mod_kernel_basis(v, invariants, t)
@@ -297,9 +292,10 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       holds (2, 0) of norm 8 with G x = 0 mod 4.
 
     Only when some t is left after the walk is the reduced Gram
-    G' = w G w^T put in Smith form.  G' is read back off the LLL state by
-    `intlinalg.gram_from_state`, with no matrix product; w is unimodular,
-    so G' has the Smith invariants of G, and M_t = {y : G' y = 0 mod t} w.
+    G' = w G w^T built and put in Smith form.  G' is read back off the LLL
+    state by `intlinalg.gram_from_state`, with no matrix product; w is
+    unimodular, so G' has the Smith invariants of G, and
+    M_t = {y : G' y = 0 mod t} w.
     That kernel is spanned by the columns s_i V_i of the Smith matrix V of
     G', with s_i = t / gcd(d_i, t), and t Z^d, and the walk starts from its
     Hermite basis, in w-coordinates, built modulo t by `_mod_kernel_basis`,

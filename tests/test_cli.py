@@ -25,7 +25,7 @@ from latscreen.cli import (
     main,
     parse_lattice,
 )
-from latscreen.core import Lattice
+from latscreen.core import Lattice, LatticeError
 from latscreen.pairs import FeasibilityReport, PairSpec
 from latscreen.recognition import WARN_2B_ODD
 
@@ -252,6 +252,20 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_missing_file_exits_2(capsys):
     assert main(["screeners", "--input", "/no/such/file"]) == EXIT_INPUT
+
+
+def test_parse_failure_is_reported_as_a_lattice_error(tmp_path, capsys):
+    """ParseFailure is a LatticeError, so main's one input-error clause
+    reports a malformed JSON input and a non-definite Gram alike: the same
+    `input error: ` line on stderr, nothing on stdout, exit 2."""
+    assert issubclass(ParseFailure, LatticeError)
+    path = write(tmp_path, '{"gram": [[2]', name="truncated.json")
+    assert main(["screeners", "--input", path]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "input error: invalid JSON: unexpected end of input (line 1, column 14)\n")
+    path = write(tmp_path, "1 2\n2 1\n", name="indefinite.txt")
+    assert main(["screeners", "--input", path]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ") and "leading principal minor 2 is -3" in err, err
 
 
 def test_bad_matrix_exits_2(tmp_path, capsys):

@@ -59,6 +59,30 @@ def test_exact_norm():
     assert enumerate_exact_norm(lat, 6).vectors == ((1, -1), (1, 2), (2, 1))
 
 
+def test_exact_norm_is_the_norm_n_slice_of_the_walk_up_to_n():
+    """enumerate_exact_norm keeps the norm-n entries of
+    enumerate_up_to_norm(lat, n) in the order that sort gave them, on
+    seeded Grams A A^T + D of rank 1-6."""
+    rng = random.Random(43)
+    nonempty = 0
+    for d in range(1, 7):
+        for _ in range(10):
+            a = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+            gram = matmul(a, [list(col) for col in zip(*a)])
+            for i in range(d):
+                gram[i][i] += rng.randint(1, 4)
+            lat = Lattice(gram)
+            # a norm the lattice takes, where it takes any up to 12
+            n = rng.choice(enumerate_up_to_norm(lat, 12).norms or (12,))
+            below = enumerate_up_to_norm(lat, n)
+            exact = enumerate_exact_norm(lat, n)
+            assert (exact.lattice, exact.bound) == (lat, n)
+            assert list(zip(exact.vectors, exact.norms)) == [
+                (v, m) for v, m in zip(below.vectors, below.norms) if m == n], lat.gram
+            nonempty += len(exact) > 1
+    assert nonempty > 15, nonempty  # 21 of the 60 slices hold two or more vectors
+
+
 def test_matches_box_oracle():
     rng = random.Random(101)
     for _ in range(200):

@@ -629,7 +629,8 @@ def test_certified_shells_pay_no_lll(monkeypatch):
     their t and its plan entry by the bound of their walk, over the catalog
     at scales 1-4, CUT_POOL and dense_grams(12), each keeps the state a
     checked Lattice of its Gram over the reduced Gram keeps, and some shell
-    is cleared with no Lattice built."""
+    is cleared with no Lattice built.  When every route is `whole` or
+    `near`, the plan builds no Lattice at all: d_1 is read off G itself."""
     bases, built, walks = [], [], []
     basis_of, walk, from_state = screeners._mod_kernel_basis, screeners.enumerate_up_to_norm, Lattice._from_state
 
@@ -650,13 +651,17 @@ def test_certified_shells_pay_no_lll(monkeypatch):
     monkeypatch.setattr(screeners, "_mod_kernel_basis", recording_basis)
     monkeypatch.setattr(Lattice, "_from_state", recording_state)
     monkeypatch.setattr(screeners, "enumerate_up_to_norm", recording_walk)
-    walked = cleared = 0
+    walked = cleared = light = 0
     for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(12)]:
         route = screeners._plan(lat)[2]
         bases.clear()
         built.clear()
         walks.clear()
         all_screeners(lat)
+        if all(r[0] in ("whole", "near") for r in route.values()):
+            assert built == [] and walks == [] and bases == [], lat.gram
+            light += 1
+            continue
         red, *shells = built
         u, minors, lam = lat.lll_reduce()
         assert red.gram == tuple(map(tuple, lat.row_gram(u))), lat.gram
@@ -675,7 +680,7 @@ def test_certified_shells_pay_no_lll(monkeypatch):
                 sub = of_t[t]
                 assert (sub.gram, sub.minors, sub.lll_reduce()) == (checked.gram, checked.minors, checked.lll_reduce())
         walked += len(walks)
-    assert cleared > 0 and walked > 0, (cleared, walked)  # 16 of 99 shells cleared, 83 walked
+    assert cleared > 0 and walked > 0 and light > 0, (cleared, walked, light)  # 16 of 99 shells cleared, 83 walked
 
 
 def _in_place_pool():
