@@ -6,18 +6,20 @@ lattice, that is, lies in the dual lattice L*.  A screener of norm 2t lies in
 the mod-t kernel M_t = {x : G x = 0 mod t}.  `all_screeners` reduces L once
 by LLL and works it in that basis: the candidates t are the divisors of
 det G / d_1^(d-1) up to a Gram-Schmidt cap, and `_plan` gives each one
-route.  A t with M_t = L, or whose walk of L is proven short, is read off
-one walk of L; any other t is cut by the discriminant form of L*/L,
-certified empty by the Hermite basis of M_t, or walked on that basis.  No
-dual lattice is built.  The bounds, cuts and certificates are proven in
-`all_screeners`.
+route.  A t with M_t = L, or whose walk of L is proven short, and every
+t below one of those, is read off one walk of L; any other t is cut by
+the discriminant form of L*/L, certified empty by the Hermite basis of
+M_t, or walked on that basis, both built from data local at the primes of
+the t left.  No dual lattice and no Smith form over Z is built.  The
+bounds, cuts and certificates are proven in `all_screeners`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from . import intlinalg
@@ -55,84 +57,180 @@ class ScreenerSet:
         return self.norms[0] if self.norms else None
 
 
-def _mod_kernel_basis(v: Sequence[Sequence[int]], invariants: Sequence[int], t: int) -> list[list[int]]:
-    """Basis rows of M_t = {x : G x = 0 mod t} in row Hermite form, in the
-    basis of the Gram G whose Smith matrix V is given.  all_screeners gives
-    the V of the reduced Gram w G w^T of L, so the rows are in
-    w-coordinates, and times w they span the M_t of L's own Gram.
+@dataclass(frozen=True)
+class _Local:
+    """A Gram G' = d_1 G of rank d at a set of primes p, each to an
+    exponent K_p (`_local_data`).  primes maps p to (vals, b, gens): vals
+    are the v_p(d_i) of the Smith invariants of G', ascending, each capped
+    at v_p(d_1) + K_p + 2; b is <z,z> / p^k mod p when p is odd and
+    divides d_n alone, to a power p^k below that cap, z a vector with z/p^k
+    a generator of the p-part of L*/L, and 0 otherwise; gens holds one
+    (e, z) for each invariant of G of p-adic valuation e >= 1 (capped at
+    K_p + 2), z its column of a Smith matrix V of G mod p^(K_p + 2)."""
 
-    With U G V = D the Smith form, M_t is spanned by the columns s_i V_i,
-    s_i = t / gcd(d_i, t), together with t e_1, ..., t e_d.  invariants are
-    the d_i; V need not be reduced, since s_i V_i is reduced mod t here.
-    The rows h start as t I, and each generator g = s_i V_i mod t with
-    s_i < t (else g = 0) goes in column by column: at a column c where g is
-    nonzero, xgcd(h_cc, g_c) turns row c and g into a row of pivot
-    gcd(h_cc, g_c) and a g that is 0 at c, and both are reduced mod t.
-    This is the modular order of Domich, Kannan and Trotter (1987).  It
-    keeps h upper triangular, with every t e_c in the span of rows c, ...,
-    d - 1: a pivot only ever divides the one before it, and a step at c
-    touches no later row.  So adding t e_j, j > c, to row c or to g is a
+    d1: int
+    rank: int
+    primes: dict[int, tuple[list[int], int, list[tuple[int, list[int]]]]]
+
+
+def _local_data(gram: Sequence[Sequence[int]], d1: int, exps: dict[int, int]) -> _Local:
+    """The local data of gram = d_1 G at each prime p of exps to K_p = exps[p].
+
+    Each column of G is stacked on the same column of V = I, so that a
+    column step acts on G V and V at once; no row step is needed, since a
+    pivot column that is a unit at its pivot row is one row step from a
+    unit vector.  One forward elimination mod M = prod p^(K_p + 2) pivots on
+    entries prime to M, each an invariant 1 of G at every p, and leaves a
+    trailing block B of the rows and columns it did not pivot, with
+    U G V = I (+) B.  For each p, B alone is eliminated mod p^(K_p + 2) on
+    an entry of least p-adic valuation e, whose p^e then divides the whole
+    block: so the pivots come out in ascending valuation, they are the v_p
+    of G's invariants, and each pivot column of V is final once taken.  A
+    block that is 0 mod p^(K_p + 2) counts as valuation K_p + 2.  The v_p of
+    G''s invariants are v_p(d_1) plus those of G.
+    """
+    d = len(gram)
+    m = 1
+    for p, k in exps.items():
+        m *= p ** (k + 2)
+    # gram is symmetric: its column j is its row j.  Each column holds its
+    # entries at the r rows not yet pivoted, then V's
+    cols = [[x // d1 % m for x in row] + [int(i == j) for i in range(d)] for j, row in enumerate(gram)]
+    r, live = d, list(range(d))
+    while piv := next(((i, j) for j in live for i in range(r) if gcd(cols[j][i], m) == 1), None):
+        i0, j0 = piv
+        r -= 1
+        live.remove(j0)
+        c0 = cols[j0]
+        inv = pow(c0[i0], -1, m)
+        for j in live:
+            if f := cols[j][i0] * inv % m:
+                cols[j] = [(x - f * y) % m for x, y in zip(cols[j], c0)]
+            del cols[j][i0]
+    primes = {}
+    for p, k in exps.items():
+        n = k + 2
+        q = p ** n
+        cs = {j: [x % q for x in cols[j]] for j in live}
+        ls, rs = list(live), r
+        out: list[tuple[int, list[int]]] = []
+        while ls:
+            e, i0, j0 = min((_valuation(cs[j][i], p, n), i, j) for j in ls for i in range(rs))
+            if e == n:
+                out += [(n, cs[j][rs:]) for j in ls]
+                break
+            rs -= 1
+            ls.remove(j0)
+            c0, pe = cs[j0], p ** e
+            inv = pow(c0[i0] // pe, -1, q)
+            for j in ls:
+                if f := cs[j][i0] // pe * inv % q:
+                    cs[j] = [(x - f * y) % q for x, y in zip(cs[j], c0)]
+                del cs[j][i0]
+            out.append((e, c0[rs + 1:]))
+        shift = _valuation(d1, p)
+        vals = [shift] * (d - len(out)) + [shift + e for e, _ in out]
+        b = 0
+        if p > 2 and 0 < vals[-1] < shift + n and (d == 1 or vals[-2] == 0):
+            # z, the last column of V, has G' z = 0 mod p^(vals[-1]), so
+            # that power divides <z,z>; for d = 1, V = (1)
+            z = out[-1][1] if out else [1]
+            b = sum(x * sum(map(mul, row, z)) for x, row in zip(z, gram)) // p ** vals[-1] % p
+        primes[p] = (vals, b, [(e, z) for e, z in out if e])
+    return _Local(d1, d, primes)
+
+
+def _valuation(x: int, p: int, n: int | None = None) -> int:
+    """v_p(x), or n when it is n or more (x = 0 among them); with no n, x
+    must be nonzero."""
+    if n is None:
+        n = x.bit_length()
+    e = 0
+    while e < n and x % p == 0:
+        x //= p
+        e += 1
+    return e
+
+
+def _mod_kernel_basis(local: _Local, t: int) -> list[list[int]]:
+    """Basis rows of M_t = {x : G' x = 0 mod t} in row Hermite form, in the
+    basis of the Gram G' = d_1 G whose local data is given.  all_screeners
+    gives the local data of the reduced Gram w G w^T of L, so the rows are
+    in w-coordinates, and times w they span the M_t of L's own Gram.
+
+    M_t = {x : G x = 0 mod t'} with t' = t / gcd(t, d_1).  Where p^k
+    exactly divides t', M_{p^k} of G is spanned by p^(k - min(e, k)) z over
+    the (e, z) of local at p and p^k Z^d, and M_t' = sum_p (t'/p^k) M_{p^k}:
+    a y in M_{p^k} has G (t'/p^k) y = 0 mod t', and an x in M_t' is
+    sum_p c_p (t'/p^k) x for the c_p with sum_p c_p t'/p^k = 1.  So M_t'
+    is spanned by the generators t' / p^min(e, k) z mod t' and t' Z^d.  The
+    rows h start as t' I, and each generator g goes in column by column: at
+    a column c where g is nonzero, xgcd(h_cc, g_c) turns row c and g into a
+    row of pivot gcd(h_cc, g_c) and a g that is 0 at c, and both are reduced
+    mod t'.  This is the modular order of Domich, Kannan and Trotter (1987).
+    It keeps h upper triangular, with every t' e_c in the span of rows c,
+    ..., d - 1: a pivot only ever divides the one before it, and a step at c
+    touches no later row.  So adding t' e_j, j > c, to row c or to g is a
     unimodular step, and the rows keep spanning M_t.  Every pivot lies in
-    (0, t]: a new one is gcd(h_cc, g_c) with 0 < g_c < t.  So
+    (0, t']: a new one is gcd(h_cc, g_c) with 0 < g_c < t'.  So
     `intlinalg.hnf_rows` finds h already triangular with positive pivots,
     only reduces above them, and returns the unique Hermite form of M_t.
     `_plan` builds it only for a t it routes `empty` or `walk`; for t | d_1
-    it would be the identity, since M_t = L.
+    it is the identity, since M_t = L.
     """
-    d = len(invariants)
+    t = t // gcd(t, local.d1)
+    d = local.rank
     h = [[t if i == j else 0 for j in range(d)] for i in range(d)]
-    for i, di in enumerate(invariants):
-        s = t // gcd(di, t)
-        if s == t:
+    for p, (_, _, gens) in local.primes.items():
+        k = _valuation(t, p)
+        if k == 0:
             continue
-        g = [s * row[i] % t for row in v]
-        for c in range(d):
-            x = g[c]
-            if x == 0:
-                continue
-            hc = h[c]
-            p = hc[c]
-            e, a, b = intlinalg.xgcd(p, x)
-            u, w = p // e, x // e
-            h[c] = [(a * y + b * z) % t for y, z in zip(hc, g)]
-            g = [(u * z - w * y) % t for y, z in zip(hc, g)]
+        for e, col in gens:
+            g = [t // p ** min(e, k) * x % t for x in col]
+            for c in range(d):
+                x = g[c]
+                if x == 0:
+                    continue
+                hc = h[c]
+                pc = hc[c]
+                r, a, b = intlinalg.xgcd(pc, x)
+                u, w = pc // r, x // r
+                h[c] = [(a * y + b * z) % t for y, z in zip(hc, g)]
+                g = [(u * z - w * y) % t for y, z in zip(hc, g)]
     return intlinalg.hnf_rows(h)
 
 
-def _discriminant_admits(t: int, primes: Sequence[int], invariants: Sequence[int], a: int, even: bool) -> bool:
+def _discriminant_admits(t: int, local: _Local, even: bool) -> bool:
     """False when L*/L = (+) Z/d_i holds no y of order t with q(y) = 2/t.
 
-    An element of order t needs t | d_n, the exponent of L*/L.  The rest is
-    tested prime by prime over the primes p of t, which primes holds among
-    others, with p^k the exact power of p in t: for odd p some d_i has
-    v_p(d_i) = k, and when p divides d_n alone, 2 a (d_n/p^k)(t/p^k) is a
-    square mod p (Euler's criterion), with a = <V_n, V_n> / d_n; for p = 2,
-    when the lattice is even or k >= 2, some d_i has 1 <= v_2(d_i) and
+    The test runs prime by prime over the primes p of t, all of which local
+    holds, with p^k the exact power of p in t.  An element of order t needs
+    t | d_n, the exponent of L*/L, so v_p(d_n) >= k.  For odd p some d_i has
+    v_p(d_i) = k, and when p divides d_n alone, 2 b (t/p^k) is a square mod
+    p (Euler's criterion), with b = <z,z> / p^k of local; for p = 2, when
+    the lattice is even or k >= 2, some d_i has 1 <= v_2(d_i) and
     k - 1 <= v_2(d_i) <= k + 1.  The proof is in `all_screeners`.
     """
-    dn = invariants[-1]
-    if dn % t:
-        return False
-    for p in primes:
-        if t % p:
+    for p, (vals, b, _) in local.primes.items():
+        k = _valuation(t, p)
+        if k == 0:
             continue
-        q = p
-        while t % (q * p) == 0:
-            q *= p
-        if p == 2:
-            if (even or q > 2) and not any(di % max(q // 2, 2) == 0 and di % (4 * q) for di in invariants):
-                return False
-        elif not any(di % q == 0 and di % (q * p) for di in invariants):
+        if vals[-1] < k:
             return False
-        elif (len(invariants) == 1 or invariants[-2] % p) and pow(2 * a * (dn // q) * (t // q), (p - 1) // 2, p) != 1:
+        if p == 2:
+            if (even or k > 1) and not any(max(k - 1, 1) <= e <= k + 1 for e in vals):
+                return False
+        elif k not in vals:
+            return False
+        elif (len(vals) == 1 or vals[-2] == 0) and pow(2 * b * (t // p ** k), (p - 1) // 2, p) != 1:
             return False
     return True
 
 
-# the most vectors the walk of L up to a near shell's norm is proven to
-# emit before that shell goes through M_t instead, so that walk calls a
-# level at most d _NEAR_WALK times (all_screeners); no output depends on
-# it.  Against 128, seed-1 passes of all_screeners took 6.5, 10.4, 15.0
+# the most vectors the walk of L up to 2t is proven to emit for a t not
+# dividing d_1 to be the top of that walk, so that it calls a level at
+# most d _NEAR_WALK times (all_screeners); no output depends on it.
+# Against 128, seed-1 passes of all_screeners took 6.5, 10.4, 15.0
 # and 13.8 % less time on random-dense at 512, 1024, 2048 and 4096, and
 # 0.8 % more, 0.2 % less, then 0.9 and 2.2 % more on catalog-classify
 # (means of two in-process runs of 15 interleaved passes): 1024 is the
@@ -166,32 +264,30 @@ def _plan(lat: Lattice) -> tuple[intlinalg.Matrix, list[tuple[Vec, int]], dict[i
     # t <= 2 max_i |b_i*|^2 with |b_i*|^2 = D_{i+1} / D_i on the reduced basis
     cap = max(2 * minors[i + 1] // minors[i] for i in range(d))
     divs = intlinalg.divisors(det // d1 ** (d - 1), cap)
-    # one walk of L, up to every norm 2t with t | d_1, where M_t = L, and
-    # every near norm 2t whose walk the level counts prove small, gives
-    # those shells; t = 1 is always whole
-    route = {t: ("whole",) if d1 % t == 0 else ("near",) for t in divs
-             if d1 % t == 0 or _walk_is_small(minors, 2 * t)}
-    walk = short_vectors(w, minors, lam, 2 * max(route))
-    if len(route) < len(divs):
+    # one walk of L up to 2 top gives every shell up to top: top is the
+    # largest t that divides d_1, where M_t = L, or whose walk the level
+    # counts prove small; t = 1 always divides d_1
+    top = max(t for t in divs if d1 % t == 0 or _walk_is_small(minors, 2 * t))
+    route = {t: ("whole",) if d1 % t == 0 else ("near",) for t in divs if t <= top}
+    walk = short_vectors(w, minors, lam, 2 * top)
+    rest = divs[len(route):]
+    if rest:
         # L in the reduced basis w, its Gram w G w^T read off the LLL state
         red = Lattice._from_state(intlinalg.gram_from_state(minors, lam), minors, lam)
-        diag, v = intlinalg.smith_normal_form(red.gram)
-        invariants = [diag[i][i] for i in range(d)]
-        dn = invariants[-1]
-        # q(V_n / d_n) = a / d_n in the basis w; G' V_n = d_n (U^-1)_n for
-        # G' = w G w^T, so d_n divides <V_n, V_n>
-        a = red.norm([row[-1] for row in v]) // dn
+        # the ascending divs hold every prime of each t, and t is prime when
+        # no earlier prime divides it; K_p, the largest exponent of p in a t
+        # of rest, is v_p of their lcm
         primes: list[int] = []
         for t in divs:
-            # the list is ascending and holds every prime of t, so t is prime
-            # when no earlier prime divides it
-            if t > 1 and dn % t == 0 and all(t % p for p in primes):
+            if t > 1 and all(t % p for p in primes):
                 primes.append(t)
-        for t in [t for t in divs if t not in route]:
-            if not _discriminant_admits(t, primes, invariants, a, lat.is_even):
+        rest_lcm = lcm(*rest)
+        local = _local_data(red.gram, d1, {p: _valuation(rest_lcm, p) for p in primes if rest_lcm % p == 0})
+        for t in rest:
+            if not _discriminant_admits(t, local, lat.is_even):
                 route[t] = ("form",)
             else:
-                basis = _mod_kernel_basis(v, invariants, t)
+                basis = _mod_kernel_basis(local, t)
                 g = red.row_gram(basis)
                 # empty when every |c_k*|^2 = D_{k+1} / D_k of the Hermite basis exceeds 2t
                 state = intlinalg.gram_schmidt(g)
@@ -236,29 +332,31 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       2/t has p-adic valuation -k.  For p = 2 the same split over exponents
       <= k-2 and >= k+2 (w = 4 w') puts q(y_2) in 2^(2-k) Z_(2) against
       2/t of valuation 1-k, a contradiction for even L or k >= 2.  When p
-      divides d_n alone, y_p = c V_n / p^k with p not dividing c and
-      q(V_n / p^k) = a d_n / p^(2k), a = <V_n, V_n> / d_n, so
-      c^2 a (d_n/p^k)(t/p^k) = 2 mod p, and 2 a (d_n/p^k)(t/p^k) is a
-      square mod p.  V may come from the Smith form of any Gram of L, here
-      the reduced Gram w G w^T, with V_n in w-coordinates: q does not
-      depend on the basis, and two generators of the cyclic p-part differ
-      by a unit c, so the a of either is c^2 times the other's mod p, in
-      the same square class.
+      divides d_n alone, the p-part of L*/L is cyclic of order p^k, since
+      some v_p(d_i) = k.  Let z be a vector of L with z/p^k a generator of
+      it, so G z = 0 mod p^k and p^k divides <z,z>: then y_p = c z / p^k
+      with p not dividing c, q(z / p^k) = b / p^k with b = <z,z> / p^k,
+      so c^2 b (t/p^k) = 2 mod p, and 2 b (t/p^k) is a square mod p.  z
+      may be taken in any basis of L, here w-coordinates, and modulo
+      p^(k+1) L, which moves <z,z> by a multiple of p^(k+1).  Two
+      generators differ by a unit c mod p^k, and z' = c z + p^k l has
+      <z',z'> = c^2 <z,z> + 2 c p^k <z,l> mod p^(2k), with p^k | <z,l>, so
+      the b of either is c^2 times the other's mod p, in the same square
+      class.
 
-    The candidates need no Smith form before the walk of L.  d_1 is the
-    gcd of G's entries and divides every d_i, and det G = d_1 ... d_n, so
+    The candidates need no Smith form.  d_1 is the gcd of G's entries and
+    divides every d_i, and det G = d_1 ... d_n, so
     e = det G / d_1^(d-1) = d_n prod_{i<n} (d_i / d_1) is a multiple of
     d_n, and e = d_n when d <= 2.  The candidates t are the divisors of e
     up to the cap, listed from the primes of e (`intlinalg.divisors`).
     M_t = L exactly when t | d_1.  One walk of the LLL state of L serves
-    every candidate t | d_1 and every near t: a candidate not dividing d_1
+    every candidate t up to top, the largest candidate that divides d_1 or
     whose walk of L up to 2t `_walk_is_small` proves to emit at most
-    _NEAR_WALK vectors.  Neither is cut by the discriminant form first,
-    and neither needs to be:
+    _NEAR_WALK vectors (t = 1 divides d_1, so there is one).  A t up to top
+    is `whole` when it divides d_1 and `near` otherwise.  Neither is cut by
+    the discriminant form first, and neither needs to be:
 
-    - the walk goes up to B = 2t for the largest t routed `whole` or
-      `near`, the largest norm it serves (t = 1 divides d_1, so there is
-      one).
+    - the walk goes up to B = 2 top, the largest norm it serves.
     - the count.  Level i of short_vectors up to B admits the z_i with
       (D_{i+1} z_i + b_i)^2 <= rho_i = D_i D_{i+1} (B - P_{i+1}) (module
       docstring of `enumeration`), and P_{i+1} >= 0, so D_{i+1} z_i lies in
@@ -269,11 +367,11 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       isqrt(floor(y)).  A call of level i is fixed by z_{i+1}, ...,
       z_{d-1}, so level i runs at most c_{i+1} ... c_{d-1} times, the walk
       emits at most c_0 ... c_{d-1} vectors and makes at most d times that
-      many level calls.  So when B is 2t for a near t, the walk emits at
-      most _NEAR_WALK vectors whatever the skew of the reduced basis;
-      otherwise t | d_1 and B = 2t <= 2 d_1 <= 2 lambda_1(L), with
-      lambda_1(L) the least norm of a nonzero vector of L, as d_1 divides
-      every norm x^T G x.
+      many level calls.  So when top does not divide d_1, the walk emits
+      at most _NEAR_WALK vectors whatever the skew of the reduced basis;
+      otherwise B = 2 top <= 2 d_1 <= 2 lambda_1(L), with lambda_1(L) the
+      least norm of a nonzero vector of L, as d_1 divides every norm
+      x^T G x.
     - a shell with t | d_1 is the vectors of norm exactly 2t of that walk,
       already in L's coordinates with canonical sign; it needs no Hermite
       form, no shell `Lattice`, no second LLL and no remap.  Each such
@@ -291,18 +389,23 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
       [[2, 0], [0, 8]] has the near t = 4 (c_0 c_1 = 5 * 3), and its walk
       holds (2, 0) of norm 8 with G x = 0 mod 4.
 
-    Only when some t is left after the walk is the reduced Gram
-    G' = w G w^T built and put in Smith form.  G' is read back off the LLL
-    state by `intlinalg.gram_from_state`, with no matrix product; w is
-    unimodular, so G' has the Smith invariants of G, and
-    M_t = {y : G' y = 0 mod t} w.
-    That kernel is spanned by the columns s_i V_i of the Smith matrix V of
-    G', with s_i = t / gcd(d_i, t), and t Z^d, and the walk starts from its
-    Hermite basis, in w-coordinates, built modulo t by `_mod_kernel_basis`,
-    whose entries lie in [0, t] whatever the size of V.  Reducing a
-    generator mod t stays inside M_t, because t Z^d lies in M_t.  A shell
-    vector z maps to L's coordinates as z c w, with c that Hermite basis.
-    The x not in 2L test stays on these shells, where it can fail.
+    Only when some t is left after the walk, above top, is the reduced
+    Gram G' = w G w^T built, read back off the LLL state by
+    `intlinalg.gram_from_state` with no matrix product; it is never put in
+    Smith form over Z.  w is unimodular, so G' has the Smith invariants
+    of G, and M_t = {y : G' y = 0 mod t} w.  Everything the cut and the
+    Hermite bases need is local at the primes P of the t left: the
+    valuations v_p(d_i) for p in P, the b of a cyclic odd p-part and the
+    generators of each M_{p^k}.  `_local_data` finds them all in one
+    elimination of G = G' / d_1 modulo prod_{p in P} p^(K_p + 2), K_p the
+    largest exponent of p in a t left, and one small Smith form mod
+    p^(K_p + 2) per prime of the block that elimination leaves.  Dividing
+    by d_1 keeps the elimination going where p | d_1, and M_t of G' is
+    M_t' of G, t' = t / gcd(t, d_1).  The Hermite basis of M_t, in
+    w-coordinates, is built modulo t' by `_mod_kernel_basis`, whose
+    entries lie in [0, t'].  A shell vector z maps to L's coordinates as
+    z c w, with c that Hermite basis.  The x not in 2L test stays on these
+    shells, where it can fail.
 
     Every other shell starts from the Gram c G' c^T of its Hermite basis c
     and its `intlinalg.gram_schmidt` state, and only those that c does not certify

@@ -40,9 +40,9 @@ from latscreen import (
     rank2_normal_form,
     rank2_predicted_in_lattice,
 )
-from latscreen.intlinalg import divisors, gram_from_state, matmul, smith_normal_form
-from latscreen.screeners import _discriminant_admits, _mod_kernel_basis
-from oracle import brute_screeners, walked_screeners
+from latscreen.intlinalg import divisors, gram_from_state, matmul
+from latscreen.screeners import _discriminant_admits, _local_data, _mod_kernel_basis
+from oracle import brute_screeners, smith_data, smith_discriminant_admits, smith_mod_kernel_basis, walked_screeners
 
 
 class CertificateFailure(Exception):
@@ -280,13 +280,18 @@ def shell_cut_certificate() -> dict:
     minor D_k of that basis, counted in hermite_empty whatever the other
     cuts say) is unsound when it holds a screener, and any unsound shell
     fails the certificate.  As in `all_screeners`, L is worked in its LLL
-    basis w: the Smith form, a and the Hermite bases of M_t are those of
-    the reduced Gram w G w^T, read off the LLL state, and the shell vectors
-    are mapped through the Hermite basis and w to L's coordinates.
+    basis w: the discriminant-form test and the Hermite bases of M_t come
+    from `screeners._local_data` of the reduced Gram w G w^T, read off the
+    LLL state, at every prime of d_n to its exponent in d_n, and the shell
+    vectors are mapped through the Hermite basis and w to L's coordinates.
+    On every shell that test and basis are checked against those the Smith
+    form of w G w^T gives (`oracle.smith_discriminant_admits` and
+    `oracle.smith_mod_kernel_basis`), and any difference fails the
+    certificate too.
     """
     counts = {"lattices": 0, "shells": 0, "with_screener": 0, "rejected": 0,
               "above_cap": 0, "hermite_empty": 0, "unsound": 0}
-    bad = []
+    bad, differ = [], []
     for form in ternary_forms(6):
         for scale in range(1, 4):
             lat = Lattice([[scale * x for x in row] for row in form])
@@ -294,20 +299,27 @@ def shell_cut_certificate() -> dict:
             red = Lattice(gram_from_state(minors, lam))
             cap = max(2 * minors[i + 1] // minors[i] for i in range(3))
             counts["lattices"] += 1
-            diag, v = smith_normal_form(red.gram)
-            invariants = [diag[i][i] for i in range(lat.rank)]
+            gram = [list(row) for row in red.gram]
+            invariants, v, a = smith_data(gram)
             dn = invariants[-1]
-            a = red.norm([row[-1] for row in v]) // dn
-            primes: list[int] = []
+            # every prime p of d_n, to its exponent in d_n
+            exps: dict[int, int] = {}
+            for p in divisors(dn, dn)[1:]:
+                if all(p % q for q in exps):
+                    exps[p] = 1
+                    while dn % p ** (exps[p] + 1) == 0:
+                        exps[p] += 1
+            local = _local_data(gram, invariants[0], exps)
             for t in divisors(dn, dn):
-                if t > 1 and all(t % p for p in primes):
-                    primes.append(t)
-                basis = _mod_kernel_basis(v, invariants, t)
+                basis = _mod_kernel_basis(local, t)
+                rejected = not _discriminant_admits(t, local, lat.is_even)
+                if (basis, rejected) != (smith_mod_kernel_basis(v, invariants, t),
+                                         not smith_discriminant_admits(t, invariants, a, lat.is_even)):
+                    differ.append((lat.gram, t))
                 sub = Lattice(red.row_gram(basis))
                 found = enumerate_up_to_norm(sub, 2 * t)
                 shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
                 held = any(is_screener(lat, x) for x in matmul(matmul(shell, basis), w))
-                rejected = not _discriminant_admits(t, primes, invariants, a, lat.is_even)
                 above = t > cap
                 hermite = hermite_certified(sub, t)
                 counts["shells"] += 1
@@ -317,6 +329,8 @@ def shell_cut_certificate() -> dict:
                 counts["hermite_empty"] += hermite
                 if held and (rejected or above or hermite):
                     bad.append((lat.gram, t))
+    if differ:
+        raise CertificateFailure(f"{len(differ)} shells where the local pass and the Smith form differ: {differ[:5]}")
     counts["unsound"] = len(bad)
     if bad:
         raise CertificateFailure(f"{len(bad)} cut shells hold a screener: {bad[:5]}")

@@ -4,8 +4,10 @@ Everything here is pure Python over exact ints/Fractions and deliberately
 avoids the package under test, except that `exponent_and_dual_minimum` and
 `walked_screeners` borrow its walker, `enumerate_up_to_norm`, which
 `test_depth_first_walks_one_vector_of_each_pair` checks against the box
-scan.  The box enumeration scans a plain coordinate box, half of it by the
-sign of the first nonzero coordinate, so it is slow but hard to get wrong.
+scan, and that the Smith-based shell routes (`smith_routes`) borrow its
+Smith form, LLL and Gram-Schmidt state.  The box enumeration scans a plain
+coordinate box, half of it by the sign of the first nonzero coordinate, so
+it is slow but hard to get wrong.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from latscreen import Lattice, enumerate_up_to_norm
+from latscreen.intlinalg import gram_from_state, gram_schmidt, hnf_rows, smith_normal_form, xgcd
 
 
 def det_fraction(mat) -> Fraction:
@@ -200,3 +203,96 @@ def discriminant_admits(lat, t: int) -> bool:
     mod = 1 if any(gram[i][i] % 2 for i in range(len(gram))) else 2
     return any(order == t and (norm - Fraction(2, t)) % mod == 0
                for order, norm in discriminant_group(gram))
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def smith_data(gram) -> tuple[list[int], list[list[int]], int]:
+    """(invariants, v, a) of the Smith form U G V = D of a Gram: the d_i,
+    the matrix V and a = <V_n, V_n> / d_n, which d_n divides since
+    G V_n = d_n (U^-1)_n."""
+    diag, v = smith_normal_form(gram)
+    invariants = [diag[i][i] for i in range(len(gram))]
+    vn = [row[-1] for row in v]
+    return invariants, v, sum(x * gram[i][j] * y for i, x in enumerate(vn) for j, y in enumerate(vn)) // invariants[-1]
+
+
+def smith_discriminant_admits(t: int, invariants, a: int, even: bool) -> bool:
+    """The discriminant-form cut of t on Smith data: t | d_n and, for each
+    prime p of t with p^k exactly dividing t, for odd p some v_p(d_i) = k
+    and, when p divides d_n alone, 2 a (d_n/p^k)(t/p^k) a square mod p;
+    for p = 2, when the lattice is even or k >= 2, some d_i with
+    1 <= v_2(d_i) and k - 1 <= v_2(d_i) <= k + 1."""
+    dn = invariants[-1]
+    if dn % t:
+        return False
+    for p in prime_factors(t):
+        q = p
+        while t % (q * p) == 0:
+            q *= p
+        if p == 2:
+            if (even or q > 2) and not any(di % max(q // 2, 2) == 0 and di % (4 * q) for di in invariants):
+                return False
+        elif not any(di % q == 0 and di % (q * p) for di in invariants):
+            return False
+        elif (len(invariants) == 1 or invariants[-2] % p) and pow(2 * a * (dn // q) * (t // q), (p - 1) // 2, p) != 1:
+            return False
+    return True
+
+
+def smith_mod_kernel_basis(v, invariants, t: int) -> list[list[int]]:
+    """The Hermite basis of M_t = {x : G x = 0 mod t} from the Smith form:
+    the columns s_i V_i, s_i = t / gcd(d_i, t), inserted mod t into the
+    rows of t I in the modular order of Domich, Kannan and Trotter, then
+    reduced above the pivots."""
+    d = len(invariants)
+    h = [[t if i == j else 0 for j in range(d)] for i in range(d)]
+    for i, di in enumerate(invariants):
+        s = t // math.gcd(di, t)
+        if s == t:
+            continue
+        g = [s * row[i] % t for row in v]
+        for c in range(d):
+            x = g[c]
+            if x == 0:
+                continue
+            hc = h[c]
+            p = hc[c]
+            e, a, b = xgcd(p, x)
+            u, w = p // e, x // e
+            h[c] = [(a * y + b * z) % t for y, z in zip(hc, g)]
+            g = [(u * z - w * y) % t for y, z in zip(hc, g)]
+    return hnf_rows(h)
+
+
+def smith_routes(lat, ts) -> dict:
+    """The route of each t of ts that the walk of L does not serve, from the
+    Smith form of the reduced Gram w G w^T of L's LLL state: ("form",) when
+    the discriminant form cuts t, else ("empty",) when the Hermite basis c
+    of M_t has every D_{k+1} > 2t D_k, else ("walk", c, its Gram, its
+    gram_schmidt state)."""
+    _, minors, lam = lat.lll_reduce()
+    red = Lattice(gram_from_state(minors, lam))
+    gram = [list(row) for row in red.gram]
+    invariants, v, a = smith_data(gram)
+    out = {}
+    for t in ts:
+        if not smith_discriminant_admits(t, invariants, a, lat.is_even):
+            out[t] = ("form",)
+            continue
+        basis = smith_mod_kernel_basis(v, invariants, t)
+        g = red.row_gram(basis)
+        state = gram_schmidt(g)
+        m = state[0]
+        out[t] = ("empty",) if all(m[k + 1] > 2 * t * m[k] for k in range(lat.rank)) else ("walk", basis, g, state)
+    return out

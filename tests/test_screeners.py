@@ -34,7 +34,7 @@ from latscreen.enumeration import enumerate_up_to_norm, short_vectors
 from latscreen.intlinalg import (
     determinant, divisors, hnf_rows, invariant_factors, matmul, rank, smith_normal_form,
 )
-from latscreen.screeners import _discriminant_admits, _mod_kernel_basis
+from latscreen.screeners import _discriminant_admits, _local_data, _mod_kernel_basis
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -634,8 +634,8 @@ def test_certified_shells_pay_no_lll(monkeypatch):
     bases, built, walks = [], [], []
     basis_of, walk, from_state = screeners._mod_kernel_basis, screeners.enumerate_up_to_norm, Lattice._from_state
 
-    def recording_basis(v, invariants, t):
-        basis = basis_of(v, invariants, t)
+    def recording_basis(local, t):
+        basis = basis_of(local, t)
         bases.append((t, basis))
         return basis
 
@@ -698,12 +698,13 @@ def test_mod_kernel_is_the_lattice_exactly_when_t_divides_d1():
     checked = 0
     for lat in _in_place_pool():
         gram = [list(r) for r in lat.gram]
-        diag, v = smith_normal_form(gram)
-        invariants = [diag[i][i] for i in range(lat.rank)]
+        invariants = invariant_factors(gram)
         d1 = invariants[0]
         assert d1 == math.gcd(*(x for row in gram for x in row)), gram
-        for t in divisors(invariants[-1], invariants[-1]):
-            basis = _mod_kernel_basis(v, invariants, t)
+        ts = divisors(invariants[-1], invariants[-1])
+        local = _local(lat, ts)
+        for t in ts:
+            basis = _mod_kernel_basis(local, t)
             if d1 % t == 0:
                 assert basis == intlinalg.identity(lat.rank), (gram, t)
             else:
@@ -766,7 +767,7 @@ def test_shells_whose_mod_kernel_is_l_are_walked_on_l(monkeypatch):
     # shells with t | d_1 that hold a screener, 256 of them, 150 with t > 1
     assert len(in_place) > 250
     assert sum(t > 1 for t in in_place) >= 150
-    assert near_checked >= 140, near_checked  # 333
+    assert near_checked >= 140, near_checked  # 337
 
 
 def test_plan_routes_every_candidate_once():
@@ -809,15 +810,18 @@ def test_walk_of_l_never_meets_2l_at_a_shell_it_serves():
 
 def _near_shells(lat, every=False):
     """The near shells of all_screeners: the admitted t up to its
-    Gram-Schmidt cap that do not divide d_1 and whose walk of L up to 2t
+    Gram-Schmidt cap that do not divide d_1 and are at most the largest
+    candidate t that divides d_1 or whose walk of L up to 2t
     `_walk_is_small` proves small; with every set, also each such t <= b,
     b the least norm of the LLL rows of L, near or not."""
-    invariants, _ = _smith_data(lat)
+    invariants = invariant_factors([list(r) for r in lat.gram])
     u, minors, _ = lat.lll_reduce()
     b = min(map(lat.norm, u))
-    return {t for t in divisors(invariants[-1], _gram_schmidt_cap(lat))
-            if invariants[0] % t and _admits(lat, t)
-            and ((every and t <= b) or screeners._walk_is_small(minors, 2 * t))}
+    cap = _gram_schmidt_cap(lat)
+    e = lat.determinant // invariants[0] ** (lat.rank - 1)
+    top = max(t for t in divisors(e, cap) if invariants[0] % t == 0 or screeners._walk_is_small(minors, 2 * t))
+    return {t for t in divisors(invariants[-1], cap)
+            if invariants[0] % t and _admits(lat, t) and ((every and t <= b) or t <= top)}
 
 
 def test_near_shells_match_their_mod_kernel_walk():
@@ -830,16 +834,16 @@ def test_near_shells_match_their_mod_kernel_walk():
     near shell may go either way whatever _NEAR_WALK is."""
     near_hits = hits = 0
     for lat in _in_place_pool():
-        diag, v = smith_normal_form([list(r) for r in lat.gram])
-        invariants = [diag[i][i] for i in range(lat.rank)]
         u, minors, lam = lat.lll_reduce()
         s = all_screeners(lat)
         near = _near_shells(lat)
-        for t in sorted(_near_shells(lat, every=True)):
+        every = sorted(_near_shells(lat, every=True))
+        local = _local(lat, every)
+        for t in every:
             walked = sorted(x for x, nrm in short_vectors(u, minors, lam, 2 * t)
                             if nrm == 2 * t and any(c % 2 for c in x)
                             and all(c % t == 0 for c in lat.gram_times(x)))
-            basis = _mod_kernel_basis(v, invariants, t)
+            basis = _mod_kernel_basis(local, t)
             found = enumerate_up_to_norm(Lattice(lat.row_gram(basis)), 2 * t)
             shell = [z for z, nrm in zip(found.vectors, found.norms) if nrm == 2 * t]
             through = sorted(x for x in map(canonical, matmul(shell, basis)) if any(c % 2 for c in x))
@@ -854,11 +858,11 @@ def test_near_shells_match_their_mod_kernel_walk():
 
 def test_output_does_not_depend_on_the_near_walk_cap(monkeypatch):
     """_NEAR_WALK only picks which shells the walk of L serves: at 0 no
-    walk is proven that small and every t not dividing d_1 goes through
-    M_t, at 4096 the walk of L serves more of them than at the default,
-    and the ScreenerSets are those at the default over the catalog at
-    scales 1-4, CUT_POOL and dense_grams(12).  The upper extreme is
-    finite, as an always-True rule would walk L up to twice the
+    walk is proven that small and every t above the largest divisor of
+    d_1 goes through M_t, at 4096 the walk of L serves more of them than
+    at the default, and the ScreenerSets are those at the default over the
+    catalog at scales 1-4, CUT_POOL and dense_grams(12).  The upper
+    extreme is finite, as an always-True rule would walk L up to twice the
     Gram-Schmidt cap."""
     walks = []
     walk = screeners.enumerate_up_to_norm
@@ -884,8 +888,8 @@ def test_output_does_not_depend_on_the_near_walk_cap(monkeypatch):
 @given(_dense_grams(1, 6))
 def test_output_does_not_depend_on_the_near_walk_cap_on_drawn_grams(lat):
     """For even, odd and scaled Grams of rank 1-6, all_screeners gives the
-    same ScreenerSet with _NEAR_WALK at 0, where every t not dividing d_1
-    goes through M_t, at 128, at the default 1024 and at 4096."""
+    same ScreenerSet with _NEAR_WALK at 0, where every t above the largest
+    divisor of d_1 goes through M_t, at 128, at the default 1024 and at 4096."""
     out = {}
     for cap in (0, 128, 1024, 4096):
         with pytest.MonkeyPatch.context() as mp:
@@ -1036,11 +1040,11 @@ def _certified_shells(lat):
     mod-t kernels whose Hermite basis certifies them empty and the number
     of all of them.  Each certified one is walked up to norm 2t here, and
     the walk must find nothing."""
-    diag, v = smith_normal_form([list(r) for r in lat.gram])
-    invariants = [diag[i][i] for i in range(lat.rank)]
+    dn = invariant_factors([list(r) for r in lat.gram])[-1]
+    local = _local(lat, divisors(dn, dn))
     certified = shells = 0
-    for t in divisors(invariants[-1], invariants[-1]):
-        sub = Lattice(lat.row_gram(_mod_kernel_basis(v, invariants, t)))
+    for t in divisors(dn, dn):
+        sub = Lattice(lat.row_gram(_mod_kernel_basis(local, t)))
         shells += 1
         if hermite_certified(sub, t):
             certified += 1
@@ -1080,15 +1084,21 @@ def _valuation(n, p):
     return k
 
 
-def _prime_factors(n):
-    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
-
-
 def _smith_data(lat):
     """(invariants d_1 | ... | d_n, a = <V_n, V_n> / d_n) of U G V = D."""
-    diag, v = smith_normal_form([list(r) for r in lat.gram])
-    invariants = [diag[i][i] for i in range(lat.rank)]
-    return invariants, lat.norm([row[-1] for row in v]) // invariants[-1]
+    invariants, _, a = oracle.smith_data([list(r) for r in lat.gram])
+    return invariants, a
+
+
+def _local(lat, ts):
+    """The local data `_plan` would build for the t in ts, but of lat's own
+    Gram: at every prime of those t, to its largest exponent in them."""
+    exps = {}
+    for t in ts:
+        for p in oracle.prime_factors(t):
+            exps[p] = max(exps.get(p, 0), _valuation(t, p))
+    gram = [list(r) for r in lat.gram]
+    return _local_data(gram, math.gcd(*(x for row in gram for x in row)), exps)
 
 
 def _cut_rule(lat, t):
@@ -1096,7 +1106,7 @@ def _cut_rule(lat, t):
     valuations of the Smith invariants, prime by prime, and the square
     classes mod p by listing the squares."""
     invariants, a = _smith_data(lat)
-    for p in _prime_factors(t):
+    for p in oracle.prime_factors(t):
         k = _valuation(t, p)
         vals = [_valuation(di, p) for di in invariants]
         if p == 2:
@@ -1112,8 +1122,7 @@ def _cut_rule(lat, t):
 
 
 def _admits(lat, t):
-    invariants, a = _smith_data(lat)
-    return _discriminant_admits(t, _prime_factors(t), invariants, a, lat.is_even)
+    return _discriminant_admits(t, _local(lat, [t]), lat.is_even)
 
 
 def test_all_screeners_matches_unpruned_walk():
@@ -1198,14 +1207,15 @@ def test_discriminant_form_rejects_every_t_not_dividing_d_n():
     scales 1-4, CUT_POOL and dense_grams(60)."""
     for gram, t in (([[1, 0], [0, 3]], 2), ([[2, 0], [0, 2]], 4)):
         lat = Lattice(gram)
-        invariants, a = _smith_data(lat)
-        assert not _discriminant_admits(t, [2], invariants, a, lat.is_even), (gram, invariants, t)
+        assert not _discriminant_admits(t, _local(lat, [t]), lat.is_even), (gram, t)
     checked = 0
     for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(60)]:
-        invariants, a = _smith_data(lat)
-        for t in screeners._plan(lat)[2]:
-            if invariants[-1] % t:
-                assert not _discriminant_admits(t, _prime_factors(t), invariants, a, lat.is_even), (lat.gram, t)
+        dn = invariant_factors([list(r) for r in lat.gram])[-1]
+        ts = list(screeners._plan(lat)[2])
+        local = _local(lat, ts)
+        for t in ts:
+            if dn % t:
+                assert not _discriminant_admits(t, local, lat.is_even), (lat.gram, t)
                 checked += 1
     assert checked >= 80, checked  # 88
 
@@ -1375,18 +1385,18 @@ def test_smith_form_without_u():
 
 
 def test_shell_basis_spans_mod_kernel():
-    """The Hermite basis mod t spans the same M_t as the Smith columns, lies
-    in M_t, has index prod t / gcd(d_i, t) in Z^d, and its entries stay in
-    [0, t] with pivots dividing t, however large V is: V goes in raw, as
-    all_screeners passes it."""
+    """The Hermite basis the local pass gives spans the same M_t as the
+    Smith columns, lies in M_t, has index prod t / gcd(d_i, t) in Z^d, and
+    its entries stay in [0, t] with pivots dividing t, also on the Grams
+    whose Smith matrix V has 60-bit entries."""
     for lat in CUT_POOL + _skewed_dense_grams(4):
         gram = [list(r) for r in lat.gram]
-        diag, v = smith_normal_form(gram)
         d = lat.rank
-        invariants = [diag[i][i] for i in range(d)]
+        invariants = invariant_factors(gram)
         dn = invariants[-1]
+        local = _local(lat, divisors(dn, dn))
         for t in divisors(dn, dn):
-            basis = _mod_kernel_basis(v, invariants, t)
+            basis = _mod_kernel_basis(local, t)
             assert hnf_rows(basis) == hnf_rows(_mod_kernel_columns(lat, t)), (gram, t)
             assert all(y % t == 0 for row in matmul(basis, gram) for y in row), (gram, t)
             index = math.prod(t // math.gcd(di, t) for di in invariants)
@@ -1407,9 +1417,10 @@ def _hnf_mod_kernel_basis(v, invariants, t):
 
 
 def test_modular_hermite_basis_is_the_hnf_rows_basis():
-    """Inserting each generator into the rows of t I with entries reduced
-    mod t gives exactly the Hermite basis that hnf_rows gives on all the
-    generators at once, on every divisor shell of d_n of 3000 seeded Grams
+    """Inserting each generator of the local pass into the rows of t' I,
+    t' = t / gcd(t, d_1), with entries reduced mod t' gives exactly the
+    Hermite basis that hnf_rows gives on all the Smith generators s_i V_i
+    and t I at once, on every divisor shell of d_n of 3000 seeded Grams
     A A^T + D of rank 1-6 at scales 1-12."""
     rng = random.Random(3535)
     shells = 0
@@ -1423,8 +1434,10 @@ def test_modular_hermite_basis_is_the_hnf_rows_basis():
         gram = [[scale * x for x in row] for row in gram]
         diag, v = smith_normal_form(gram)
         invariants = [diag[i][i] for i in range(d)]
-        for t in divisors(invariants[-1], invariants[-1]):
-            assert _mod_kernel_basis(v, invariants, t) == _hnf_mod_kernel_basis(v, invariants, t), (gram, t)
+        ts = divisors(invariants[-1], invariants[-1])
+        local = _local(Lattice(gram), ts)
+        for t in ts:
+            assert _mod_kernel_basis(local, t) == _hnf_mod_kernel_basis(v, invariants, t), (gram, t)
             shells += 1
     assert shells > 50000, shells  # 59402
 
@@ -1436,18 +1449,22 @@ def _scrambled(lat):
     return Lattice(lat.row_gram([[(i == j) + (j < i) * (1000 * (i - j) + 7) for j in range(n)] for i in range(n)]))
 
 
-def test_smith_form_only_when_a_mod_kernel_shell_is_left(monkeypatch):
-    """all_screeners factors G only when the walk of L leaves some t for
-    the M_t path: with smith_normal_form made to raise, it still gives the
-    same ScreenerSet on every lattice of the pool that needs none, E8
-    among them, and D9 at scale 3 in a scrambled basis still reaches the
-    Smith form."""
-    def refuse(mat):
-        raise RuntimeError("smith_normal_form called")
+def test_local_pass_only_when_a_mod_kernel_shell_is_left(monkeypatch):
+    """all_screeners puts no Gram in Smith form: with smith_normal_form made
+    to raise, it gives the same ScreenerSet on every lattice of the pool.
+    It runs the local pass only when the walk of L leaves some t for the M_t
+    path: with `_local_data` made to raise, it still gives the same
+    ScreenerSet on every lattice of the pool that needs none, E8 among
+    them, and D9 at scale 3 in a scrambled basis still reaches the pass."""
+    def refuse(*args):
+        raise RuntimeError("refused")
 
     pool = _in_place_pool() + [Lattice(g) for g in dense_grams(30)]
     expected = [all_screeners(lat) for lat in pool]
-    monkeypatch.setattr(intlinalg, "smith_normal_form", refuse)
+    with monkeypatch.context() as mp:
+        mp.setattr(intlinalg, "smith_normal_form", refuse)
+        assert [all_screeners(lat) for lat in pool] == expected
+    monkeypatch.setattr(screeners, "_local_data", refuse)
     answered = []
     for lat, s in zip(pool, expected):
         try:
@@ -1458,8 +1475,69 @@ def test_smith_form_only_when_a_mod_kernel_shell_is_left(monkeypatch):
         answered.append(lat)
     assert catalog("E", 8) in answered
     assert 100 < len(answered) < len(pool), len(answered)  # 313 of 410
-    with pytest.raises(RuntimeError, match="smith_normal_form called"):
+    with pytest.raises(RuntimeError, match="refused"):
         all_screeners(_scrambled(catalog("D", 9, 3)))
+
+
+@st.composite
+def _local_grams(draw):
+    """A A^T + D of rank 1-8, entries of A in [-2, 2] and of D in [1, 4],
+    or a block sum of rank 2-6: diagonal entries from 1, 2, 3, 4, 6, 8, 9,
+    12, 18 and 27, the first two joined into a 2 x 2 block when there are
+    more than two.  The entries share the primes 2 and 3, so the 2- and
+    3-parts of L*/L are often not cyclic.  Either is scaled by 1-4."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 8))
+        a = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
+        gram = matmul(a, [list(c) for c in zip(*a)])
+        for i in range(d):
+            gram[i][i] += draw(st.integers(1, 4))
+    else:
+        entries = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 18, 27)), min_size=2, max_size=6))
+        gram = [[v if i == j else 0 for j in range(len(entries))] for i, v in enumerate(entries)]
+        if len(entries) > 2:
+            gram[0][1] = gram[1][0] = draw(st.integers(0, (min(entries[:2]) - 1) // 2))
+    scale = draw(st.integers(1, 4))
+    return Lattice([[scale * x for x in row] for row in gram])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_local_grams(), st.data())
+def test_local_pass_matches_the_smith_form(lat, data):
+    """At each prime p of a set of t, to an exponent K_p at least that of p
+    in each, the local pass gives min(v_p(d_i), v_p(d_1) + K_p + 2) for
+    every Smith invariant d_i of `invariant_factors`, and for each t the
+    Hermite basis of M_t and the verdict of the discriminant-form cut that
+    the Smith form gives (`oracle.smith_mod_kernel_basis`,
+    `oracle.smith_discriminant_admits`)."""
+    gram = [list(r) for r in lat.gram]
+    invariants, v, a = oracle.smith_data(gram)
+    d1, dn = invariants[0], invariants[-1]
+    ts = data.draw(st.lists(st.sampled_from(divisors(dn * 4, dn * 4)), min_size=1, max_size=4))
+    local = _local(lat, ts)
+    for p, (vals, _, _) in local.primes.items():
+        cap = _valuation(d1, p) + max(_valuation(t, p) for t in ts) + 2
+        assert vals == [min(_valuation(di, p), cap) for di in invariants], (gram, p, vals)
+    assert local.rank == lat.rank and local.d1 == d1
+    for t in ts:
+        assert _mod_kernel_basis(local, t) == oracle.smith_mod_kernel_basis(v, invariants, t), (gram, t)
+        assert _discriminant_admits(t, local, lat.is_even) == oracle.smith_discriminant_admits(
+            t, invariants, a, lat.is_even), (gram, t)
+
+
+def test_plan_matches_the_smith_routes():
+    """Every t the walk of L leaves gets from `_plan` the route, Hermite
+    basis, Gram and gram_schmidt state that the Smith form of the reduced
+    Gram gives (`oracle.smith_routes`), over the catalog at scales 1-4,
+    CUT_POOL and dense_grams(60); each of form, empty and walk occurs."""
+    seen = collections.Counter()
+    for lat in _in_place_pool() + [Lattice(g) for g in dense_grams(60)]:
+        route = screeners._plan(lat)[2]
+        rest = {t: r for t, r in route.items() if r[0] not in ("whole", "near")}
+        assert rest == oracle.smith_routes(lat, rest), lat.gram
+        seen.update(r[0] for r in rest.values())
+    assert set(seen) == {"form", "empty", "walk"}, seen
 
 
 def _diag(*entries):
