@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import index, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import intlinalg
 
@@ -115,6 +115,8 @@ class Lattice:
         try:
             v = tuple(map(index, x))
         except TypeError:
+            if not isinstance(x, Iterable):
+                raise LatticeError(f"{what} is {x!r}, not a sequence of integers") from None
             raise LatticeError(f"{what} {tuple(x)!r} has an entry that is not an integer") from None
         self._check_dim(v)
         return v
@@ -150,8 +152,12 @@ class Lattice:
         return Fraction(sum(map(mul, (sum(map(mul, row, nv)) for row in self.gram), nw)), dv * dw)
 
     def _check_dim(self, x: Sequence) -> None:
-        if len(x) != self.rank:
-            raise LatticeError(f"vector has length {len(x)}, lattice rank is {self.rank}")
+        try:
+            n = len(x)
+        except TypeError:
+            raise LatticeError(f"vector is {x!r}, not a sequence") from None
+        if n != self.rank:
+            raise LatticeError(f"vector has length {n}, lattice rank is {self.rank}")
 
     def __repr__(self) -> str:
         return f"Lattice({[list(r) for r in self.gram]})"

@@ -245,47 +245,37 @@ def solve_gcd_one(x: Sequence[int]) -> list[int]:
 
 
 def hnf_rows(rows: Sequence[Sequence[int]]) -> Matrix:
-    """Row Hermite normal form of the lattice spanned by the given rows.
-
-    Returns only the nonzero rows: pivots positive, entries above a pivot
-    reduced into [0, pivot).  Deterministic for any input order.
-    """
+    """Row Hermite normal form of the span of rows, one per lattice: its
+    nonzero rows, pivots positive, entries above a pivot in [0, pivot).
+    Each row goes in column by column (Cohen, GTM 138, 2.4): where it is
+    nonzero it takes the empty pivot slot, sign made positive, or one xgcd
+    step with the slot's row leaves their gcd as pivot and it 0 there; a
+    last pass reduces above each pivot."""
     a = copy_matrix(rows)
-    if not a:
-        return []
-    m, n = len(a), len(a[0])
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            x = a[i][c]
+    n = len(a[0]) if a else 0
+    h: list[list[int] | None] = [None] * n
+    for g in a:
+        for c in range(n):
+            x = g[c]
             if x == 0:
                 continue
-            if piv is None:
-                piv = i
-                continue
-            rp, ri = a[piv], a[i]
-            p = rp[c]
-            if x % p == 0:
-                q = x // p
-                a[i] = [y - q * z for y, z in zip(ri, rp)]
-                continue
-            g, s, t = xgcd(p, x)
-            u, v = p // g, x // g
-            a[piv] = [s * y + t * z for y, z in zip(rp, ri)]
-            a[i] = [u * z - v * y for y, z in zip(rp, ri)]
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        if a[r][c] < 0:
-            a[r] = [-v for v in a[r]]
-        pr = a[r]
-        for i in range(r):
-            q = a[i][c] // pr[c]
-            if q:
-                a[i] = [y - q * z for y, z in zip(a[i], pr)]
-        r += 1
-    return a[:r]
+            hc = h[c]
+            if hc is None:
+                h[c] = g if x > 0 else [-v for v in g]
+                break
+            p = hc[c]
+            r, s, t = xgcd(p, x)
+            u, v = p // r, x // r
+            h[c] = [s * y + t * z for y, z in zip(hc, g)]
+            g = [u * z - v * y for y, z in zip(hc, g)]
+    out: Matrix = []
+    for c, pr in enumerate(h):
+        if pr is not None:
+            for i, row in enumerate(out):
+                if q := row[c] // pr[c]:
+                    out[i] = [y - q * z for y, z in zip(row, pr)]
+            out.append(pr)
+    return out
 
 
 def rank(mat: Sequence[Sequence[int]]) -> int:

@@ -64,13 +64,13 @@ class _Local:
     are the v_p(d_i) of the Smith invariants of G', ascending, each capped
     at v_p(d_1) + K_p + 2; b is <z,z> / p^k mod p when p is odd and
     divides d_n alone, to a power p^k below that cap, z a vector with z/p^k
-    a generator of the p-part of L*/L, and 0 otherwise; gens holds one
+    a generator of the p-part of L*/L, and None otherwise; gens holds one
     (e, z) for each invariant of G of p-adic valuation e >= 1 (capped at
     K_p + 2), z its column of a Smith matrix V of G mod p^(K_p + 2)."""
 
     d1: int
     rank: int
-    primes: dict[int, tuple[list[int], int, list[tuple[int, list[int]]]]]
+    primes: dict[int, tuple[list[int], int | None, list[tuple[int, list[int]]]]]
 
 
 def _local_data(gram: Sequence[Sequence[int]], d1: int, exps: dict[int, int]) -> _Local:
@@ -130,7 +130,7 @@ def _local_data(gram: Sequence[Sequence[int]], d1: int, exps: dict[int, int]) ->
             out.append((e, c0[rs + 1:]))
         shift = _valuation(d1, p)
         vals = [shift] * (d - len(out)) + [shift + e for e, _ in out]
-        b = 0
+        b = None
         if p > 2 and 0 < vals[-1] < shift + n and (d == 1 or vals[-2] == 0):
             # z, the last column of V, has G' z = 0 mod p^(vals[-1]), so
             # that power divides <z,z>; for d = 1, V = (1)
@@ -173,8 +173,9 @@ def _mod_kernel_basis(local: _Local, t: int) -> list[list[int]]:
     touches no later row.  So adding t' e_j, j > c, to row c or to g is a
     unimodular step, and the rows keep spanning M_t.  Every pivot lies in
     (0, t']: a new one is gcd(h_cc, g_c) with 0 < g_c < t'.  So
-    `intlinalg.hnf_rows` finds h already triangular with positive pivots,
-    only reduces above them, and returns the unique Hermite form of M_t.
+    `intlinalg.hnf_rows`, the same insertion with no modulus, puts each
+    row of h in its empty pivot slot in one step, reduces above the pivots
+    and returns the unique Hermite form of M_t.
     `_plan` builds it only for a t it routes `empty` or `walk`; for t | d_1
     it is the identity, since M_t = L.
     """
@@ -207,8 +208,9 @@ def _discriminant_admits(t: int, local: _Local, even: bool) -> bool:
     holds, with p^k the exact power of p in t.  An element of order t needs
     t | d_n, the exponent of L*/L, so v_p(d_n) >= k.  For odd p some d_i has
     v_p(d_i) = k, and when p divides d_n alone, 2 b (t/p^k) is a square mod
-    p (Euler's criterion), with b = <z,z> / p^k of local; for p = 2, when
-    the lattice is even or k >= 2, some d_i has 1 <= v_2(d_i) and
+    p (Euler's criterion), b = <z,z> / p^k of local, which holds one exactly
+    then (the one nonzero v_p(d_i) is k <= K_p, below the cap); for p = 2,
+    when the lattice is even or k >= 2, some d_i has 1 <= v_2(d_i) and
     k - 1 <= v_2(d_i) <= k + 1.  The proof is in `all_screeners`.
     """
     for p, (vals, b, _) in local.primes.items():
@@ -222,7 +224,7 @@ def _discriminant_admits(t: int, local: _Local, even: bool) -> bool:
                 return False
         elif k not in vals:
             return False
-        elif (len(vals) == 1 or vals[-2] == 0) and pow(2 * b * (t // p ** k), (p - 1) // 2, p) != 1:
+        elif b is not None and pow(2 * b * (t // p ** k), (p - 1) // 2, p) != 1:
             return False
     return True
 
@@ -274,15 +276,15 @@ def _plan(lat: Lattice) -> tuple[intlinalg.Matrix, list[tuple[Vec, int]], dict[i
     if rest:
         # L in the reduced basis w, its Gram w G w^T read off the LLL state
         red = Lattice._from_state(intlinalg.gram_from_state(minors, lam), minors, lam)
-        # the ascending divs hold every prime of each t, and t is prime when
-        # no earlier prime divides it; K_p, the largest exponent of p in a t
-        # of rest, is v_p of their lcm
-        primes: list[int] = []
-        for t in divs:
-            if t > 1 and all(t % p for p in primes):
-                primes.append(t)
+        # K_p, the largest exponent of p in a t of rest, is v_p of their
+        # lcm.  The ascending divs hold every prime factor of a t dividing
+        # that lcm before t, so such a t is prime when no kept p divides it
         rest_lcm = lcm(*rest)
-        local = _local_data(red.gram, d1, {p: _valuation(rest_lcm, p) for p in primes if rest_lcm % p == 0})
+        exps: dict[int, int] = {}
+        for t in divs[1:]:
+            if rest_lcm % t == 0 and all(t % p for p in exps):
+                exps[t] = _valuation(rest_lcm, t)
+        local = _local_data(red.gram, d1, exps)
         for t in rest:
             if not _discriminant_admits(t, local, lat.is_even):
                 route[t] = ("form",)

@@ -7,7 +7,8 @@ avoids the package under test, except that `exponent_and_dual_minimum` and
 scan, and that the Smith-based shell routes (`smith_routes`) borrow its
 Smith form, LLL and Gram-Schmidt state.  The box enumeration scans a plain
 coordinate box, half of it by the sign of the first nonzero coordinate, so
-it is slow but hard to get wrong.
+it is slow but hard to get wrong.  The Hermite form `hnf_reference` is an
+elimination column by column over all rows, not the package's insertion.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from latscreen import Lattice, enumerate_up_to_norm
-from latscreen.intlinalg import gram_from_state, gram_schmidt, hnf_rows, smith_normal_form, xgcd
+from latscreen.intlinalg import gram_from_state, gram_schmidt, smith_normal_form, xgcd
 
 
 def det_fraction(mat) -> Fraction:
@@ -205,6 +206,52 @@ def discriminant_admits(lat, t: int) -> bool:
                for order, norm in discriminant_group(gram))
 
 
+def hnf_reference(rows) -> list[list[int]]:
+    """Row Hermite normal form of the span of rows: the nonzero rows,
+    pivots positive, entries above a pivot reduced into [0, pivot).
+
+    Column by column, every row from r on with a nonzero entry there is
+    folded into the first such row by an xgcd step, or a plain quotient step
+    when the first entry divides it; that row is swapped up to row r, made
+    positive, and reduces the rows above it."""
+    a = [[int(v) for v in row] for row in rows]
+    if not a:
+        return []
+    m, n = len(a), len(a[0])
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, m):
+            x = a[i][c]
+            if x == 0:
+                continue
+            if piv is None:
+                piv = i
+                continue
+            rp, ri = a[piv], a[i]
+            p = rp[c]
+            if x % p == 0:
+                q = x // p
+                a[i] = [y - q * z for y, z in zip(ri, rp)]
+                continue
+            g, s, t = xgcd(p, x)
+            u, v = p // g, x // g
+            a[piv] = [s * y + t * z for y, z in zip(rp, ri)]
+            a[i] = [u * z - v * y for y, z in zip(rp, ri)]
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        if a[r][c] < 0:
+            a[r] = [-v for v in a[r]]
+        pr = a[r]
+        for i in range(r):
+            q = a[i][c] // pr[c]
+            if q:
+                a[i] = [y - q * z for y, z in zip(a[i], pr)]
+        r += 1
+    return a[:r]
+
+
 def prime_factors(n: int) -> list[int]:
     """The distinct primes of n >= 1, ascending, by trial division."""
     out, p = [], 2
@@ -254,7 +301,7 @@ def smith_mod_kernel_basis(v, invariants, t: int) -> list[list[int]]:
     """The Hermite basis of M_t = {x : G x = 0 mod t} from the Smith form:
     the columns s_i V_i, s_i = t / gcd(d_i, t), inserted mod t into the
     rows of t I in the modular order of Domich, Kannan and Trotter, then
-    reduced above the pivots."""
+    reduced above the pivots by `hnf_reference`."""
     d = len(invariants)
     h = [[t if i == j else 0 for j in range(d)] for i in range(d)]
     for i, di in enumerate(invariants):
@@ -272,7 +319,7 @@ def smith_mod_kernel_basis(v, invariants, t: int) -> list[list[int]]:
             u, w = p // e, x // e
             h[c] = [(a * y + b * z) % t for y, z in zip(hc, g)]
             g = [(u * z - w * y) % t for y, z in zip(hc, g)]
-    return hnf_rows(h)
+    return hnf_reference(h)
 
 
 def smith_routes(lat, ts) -> dict:

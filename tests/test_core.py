@@ -6,19 +6,32 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latscreen import (
     Lattice,
     LatticeError,
+    analyze_screener,
     catalog,
+    central_charge,
+    conformal_weight,
+    dual_pairing_unit,
     in_dual,
     in_scaled_lattice,
     is_positive_definite,
+    is_screener,
+    make_type_i,
+    pair_decompositions,
+    reduce_screener_basis,
+    type_ii_feasible,
+    type_iii_feasible,
+    virasoro_shift,
 )
 
 from latscreen.core import over_common_denominator
-from latscreen.intlinalg import lll_rows
-from oracle import det_fraction
+from latscreen.intlinalg import hnf_rows, lll_rows
+from oracle import det_fraction, hnf_reference
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -328,6 +341,30 @@ def test_a_float_in_a_dual_vector_is_refused_by_name():
             call()
 
 
+def test_a_vector_that_is_not_a_sequence_is_refused_by_name():
+    """5 or None in place of a vector raises a LatticeError that names the
+    argument, not the bare TypeError of tuple(x) or len(x); an iterable
+    with a bad entry keeps its message."""
+    lat = catalog("A", 2)
+    calls = {
+        "vector": (lambda x: is_screener(lat, x), lambda x: in_dual(lat, x, 1), lambda x: lat.gram_times(x),
+                   lambda x: lat.norm(x), lambda x: central_charge(x, lat),
+                   lambda x: conformal_weight(lat, x, (0, 0), 0), lambda x: lat.dual_inner((0, 0), x)),
+        "alpha": (lambda x: virasoro_shift(lat, x, 1, 1), lambda x: analyze_screener(lat, x),
+                  lambda x: make_type_i(lat, x, 1, 1), lambda x: pair_decompositions(lat, x),
+                  lambda x: dual_pairing_unit(lat, x), lambda x: type_ii_feasible(lat, x, 1, 1),
+                  lambda x: type_iii_feasible(lat, x, 1, 1)),
+        "basis vector": (lambda x: reduce_screener_basis(lat, [x, x]),),
+    }
+    for what, fns in calls.items():
+        for x in (5, None):
+            for call in fns:
+                with pytest.raises(LatticeError, match=f"^{what} is {x!r}, not a sequence"):
+                    call(x)
+    with pytest.raises(LatticeError, match=re.escape("alpha (1, 'a') has an entry that is not an integer")):
+        make_type_i(lat, (1, "a"), 1, 1)
+
+
 def test_intlinalg_refuses_non_integer_entries():
     """copy_matrix reads each entry with operator.index, so a float is
     refused, not truncated: these gave 2, [[2, 1]] and diagonal [[2]]."""
@@ -435,3 +472,39 @@ def test_all_is_the_public_api():
     star: dict = {}
     exec("from latscreen import *", star)
     assert all(star[name] is getattr(latscreen, name) for name in latscreen.__all__)
+
+
+@st.composite
+def _hnf_inputs(draw):
+    """0-8 rows of 1-8 columns, entries in [-50, 50] and often 0, with
+    zero rows, repeated rows and integer combinations of earlier rows
+    mixed in, so that many inputs are rank-deficient."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-50, 50))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("random", "random", "zero", "repeat", "combination")))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_hnf_inputs(), st.randoms(use_true_random=False))
+def test_hnf_rows_is_the_reference_hermite_form(rows, rnd):
+    """hnf_rows, the column insertion, gives the Hermite form of
+    `oracle.hnf_reference`, the column-by-column elimination, and the same
+    form for any order of the rows."""
+    expected = hnf_reference(rows)
+    assert hnf_rows(rows) == expected
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert hnf_rows(shuffled) == expected

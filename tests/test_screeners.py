@@ -1407,20 +1407,21 @@ def test_shell_basis_spans_mod_kernel():
 
 
 def _hnf_mod_kernel_basis(v, invariants, t):
-    """The reference for `_mod_kernel_basis`: the general hnf_rows of the
-    generators s_i V_i mod t, s_i = t / gcd(d_i, t), and the rows of t I."""
+    """The reference for `_mod_kernel_basis`: the Hermite form
+    `oracle.hnf_reference` of the generators s_i V_i mod t,
+    s_i = t / gcd(d_i, t), and the rows of t I."""
     d = len(invariants)
     gens = [[s * v[r][i] % t for r in range(d)]
             for i, s in enumerate(t // math.gcd(di, t) for di in invariants)]
     gens.extend([t if i == j else 0 for j in range(d)] for i in range(d))
-    return hnf_rows(gens)
+    return oracle.hnf_reference(gens)
 
 
 def test_modular_hermite_basis_is_the_hnf_rows_basis():
     """Inserting each generator of the local pass into the rows of t' I,
     t' = t / gcd(t, d_1), with entries reduced mod t' gives exactly the
-    Hermite basis that hnf_rows gives on all the Smith generators s_i V_i
-    and t I at once, on every divisor shell of d_n of 3000 seeded Grams
+    Hermite basis that `oracle.hnf_reference` gives on all the Smith
+    generators s_i V_i and t I at once, on every divisor shell of d_n of 3000 seeded Grams
     A A^T + D of rank 1-6 at scales 1-12."""
     rng = random.Random(3535)
     shells = 0
