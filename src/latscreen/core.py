@@ -109,70 +109,65 @@ class Lattice:
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    def vector(self, x: Sequence[int], what: str) -> Vec:
-        """x as ints, refused unless it has rank-many entries; a float, str
-        or Fraction entry is refused, not truncated."""
+    def vector(self, x: Iterable[int], what: str) -> Vec:
+        """The one reader of a lattice vector: x, any iterable, read once as
+        rank-many ints; a float, str or Fraction entry is refused, not truncated."""
         try:
+            x = tuple(x)
             v = tuple(map(index, x))
         except TypeError:
-            if not isinstance(x, Iterable):
+            if not isinstance(x, tuple):
                 raise LatticeError(f"{what} is {x!r}, not a sequence of integers") from None
-            raise LatticeError(f"{what} {tuple(x)!r} has an entry that is not an integer") from None
-        self._check_dim(v)
+            raise LatticeError(f"{what} {x!r} has an entry that is not an integer") from None
+        if len(v) != self.rank:
+            raise LatticeError(f"vector has length {len(v)}, lattice rank is {self.rank}")
         return v
 
-    def gram_times(self, x: Sequence[int]) -> Vec:
+    def gram_times(self, x: Iterable[int]) -> Vec:
         """The vector G x of inner products of x with the basis."""
-        self._check_dim(x)
+        x = self.vector(x, "vector")
         return tuple(sum(map(mul, row, x)) for row in self.gram)
 
-    def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
-        self._check_dim(x)
-        self._check_dim(y)
-        return sum(map(mul, (sum(map(mul, row, x)) for row in self.gram), y))
+    def inner(self, x: Iterable[int], y: Iterable[int]) -> int:
+        return sum(map(mul, self.gram_times(x), self.vector(y, "vector")))
 
-    def norm(self, x: Sequence[int]) -> int:
-        return self.inner(x, x)
+    def norm(self, x: Iterable[int]) -> int:
+        x = self.vector(x, "vector")
+        return sum(map(mul, self.gram_times(x), x))
 
     def row_gram(self, rows: Sequence[Sequence[int]]) -> list[list[int]]:
         """Inner products <rows[i], rows[j]> of lattice vectors: R G R^T."""
         return intlinalg.matmul(intlinalg.matmul(rows, self.gram), list(zip(*rows)))
 
-    def dual_inner(self, v: Sequence[Fraction | int], w: Sequence[Fraction | int]) -> Fraction:
+    def dual_inner(self, v: Iterable[Fraction | int], w: Iterable[Fraction | int]) -> Fraction:
         """Inner product extended to rational coordinate vectors.
 
         Each argument is written as integer numerators over one common
         denominator, v = nv/dv and w = nw/dw, so the product is the integer
         <nv, nw> over dv*dw: one Fraction, none inside the d^2 sum.
         """
-        self._check_dim(v)
-        self._check_dim(w)
         nv, dv = over_common_denominator(v)
         nw, dw = (nv, dv) if w is v else over_common_denominator(w)
-        return Fraction(sum(map(mul, (sum(map(mul, row, nv)) for row in self.gram), nw)), dv * dw)
-
-    def _check_dim(self, x: Sequence) -> None:
-        try:
-            n = len(x)
-        except TypeError:
-            raise LatticeError(f"vector is {x!r}, not a sequence") from None
-        if n != self.rank:
-            raise LatticeError(f"vector has length {n}, lattice rank is {self.rank}")
+        return Fraction(self.inner(nv, nw), dv * dw)
 
     def __repr__(self) -> str:
         return f"Lattice({[list(r) for r in self.gram]})"
 
 
-def over_common_denominator(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """Integer numerators n and the least positive q with v = n / q.
-
-    q is the lcm of the entries' denominators; ints count as denominator 1.
+def over_common_denominator(v: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """The one reader of a dual vector: v, any iterable of ints and
+    Fractions, read once into integer numerators n and the least positive
+    q with v = n / q, the lcm of the entries' denominators (1 for an int).
     """
+    try:
+        v = tuple(v)
+    except TypeError:
+        raise LatticeError(f"vector is {v!r}, not a sequence") from None
     try:
         q = lcm(*(t.denominator for t in v))
         return [t.numerator * (q // t.denominator) for t in v], q
     except AttributeError:
-        raise LatticeError(f"dual vector {tuple(v)!r} has an entry that is not an int or a Fraction") from None
+        raise LatticeError(f"dual vector {v!r} has an entry that is not an int or a Fraction") from None
 
 
 def is_positive_definite(gram: Sequence[Sequence[int]]) -> bool:

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual, in_dual_from, in_scaled_lattice, integer
+from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual_from, in_scaled_lattice, integer
 from .enumeration import enumerate_up_to_norm, short_vectors
 
 
@@ -31,8 +31,9 @@ def is_screener(lat: Lattice, x: Sequence[int]) -> bool:
     """Screening condition: even norm, x not in 2L, and 2x/<x,x> in the dual;
     for an even norm, <x,x> divides 2 G x exactly when <x,x>/2 divides G x."""
     x = lat.vector(x, "vector")
-    nrm = lat.norm(x)
-    return nrm > 0 and nrm % 2 == 0 and not in_scaled_lattice(x, 2) and in_dual(lat, x, nrm // 2)
+    gx = lat.gram_times(x)
+    nrm = sum(map(mul, gx, x))
+    return nrm > 0 and nrm % 2 == 0 and not in_scaled_lattice(x, 2) and in_dual_from(gx, nrm // 2)
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,8 @@ def _local_data(gram: Sequence[Sequence[int]], d1: int, exps: dict[int, int]) ->
     """The local data of gram = d_1 G at each prime p of exps to K_p = exps[p].
 
     Each column of G is stacked on the same column of V = I, so that a
-    column step acts on G V and V at once; no row step is needed, since a
+    column step acts on G V and V at once; `_pivot` is the one column
+    step of both passes below.  No row step is needed, since a
     pivot column that is a unit at its pivot row is one row step from a
     unit vector.  One forward elimination mod M = prod p^(K_p + 2) pivots on
     entries prime to M, each an invariant 1 of G at every p, and leaves a
@@ -94,40 +96,24 @@ def _local_data(gram: Sequence[Sequence[int]], d1: int, exps: dict[int, int]) ->
     for p, k in exps.items():
         m *= p ** (k + 2)
     # gram is symmetric: its column j is its row j.  Each column holds its
-    # entries at the r rows not yet pivoted, then V's
+    # entries at the rows not yet pivoted, then V's d entries
     cols = [[x // d1 % m for x in row] + [int(i == j) for i in range(d)] for j, row in enumerate(gram)]
-    r, live = d, list(range(d))
-    while piv := next(((i, j) for j in live for i in range(r) if gcd(cols[j][i], m) == 1), None):
-        i0, j0 = piv
-        r -= 1
-        live.remove(j0)
-        c0 = cols[j0]
-        inv = pow(c0[i0], -1, m)
-        for j in live:
-            if f := cols[j][i0] * inv % m:
-                cols[j] = [(x - f * y) % m for x, y in zip(cols[j], c0)]
-            del cols[j][i0]
+    live = list(range(d))
+    while piv := next(((i, j) for j in live for i in range(len(cols[j]) - d) if gcd(cols[j][i], m) == 1), None):
+        _pivot(cols, live, *piv, 1, m)
     primes = {}
     for p, k in exps.items():
         n = k + 2
         q = p ** n
         cs = {j: [x % q for x in cols[j]] for j in live}
-        ls, rs = list(live), r
+        ls = list(live)
         out: list[tuple[int, list[int]]] = []
         while ls:
-            e, i0, j0 = min((_valuation(cs[j][i], p, n), i, j) for j in ls for i in range(rs))
+            e, i0, j0 = min((_valuation(cs[j][i] or q, p), i, j) for j in ls for i in range(len(cs[j]) - d))
             if e == n:
-                out += [(n, cs[j][rs:]) for j in ls]
+                out += [(n, cs[j][-d:]) for j in ls]
                 break
-            rs -= 1
-            ls.remove(j0)
-            c0, pe = cs[j0], p ** e
-            inv = pow(c0[i0] // pe, -1, q)
-            for j in ls:
-                if f := cs[j][i0] // pe * inv % q:
-                    cs[j] = [(x - f * y) % q for x, y in zip(cs[j], c0)]
-                del cs[j][i0]
-            out.append((e, c0[rs + 1:]))
+            out.append((e, _pivot(cs, ls, i0, j0, p ** e, q)[-d:]))
         shift = _valuation(d1, p)
         vals = [shift] * (d - len(out)) + [shift + e for e, _ in out]
         b = None
@@ -140,12 +126,24 @@ def _local_data(gram: Sequence[Sequence[int]], d1: int, exps: dict[int, int]) ->
     return _Local(d1, d, primes)
 
 
-def _valuation(x: int, p: int, n: int | None = None) -> int:
-    """v_p(x), or n when it is n or more (x = 0 among them); with no n, x
-    must be nonzero."""
-    if n is None:
-        n = x.bit_length()
-    e = 0
+def _pivot(cols: list[list[int]] | dict[int, list[int]], live: list[int], i0: int, j0: int, pe: int, q: int) -> list[int]:
+    """The column step of `_local_data`.  Column j0 is pe times a unit mod q
+    at row i0, and pe divides row i0 of every live column: j0 leaves live,
+    clears row i0 of the others mod q and drops that row from them.  Returns
+    column j0."""
+    live.remove(j0)
+    c0 = cols[j0]
+    inv = pow(c0[i0] // pe, -1, q)
+    for j in live:
+        if f := cols[j][i0] // pe * inv % q:
+            cols[j] = [(x - f * y) % q for x, y in zip(cols[j], c0)]
+        del cols[j][i0]
+    return c0
+
+
+def _valuation(x: int, p: int) -> int:
+    """v_p(x) for a nonzero x; bounded by x's bit length, so no x (0 too) loops."""
+    e, n = 0, x.bit_length()
     while e < n and x % p == 0:
         x //= p
         e += 1
@@ -422,11 +420,11 @@ def all_screeners(lat: Lattice) -> ScreenerSet:
     """
     w, walk, route = _plan(lat)
     # a walked x of norm 2t routed whole is a screener (above); one routed
-    # near is when G x = 0 mod t and x is not in 2L
+    # near is when x is not in 2L and G x = 0 mod t, read row by row
     served = {2 * t: r[0] for t, r in route.items()}
     pairs = [(nrm, x) for x, nrm in walk
-             if (kind := served.get(nrm)) == "whole" or (kind == "near" and not in_scaled_lattice(x, 2)
-                                                       and in_dual_from(lat.gram_times(x), nrm // 2))]
+             if (kind := served.get(nrm)) == "whole" or kind == "near" and not in_scaled_lattice(x, 2)
+             and all(sum(map(mul, row, x)) % (nrm // 2) == 0 for row in lat.gram)]
     for t, r in route.items():
         if r[0] == "walk":
             _, basis, g, state = r

@@ -344,12 +344,16 @@ def test_a_float_in_a_dual_vector_is_refused_by_name():
 def test_a_vector_that_is_not_a_sequence_is_refused_by_name():
     """5 or None in place of a vector raises a LatticeError that names the
     argument, not the bare TypeError of tuple(x) or len(x); an iterable
-    with a bad entry keeps its message."""
+    with a bad entry keeps its message, a one-shot iterator included.
+    Every call that takes a lattice vector reads it through Lattice.vector,
+    so each refuses a float entry: norm, gram_times and inner used to
+    return 6.5, (1.0, 2.5) and 3.0 for (1.5, 2)."""
     lat = catalog("A", 2)
+    lattice_vector = (lambda x: is_screener(lat, x), lambda x: in_dual(lat, x, 1), lambda x: lat.gram_times(x),
+                      lambda x: lat.norm(x), lambda x: lat.inner(x, (1, 0)), lambda x: lat.inner((1, 0), x))
     calls = {
-        "vector": (lambda x: is_screener(lat, x), lambda x: in_dual(lat, x, 1), lambda x: lat.gram_times(x),
-                   lambda x: lat.norm(x), lambda x: central_charge(x, lat),
-                   lambda x: conformal_weight(lat, x, (0, 0), 0), lambda x: lat.dual_inner((0, 0), x)),
+        "vector": lattice_vector + (lambda x: central_charge(x, lat), lambda x: conformal_weight(lat, x, (0, 0), 0),
+                                    lambda x: lat.dual_inner((0, 0), x)),
         "alpha": (lambda x: virasoro_shift(lat, x, 1, 1), lambda x: analyze_screener(lat, x),
                   lambda x: make_type_i(lat, x, 1, 1), lambda x: pair_decompositions(lat, x),
                   lambda x: dual_pairing_unit(lat, x), lambda x: type_ii_feasible(lat, x, 1, 1),
@@ -361,8 +365,13 @@ def test_a_vector_that_is_not_a_sequence_is_refused_by_name():
             for call in fns:
                 with pytest.raises(LatticeError, match=f"^{what} is {x!r}, not a sequence"):
                     call(x)
-    with pytest.raises(LatticeError, match=re.escape("alpha (1, 'a') has an entry that is not an integer")):
-        make_type_i(lat, (1, "a"), 1, 1)
+    for what, fns in (("vector", lattice_vector), ("alpha", calls["alpha"]), ("basis vector", calls["basis vector"])):
+        for call in fns:
+            with pytest.raises(LatticeError, match=re.escape(f"{what} (1.5, 2) has an entry that is not an integer")):
+                call((1.5, 2))
+    for alpha in ((1, "a"), (v for v in (1, "a"))):
+        with pytest.raises(LatticeError, match=re.escape("alpha (1, 'a') has an entry that is not an integer")):
+            make_type_i(lat, alpha, 1, 1)
 
 
 def test_intlinalg_refuses_non_integer_entries():
@@ -380,7 +389,14 @@ def test_intlinalg_refuses_non_integer_entries():
 
 
 def test_over_common_denominator():
+    """It reads its argument once, so a generator gives the numerators and
+    the dual_inner value of the tuple; it used to give ([], 2), the
+    generator spent by the lcm."""
     f = Fraction
+    v = (f(1, 2), 1)
+    assert over_common_denominator(x for x in v) == over_common_denominator(v) == ([1, 2], 2)
+    lat = Lattice(A2)
+    assert lat.dual_inner((x for x in v), (0, 1)) == lat.dual_inner((0, 1), (x for x in v)) == f(3, 2)
     assert over_common_denominator((f(1, 2), f(-1, 3), 4)) == ([3, -2, 24], 6)
     assert over_common_denominator((f(3, -4), f(5, 6))) == ([-9, 10], 12)
     assert over_common_denominator((0, 7)) == ([0, 7], 1)
