@@ -12,10 +12,11 @@ input), builds the `input` block (digest, name, rank, determinant), takes
 --format text the renderer's reading of that same JSON text.  A `warnings`
 list among the results moves to the report's top level.
 
-One writer, `_dumps`, writes that JSON text.  Its bytes equal
-json.dumps(report, indent=2, sort_keys=True) with `_json_default` for
-Fractions, Lattices and dataclasses; the stdlib call is the tests'
-reference for them, not a second path here.
+One writer, `_dumps`, writes that JSON text.  It writes the exact types
+str, int, bool, None, dict (str keys), list and tuple itself and hands
+anything else to `_json_default` (Fractions, Lattices and dataclasses);
+its bytes equal json.dumps(report, indent=2, sort_keys=True) with that
+default, the tests' reference, not a second path here.
 
 Exit codes: 0 success, 1 usage, 2 input that is not UTF-8 text, or a parse
 or validation failure, 3 classification mismatch.
@@ -175,30 +176,26 @@ def _json_default(obj):
     return {name: getattr(obj, name) for name in names}
 
 
-# json writes the non-finite floats by these names, every other one by repr
-_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _dumps(report) -> str:
     """The text of json.dumps(report, indent=2, sort_keys=True,
-    default=_json_default), byte for byte, for a report whose dict keys
-    are strings.  With an indent the stdlib leaves its C encoder for a
-    pure-Python generator, which took a third of the rank2-cli workload;
-    this is one recursive pass that appends to a list and joins once."""
+    default=_json_default), byte for byte, for a report of the exact types
+    str, int, bool, None, dict (str keys), list and tuple, and of values
+    _json_default writes; it refuses any other, a float or subclass too.
+    The stdlib's indented encoder is pure Python; this is one recursive
+    pass that appends to a list and joins once."""
     out: list[str] = []
     put = out.append
     int_text = int.__repr__
 
     def write(v, nl: str) -> None:
-        # nl: a newline and the indent of v's closing bracket.  Plain str and
-        # int, the commonest values, are tested first; their subclasses (and
-        # bool, before int) fall through to the isinstance tests below.
+        # nl: a newline and the indent of v's closing bracket.  Exact types,
+        # commonest first; anything else goes to _json_default.
         t = type(v)
         if t is str:
             put(_encode_str(v))
         elif t is int:
             put(int_text(v))
-        elif isinstance(v, dict):
+        elif t is dict:
             if not v:
                 put("{}")
                 return
@@ -210,7 +207,7 @@ def _dumps(report) -> str:
                 lead = sep
                 write(v[k], inner)
             put(nl + "}")
-        elif isinstance(v, (list, tuple)):
+        elif t is list or t is tuple:
             if not v:
                 put("[]")
                 return
@@ -228,13 +225,6 @@ def _dumps(report) -> str:
             put("true")
         elif v is False:
             put("false")
-        elif isinstance(v, int):
-            put(int_text(v))
-        elif isinstance(v, float):
-            text = float.__repr__(v)
-            put(_FLOAT_NAMES.get(text, text))
-        elif isinstance(v, str):
-            put(_encode_str(v))
         else:
             write(_json_default(v), nl)
 

@@ -120,7 +120,7 @@ class Lattice:
                 raise LatticeError(f"{what} is {x!r}, not a sequence of integers") from None
             raise LatticeError(f"{what} {x!r} has an entry that is not an integer") from None
         if len(v) != self.rank:
-            raise LatticeError(f"vector has length {len(v)}, lattice rank is {self.rank}")
+            raise LatticeError(f"{what} has length {len(v)}, lattice rank is {self.rank}")
         return v
 
     def gram_times(self, x: Iterable[int]) -> Vec:

@@ -23,7 +23,8 @@ from operator import mul
 from typing import Sequence
 
 from . import intlinalg
-from .core import DualVec, Lattice, LatticeError, Vec, canonical, in_dual_from, in_scaled_lattice, integer
+from .core import (DualVec, Lattice, LatticeError, Vec, canonical, in_dual_from, in_scaled_lattice, integer,
+                   over_common_denominator)
 from .enumeration import enumerate_up_to_norm, short_vectors
 
 
@@ -459,11 +460,12 @@ def dual_pairing_unit(lat: Lattice, a: Sequence[int]) -> DualVec:
 def conformal_weight(
     lat: Lattice, momentum: Sequence[Fraction | int], gamma: Sequence[Fraction | int], level: int
 ) -> Fraction:
-    """Weight of a level-r vector with the given momentum: r + <v,v>/2 - <gamma,v>."""
+    """Weight of a level-r vector with the given momentum: r + <v,v>/2 - <gamma,v>.
+    Each argument is read once, so either may be a one-shot iterator."""
     level = integer(level, "level")
-    vv = lat.dual_inner(momentum, momentum)
-    gv = lat.dual_inner(gamma, momentum)
-    return level + vv / 2 - gv
+    n, q = over_common_denominator(momentum)
+    g, r = over_common_denominator(gamma)
+    return level + Fraction(lat.norm(n), 2 * q * q) - Fraction(lat.inner(n, g), q * r)
 
 
 def central_charge(gamma: Sequence[Fraction | int], lat: Lattice) -> Fraction:

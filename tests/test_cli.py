@@ -2,10 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certificates import within
+from latscreen import cli
 from latscreen.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -26,7 +27,7 @@ from latscreen.cli import (
     parse_lattice,
 )
 from latscreen.core import Lattice, LatticeError
-from latscreen.pairs import FeasibilityReport, PairSpec
+from latscreen.pairs import FeasibilityReport, PairSpec, TypeIVSolution
 from latscreen.recognition import WARN_2B_ODD
 
 A2_TEXT = "2 -1\n-1 2\n"
@@ -560,9 +561,48 @@ def test_reports_are_unchanged(tmp_path):
     assert report_digests(tmp_path) == json.loads(REPORT_DIGESTS.read_text())
 
 
-# Every value a report can hold, nested: full-Unicode text with lone
-# surrogates, ints past 64 bits, non-finite floats, and the values that go
-# through _json_default (Fractions, a Lattice, pair-layer dataclasses).
+def test_reports_hold_only_the_written_types(tmp_path, monkeypatch):
+    """Every report main writes, for each REPORT_CASES entry in both
+    formats, holds only what _dumps writes by exact type (str, int, bool,
+    None, dicts with str keys, lists and tuples) and the Fractions, Lattices
+    and dataclasses it hands to _json_default, whose forms hold the same.
+    The writer refuses any other value, so a float or a subclass put into a
+    report fails here rather than in a user's call."""
+    reports = []
+
+    def record(report):
+        reports.append(report)
+        return _dumps(report)
+
+    monkeypatch.setattr(cli, "_dumps", record)
+    report_digests(tmp_path)
+    seen = set()
+
+    def walk(v):
+        t = type(v)
+        seen.add(t)
+        if t is dict:
+            assert all(type(k) is str for k in v), v
+            for x in v.values():
+                walk(x)
+        elif t is list or t is tuple:
+            for x in v:
+                walk(x)
+        elif t not in (str, int, bool, type(None)):
+            walk(_json_default(v))
+
+    for report in reports:
+        walk(report)
+    assert len(reports) > len(REPORT_CASES)
+    assert seen == {str, int, bool, type(None), dict, list, tuple, Fraction, Lattice,
+                    PairSpec, FeasibilityReport, TypeIVSolution}
+
+
+# Every kind of value a report holds, nested: full-Unicode text with lone
+# surrogates, ints past 64 bits, bools, None, and the values that go
+# through _json_default (Fractions, a Lattice, the pair-layer dataclasses).
+# A report holds no float; test_reports_hold_only_the_written_types
+# checks that of every report main writes.
 _TEXT = st.text(
     st.characters(exclude_categories=())
     | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=())
@@ -582,9 +622,9 @@ _PAIR = st.builds(
 )
 _LEAVES = (
     _TEXT | _INTS | st.booleans() | st.none() | st.fractions()
-    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
     | st.just(Lattice([[2, -1], [-1, 2]])) | _PAIR
     | st.builds(FeasibilityReport, st.booleans(), st.tuples(_TEXT), st.none() | _PAIR)
+    | st.builds(TypeIVSolution, st.sampled_from(["A", "B"]), _INTS, _INTS, _INTS, st.tuples(_INTS, _INTS))
 )
 _VALUES = st.recursive(
     _LEAVES,

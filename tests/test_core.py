@@ -344,7 +344,8 @@ def test_a_float_in_a_dual_vector_is_refused_by_name():
 def test_a_vector_that_is_not_a_sequence_is_refused_by_name():
     """5 or None in place of a vector raises a LatticeError that names the
     argument, not the bare TypeError of tuple(x) or len(x); an iterable
-    with a bad entry keeps its message, a one-shot iterator included.
+    with a bad entry keeps its message, a one-shot iterator included, and a
+    wrong length is refused by the same name (it used to say "vector").
     Every call that takes a lattice vector reads it through Lattice.vector,
     so each refuses a float entry: norm, gram_times and inner used to
     return 6.5, (1.0, 2.5) and 3.0 for (1.5, 2)."""
@@ -365,6 +366,9 @@ def test_a_vector_that_is_not_a_sequence_is_refused_by_name():
             for call in fns:
                 with pytest.raises(LatticeError, match=f"^{what} is {x!r}, not a sequence"):
                     call(x)
+        for call in fns:
+            with pytest.raises(LatticeError, match=f"^{what} has length 3, lattice rank is 2$"):
+                call((1, 2, 3))
     for what, fns in (("vector", lattice_vector), ("alpha", calls["alpha"]), ("basis vector", calls["basis vector"])):
         for call in fns:
             with pytest.raises(LatticeError, match=re.escape(f"{what} (1.5, 2) has an entry that is not an integer")):

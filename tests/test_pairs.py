@@ -386,23 +386,24 @@ def test_pair_functions_reject_a_non_integer_alpha(call, alpha):
 
 
 @pytest.mark.parametrize("alpha", [(1,), (1, 0, 5)])
-@pytest.mark.parametrize("call", [
-    lambda a: is_screener(A2, a),
-    lambda a: dual_pairing_unit(A2, a),
-    lambda a: pair_decompositions(A2, a),
-    lambda a: make_type_i(A2, a, 1, 1),
-    lambda a: virasoro_shift(A2, a, 1, 1),
-    lambda a: type_ii_feasible(A2, a, 1, 1),
-    lambda a: type_iii_feasible(A2, a, 1, 3),
-    lambda a: analyze_screener(A2, a),
+@pytest.mark.parametrize("call, what", [
+    (lambda a: is_screener(A2, a), "vector"),
+    (lambda a: dual_pairing_unit(A2, a), "alpha"),
+    (lambda a: pair_decompositions(A2, a), "alpha"),
+    (lambda a: make_type_i(A2, a, 1, 1), "alpha"),
+    (lambda a: virasoro_shift(A2, a, 1, 1), "alpha"),
+    (lambda a: type_ii_feasible(A2, a, 1, 1), "alpha"),
+    (lambda a: type_iii_feasible(A2, a, 1, 3), "alpha"),
+    (lambda a: analyze_screener(A2, a), "alpha"),
 ], ids=["is_screener", "dual_pairing_unit", "pair_decompositions", "make_type_i", "virasoro_shift",
         "type_ii_feasible", "type_iii_feasible", "analyze_screener"])
-def test_pair_functions_reject_an_alpha_of_the_wrong_length(call, alpha):
+def test_pair_functions_reject_an_alpha_of_the_wrong_length(call, what, alpha):
     """Each refuses an alpha whose length is not the rank before anything
-    else reads it: dual_pairing_unit used to drop the third entry of
-    (1, 0, 5) and raise a bare IndexError on (1,), and type_iii_feasible
-    reported (1, 0, 5) infeasible."""
-    with pytest.raises(LatticeError, match=f"^vector has length {len(alpha)}, lattice rank is 2$"):
+    else reads it, naming the argument as it names a bad entry:
+    dual_pairing_unit used to drop the third entry of (1, 0, 5) and raise a
+    bare IndexError on (1,), and type_iii_feasible reported (1, 0, 5)
+    infeasible."""
+    with pytest.raises(LatticeError, match=f"^{what} has length {len(alpha)}, lattice rank is 2$"):
         call(alpha)
 
 

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -385,6 +386,26 @@ def test_conformal_weight_refuses_a_float_level():
     with pytest.raises(LatticeError, match="level is 0.5"):
         conformal_weight(lat, (1,), (0,), 0.5)
     assert conformal_weight(lat, (1,), (0,), 1) == 2
+
+
+def test_conformal_weight_reads_each_argument_once():
+    """A generator momentum or gamma gives the weight of the tuple: the
+    momentum used to be read twice, so a generator one raised "vector has
+    length 0".  A wrong length or a float entry in either argument keeps
+    its refusal."""
+    lat = catalog("A", 2)
+    m, g = (1, 0), (Fraction(1, 2), Fraction(1, 3))
+    assert conformal_weight(lat, m, g, 1) == Fraction(4, 3)
+    assert conformal_weight(lat, (v for v in m), g, 1) == conformal_weight(lat, m, (v for v in g), 1) == Fraction(4, 3)
+    assert conformal_weight(lat, (v for v in (1, 0)), (0, 0), 1) == 2
+    for momentum, gamma, message in (
+        ((1,), g, "vector has length 1, lattice rank is 2"),
+        (m, (0, 0, 0), "vector has length 3, lattice rank is 2"),
+        ((0.5, 0), g, "dual vector (0.5, 0) has an entry that is not an int or a Fraction"),
+        (m, (0, 0.5), "dual vector (0, 0.5) has an entry that is not an int or a Fraction"),
+    ):
+        with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+            conformal_weight(lat, momentum, gamma, 1)
 
 
 def test_central_charge():
