@@ -94,7 +94,7 @@ def parse_lattice(text: str) -> tuple[Lattice, str | None]:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise _json_syntax_error(text, e.pos)
-        if not isinstance(doc, dict) or "gram" not in doc:
+        if "gram" not in doc:
             raise ParseFailure("JSON input must be an object with a 'gram' key")
         gram = doc["gram"]
         if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
@@ -240,7 +240,7 @@ def _screeners(args, lat: Lattice) -> dict:
     sset = all_screeners(lat)
     min_norm = sset.min_norm
     rows = [
-        {"coords": v, "norm": n, "nonroot": bool(min_norm is not None and n > min_norm)}
+        {"coords": v, "norm": n, "nonroot": n > min_norm}
         for v, n in zip(sset.vectors, sset.norms)
     ]
     return {

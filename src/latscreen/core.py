@@ -148,7 +148,7 @@ class Lattice:
         """
         nv, dv = over_common_denominator(v)
         nw, dw = (nv, dv) if w is v else over_common_denominator(w)
-        return Fraction(self.inner(nv, nw), dv * dw)
+        return Fraction(self.inner(self.vector(nv, "dual vector"), self.vector(nw, "dual vector")), dv * dw)
 
     def __repr__(self) -> str:
         return f"Lattice({[list(r) for r in self.gram]})"
@@ -162,7 +162,7 @@ def over_common_denominator(v: Iterable[Fraction | int]) -> tuple[list[int], int
     try:
         v = tuple(v)
     except TypeError:
-        raise LatticeError(f"vector is {v!r}, not a sequence") from None
+        raise LatticeError(f"dual vector is {v!r}, not a sequence") from None
     try:
         q = lcm(*(t.denominator for t in v))
         return [t.numerator * (q // t.denominator) for t in v], q

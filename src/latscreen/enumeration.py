@@ -81,9 +81,10 @@ def short_vectors(u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matri
     b = b_i, rho = rho_i; the child's residual is
     rho_{i-1} = D_{i-1} (rho - e^2) / D_{i+1} with e = a v + b, exact
     because D_i P_i is an integer (module docstring).  While the outer
-    coordinates are all zero, b = 0 and v runs from 0, the v = 0 branch
-    staying in that state, so one z of each +-pair is walked and the zero
-    vector never reaches a leaf.  Each level also carries the image
+    coordinates are all zero, b = 0 and v runs from 0 (at a leaf from 1):
+    the loop's v = 0 child stays in that state and every v > 0 child
+    leaves it, so one z of each +-pair is walked and the zero vector
+    never reaches a leaf.  Each level also carries the image
     z[i+1:] u[i+1:] of the coordinates fixed so far: a child adds v u_i to
     it, and one with v = 0 takes its parent's tuple as it is."""
     d = len(lam)
@@ -96,11 +97,8 @@ def short_vectors(u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matri
     def level(i: int, rho: int, top: bool, image: Vec) -> None:
         a, brow, row = levels[i]
         s = math.isqrt(rho)
-        if top:  # z[i+1:] is zero, so b = 0; v = 0 keeps the sign open
-            b = 0
-            lo = 1
-            if i:
-                level(i - 1, minors[i - 1] * rho // a, True, image)
+        if top:  # z[i+1:] is zero: b = 0, and the loop's v = 0 child keeps
+            b, lo = 0, int(not i)  # the sign open; a leaf starts at 1, not 0
         else:
             b = sum(map(mul, brow, z[i + 1:]))
             lo = -((b + s) // a)
@@ -109,7 +107,7 @@ def short_vectors(u: _intlinalg.Matrix, minors: list[int], lam: _intlinalg.Matri
             for v in range(lo, (s - b) // a + 1):
                 z[i] = v
                 e = a * v + b
-                level(i - 1, below * (rho - e * e) // a, False,
+                level(i - 1, below * (rho - e * e) // a, top and not v,
                       tuple([p + v * c for p, c in zip(image, row)]) if v else image)
         else:
             for v in range(lo, (s - b) // a + 1):

@@ -136,7 +136,7 @@ def reduce_screener_basis(lat: Lattice, basis: Sequence[Sequence[int]]) -> list[
     rows = [lat.vector(b, "basis vector") for b in basis]
     if len(rows) != lat.rank:
         raise LatticeError("basis size does not match the rank")
-    if abs(intlinalg.determinant([list(r) for r in rows])) != 1:
+    if abs(intlinalg.determinant(rows)) != 1:
         raise LatticeError("vectors are not a basis of the lattice")
     for r in rows:
         if not is_screener(lat, r):
@@ -348,8 +348,7 @@ def decompose(lat: Lattice) -> Decomposition:
     rank-many of them with determinant +-1.
     """
     dec = recognize_components(lat)
-    simple = [list(r) for r in dec.simple_roots]
-    if len(simple) != lat.rank or abs(intlinalg.determinant(simple)) != 1:
+    if len(dec.simple_roots) != lat.rank or abs(intlinalg.determinant(dec.simple_roots)) != 1:
         raise NotGeneratedError("screeners do not generate the lattice")
     return dec
 

@@ -453,7 +453,7 @@ def dual_pairing_unit(lat: Lattice, a: Sequence[int]) -> DualVec:
         z = intlinalg.solve_gcd_one(list(a))
     except ValueError as e:
         raise LatticeError(str(e))
-    sol = intlinalg.solve_linear_system([list(r) for r in lat.gram], z)
+    sol = intlinalg.solve_linear_system(lat.gram, z)
     return tuple(sol)
 
 
@@ -465,6 +465,7 @@ def conformal_weight(
     level = integer(level, "level")
     n, q = over_common_denominator(momentum)
     g, r = over_common_denominator(gamma)
+    n, g = lat.vector(n, "dual vector"), lat.vector(g, "dual vector")
     return level + Fraction(lat.norm(n), 2 * q * q) - Fraction(lat.inner(n, g), q * r)
 
 

@@ -473,6 +473,9 @@ REPORT_CASES = [
     ("screeners-empty", ["screeners"], "  \n"),
     ("screeners-bad-json", ["screeners"], '{"gram": [[2,]]}'),
     ("screeners-json-not-integer", ["screeners"], '{"gram": [[2, 0.5], [0.5, 2]]}'),
+    ("screeners-json-gram-not-rows", ["screeners"], '{"gram": 5}'),
+    ("screeners-json-name-not-string", ["screeners"], '{"gram": [[2]], "name": 5}'),
+    ("screeners-json-no-gram", ["screeners"], '{"name": "x"}'),
     ("screeners-missing-file", ["screeners", "--input", "/nonexistent/lattice.txt"], None),
     ("decompose-d4", ["decompose"], D4_TEXT),
     ("decompose-two-blocks", ["decompose"], "2 -2\n-2 4\n"),
@@ -498,6 +501,7 @@ REPORT_CASES = [
     ("rank2-stdin", ["rank2", "--input", "-"], A2_TEXT),
     ("rank2-rank3", ["rank2"], "2 -1 0\n-1 2 -1\n0 -1 2\n"),
     ("pairs-single-alpha", ["pairs", "--alpha", "1"], "12\n"),
+    ("pairs-imprimitive-alpha", ["pairs", "--alpha", "2"], "12\n"),
     ("pairs-every-screener", ["pairs"], A2_TEXT),
     ("pairs-negative-alpha", ["pairs", "--alpha", "-1,0"], A2_TEXT),
     ("pairs-negative-alpha-joined", ["pairs", "--alpha=-1,0"], A2_TEXT),

@@ -345,7 +345,8 @@ def test_a_vector_that_is_not_a_sequence_is_refused_by_name():
     """5 or None in place of a vector raises a LatticeError that names the
     argument, not the bare TypeError of tuple(x) or len(x); an iterable
     with a bad entry keeps its message, a one-shot iterator included, and a
-    wrong length is refused by the same name (it used to say "vector").
+    wrong length is refused by the same name (it used to say "vector", for
+    a dual vector too).
     Every call that takes a lattice vector reads it through Lattice.vector,
     so each refuses a float entry: norm, gram_times and inner used to
     return 6.5, (1.0, 2.5) and 3.0 for (1.5, 2)."""
@@ -353,8 +354,9 @@ def test_a_vector_that_is_not_a_sequence_is_refused_by_name():
     lattice_vector = (lambda x: is_screener(lat, x), lambda x: in_dual(lat, x, 1), lambda x: lat.gram_times(x),
                       lambda x: lat.norm(x), lambda x: lat.inner(x, (1, 0)), lambda x: lat.inner((1, 0), x))
     calls = {
-        "vector": lattice_vector + (lambda x: central_charge(x, lat), lambda x: conformal_weight(lat, x, (0, 0), 0),
-                                    lambda x: lat.dual_inner((0, 0), x)),
+        "vector": lattice_vector,
+        "dual vector": (lambda x: central_charge(x, lat), lambda x: conformal_weight(lat, x, (0, 0), 0),
+                        lambda x: lat.dual_inner(x, (0, 0)), lambda x: lat.dual_inner((0, 0), x)),
         "alpha": (lambda x: virasoro_shift(lat, x, 1, 1), lambda x: analyze_screener(lat, x),
                   lambda x: make_type_i(lat, x, 1, 1), lambda x: pair_decompositions(lat, x),
                   lambda x: dual_pairing_unit(lat, x), lambda x: type_ii_feasible(lat, x, 1, 1),

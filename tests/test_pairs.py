@@ -156,6 +156,10 @@ def test_type_ii_infeasibility_reasons():
     assert type_ii_feasible(lat, (2, 0), 6, 4).reasons == (
         "alpha is imprimitive (gcd 2); the shift vector is not defined",
     )
+    assert type_ii_feasible(Lattice([[2, 0], [0, 6]]), (1, 1), 4, 1).reasons == (
+        "alpha/p is not in the dual",
+        "(p - p_prime) alpha / (p p_prime) is not in the dual",
+    )
 
 
 def test_type_ii_rejects_wrong_norm():
@@ -186,6 +190,16 @@ def test_type_iii_infeasibility_reasons():
     )
     assert type_iii_feasible(Lattice([[12]]), (1,), 1, 5).reasons == (
         "rank must be at least 2",
+    )
+    assert type_iii_feasible(Lattice([[2, 0], [0, 6]]), (1, 1), 3, 2).reasons == (
+        "requires r > p_prime",
+        "p = (r^2 - p_prime^2)/(4 p_prime) = -5/12 is not a positive integer",
+    )
+    assert type_iii_feasible(Lattice([[2, 0], [0, 10]]), (1, 1), 1, 5).reasons == (
+        "alpha/p is not in the dual",
+    )
+    assert type_iii_feasible(Lattice([[24, 3], [3, 2]]), (1, 0), 4, 8).reasons == (
+        "m alpha / (2 p p_prime) is not in the dual",
     )
 
 

@@ -392,15 +392,15 @@ def test_conformal_weight_reads_each_argument_once():
     """A generator momentum or gamma gives the weight of the tuple: the
     momentum used to be read twice, so a generator one raised "vector has
     length 0".  A wrong length or a float entry in either argument keeps
-    its refusal."""
+    its refusal, which names a dual vector."""
     lat = catalog("A", 2)
     m, g = (1, 0), (Fraction(1, 2), Fraction(1, 3))
     assert conformal_weight(lat, m, g, 1) == Fraction(4, 3)
     assert conformal_weight(lat, (v for v in m), g, 1) == conformal_weight(lat, m, (v for v in g), 1) == Fraction(4, 3)
     assert conformal_weight(lat, (v for v in (1, 0)), (0, 0), 1) == 2
     for momentum, gamma, message in (
-        ((1,), g, "vector has length 1, lattice rank is 2"),
-        (m, (0, 0, 0), "vector has length 3, lattice rank is 2"),
+        ((1,), g, "dual vector has length 1, lattice rank is 2"),
+        (m, (0, 0, 0), "dual vector has length 3, lattice rank is 2"),
         ((0.5, 0), g, "dual vector (0.5, 0) has an entry that is not an int or a Fraction"),
         (m, (0, 0.5), "dual vector (0, 0.5) has an entry that is not an int or a Fraction"),
     ):
@@ -1357,6 +1357,9 @@ def test_divisors_with_limit_match_brute_force():
     # the scan stops at the limit, far below isqrt(n)
     assert divisors(3 * 2 ** 60, 10) == [1, 2, 3, 4, 6, 8]
     assert divisors(3 * 2 ** 20, 3 * 2 ** 20)[-3:] == [2 ** 20, 3 * 2 ** 19, 3 * 2 ** 20]
+    # on 1277 * 1877 Brent's rho passes both factors inside one 128-step
+    # block, whose gcd is then n: the block is replayed one gcd per step
+    assert divisors(2396929, 2396929) == [1, 1277, 1877, 2396929]
     with pytest.raises(ValueError):
         divisors(0, 1)
 
